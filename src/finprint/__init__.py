@@ -29,7 +29,6 @@ from .errors import (
     NonpositiveVariance,
     NotPSD,
     OutOfDomain,
-    Singular,
     SingularDelta1,
     SingularXi,
     VerticalSolution,
@@ -60,12 +59,10 @@ from .spectral import (
 from .simulate import (
     ForcingMetrics,
     IdentitySigma,
-    PopulationSpectrum,
     ReplicateRecord,
     SeparableAr1Sigma,
     SimulationReport,
     SimulationScenario,
-    StieltjesLimits,
     SyntheticFingerprints,
     UnstructuredSigma,
     UserMatrixFingerprints,
@@ -73,8 +70,6 @@ from .simulate import (
     build_sigma_st,
     build_sigma_un,
     generate_replicate,
-    gls_oracle,
-    mp_stieltjes,
     run_scenario,
     sample_mvn,
     summarize_replicates,
@@ -143,8 +138,6 @@ __all__ = [
     "SimulationReport",
     "ForcingMetrics",
     "ReplicateRecord",
-    "PopulationSpectrum",
-    "StieltjesLimits",
     "IdentitySigma",
     "SeparableAr1Sigma",
     "UserMatrixSigma",
@@ -157,8 +150,6 @@ __all__ = [
     "generate_replicate",
     "run_scenario",
     "summarize_replicates",
-    "mp_stieltjes",
-    "gls_oracle",
     # errors
     "FinprintError",
     "NonFinite",
@@ -174,6 +165,5 @@ __all__ = [
     "InvalidCorrelation",
     "NotPSD",
     "NoConvergence",
-    "Singular",
     "NearDegenerateWarning",
 ]

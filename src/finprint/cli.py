@@ -147,6 +147,7 @@ def _curve_doc(result: FitResult) -> dict:
         "lambda": [float(v) for v in curve.grid],
         "trace_xi": [float(v) if np.isfinite(v) else None for v in curve.objective],
         "feasible": [bool(f) for f in curve.feasible],
+        "reason": list(curve.reason),
         "chosen_index": int(curve.chosen_index),
         "chosen_lambda": float(curve.chosen_lambda),
     }
@@ -181,6 +182,7 @@ def _fit_doc(result: FitResult, validation, cfg: CliConfig) -> dict:
             "k_hat": float(chosen.k_hat),
             "stability_margin": float(chosen.stability),
             "n_infeasible_grid_points": int((~result.curve.feasible).sum()),
+            "n_near_degenerate_grid_points": result.curve.n_near_degenerate,
             "validation_warnings": list(validation.warnings),
         },
         "provenance": _provenance(cfg, manifest_input_paths(cfg.input_path)),
@@ -272,8 +274,14 @@ def _simulate_doc(report: SimulationReport, scn: SimulationScenario, cfg: CliCon
             ],
             "n_replicates": report.n_replicates,
             "n_failed": report.n_failed,
+            "failure_counts": report.failure_counts,
         },
-        "timing": {"elapsed_seconds": report.elapsed_seconds},
+        "timing": {
+            "elapsed_seconds": report.elapsed_seconds,
+            "replicates_per_second": (
+                report.n_replicates / report.elapsed_seconds if report.elapsed_seconds > 0 else None
+            ),
+        },
         "provenance": _provenance(cfg, [cfg.input_path]),
     }
 

@@ -15,7 +15,6 @@ __all__ = [
     "InvalidCorrelation",
     "NotPSD",
     "NoConvergence",
-    "Singular",
     "NearDegenerateWarning",
 ]
 
@@ -76,10 +75,6 @@ class NotPSD(FinprintError):
 
 class NoConvergence(FinprintError):
     """Fixed-point iteration did not converge within the iteration budget."""
-
-
-class Singular(FinprintError):
-    """A dense linear solve hit a singular matrix."""
 
 
 class NearDegenerateWarning(UserWarning):

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 from .errors import NonpositiveVariance, OutOfDomain, SingularXi
+from .variance import RCOND_TOL
 
 if TYPE_CHECKING:
     from .variance import LambdaCurve
@@ -28,8 +29,6 @@ __all__ = [
     "quantile_chisq",
     "build_fit_result",
 ]
-
-RCOND_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,9 @@ def load_scenario(path) -> SimulationScenario:
     try:
         return scenario_from_dict(_load_json(path), base=path.parent)
     except (ValueError, FinprintError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        # One message-only type: some ValueErrors (UnicodeDecodeError) cannot
+        # be rebuilt from a message.
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _model_to_dict(model: SigmaModel | FingerprintModel) -> dict:

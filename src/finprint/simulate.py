@@ -3,14 +3,13 @@
 Replicates a desk-scale version of the method's coverage/interval-length
 study: draw control runs, noisy fingerprints, and observations from a known
 covariance, fit with the optimally regularized weight matrix, and aggregate
-bias, spread, interval length, and empirical coverage. Also hosts the
-independent oracles used in testing: the Marchenko-Pastur fixed point and a
-dense GLS baseline.
+bias, spread, interval length, and empirical coverage.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,9 +21,7 @@ from .errors import (
     DimensionMismatch,
     FinprintError,
     InvalidCorrelation,
-    NoConvergence,
     NotPSD,
-    Singular,
 )
 from .variance import FitOptions, fit_optimal
 
@@ -39,16 +36,12 @@ __all__ = [
     "ForcingMetrics",
     "ReplicateRecord",
     "SimulationReport",
-    "PopulationSpectrum",
-    "StieltjesLimits",
     "build_sigma_st",
     "build_sigma_un",
     "sample_mvn",
     "generate_replicate",
     "run_scenario",
     "summarize_replicates",
-    "mp_stieltjes",
-    "gls_oracle",
 ]
 
 # Relative floor for deciding a symmetric matrix is not PSD.
@@ -353,11 +346,14 @@ class ReplicateRecord:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """Aggregates of one study; ``failure_counts`` maps error type -> failed replicates."""
+
     per_forcing: tuple[ForcingMetrics, ...]
     replicates: tuple[ReplicateRecord, ...]
     n_replicates: int
     n_failed: int
     elapsed_seconds: float
+    failure_counts: dict[str, int]
 
 
 def _fit_record(ds: DetectionDataset, true_beta, index: int, options: FitOptions) -> ReplicateRecord:
@@ -397,10 +393,12 @@ def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> Si
     """Aggregate per-replicate records into per-forcing metrics.
 
     Failed replicates are excluded from every aggregate but counted in
-    ``n_failed``; the sample SD uses divisor R-1.
+    ``n_failed`` and, by error type, in ``failure_counts``; the sample SD
+    uses divisor R-1.
     """
     records = tuple(sorted(records, key=lambda r: r.index))
     good = [r for r in records if r.ok]
+    failures = Counter(r.error.split(":", 1)[0] for r in records if not r.ok)
     p = len(true_beta)
     if good:
         beta = np.array([r.beta_hat for r in good])
@@ -426,6 +424,7 @@ def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> Si
         n_replicates=len(records),
         n_failed=len(records) - len(good),
         elapsed_seconds=elapsed_seconds,
+        failure_counts=dict(sorted(failures.items())),
     )
 
 
@@ -452,101 +451,3 @@ def run_scenario(
         records = _run_chunk(scenario, indices, options)
     elapsed = time.perf_counter() - start
     return summarize_replicates(records, scenario.true_beta, elapsed)
-
-
-# ---------------------------------------------------------------------------
-# Independent oracles
-
-
-@dataclass(frozen=True)
-class PopulationSpectrum:
-    """Discrete spectral distribution of the population covariance."""
-
-    values: np.ndarray
-    weights: np.ndarray
-    aspect_ratio: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if values.shape != weights.shape or values.ndim != 1:
-            raise DimensionMismatch("values and weights must be 1-d arrays of equal length")
-        if (values < 0.0).any():
-            raise ValueError("spectrum values must be nonnegative")
-        if (weights < 0.0).any() or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to one")
-        if self.aspect_ratio < 0.0:
-            raise ValueError("aspect ratio must be >= 0")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
-class StieltjesLimits:
-    s: float
-    omega1: float
-    omega2: float
-
-
-def mp_stieltjes(
-    spectrum: PopulationSpectrum,
-    lam: float,
-    damping: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> StieltjesLimits:
-    """Solve the companion Stieltjes-transform fixed point at -lambda.
-
-    Damped iteration s <- (1-w) s + w * RHS(s) starting from
-    1 / (mean eigenvalue + lambda). Also returns the two deterministic
-    limits of the trace functionals, computed from s and its (analytic)
-    derivative. Raises NoConvergence past the iteration budget.
-    """
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    tau = spectrum.values
-    w = spectrum.weights
-    c = spectrum.aspect_ratio
-
-    def rhs(s: float) -> float:
-        return float(np.sum(w / (tau * (1.0 - c + lam * c * s) + lam)))
-
-    s = 1.0 / (float(np.sum(w * tau)) + lam)
-    for _ in range(max_iter):
-        s_next = (1.0 - damping) * s + damping * rhs(s)
-        if abs(s_next - s) < tol:
-            s = s_next
-            break
-        s = s_next
-    else:
-        raise NoConvergence(f"fixed point not converged after {max_iter} iterations")
-
-    # Implicit differentiation of the fixed point gives the derivative of the
-    # transform at -lambda (the limit of the squared-inverse trace).
-    denom = tau * (1.0 - c + lam * c * s) + lam
-    i1 = float(np.sum(w * (tau * c * s + 1.0) / denom**2))
-    i2 = float(np.sum(w * tau * lam * c / denom**2))
-    s_prime = i1 / (1.0 + i2)
-
-    u = 1.0 - lam * s
-    b = 1.0 - c * u
-    omega1 = u / b
-    omega2 = u / b**3 - lam * (s - lam * s_prime) / b**4
-    return StieltjesLimits(s=s, omega1=omega1, omega2=omega2)
-
-
-def gls_oracle(y, x, sigma) -> np.ndarray:
-    """Dense generalized least squares solution (X^T S^-1 X)^-1 X^T S^-1 Y.
-
-    Test-only baseline; raises Singular when the covariance or the weighted
-    normal matrix cannot be solved.
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    try:
-        sig_x = np.linalg.solve(sigma, x)
-        sig_y = np.linalg.solve(sigma, y)
-        return np.linalg.solve(x.T @ sig_x, x.T @ sig_y)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(f"GLS solve failed: {exc}") from exc

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import finprint as fp
+import oracles
 from finprint.spectral import rmt_functionals
 from finprint.simulate import ReplicateGenerator
 from finprint.variance import delta1_hat, delta2_hat
@@ -220,15 +221,15 @@ def test_c5_covariance_plugin_oracles():
 
 
 def test_c6_marchenko_pastur_oracle():
-    spec = fp.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=1.0)
+    spec = oracles.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=1.0)
     fixed_points = {
-        1.0: fp.mp_stieltjes(spec, 1.0).s - (np.sqrt(5.0) - 1.0) / 2.0,
-        0.0: fp.mp_stieltjes(
-            fp.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=0.0), 1.0
+        1.0: oracles.mp_stieltjes(spec, 1.0).s - (np.sqrt(5.0) - 1.0) / 2.0,
+        0.0: oracles.mp_stieltjes(
+            oracles.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=0.0), 1.0
         ).s
         - 0.5,
-        0.5: fp.mp_stieltjes(
-            fp.PopulationSpectrum(np.array([2.0]), np.array([1.0]), aspect_ratio=0.5), 1.0
+        0.5: oracles.mp_stieltjes(
+            oracles.PopulationSpectrum(np.array([2.0]), np.array([1.0]), aspect_ratio=0.5), 1.0
         ).s
         - (np.sqrt(2.0) - 1.0),
     }

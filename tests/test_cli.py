@@ -78,6 +78,10 @@ class TestFitCommand:
         }
         assert doc["provenance"]["version"] == fp.__version__
         assert len(doc["provenance"]["inputs"]) == 4  # manifest + three matrices
+        curve = doc["lambda_curve"]
+        assert [r is None for r in curve["reason"]] == curve["feasible"]
+        assert set(curve["reason"]) <= {None, *fp.variance.REASONS}
+        assert doc["diagnostics"]["n_near_degenerate_grid_points"] == 0
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.json")]) == 2
@@ -179,6 +183,8 @@ class TestSimulateCommand:
         assert table.exists()
         data = [ln for ln in table.read_text().splitlines() if not ln.startswith("#")]
         assert len(data) == 2
+        assert doc["metrics"]["failure_counts"] == {}
+        assert doc["timing"]["replicates_per_second"] > 0
 
     def test_replicates_override(self, scenario_file, tmp_path):
         out = tmp_path / "sim.json"
@@ -209,6 +215,14 @@ class TestSimulateCommand:
             )
         )
         assert main(["simulate", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_non_utf8_file_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_jobs_do_not_change_aggregates(self, scenario_file, tmp_path):
         out1 = tmp_path / "s1.json"

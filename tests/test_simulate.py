@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import finprint as fp
+import oracles
 
 
 class TestBuildSigmaSt:
@@ -171,6 +172,7 @@ class TestSummaries:
         ]
         report = fp.summarize_replicates(records, (1.0,))
         assert report.n_failed == 1
+        assert report.failure_counts == {"NoFeasiblePoint": 1}
         assert report.n_replicates == 3
         assert report.per_forcing[0].bias == pytest.approx(1.0)
 
@@ -233,41 +235,42 @@ class TestRunScenario:
 class TestPopulationSpectrum:
     def test_weights_validated(self):
         with pytest.raises(ValueError):
-            fp.PopulationSpectrum(values=np.array([1.0]), weights=np.array([0.5]), aspect_ratio=1.0)
+            oracles.PopulationSpectrum(values=np.array([1.0]), weights=np.array([0.5]), aspect_ratio=1.0)
         with pytest.raises(ValueError):
-            fp.PopulationSpectrum(values=np.array([-1.0]), weights=np.array([1.0]), aspect_ratio=1.0)
+            oracles.PopulationSpectrum(values=np.array([-1.0]), weights=np.array([1.0]), aspect_ratio=1.0)
         with pytest.raises(fp.DimensionMismatch):
-            fp.PopulationSpectrum(values=np.array([1.0, 2.0]), weights=np.array([1.0]), aspect_ratio=1.0)
+            oracles.PopulationSpectrum(values=np.array([1.0, 2.0]), weights=np.array([1.0]), aspect_ratio=1.0)
 
 
 class TestMpStieltjes:
     def test_unit_spectrum_square_case(self):
-        spec = fp.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=1.0)
-        res = fp.mp_stieltjes(spec, 1.0)
+        spec = oracles.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=1.0)
+        res = oracles.mp_stieltjes(spec, 1.0)
         assert res.s == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, abs=1e-10)
 
     def test_zero_aspect_ratio(self):
-        spec = fp.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=0.0)
-        assert fp.mp_stieltjes(spec, 1.0).s == pytest.approx(0.5, abs=1e-12)
+        spec = oracles.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=0.0)
+        assert oracles.mp_stieltjes(spec, 1.0).s == pytest.approx(0.5, abs=1e-12)
 
     def test_two_spectrum_half_ratio(self):
-        spec = fp.PopulationSpectrum(np.array([2.0]), np.array([1.0]), aspect_ratio=0.5)
-        assert fp.mp_stieltjes(spec, 1.0).s == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-10)
+        spec = oracles.PopulationSpectrum(np.array([2.0]), np.array([1.0]), aspect_ratio=0.5)
+        assert oracles.mp_stieltjes(spec, 1.0).s == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-10)
 
     def test_no_convergence_budget(self):
-        spec = fp.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=1.0)
+        spec = oracles.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=1.0)
         with pytest.raises(fp.NoConvergence):
-            fp.mp_stieltjes(spec, 1.0, max_iter=2)
+            oracles.mp_stieltjes(spec, 1.0, max_iter=2)
 
     def test_omega2_consistent_with_derivative_identity(self):
         # omega2 == (1 + c*omega1)^2 (omega1 + lambda * omega1') with the
         # derivative taken by central differences.
-        spec = fp.PopulationSpectrum(
+        spec = oracles.PopulationSpectrum(
             np.array([1.0, 2.0]), np.array([0.5, 0.5]), aspect_ratio=0.4
         )
         lam, h = 0.8, 1e-6
-        mid = fp.mp_stieltjes(spec, lam)
-        dom1 = (fp.mp_stieltjes(spec, lam + h).omega1 - fp.mp_stieltjes(spec, lam - h).omega1) / (2 * h)
+        mid = oracles.mp_stieltjes(spec, lam)
+        up, down = oracles.mp_stieltjes(spec, lam + h), oracles.mp_stieltjes(spec, lam - h)
+        dom1 = (up.omega1 - down.omega1) / (2 * h)
         expected = (1.0 + 0.4 * mid.omega1) ** 2 * (mid.omega1 + lam * dom1)
         assert mid.omega2 == pytest.approx(expected, abs=1e-6)
 
@@ -284,10 +287,10 @@ class TestMpStieltjes:
             cache = fp.build_cache(
                 fp.compute_sample_covariance(z), np.ones((400, 1)), np.zeros(400)
             )
-            spec = fp.PopulationSpectrum(values, weights, aspect_ratio=1.0)
+            spec = oracles.PopulationSpectrum(values, weights, aspect_ratio=1.0)
             ok = True
             for lam in (0.5 * cache.tau_bar, cache.tau_bar, 2.0 * cache.tau_bar):
-                limits = fp.mp_stieltjes(spec, lam)
+                limits = oracles.mp_stieltjes(spec, lam)
                 if abs(fp.theta1(cache, lam) - limits.omega1) >= 0.03:
                     ok = False
                 if abs(fp.theta2(cache, lam) - limits.omega2) >= 0.06:
@@ -302,14 +305,14 @@ class TestGlsOracle:
         x = rng.standard_normal((8, 2))
         y = rng.standard_normal(8)
         ols = np.linalg.lstsq(x, y, rcond=None)[0]
-        np.testing.assert_allclose(fp.gls_oracle(y, x, np.eye(8)), ols, atol=1e-10)
+        np.testing.assert_allclose(oracles.gls_oracle(y, x, np.eye(8)), ols, atol=1e-10)
 
     def test_noise_free_recovery(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, 2))
         beta = np.array([0.4, -1.2])
         sigma = fp.build_sigma_st(7, 1, 0.3, 0.0)
-        np.testing.assert_allclose(fp.gls_oracle(x @ beta, x, sigma), beta, atol=1e-10)
+        np.testing.assert_allclose(oracles.gls_oracle(x @ beta, x, sigma), beta, atol=1e-10)
 
     def test_matches_normal_equation_bruteforce(self):
         rng = np.random.default_rng(2)
@@ -319,11 +322,11 @@ class TestGlsOracle:
         sigma = a @ a.T + np.eye(6)
         inv = np.linalg.inv(sigma)
         brute = np.linalg.inv(x.T @ inv @ x) @ (x.T @ inv @ y)
-        np.testing.assert_allclose(fp.gls_oracle(y, x, sigma), brute, atol=1e-10)
+        np.testing.assert_allclose(oracles.gls_oracle(y, x, sigma), brute, atol=1e-10)
 
     def test_singular_sigma(self):
-        with pytest.raises(fp.Singular):
-            fp.gls_oracle(np.ones(3), np.ones((3, 1)), np.zeros((3, 3)))
+        with pytest.raises(oracles.Singular):
+            oracles.gls_oracle(np.ones(3), np.ones((3, 1)), np.zeros((3, 3)))
 
 
 class TestScenarioValidation:

@@ -168,42 +168,34 @@ class TestEvaluateLambda:
 
 
 class TestSelectLambda:
-    def _mock_evaluate(self, traces_by_lambda):
-        def fake(cache, sizes, lam):
-            trace = traces_by_lambda[round(float(lam), 6)]
-            return fp.XiEstimate(
-                lam=float(lam),
-                beta_hat=np.zeros(2),
-                delta1_hat=np.eye(2),
-                delta2_hat=np.eye(2),
-                k_hat=0.0,
-                xi_hat=np.diag([trace / 2, trace / 2]),
-                trace_xi=trace,
-                feasible=np.isfinite(trace),
-            )
-
-        return fake
-
-    def test_minimum_selected(self, monkeypatch, cache_factory):
-        monkeypatch.setattr(
-            variance, "evaluate_lambda", self._mock_evaluate({0.1: 3.0, 1.0: 2.0, 10.0: 5.0})
+    def _curve(self, traces_by_lambda):
+        # The selection rule lives on LambdaCurve: build one from stacked
+        # arrays whose xi traces are the given values.
+        grid = np.array(sorted(traces_by_lambda))
+        traces = np.array([traces_by_lambda[lam] for lam in grid])
+        g = len(grid)
+        return variance.LambdaCurve(
+            grid=grid,
+            beta_hat=np.zeros((g, 2)),
+            delta1_hat=np.tile(np.eye(2), (g, 1, 1)),
+            delta2_hat=np.tile(np.eye(2), (g, 1, 1)),
+            k_hat=np.zeros(g),
+            xi_hat=np.stack([np.diag([t / 2, t / 2]) for t in traces]),
+            stability=np.ones(g),
+            reason=np.array([None if np.isfinite(t) else "singular_delta1" for t in traces]),
         )
-        curve = fp.select_lambda(cache_factory(), [3, 5], bounds=(0.1, 10.0), grid_size=3)
+
+    def test_minimum_selected(self):
+        curve = self._curve({0.1: 3.0, 1.0: 2.0, 10.0: 5.0})
         assert curve.chosen_lambda == pytest.approx(1.0)
         assert curve.objective[curve.chosen_index] == 2.0
 
-    def test_tie_breaks_to_smallest_lambda(self, monkeypatch, cache_factory):
-        monkeypatch.setattr(
-            variance, "evaluate_lambda", self._mock_evaluate({0.1: 2.0, 1.0: 2.0, 10.0: 5.0})
-        )
-        curve = fp.select_lambda(cache_factory(), [3, 5], bounds=(0.1, 10.0), grid_size=3)
+    def test_tie_breaks_to_smallest_lambda(self):
+        curve = self._curve({0.1: 2.0, 1.0: 2.0, 10.0: 5.0})
         assert curve.chosen_lambda == pytest.approx(0.1)
 
-    def test_infeasible_points_skipped(self, monkeypatch, cache_factory):
-        monkeypatch.setattr(
-            variance, "evaluate_lambda", self._mock_evaluate({0.1: np.inf, 1.0: 4.0, 10.0: np.inf})
-        )
-        curve = fp.select_lambda(cache_factory(), [3, 5], bounds=(0.1, 10.0), grid_size=3)
+    def test_infeasible_points_skipped(self):
+        curve = self._curve({0.1: np.inf, 1.0: 4.0, 10.0: np.inf})
         assert curve.chosen_lambda == pytest.approx(1.0)
         assert list(curve.feasible) == [False, True, False]
 
