@@ -54,7 +54,6 @@ from .spectral import (
     stability_margin,
     theta1,
     theta2,
-    whiten,
 )
 from .simulate import (
     ForcingMetrics,
@@ -74,7 +73,7 @@ from .simulate import (
     sample_mvn,
     summarize_replicates,
 )
-from .tls import TlsSolution, tls_fit, tls_objective
+from .tls import TlsSolution, tls_fit
 from .variance import (
     FitOptions,
     LambdaCurve,
@@ -106,13 +105,11 @@ __all__ = [
     "theta1",
     "theta2",
     "g_forms",
-    "whiten",
     "rmt_functionals",
     "stability_margin",
     # tls
     "TlsSolution",
     "tls_fit",
-    "tls_objective",
     # variance
     "XiEstimate",
     "LambdaCurve",

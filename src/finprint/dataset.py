@@ -20,6 +20,7 @@ __all__ = [
     "ValidationReport",
     "compute_sample_covariance",
     "ensemble_mean",
+    "runs_tau_bar",
     "validate_dataset",
 ]
 
@@ -96,9 +97,10 @@ class DetectionDataset:
             raise ValueError("all ensemble sizes must be >= 1")
         object.__setattr__(self, "ensemble_sizes", sizes)
         if self.control_runs is not None:
-            object.__setattr__(
-                self, "control_runs", _as_float_array(self.control_runs, "control_runs", 2)
-            )
+            runs = _as_float_array(self.control_runs, "control_runs", 2)
+            if runs.shape[1] < 1:
+                raise ValueError("need at least one control run")
+            object.__setattr__(self, "control_runs", runs)
         if self.control_runs is None and self.sample_cov is None:
             raise ValueError("either control_runs or sample_cov must be supplied")
 
@@ -120,6 +122,13 @@ class DetectionDataset:
         """Diagonal of the measurement-error scaling matrix, 1/n_i per forcing."""
         return 1.0 / self.ensemble_sizes.astype(float)
 
+    @property
+    def tau_bar(self) -> float:
+        """Average eigenvalue tr(S)/N, from the control runs without forming S."""
+        if self.sample_cov is not None:
+            return self.sample_cov.tau_bar
+        return runs_tau_bar(self.control_runs)
+
     def sample_covariance(self) -> SampleCovariance:
         """Return the supplied covariance, or compute it from the control runs."""
         if self.sample_cov is not None:
@@ -136,7 +145,6 @@ class ValidationReport:
     m_runs: int
     n_over_m: float
     tau_bar: float
-    s_rank: int
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 
@@ -159,6 +167,12 @@ def compute_sample_covariance(control_runs) -> SampleCovariance:
     return SampleCovariance(s=s, m=m)
 
 
+def runs_tau_bar(control_runs) -> float:
+    """Average eigenvalue tr(S)/N of S = Z Z^T/m, as ||Z||_F^2 / (m N) in O(N m)."""
+    z = np.asarray(control_runs, dtype=float)
+    return float(np.vdot(z, z)) / z.size
+
+
 def ensemble_mean(runs) -> np.ndarray:
     """Column-wise mean of one forcing's simulation runs (N x n_i)."""
     r = _as_float_array(runs, "runs", 2)
@@ -179,7 +193,9 @@ def validate_dataset(ds: DetectionDataset) -> ValidationReport:
     Notes
     -----
     m < N is expected in practice and merely flags a singular sample
-    covariance; the shrinkage weight matrix handles it.
+    covariance; the shrinkage weight matrix handles it. Nothing here
+    decomposes or forms S: every check costs O(N m) from the control runs
+    (O(N) given S). The rank of S is ``SpectralCache.s_rank``.
     """
     n = ds.y.shape[0]
     if ds.x_tilde.shape[0] != n:
@@ -195,9 +211,9 @@ def validate_dataset(ds: DetectionDataset) -> ValidationReport:
         raise DimensionMismatch(
             f"control_runs has {ds.control_runs.shape[0]} rows, expected {n}"
         )
-    cov = ds.sample_covariance()
-    if cov.n_dim != n:
-        raise DimensionMismatch(f"sample covariance is {cov.n_dim}x{cov.n_dim}, expected {n}x{n}")
+    if ds.sample_cov is not None and ds.sample_cov.n_dim != n:
+        k = ds.sample_cov.n_dim
+        raise DimensionMismatch(f"sample covariance is {k}x{k}, expected {n}x{n}")
 
     m = ds.m_runs
     errors: list[str] = []
@@ -208,11 +224,7 @@ def validate_dataset(ds: DetectionDataset) -> ValidationReport:
     if n < p + 1:
         errors.append(f"N={n} too small for p={p} forcings (need N >= p+1)")
 
-    eigvals = np.linalg.eigvalsh(cov.s)
-    tau_bar = cov.tau_bar
-    rank_tol = max(n * np.finfo(float).eps * max(eigvals.max(initial=0.0), 0.0), 0.0)
-    s_rank = int((eigvals > rank_tol).sum())
-
+    tau_bar = ds.tau_bar
     if m < n:
         warnings.append(
             f"m={m} < N={n}: singular sample covariance (rank <= {m}); "
@@ -231,7 +243,6 @@ def validate_dataset(ds: DetectionDataset) -> ValidationReport:
         m_runs=m,
         n_over_m=n / m,
         tau_bar=tau_bar,
-        s_rank=s_rank,
         errors=tuple(errors),
         warnings=tuple(warnings),
     )

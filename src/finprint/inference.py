@@ -74,14 +74,24 @@ def quantile_chisq(df: int, q: float) -> float:
     return float(chi2.ppf(q, df))
 
 
-def marginal_ci(beta_i: float, xi_ii: float, n_dim: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Two-sided normal interval beta_i +/- z_{1-alpha/2} * sqrt(xi_ii / N)."""
+def _normal_interval(beta_i: float, xi_ii: float, n_dim: int, z: float) -> tuple[float, float]:
+    """beta_i +/- z * sqrt(xi_ii / N); raises NonpositiveVariance unless xi_ii > 0."""
     if xi_ii <= 0.0:
         raise NonpositiveVariance(f"variance estimate must be positive, got {xi_ii}")
+    half_width = z * float(np.sqrt(xi_ii / n_dim))
+    return (float(beta_i) - half_width, float(beta_i) + half_width)
+
+
+def _two_sided_z(alpha: float) -> float:
+    """z_{1-alpha/2}; alpha must lie in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
-    half_width = quantile_normal(1.0 - alpha / 2.0) * float(np.sqrt(xi_ii / n_dim))
-    return (float(beta_i) - half_width, float(beta_i) + half_width)
+    return quantile_normal(1.0 - alpha / 2.0)
+
+
+def marginal_ci(beta_i: float, xi_ii: float, n_dim: int, alpha: float = 0.05) -> tuple[float, float]:
+    """Two-sided normal interval beta_i +/- z_{1-alpha/2} * sqrt(xi_ii / N)."""
+    return _normal_interval(beta_i, xi_ii, n_dim, _two_sided_z(alpha))
 
 
 def joint_region_test(beta0, beta_hat, xi, n_dim: int, alpha: float = 0.05) -> JointRegionResult:
@@ -119,8 +129,9 @@ def da_verdict(ci: tuple[float, float]) -> Verdict:
 def build_fit_result(curve: "LambdaCurve", n_dim: int, alpha: float) -> FitResult:
     """Bundle the chosen grid point into a FitResult with intervals and verdicts."""
     est = curve.chosen
+    z = _two_sided_z(alpha)
     intervals = tuple(
-        marginal_ci(est.beta_hat[i], est.xi_hat[i, i], n_dim, alpha)
+        _normal_interval(est.beta_hat[i], est.xi_hat[i, i], n_dim, z)
         for i in range(est.beta_hat.shape[0])
     )
     return FitResult(

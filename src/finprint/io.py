@@ -1,7 +1,8 @@
 """File formats: delimited matrices, dataset manifests, scenario files.
 
 Matrix files are plain text with one row per line, '.' decimal separator,
-whitespace or comma delimited, and optional '#' comment lines. Vectors are
+whitespace or comma delimited, and optional '#' comment lines, or NumPy
+``.npy`` files (numeric, 1-d or 2-d; a 1-d array is one column). Vectors are
 single-column files. Manifests and scenarios are JSON documents whose keys
 mirror the corresponding dataclasses; relative paths resolve against the
 document's directory.
@@ -44,8 +45,23 @@ class SchemaError(FinprintError):
     """Manifest or scenario document is missing or misusing a field."""
 
 
+def _read_npy(path: Path) -> np.ndarray:
+    try:
+        a = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # truncated, corrupt, or object dtype
+        raise SchemaError(f"{path}: not a readable .npy array ({exc})") from exc
+    if not isinstance(a, np.ndarray):  # an .npz archive under a .npy name
+        a.close()
+        raise SchemaError(f"{path}: expected a single .npy array, got an archive")
+    if a.dtype.kind not in "biuf" or a.ndim not in (1, 2):
+        raise SchemaError(f"{path}: expected a 1-d or 2-d numeric array, got {a.ndim}-d {a.dtype}")
+    return np.asarray(a if a.ndim == 2 else a[:, None], dtype=float)
+
+
 def read_matrix(path) -> np.ndarray:
-    """Read a delimited text matrix; always returns a 2-d array."""
+    """Read a delimited text or ``.npy`` matrix; always returns a 2-d array."""
+    if Path(path).suffix == ".npy":
+        return _read_npy(Path(path))
     text = Path(path).read_text()
     data_lines = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
     delimiter = "," if any("," in ln.split("#", 1)[0] for ln in data_lines) else None

@@ -2,11 +2,16 @@
 
 All quantities the estimator needs at a given regularization level are
 functions of the eigendecomposition of the sample covariance S and of the
-data projected onto its eigenbasis. The decomposition is done once. A grid of
-G lambdas is then evaluated in one pass of stacked array operations on the
-G x N weight matrix 1/(d_i + lambda), at O(G N p^2); the one-lambda entry
-points are the G = 1 case of the same code. The shrunk matrix S + lambda*I
-is never formed or inverted densely.
+data projected onto its eigenbasis. The decomposition is done once: an eigh
+of S when S is supplied, or the thin SVD of the N x m control runs Z, whose
+left singular vectors span the range of S = Z Z^T/m. The eigenvalue-0
+remainder of the space is kept as a null block: its dimension and the Gram
+matrix of the data's residual off the retained eigenvectors. A grid of G
+lambdas is then evaluated in one pass of stacked array operations on the
+G x (r+1) weight matrix 1/(d_i + lambda), whose last column is the null
+block's 1/lambda, at O(G r p^2); the one-lambda entry points are the G = 1
+case of the same code. Neither S + lambda*I nor, from control runs, S itself
+is ever formed.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dataset import SampleCovariance
+from .dataset import SampleCovariance, runs_tau_bar
 from .errors import DegenerateDenominator, DimensionMismatch, EigenFailure
 
 __all__ = [
@@ -30,7 +35,6 @@ __all__ = [
     "theta1",
     "theta2",
     "g_forms",
-    "whiten",
     "rmt_functionals",
     "stability_margin",
 ]
@@ -44,19 +48,30 @@ DEGENERATE_TOL = 1e-12
 class SpectralCache:
     """Eigendecomposition of S plus the data expressed in its eigenbasis.
 
-    ``eigvals`` are ascending and clamped to >= 0; ``eigvecs`` has the
-    matching eigenvectors as columns. ``proj_x`` and ``proj_y`` are the
-    fingerprints and observations rotated into the eigenbasis, which is all
-    the weighted products below ever touch.
+    ``eigvals`` (r of them) are ascending and clamped to >= 0; ``eigvecs``
+    (N x r) has the matching eigenvectors as columns. ``proj_x`` and
+    ``proj_y`` are the fingerprints and observations rotated onto them. The
+    other N - r = ``null_dim`` directions have eigenvalue 0; the data enter
+    there only through ``null_gram``, the (p+1) x (p+1) Gram matrix R^T R of
+    the residual R = A - U U^T A of A = [x_tilde, y]. A cache built from S
+    keeps all N eigenpairs, so its null block is empty and ``null_gram`` zero.
     """
 
     eigvals: np.ndarray
     eigvecs: np.ndarray
     proj_x: np.ndarray
     proj_y: np.ndarray
+    null_dim: int
+    null_gram: np.ndarray
     n_dim: int
     m_runs: int
     tau_bar: float
+
+    @property
+    def s_rank(self) -> int:
+        """Numerical rank of S: eigenvalues above N * eps * the largest one."""
+        tol = self.n_dim * np.finfo(float).eps * self.eigvals.max(initial=0.0)
+        return int(np.count_nonzero(self.eigvals > tol))
 
 
 @dataclass(frozen=True)
@@ -78,15 +93,24 @@ class RmtFunctionals:
     stability: float | np.ndarray = np.nan
 
 
-def build_cache(cov: SampleCovariance, x_tilde, y) -> SpectralCache:
-    """Eigendecompose S once and project the data onto its eigenbasis.
+def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache:
+    """Decompose S once and project the data onto its eigenbasis.
 
-    Negative eigenvalues from round-off are clamped to zero (threshold
-    1e-10 * tau_bar). Raises EigenFailure if the symmetric solver does not
-    converge and DimensionMismatch on inconsistent shapes.
+    ``cov`` is either a SampleCovariance, which is eigendecomposed (O(N^3)
+    time, O(N^2) memory), or the N x m control runs Z themselves, whose thin
+    SVD gives the eigenpairs of S = Z Z^T/m without forming it (O(N m^2)
+    time, O(N m) memory). Eigenvalues below 1e-10 * tau_bar are clamped to
+    zero; from Z they join the null block. Raises EigenFailure if the
+    decomposition does not converge and DimensionMismatch on inconsistent
+    shapes.
     """
-    s = cov.s
-    n = s.shape[0]
+    if isinstance(cov, SampleCovariance):
+        z, n, m = None, cov.n_dim, cov.m
+    else:
+        z = np.asarray(cov, dtype=float)
+        if z.ndim != 2 or z.shape[1] < 1:
+            raise DimensionMismatch(f"control runs must be N x m with m >= 1, got {z.shape}")
+        n, m = z.shape
     x_tilde = np.asarray(x_tilde, dtype=float)
     y = np.asarray(y, dtype=float)
     if x_tilde.ndim != 2 or x_tilde.shape[0] != n:
@@ -95,23 +119,38 @@ def build_cache(cov: SampleCovariance, x_tilde, y) -> SpectralCache:
         raise DimensionMismatch(f"y must have shape ({n},), got {y.shape}")
 
     try:
-        eigvals, eigvecs = np.linalg.eigh(s)
+        if z is None:
+            tau_bar = cov.tau_bar
+            eigvals, eigvecs = np.linalg.eigh(cov.s)
+        else:
+            tau_bar = runs_tau_bar(z)
+            left, svals, _ = np.linalg.svd(z, full_matrices=False)
+            eigvals, eigvecs = svals[::-1] ** 2 / m, left[:, ::-1]
     except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"symmetric eigendecomposition failed: {exc}") from exc
-
-    tau_bar = float(np.trace(s)) / n
+        raise EigenFailure(f"spectral decomposition failed: {exc}") from exc
     # Round-off eigenvalues (either sign) below 1e-10 * tau_bar are exact
     # zeros of the rank-deficient S.
-    clamp = 1e-10 * max(tau_bar, 0.0)
-    eigvals = np.where(eigvals < clamp, 0.0, eigvals)
-
+    eigvals = np.where(eigvals < 1e-10 * max(tau_bar, 0.0), 0.0, eigvals)
+    data = np.column_stack([x_tilde, y])
+    if z is None:
+        proj, null_gram = eigvecs.T @ data, np.zeros((data.shape[1],) * 2)
+    else:
+        # From Z the zero eigenvalues join the null block, which the data
+        # enter only through their residual off the kept eigenvectors.
+        kept = eigvals > 0.0
+        eigvals, eigvecs = eigvals[kept], eigvecs[:, kept]
+        proj = eigvecs.T @ data
+        resid = data - eigvecs @ proj
+        null_gram = resid.T @ resid
     return SpectralCache(
         eigvals=eigvals,
         eigvecs=eigvecs,
-        proj_x=eigvecs.T @ x_tilde,
-        proj_y=eigvecs.T @ y,
+        proj_x=proj[:, :-1],
+        proj_y=proj[:, -1],
+        null_dim=n - eigvals.shape[0],
+        null_gram=0.5 * (null_gram + null_gram.T),
         n_dim=n,
-        m_runs=cov.m,
+        m_runs=m,
         tau_bar=tau_bar,
     )
 
@@ -131,14 +170,27 @@ def grid_row(stacked, i: int = 0):
 
 
 def weights(cache: SpectralCache, lams: np.ndarray) -> np.ndarray:
-    """G x N matrix of shrunk inverse eigenvalues 1/(d_i + lambda_g)."""
-    return 1.0 / (cache.eigvals + lams[:, None])
+    """G x (r+1) matrix of shrunk inverse eigenvalues 1/(d_i + lambda_g).
+
+    The last column is the null block's weight 1/lambda_g (eigenvalue 0).
+    """
+    return 1.0 / (np.append(cache.eigvals, 0.0) + lams[:, None])
 
 
-def weighted_gram(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Symmetric sum_i w[g, i] a_i a_i^T for every row g of ``w``, as (G, k, k)."""
+def _normalized_trace(cache: SpectralCache, w: np.ndarray) -> np.ndarray:
+    """(1/N) sum over all N eigenvalues of the weights ``w`` (a ``weights`` stack)."""
+    return (w[:, :-1].sum(axis=1) + cache.null_dim * w[:, -1]) / cache.n_dim
+
+
+def weighted_gram(w: np.ndarray, a: np.ndarray, null_gram: np.ndarray) -> np.ndarray:
+    """Symmetric sum_i w[g, i] a_i a_i^T + w[g, -1] * null_gram for every row g, as (G, k, k).
+
+    ``a`` has one row per retained eigenpair (r x k); the null block enters
+    through its residual Gram matrix (k x k).
+    """
     n, k = a.shape
-    gram = (w @ (a[:, :, None] * a[:, None, :]).reshape(n, k * k)).reshape(-1, k, k)
+    outer = (a[:, :, None] * a[:, None, :]).reshape(n, k * k)
+    gram = (w @ np.vstack([outer, null_gram.reshape(1, k * k)])).reshape(-1, k, k)
     return 0.5 * (gram + gram.swapaxes(1, 2))
 
 
@@ -149,23 +201,42 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     b = 1 - (N/m)(1 - lambda*Q1), theta1 = (1 - lambda*Q1)/b,
     theta2 = (1 - lambda*Q1)/b^3 - lambda*(Q1 - lambda*Q2)/b^4, and the
     symmetric PSD forms g1 = X~^T (S+lambda I)^-1 X~ / N and g2 (squared
-    inverse). A degenerate denominator gives NaN thetas, not an exception.
+    inverse). The sums run over all N eigenvalues: the null block adds
+    (N - r)/lambda to N*Q1 and its residual Gram matrix over lambda to N*g1
+    (lambda^2 for Q2 and g2). A degenerate denominator gives NaN thetas, not
+    an exception.
     """
     lams = _check_lambda(lams)
     w = weights(cache, lams)
-    q1v = w.mean(axis=1)
-    q2v = (w * w).mean(axis=1)
+    w2 = w * w
+    p = cache.proj_x.shape[1]
+    q1v = _normalized_trace(cache, w)
+    q2v = _normalized_trace(cache, w2)
     u = 1.0 - lams * q1v
     b = 1.0 - (cache.n_dim / cache.m_runs) * u
+    # theta2 = (u b - lambda (Q1 - lambda Q2)) / b^4. With a_i = d_i/(d_i +
+    # lambda), which is 0 on zero eigenvalues and the null block, its
+    # numerator is (1/N) [sum a_i^2 - (sum a_i)^2 / m]. As written with Q1
+    # and Q2 it is a difference of terms of size u/b^3 that cancel exactly
+    # when m = 1; summed instead as the spread of the r nonzero a_i about
+    # their mean plus (1/r - 1/m)(sum a_i)^2, nothing cancels when r <= m.
+    d = np.append(cache.eigvals, 0.0)
+    a = d * w
+    nonzero = d > 0.0
+    r = max(int(np.count_nonzero(nonzero)), 1)
+    total = a.sum(axis=1)
+    spread = (((a - total[:, None] / r) * nonzero) ** 2).sum(axis=1)
+    theta2_num = (spread + (1.0 / r - 1.0 / cache.m_runs) * total**2) / cache.n_dim
     usable_b = np.where(np.abs(b) > DEGENERATE_TOL, b, np.nan)
+    null_x = cache.null_gram[:p, :p]
     return RmtFunctionals(
         lam=lams,
         q1=q1v,
         q2=q2v,
         theta1=u / usable_b,
-        theta2=u / usable_b**3 - lams * (q1v - lams * q2v) / usable_b**4,
-        g1=weighted_gram(w, cache.proj_x) / cache.n_dim,
-        g2=weighted_gram(w * w, cache.proj_x) / cache.n_dim,
+        theta2=theta2_num / usable_b**4,
+        g1=weighted_gram(w, cache.proj_x, null_x) / cache.n_dim,
+        g2=weighted_gram(w2, cache.proj_x, null_x) / cache.n_dim,
         stability=b,
     )
 
@@ -216,11 +287,3 @@ def g_forms(cache: SpectralCache, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Fingerprint quadratic forms ``(g1, g2)`` in the inverse shrunk covariance."""
     f = _at(cache, lam)
     return f.g1, f.g2
-
-
-def whiten(cache: SpectralCache, lam: float, a) -> np.ndarray:
-    """Apply the inverse square root of the shrunk covariance to a vector."""
-    lam = _check_lambda(lam)
-    a = np.asarray(a, dtype=float)
-    scaled = (cache.eigvecs.T @ a) / np.sqrt(cache.eigvals + lam)
-    return cache.eigvecs @ scaled

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EigenFailure, NearDegenerateWarning, VerticalSolution
 from .spectral import SpectralCache, _check_lambda, grid_row, weighted_gram, weights
 
-__all__ = ["TlsSolution", "tls_grid", "tls_fit", "tls_objective"]
+__all__ = ["TlsSolution", "tls_grid", "tls_fit"]
 
 # |last eigenvector component| below this (relative to the vector norm) means
 # the fit has no finite solution in the whitened metric.
@@ -65,8 +65,9 @@ def tls_grid(cache: SpectralCache, ensemble_sizes, lams) -> tuple[TlsSolution, n
         )
     if (sizes < 1).any():
         raise ValueError("all ensemble sizes must be >= 1")
-    design = np.column_stack([cache.proj_x * np.sqrt(sizes), cache.proj_y])
-    m = weighted_gram(weights(cache, lams), design)
+    scale = np.append(np.sqrt(sizes), 1.0)
+    design = np.column_stack([cache.proj_x, cache.proj_y]) * scale
+    m = weighted_gram(weights(cache, lams), design, cache.null_gram * np.outer(scale, scale))
     try:
         eigvals, eigvecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -108,13 +109,3 @@ def tls_fit(cache: SpectralCache, ensemble_sizes, lam: float) -> TlsSolution:
             "fingerprints are orthogonal to Y in the whitened metric"
         )
     return grid_row(solution)
-
-
-def tls_objective(cache: SpectralCache, ensemble_sizes, lam: float, beta) -> float:
-    """Rayleigh-quotient objective at an arbitrary coefficient vector."""
-    lam = _check_lambda(lam)
-    beta = np.asarray(beta, dtype=float)
-    sizes = np.asarray(ensemble_sizes, dtype=float)
-    w = 1.0 / (cache.eigvals + lam)
-    resid = cache.proj_y - cache.proj_x @ beta
-    return float(np.sum(w * resid**2) / (1.0 + np.sum(beta**2 / sizes)))

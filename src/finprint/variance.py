@@ -345,8 +345,11 @@ def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> "Fit
     if not report.ok:
         raise DimensionMismatch("; ".join(report.errors))
 
-    cov = ds.sample_covariance()
-    cache = build_cache(cov, ds.x_tilde, ds.y)
+    # With m < N control runs, S = Z Z^T/m has rank <= m: the cache comes
+    # from the thin SVD of Z and S is never formed. A supplied S, or m >= N,
+    # keeps the eigh of S, which is then no more expensive.
+    low_rank = ds.sample_cov is None and ds.m_runs < ds.n_dim
+    cache = build_cache(ds.control_runs if low_rank else ds.sample_covariance(), ds.x_tilde, ds.y)
     lo, hi = default_bounds(cache.tau_bar)
     if opts.lambda_min is not None:
         lo = opts.lambda_min

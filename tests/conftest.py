@@ -4,14 +4,18 @@ import pytest
 import finprint as fp
 
 
-def random_cache(seed=0, n=8, p=2, m=12):
-    """Spectral cache built from a seeded random problem instance."""
+def random_problem(seed=0, n=8, p=2, m=12):
+    """Seeded random ``(sample covariance, x_tilde, y)``."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, m))
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    cov = fp.compute_sample_covariance(z)
-    return fp.build_cache(cov, x, y)
+    return fp.compute_sample_covariance(z), x, y
+
+
+def random_cache(seed=0, n=8, p=2, m=12):
+    """Spectral cache built from a seeded random problem instance."""
+    return fp.build_cache(*random_problem(seed, n, p, m))
 
 
 def random_dataset(seed=0, n=12, p=2, m=20, ensemble_sizes=(3, 5)):

@@ -3,7 +3,8 @@
 The Marchenko-Pastur fixed point gives the deterministic limits of the trace
 functionals; it keeps its own copy of the theta algebra so that a fault in
 the library's version cannot hide from it. The dense GLS solution is the
-baseline for the scaling-factor estimator.
+baseline for the scaling-factor estimator. Whitening and the TLS objective
+are computed from the dense S + lambda*I, never from a spectral cache.
 """
 
 from __future__ import annotations
@@ -111,3 +112,22 @@ def gls_oracle(y, x, sigma) -> np.ndarray:
         return np.linalg.solve(x.T @ sig_x, x.T @ sig_y)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"GLS solve failed: {exc}") from exc
+
+
+def whiten(s, lam: float, a) -> np.ndarray:
+    """(S + lambda I)^{-1/2} a, from a dense eigendecomposition of the shrunk matrix."""
+    s = np.asarray(s, dtype=float)
+    vals, vecs = np.linalg.eigh(s + lam * np.eye(s.shape[0]))
+    return vecs @ ((vecs.T @ np.asarray(a, dtype=float)) / np.sqrt(vals))
+
+
+def tls_objective(s, x_tilde, y, ensemble_sizes, lam: float, beta) -> float:
+    """Rayleigh-quotient TLS objective at ``beta``, by a dense solve with S + lambda I.
+
+    ||(S + lambda I)^{-1/2} (y - X~ beta)||^2 / (1 + sum_i beta_i^2 / n_i).
+    """
+    s = np.asarray(s, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    resid = np.asarray(y, dtype=float) - np.asarray(x_tilde, dtype=float) @ beta
+    quad = resid @ np.linalg.solve(s + lam * np.eye(s.shape[0]), resid)
+    return float(quad / (1.0 + np.sum(beta**2 / np.asarray(ensemble_sizes, dtype=float))))

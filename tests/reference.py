@@ -24,7 +24,6 @@ class _Infeasible(Exception):
 def _functionals(cache, lam):
     w = 1.0 / (cache.eigvals + lam)
     q1 = float(np.mean(w))
-    q2 = float(np.mean(w**2))
     u = 1.0 - lam * q1
     b = 1.0 - (cache.n_dim / cache.m_runs) * u
     if abs(b) <= DEGENERATE_TOL:
@@ -32,9 +31,18 @@ def _functionals(cache, lam):
     v = cache.proj_x
     g1 = (v.T * w) @ v / cache.n_dim
     g2 = (v.T * w**2) @ v / cache.n_dim
+    # theta2 = (u b - lam (q1 - lam q2)) / b^4 has the numerator
+    # (1/N) [sum a^2 - (sum a)^2 / m], a = d/(d + lam), whose two terms
+    # cancel exactly at m = 1. Written without cancellation through the
+    # pairwise identity sum a^2 - (sum a)^2 / r = (1/r) sum_{i<j} (a_i - a_j)^2
+    # over the r nonzero a.
+    a = (cache.eigvals * w)[cache.eigvals > 0.0]
+    r = max(a.size, 1)
+    pairs = 0.5 * np.sum((a[:, None] - a[None, :]) ** 2) / r
+    theta2_num = (pairs + (1.0 / r - 1.0 / cache.m_runs) * a.sum() ** 2) / cache.n_dim
     return {
         "theta1": u / b,
-        "theta2": u / b**3 - lam * (q1 - lam * q2) / b**4,
+        "theta2": theta2_num / b**4,
         "g1": 0.5 * (g1 + g1.T),
         "g2": 0.5 * (g2 + g2.T),
     }

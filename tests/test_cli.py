@@ -146,6 +146,61 @@ class TestFitCommand:
         assert main(["fit", str(manifest)]) == 2
 
 
+@pytest.fixture
+def npy_twin(tmp_path):
+    """One control-run problem (m < N) as a text manifest and as an .npy manifest."""
+    rng = np.random.default_rng(4)
+    n, m = 40, 12
+    x = rng.standard_normal((n, 2))
+    y = x @ np.array([1.0, 1.0]) + 0.3 * rng.standard_normal(n)
+    z = rng.standard_normal((n, m))
+    manifests = []
+    for kind in ("txt", "npy"):
+        folder = tmp_path / kind
+        folder.mkdir()
+        for name, a in (("y", y), ("x_tilde", x), ("control", z)):
+            if kind == "txt":
+                write_matrix(folder / f"{name}.txt", a if a.ndim == 2 else a[:, None])
+            else:
+                np.save(folder / f"{name}.npy", a)
+        doc = {
+            "y": f"y.{kind}",
+            "x_tilde": f"x_tilde.{kind}",
+            "ensemble_sizes": [35, 46],
+            "control_runs": f"control.{kind}",
+        }
+        (folder / "manifest.json").write_text(json.dumps(doc))
+        manifests.append(folder / "manifest.json")
+    return manifests
+
+
+class TestNpyInputs:
+    def test_npy_manifest_matches_text_twin(self, npy_twin):
+        docs = []
+        for manifest in npy_twin:
+            out = manifest.parent / "report.json"
+            assert main(["fit", str(manifest), "--output", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        text, npy = docs
+        assert npy["beta_hat"] == text["beta_hat"]
+        assert npy["lambda_opt"] == text["lambda_opt"]
+        assert [(f["ci_lower"], f["ci_upper"]) for f in npy["forcings"]] == [
+            (f["ci_lower"], f["ci_upper"]) for f in text["forcings"]
+        ]
+
+    @pytest.mark.parametrize("damage", ["truncated", "object_dtype"])
+    def test_bad_npy_exit_2(self, npy_twin, damage, capsys):
+        control = npy_twin[1].parent / "control.npy"
+        if damage == "truncated":
+            control.write_bytes(control.read_bytes()[:-100])
+        else:
+            np.save(control, np.array([[1.0, "a"], [None, 2]], dtype=object), allow_pickle=True)
+        assert main(["fit", str(npy_twin[1])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "control.npy" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestLambdaCurveCommand:
     def test_default_row_count(self, manifest, tmp_path, capsys):
         out = tmp_path / "curve.tsv"

@@ -108,7 +108,13 @@ class TestValidateDataset:
         report = fp.validate_dataset(ds)
         assert report.ok
         assert any("singular sample covariance" in w for w in report.warnings)
-        assert report.s_rank <= 5
+        # The rank comes from the fit's one decomposition, on either path.
+        duplicated = ds.control_runs[:, [0, 1, 2, 0, 1]]
+        for runs, rank in ((ds.control_runs, 5), (duplicated, 3)):
+            low_rank = fp.build_cache(runs, ds.x_tilde, ds.y)
+            dense = fp.build_cache(fp.compute_sample_covariance(runs), ds.x_tilde, ds.y)
+            assert low_rank.s_rank == rank
+            assert dense.s_rank == rank
 
     def test_zero_fingerprint_column_warns(self):
         rng = np.random.default_rng(1)

@@ -50,6 +50,34 @@ class TestMatrixFiles:
         assert read_matrix(path).shape == (1, 3)
 
 
+class TestNpyFiles:
+    def test_matrix_roundtrip(self, tmp_path):
+        a = np.arange(6.0).reshape(3, 2)
+        np.save(tmp_path / "m.npy", a)
+        np.testing.assert_array_equal(read_matrix(tmp_path / "m.npy"), a)
+
+    def test_one_d_is_one_column(self, tmp_path):
+        np.save(tmp_path / "v.npy", np.array([1, 2, 3]))
+        assert read_matrix(tmp_path / "v.npy").shape == (3, 1)
+        np.testing.assert_array_equal(read_vector(tmp_path / "v.npy"), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "a", [np.zeros((2, 2, 2)), np.array(["1", "2"]), np.array([1 + 2j])], ids=["3-d", "str", "complex"]
+    )
+    def test_rejects_non_numeric_or_wrong_rank(self, tmp_path, a):
+        np.save(tmp_path / "bad.npy", a)
+        with pytest.raises(SchemaError):
+            read_matrix(tmp_path / "bad.npy")
+
+    def test_rejects_archive_and_text_under_npy_name(self, tmp_path):
+        np.savez(tmp_path / "a.npz", x=np.ones(2))
+        (tmp_path / "a.npz").rename(tmp_path / "archive.npy")
+        (tmp_path / "text.npy").write_text("1.0 2.0\n")
+        for name in ("archive.npy", "text.npy"):
+            with pytest.raises(SchemaError):
+                read_matrix(tmp_path / name)
+
+
 def write_dataset_files(tmp_path, seed=0, n=10, m=15):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))

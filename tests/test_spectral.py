@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finprint as fp
-from conftest import random_cache
+import oracles
+from conftest import random_cache, random_problem
 
 
 def cache_from_matrix(s, x, y, m=10):
@@ -132,6 +133,17 @@ class TestTheta:
         cache = cache_from_matrix(np.array([[2.0]]), np.ones((1, 1)), np.zeros(1), m=2)
         assert fp.theta2(cache, 1.0) == pytest.approx(1.125)
 
+    def test_theta2_vanishes_for_one_run(self):
+        # With S = z z^T (m = 1) the two terms of theta2 cancel exactly; at
+        # N = 40 and lambda = 0.01 * tau_bar each is ~1e9, so differencing
+        # them left round-off of order 0.01 to 0.1.
+        rng = np.random.default_rng(1)
+        z = rng.standard_normal((40, 1))
+        x, y = rng.standard_normal((40, 1)), rng.standard_normal(40)
+        for cache in (fp.build_cache(z, x, y), fp.build_cache(fp.compute_sample_covariance(z), x, y)):
+            for lam in np.array([0.01, 1.0, 10.0]) * cache.tau_bar:
+                assert fp.theta2(cache, lam) == 0.0
+
     @given(st.integers(0, 500), st.floats(0.2, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_theta2_structural_identity(self, seed, lam):
@@ -207,14 +219,14 @@ class TestGForms:
 
 
 class TestWhiten:
+    """The dense whitening oracle against the cache's eigenbasis."""
+
     def test_scalar_shrunk_identity(self):
-        cache = cache_from_matrix(np.eye(2), np.ones((2, 1)), np.zeros(2))
-        out = fp.whiten(cache, 3.0, np.array([2.0, 2.0]))
-        np.testing.assert_allclose(out, [1.0, 1.0])
+        np.testing.assert_allclose(oracles.whiten(np.eye(2), 3.0, np.array([2.0, 2.0])), [1.0, 1.0])
 
     def test_zero_vector(self):
-        cache = random_cache()
-        np.testing.assert_array_equal(fp.whiten(cache, 1.0, np.zeros(8)), np.zeros(8))
+        cov, _, _ = random_problem()
+        np.testing.assert_array_equal(oracles.whiten(cov.s, 1.0, np.zeros(8)), np.zeros(8))
 
     def test_against_dense_root(self):
         rng = np.random.default_rng(21)
@@ -223,19 +235,19 @@ class TestWhiten:
         cache = fp.build_cache(cov, rng.standard_normal((7, 1)), rng.standard_normal(7))
         lam = cache.tau_bar
         a = rng.standard_normal(7)
-        eigvals, eigvecs = np.linalg.eigh(cov.s + lam * np.eye(7))
-        dense = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T @ a
-        np.testing.assert_allclose(fp.whiten(cache, lam, a), dense, atol=1e-9)
+        via_cache = cache.eigvecs @ ((cache.eigvecs.T @ a) / np.sqrt(cache.eigvals + lam))
+        np.testing.assert_allclose(oracles.whiten(cov.s, lam, a), via_cache, atol=1e-9)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_norm_matches_inverse_quadratic_form(self, seed):
-        cache = random_cache(seed=seed)
+        cov, x, y = random_problem(seed=seed)
+        cache = fp.build_cache(cov, x, y)
         rng = np.random.default_rng(seed + 1)
         a = rng.standard_normal(cache.n_dim)
         lam = 0.5 * max(cache.tau_bar, 1e-3)
         quad = np.sum((cache.eigvecs.T @ a) ** 2 / (cache.eigvals + lam))
-        assert np.linalg.norm(fp.whiten(cache, lam, a)) ** 2 == pytest.approx(quad, abs=1e-10)
+        assert np.linalg.norm(oracles.whiten(cov.s, lam, a)) ** 2 == pytest.approx(quad, abs=1e-10)
 
 
 class TestMarchenkoPasturConsistency:

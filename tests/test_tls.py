@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import finprint as fp
-from conftest import random_cache
+import oracles
+from conftest import random_cache, random_problem
 
 
 def cache_from(s, x, y, m=10):
@@ -49,29 +50,30 @@ class TestTlsFit:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((10, 1))
         y = 0.8 * x[:, 0] + 0.3 * rng.standard_normal(10)
-        cache = fp.build_cache(fp.compute_sample_covariance(rng.standard_normal((10, 15))), x, y)
+        cov = fp.compute_sample_covariance(rng.standard_normal((10, 15)))
+        cache = fp.build_cache(cov, x, y)
         lam = cache.tau_bar
         sol = fp.tls_fit(cache, [4], lam)
         grid = np.arange(-3.0, 3.0 + 1e-9, 1e-3)
-        values = [fp.tls_objective(cache, [4], lam, [b]) for b in grid]
+        values = [oracles.tls_objective(cov.s, x, y, [4], lam, [b]) for b in grid]
         assert abs(grid[int(np.argmin(values))] - sol.beta_hat[0]) <= 2e-3
 
     def test_local_optimality(self):
-        cache = random_cache(seed=14)
-        lam = cache.tau_bar
+        cov, x, y = random_problem(seed=14)
+        lam = cov.tau_bar
         sizes = [3, 5]
-        sol = fp.tls_fit(cache, sizes, lam)
-        base = fp.tls_objective(cache, sizes, lam, sol.beta_hat)
+        sol = fp.tls_fit(fp.build_cache(cov, x, y), sizes, lam)
+        base = oracles.tls_objective(cov.s, x, y, sizes, lam, sol.beta_hat)
         rng = np.random.default_rng(99)
         for _ in range(100):
             delta = rng.standard_normal(2)
             delta *= 0.01 / np.linalg.norm(delta)
-            assert fp.tls_objective(cache, sizes, lam, sol.beta_hat + delta) >= base - 1e-12
+            assert oracles.tls_objective(cov.s, x, y, sizes, lam, sol.beta_hat + delta) >= base - 1e-12
 
     def test_objective_equals_min_eigenvalue(self):
-        cache = random_cache(seed=8)
-        sol = fp.tls_fit(cache, [3, 5], 1.3)
-        assert fp.tls_objective(cache, [3, 5], 1.3, sol.beta_hat) == pytest.approx(
+        cov, x, y = random_problem(seed=8)
+        sol = fp.tls_fit(fp.build_cache(cov, x, y), [3, 5], 1.3)
+        assert oracles.tls_objective(cov.s, x, y, [3, 5], 1.3, sol.beta_hat) == pytest.approx(
             sol.min_eigenvalue, abs=1e-9
         )
 
@@ -135,21 +137,26 @@ class TestTlsFit:
 
 
 class TestTlsObjective:
+    """The dense oracle objective against the cache's eigenbasis."""
+
     def test_exact_fit_zero(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 1))
-        cache = cache_from(np.eye(5), x, 1.7 * x[:, 0])
-        assert fp.tls_objective(cache, [2], 0.5, [1.7]) == pytest.approx(0.0, abs=1e-14)
+        assert oracles.tls_objective(np.eye(5), x, 1.7 * x[:, 0], [2], 0.5, [1.7]) == pytest.approx(
+            0.0, abs=1e-14
+        )
 
     def test_zero_beta_reduces_to_weighted_norm(self):
-        cache = random_cache(seed=12)
+        cov, x, y = random_problem(seed=12)
+        cache = fp.build_cache(cov, x, y)
         lam = 0.6
         expected = np.sum(cache.proj_y**2 / (cache.eigvals + lam))
-        assert fp.tls_objective(cache, [3, 5], lam, [0.0, 0.0]) == pytest.approx(expected)
+        assert oracles.tls_objective(cov.s, x, y, [3, 5], lam, [0.0, 0.0]) == pytest.approx(expected)
 
     def test_beta_star_denominator(self):
-        cache = random_cache(seed=13)
-        val = fp.tls_objective(cache, [4, 4], 1.0, [1.0, 1.0])
+        cov, x, y = random_problem(seed=13)
+        cache = fp.build_cache(cov, x, y)
+        val = oracles.tls_objective(cov.s, x, y, [4, 4], 1.0, [1.0, 1.0])
         resid = cache.proj_y - cache.proj_x @ np.ones(2)
         num = np.sum(resid**2 / (cache.eigvals + 1.0))
         assert val == pytest.approx(num / 1.5)
