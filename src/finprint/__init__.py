@@ -17,19 +17,16 @@ from .dataset import (
     validate_dataset,
 )
 from .errors import (
-    DegenerateDenominator,
     DimensionMismatch,
     EigenFailure,
     FinprintError,
     InvalidCorrelation,
     NearDegenerateWarning,
-    NoConvergence,
     NoFeasiblePoint,
     NonFinite,
     NonpositiveVariance,
     NotPSD,
     OutOfDomain,
-    SingularDelta1,
     SingularXi,
     VerticalSolution,
 )
@@ -43,18 +40,7 @@ from .inference import (
     quantile_chisq,
     quantile_normal,
 )
-from .spectral import (
-    RmtFunctionals,
-    SpectralCache,
-    build_cache,
-    g_forms,
-    q1,
-    q2,
-    rmt_functionals,
-    stability_margin,
-    theta1,
-    theta2,
-)
+from .spectral import RmtFunctionals, SpectralCache, build_cache
 from .simulate import (
     ForcingMetrics,
     IdentitySigma,
@@ -77,12 +63,10 @@ from .tls import TlsSolution, tls_fit
 from .variance import (
     FitOptions,
     LambdaCurve,
-    XiEstimate,
     delta1_hat,
     delta2_hat,
     evaluate_lambda,
     fit_optimal,
-    k_hat,
     select_lambda,
     xi_hat,
 )
@@ -100,23 +84,14 @@ __all__ = [
     "SpectralCache",
     "RmtFunctionals",
     "build_cache",
-    "q1",
-    "q2",
-    "theta1",
-    "theta2",
-    "g_forms",
-    "rmt_functionals",
-    "stability_margin",
     # tls
     "TlsSolution",
     "tls_fit",
     # variance
-    "XiEstimate",
     "LambdaCurve",
     "FitOptions",
     "delta1_hat",
     "delta2_hat",
-    "k_hat",
     "xi_hat",
     "evaluate_lambda",
     "select_lambda",
@@ -152,15 +127,12 @@ __all__ = [
     "NonFinite",
     "DimensionMismatch",
     "EigenFailure",
-    "DegenerateDenominator",
     "VerticalSolution",
-    "SingularDelta1",
     "NoFeasiblePoint",
     "NonpositiveVariance",
     "SingularXi",
     "OutOfDomain",
     "InvalidCorrelation",
     "NotPSD",
-    "NoConvergence",
     "NearDegenerateWarning",
 ]

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +22,8 @@ from . import __version__
 from .dataset import validate_dataset
 from .errors import (
     DimensionMismatch,
-    EigenFailure,
     FinprintError,
     InvalidCorrelation,
-    NoConvergence,
     NoFeasiblePoint,
     NonFinite,
     NotPSD,
@@ -53,72 +50,48 @@ _INPUT_ERRORS = (
     NotPSD,
     FileNotFoundError,
     IsADirectoryError,
-    ValueError,
 )
-_NUMERIC_ERRORS = (
-    EigenFailure,
-    NoConvergence,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
-
-ENV_SEED = "FINPRINT_SEED"
+# Anything else that escapes a command is a failure of the computation,
+# not of its input.
+_NUMERIC_ERRORS = (FinprintError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 
 @dataclass(frozen=True)
 class CliConfig:
-    """Validated command configuration assembled from parsed flags."""
+    """Validated command configuration assembled from parsed flags.
+
+    ``fit`` holds the fit flags (their defaults for ``simulate``), checked
+    once by FitOptions.
+    """
 
     command: str
     input_path: Path | None
     output_path: Path | None
-    alpha: float
-    lambda_min: float | None
-    lambda_max: float | None
-    grid_size: int
-    objective: str
+    fit: FitOptions
     seed: int | None
     replicates: int | None
     jobs: int
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"--alpha must be in (0, 1), got {self.alpha}")
-        if self.grid_size < 2:
-            raise ValueError("--grid-size must be >= 2")
         if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
+            raise OutOfDomain("--jobs must be >= 1")
         if self.replicates is not None and self.replicates < 1:
-            raise ValueError("--replicates must be >= 1")
+            raise OutOfDomain("--replicates must be >= 1")
         if self.input_path is not None and not self.input_path.exists():
             raise FileNotFoundError(f"input file not found: {self.input_path}")
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        seed = getattr(args, "seed", None)
-        if seed is None and os.environ.get(ENV_SEED):
-            seed = int(os.environ[ENV_SEED])
+        # The fit flags' dests are FitOptions' field names.
+        fit_flags = {f.name: getattr(args, f.name) for f in fields(FitOptions) if hasattr(args, f.name)}
         return cls(
             command=args.command,
             input_path=Path(args.input) if getattr(args, "input", None) else None,
             output_path=Path(args.output) if getattr(args, "output", None) else None,
-            alpha=getattr(args, "alpha", 0.05),
-            lambda_min=getattr(args, "lambda_min", None),
-            lambda_max=getattr(args, "lambda_max", None),
-            grid_size=getattr(args, "grid_size", 100),
-            objective=getattr(args, "objective", "trace"),
-            seed=seed,
+            fit=FitOptions(**fit_flags),
+            seed=getattr(args, "seed", None),
             replicates=getattr(args, "replicates", None),
             jobs=getattr(args, "jobs", 1),
-        )
-
-    def fit_options(self) -> FitOptions:
-        return FitOptions(
-            alpha=self.alpha,
-            lambda_min=self.lambda_min,
-            lambda_max=self.lambda_max,
-            grid_size=self.grid_size,
-            objective=self.objective,
         )
 
 
@@ -132,12 +105,12 @@ def _provenance(cfg: CliConfig, input_files) -> dict:
         "version": __version__,
         "inputs": {str(p): _sha256(Path(p)) for p in input_files},
         "grid": {
-            "size": cfg.grid_size,
-            "lambda_min": cfg.lambda_min,
-            "lambda_max": cfg.lambda_max,
-            "objective": cfg.objective,
+            "size": cfg.fit.grid_size,
+            "lambda_min": cfg.fit.lambda_min,
+            "lambda_max": cfg.fit.lambda_max,
+            "objective": cfg.fit.objective,
         },
-        "alpha": cfg.alpha,
+        "alpha": cfg.fit.alpha,
     }
 
 
@@ -154,7 +127,7 @@ def _curve_doc(result: FitResult) -> dict:
 
 
 def _fit_doc(result: FitResult, validation, cfg: CliConfig) -> dict:
-    chosen = result.curve.chosen
+    curve = result.curve
     forcings = [
         {
             "index": i,
@@ -179,10 +152,10 @@ def _fit_doc(result: FitResult, validation, cfg: CliConfig) -> dict:
         "forcings": forcings,
         "lambda_curve": _curve_doc(result),
         "diagnostics": {
-            "k_hat": float(chosen.k_hat),
-            "stability_margin": float(chosen.stability),
-            "n_infeasible_grid_points": int((~result.curve.feasible).sum()),
-            "n_near_degenerate_grid_points": result.curve.n_near_degenerate,
+            "k_hat": float(curve.k_hat[curve.chosen_index]),
+            "stability_margin": float(curve.stability[curve.chosen_index]),
+            "n_infeasible_grid_points": int((~curve.feasible).sum()),
+            "n_near_degenerate_grid_points": curve.n_near_degenerate,
             "validation_warnings": list(validation.warnings),
         },
         "provenance": _provenance(cfg, manifest_input_paths(cfg.input_path)),
@@ -203,10 +176,9 @@ def cmd_fit(cfg: CliConfig) -> int:
     for w in validation.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not validation.ok:
-        for e in validation.errors:
-            print(f"error: {e}", file=sys.stderr)
+        print(f"error: {'; '.join(validation.errors)}", file=sys.stderr)
         return EXIT_INPUT
-    result = fit_optimal(ds, cfg.fit_options())
+    result = fit_optimal(ds, cfg.fit)
     _write_doc(_fit_doc(result, validation, cfg), cfg.output_path)
     return EXIT_OK
 
@@ -215,12 +187,10 @@ def cmd_lambda_curve(cfg: CliConfig) -> int:
     ds = load_dataset(cfg.input_path)
     validation = validate_dataset(ds)
     if not validation.ok:
-        for e in validation.errors:
-            print(f"error: {e}", file=sys.stderr)
+        print(f"error: {'; '.join(validation.errors)}", file=sys.stderr)
         return EXIT_INPUT
-    result = fit_optimal(ds, cfg.fit_options())
-    curve = result.curve
-    label = "trace_xi" if cfg.objective == "trace" else cfg.objective
+    curve = fit_optimal(ds, cfg.fit).curve
+    label = "trace_xi" if cfg.fit.objective == "trace" else cfg.fit.objective
     lines = [f"# lambda\t{label}  (inf marks infeasible grid points)"]
     for lam, value in zip(curve.grid, curve.objective):
         lines.append(f"{float(lam)!r}\t{float(value)!r}")
@@ -341,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     sim.add_argument("input", help="scenario file (JSON)")
     sim.add_argument("--replicates", type=int, default=None, help="override scenario replicate count")
-    sim.add_argument("--seed", type=int, default=None, help=f"override base seed (or set {ENV_SEED})")
+    sim.add_argument("--seed", type=int, default=None, help="override base seed")
     sim.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     sim.add_argument("--output", default=None, help="report path; per-replicate table written alongside")
 
@@ -353,23 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(label: str, exc: Exception, code: int) -> int:
+    """Report ``exc`` as one stderr line and return the exit code."""
+    print(f"{label}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = CliConfig.from_args(args)
         return _COMMANDS[args.command](cfg)
     except NoFeasiblePoint as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_FEASIBLE
+        return _fail("error", exc, EXIT_NO_FEASIBLE)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("error", exc, EXIT_INPUT)
     except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FinprintError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail("numeric failure", exc, EXIT_NUMERIC)
 
 
 def entry_point() -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, NonFinite, OutOfDomain
 
 __all__ = [
     "DetectionDataset",
@@ -49,7 +49,7 @@ class SampleCovariance:
         if s.shape[0] != s.shape[1]:
             raise DimensionMismatch(f"covariance must be square, got {s.shape}")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise OutOfDomain(f"m must be >= 1, got {self.m}")
         object.__setattr__(self, "s", 0.5 * (s + s.T))
 
     @property
@@ -94,15 +94,15 @@ class DetectionDataset:
         if sizes.ndim != 1:
             raise DimensionMismatch("ensemble_sizes must be a 1-d integer vector")
         if (sizes < 1).any():
-            raise ValueError("all ensemble sizes must be >= 1")
+            raise OutOfDomain("all ensemble sizes must be >= 1")
         object.__setattr__(self, "ensemble_sizes", sizes)
         if self.control_runs is not None:
             runs = _as_float_array(self.control_runs, "control_runs", 2)
             if runs.shape[1] < 1:
-                raise ValueError("need at least one control run")
+                raise OutOfDomain("need at least one control run")
             object.__setattr__(self, "control_runs", runs)
         if self.control_runs is None and self.sample_cov is None:
-            raise ValueError("either control_runs or sample_cov must be supplied")
+            raise OutOfDomain("either control_runs or sample_cov must be supplied")
 
     @property
     def n_dim(self) -> int:
@@ -162,7 +162,7 @@ def compute_sample_covariance(control_runs) -> SampleCovariance:
     z = _as_float_array(control_runs, "control_runs", 2)
     m = z.shape[1]
     if m < 1:
-        raise ValueError("need at least one control run")
+        raise OutOfDomain("need at least one control run")
     s = (z @ z.T) / m
     return SampleCovariance(s=s, m=m)
 
@@ -177,7 +177,7 @@ def ensemble_mean(runs) -> np.ndarray:
     """Column-wise mean of one forcing's simulation runs (N x n_i)."""
     r = _as_float_array(runs, "runs", 2)
     if r.shape[1] < 1:
-        raise ValueError("need at least one run")
+        raise OutOfDomain("need at least one run")
     return r.mean(axis=1)
 
 
@@ -234,8 +234,8 @@ def validate_dataset(ds: DetectionDataset) -> ValidationReport:
     for i, nrm in enumerate(col_norms):
         if nrm <= ZERO_FINGERPRINT_TOL:
             warnings.append(f"fingerprint column {i} has (near-)zero norm {nrm:.3e}")
-    if tau_bar <= 0.0:
-        warnings.append("tr(S) = 0: all control runs vanish; search bounds fall back to unit scale")
+    if not tau_bar > 0.0:
+        errors.append(f"tr(S)/N = {tau_bar:.3g} <= 0: the control runs vanish, so lambda has no scale")
 
     return ValidationReport(
         n_dim=n,

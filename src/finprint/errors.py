@@ -5,16 +5,13 @@ __all__ = [
     "NonFinite",
     "DimensionMismatch",
     "EigenFailure",
-    "DegenerateDenominator",
     "VerticalSolution",
-    "SingularDelta1",
     "NoFeasiblePoint",
     "NonpositiveVariance",
     "SingularXi",
     "OutOfDomain",
     "InvalidCorrelation",
     "NotPSD",
-    "NoConvergence",
     "NearDegenerateWarning",
 ]
 
@@ -35,18 +32,9 @@ class EigenFailure(FinprintError):
     """The symmetric eigensolver failed to converge."""
 
 
-class DegenerateDenominator(FinprintError):
-    """The trace-functional denominator 1 - (N/m)(1 - lambda*Q1) vanished."""
-
-
 class VerticalSolution(FinprintError):
     """No finite scaling-factor solution: the minimizing eigenvector has a
     (numerically) zero last component."""
-
-
-class SingularDelta1(FinprintError):
-    """The plug-in matrix that must be inverted in the covariance assembly
-    is numerically singular."""
 
 
 class NoFeasiblePoint(FinprintError):
@@ -61,8 +49,8 @@ class SingularXi(FinprintError):
     """The estimated asymptotic covariance cannot be inverted."""
 
 
-class OutOfDomain(FinprintError):
-    """Argument outside the mathematical domain of the function."""
+class OutOfDomain(FinprintError, ValueError):
+    """Argument outside the domain of the function: an input-range check failed."""
 
 
 class InvalidCorrelation(FinprintError):
@@ -71,10 +59,6 @@ class InvalidCorrelation(FinprintError):
 
 class NotPSD(FinprintError):
     """Matrix required to be positive semidefinite is not."""
-
-
-class NoConvergence(FinprintError):
-    """Fixed-point iteration did not converge within the iteration budget."""
 
 
 class NearDegenerateWarning(UserWarning):

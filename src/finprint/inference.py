@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 from .errors import NonpositiveVariance, OutOfDomain, SingularXi
-from .variance import RCOND_TOL
+from .variance import _ill_conditioned
 
 if TYPE_CHECKING:
     from .variance import LambdaCurve
@@ -108,8 +108,7 @@ def joint_region_test(beta0, beta_hat, xi, n_dim: int, alpha: float = 0.05) -> J
     if not 0.0 < alpha < 1.0:
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
 
-    svals = np.linalg.svd(xi, compute_uv=False)
-    if svals[0] <= 0.0 or svals[-1] / svals[0] < RCOND_TOL:
+    if _ill_conditioned(np.linalg.svd(xi, compute_uv=False)):
         raise SingularXi("covariance estimate is numerically singular")
     diff = beta_hat - beta0
     statistic = float(n_dim * diff @ np.linalg.solve(xi, diff))
@@ -121,23 +120,23 @@ def da_verdict(ci: tuple[float, float]) -> Verdict:
     """Detection/attribution call from one marginal interval."""
     lower, upper = float(ci[0]), float(ci[1])
     if lower > upper:
-        raise ValueError(f"interval endpoints out of order: ({lower}, {upper})")
+        raise OutOfDomain(f"interval endpoints out of order: ({lower}, {upper})")
     detected = lower > 0.0
     return Verdict(detected=detected, attributed=detected and lower <= 1.0 <= upper)
 
 
 def build_fit_result(curve: "LambdaCurve", n_dim: int, alpha: float) -> FitResult:
     """Bundle the chosen grid point into a FitResult with intervals and verdicts."""
-    est = curve.chosen
+    i = curve.chosen_index
+    beta_hat, xi_hat = curve.beta_hat[i], curve.xi_hat[i]
     z = _two_sided_z(alpha)
     intervals = tuple(
-        _normal_interval(est.beta_hat[i], est.xi_hat[i, i], n_dim, z)
-        for i in range(est.beta_hat.shape[0])
+        _normal_interval(beta_hat[j], xi_hat[j, j], n_dim, z) for j in range(beta_hat.shape[0])
     )
     return FitResult(
-        beta_hat=est.beta_hat,
-        lambda_opt=est.lam,
-        xi_hat=est.xi_hat,
+        beta_hat=beta_hat,
+        lambda_opt=curve.chosen_lambda,
+        xi_hat=xi_hat,
         n_dim=n_dim,
         alpha=alpha,
         intervals=intervals,

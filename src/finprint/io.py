@@ -59,13 +59,22 @@ def _read_npy(path: Path) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a delimited text or ``.npy`` matrix; always returns a 2-d array."""
+    """Read a delimited text or ``.npy`` matrix; always returns a 2-d array.
+
+    Raises SchemaError when the file is not UTF-8 text, holds no data rows,
+    or does not parse as a rectangular numeric table.
+    """
     if Path(path).suffix == ".npy":
         return _read_npy(Path(path))
-    text = Path(path).read_text()
-    data_lines = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
-    delimiter = "," if any("," in ln.split("#", 1)[0] for ln in data_lines) else None
-    return np.loadtxt(text.splitlines(), comments="#", delimiter=delimiter, ndmin=2)
+    try:
+        lines = Path(path).read_text().splitlines()
+        data_lines = [ln for ln in lines if ln.split("#", 1)[0].strip()]
+        if not data_lines:
+            raise SchemaError("no data rows")
+        delimiter = "," if any("," in ln.split("#", 1)[0] for ln in data_lines) else None
+        return np.loadtxt(lines, comments="#", delimiter=delimiter, ndmin=2)
+    except (ValueError, SchemaError) as exc:  # UnicodeDecodeError is a ValueError
+        raise SchemaError(f"{path}: not a numeric matrix file ({exc})") from exc
 
 
 def read_vector(path) -> np.ndarray:
@@ -84,8 +93,8 @@ def write_matrix(path, a, header: str | None = None) -> None:
 def _load_json(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level document must be an object")
     return doc
@@ -118,28 +127,31 @@ def load_dataset(manifest_path) -> DetectionDataset:
         raise SchemaError(f"{manifest_path}: need 'forcing_runs' or 'x_tilde'")
     if "x_tilde" in doc and "ensemble_sizes" not in doc:
         raise SchemaError(f"{manifest_path}: 'x_tilde' requires 'ensemble_sizes'")
-    if "control_runs" not in doc and "sample_cov" not in doc:
-        raise SchemaError(f"{manifest_path}: need 'control_runs' or 'sample_cov'")
+    if ("control_runs" in doc) == ("sample_cov" in doc):
+        raise SchemaError(f"{manifest_path}: give exactly one of 'control_runs' and 'sample_cov'")
     if "sample_cov" in doc and "m_runs" not in doc:
         raise SchemaError(f"{manifest_path}: 'sample_cov' requires 'm_runs'")
 
-    y = read_vector(_resolve(base, doc["y"]))
-    if "forcing_runs" in doc:
-        runs = [read_matrix(_resolve(base, p)) for p in doc["forcing_runs"]]
-        x_tilde = np.column_stack([ensemble_mean(r) for r in runs])
-        sizes = np.array([r.shape[1] for r in runs])
-    else:
-        x_tilde = read_matrix(_resolve(base, doc["x_tilde"]))
-        sizes = np.asarray(doc["ensemble_sizes"], dtype=int)
+    try:
+        y = read_vector(_resolve(base, doc["y"]))
+        if "forcing_runs" in doc:
+            runs = [read_matrix(_resolve(base, p)) for p in doc["forcing_runs"]]
+            x_tilde = np.column_stack([ensemble_mean(r) for r in runs])
+            sizes = np.array([r.shape[1] for r in runs])
+        else:
+            x_tilde = read_matrix(_resolve(base, doc["x_tilde"]))
+            sizes = np.asarray(doc["ensemble_sizes"], dtype=int)
 
-    control = None
-    sample_cov = None
-    if "control_runs" in doc:
-        control = read_matrix(_resolve(base, doc["control_runs"]))
-    else:
-        sample_cov = SampleCovariance(
-            s=read_matrix(_resolve(base, doc["sample_cov"])), m=int(doc["m_runs"])
-        )
+        control = None
+        sample_cov = None
+        if "control_runs" in doc:
+            control = read_matrix(_resolve(base, doc["control_runs"]))
+        else:
+            sample_cov = SampleCovariance(
+                s=read_matrix(_resolve(base, doc["sample_cov"])), m=int(doc["m_runs"])
+            )
+    except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong type or range
+        raise SchemaError(f"{manifest_path}: bad field value ({exc})") from exc
 
     return DetectionDataset(
         y=y,
@@ -229,11 +241,10 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> SimulationScenari
 def load_scenario(path) -> SimulationScenario:
     """Read a SimulationScenario from a JSON document mirroring its fields."""
     path = Path(path)
+    doc = _load_json(path)
     try:
-        return scenario_from_dict(_load_json(path), base=path.parent)
-    except (ValueError, FinprintError) as exc:
-        # One message-only type: some ValueErrors (UnicodeDecodeError) cannot
-        # be rebuilt from a message.
+        return scenario_from_dict(doc, base=path.parent)
+    except (TypeError, ValueError, OverflowError, FinprintError) as exc:  # a field of the wrong type or range
         raise SchemaError(f"{path}: {exc}") from exc
 
 

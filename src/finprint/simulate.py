@@ -17,12 +17,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .dataset import DetectionDataset
-from .errors import (
-    DimensionMismatch,
-    FinprintError,
-    InvalidCorrelation,
-    NotPSD,
-)
+from .errors import DimensionMismatch, FinprintError, InvalidCorrelation, NotPSD, OutOfDomain
 from .variance import FitOptions, fit_optimal
 
 __all__ = [
@@ -93,7 +88,7 @@ def build_sigma_un(n_dim: int, seed: int, condition_number: float = 1e3) -> np.n
     """Seeded unstructured SPD covariance: random orthogonal conjugation of a
     geometrically decaying spectrum, normalized to unit average eigenvalue."""
     if condition_number < 1.0:
-        raise ValueError("condition_number must be >= 1")
+        raise OutOfDomain("condition_number must be >= 1")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n_dim, n_dim)))
     eigvals = np.geomspace(1.0, 1.0 / condition_number, n_dim)
@@ -109,6 +104,11 @@ def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
     if eigvals[0] < floor:
         raise NotPSD(f"matrix has eigenvalue {eigvals[0]:.3e} below tolerance")
     return (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise OutOfDomain(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -149,6 +149,12 @@ class SeparableAr1Sigma:
     variances: tuple[float, ...] | None = None
     kind: str = field(default="separable_ar1", init=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "rho_spatial", float(self.rho_spatial))
+        object.__setattr__(self, "rho_temporal", float(self.rho_temporal))
+        if self.variances is not None:
+            object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
+
     def build(self, n_dim: int) -> np.ndarray:
         if self.spatial_dim * self.temporal_dim != n_dim:
             raise DimensionMismatch(
@@ -184,6 +190,10 @@ class UnstructuredSigma:
     condition_number: float = 1e3
     kind: str = field(default="unstructured", init=False)
 
+    def __post_init__(self):
+        _check_seed(self.seed)
+        object.__setattr__(self, "condition_number", float(self.condition_number))
+
     def build(self, n_dim: int) -> np.ndarray:
         return build_sigma_un(n_dim, self.seed, self.condition_number)
 
@@ -196,10 +206,14 @@ class SyntheticFingerprints:
     column_correlation: float = 0.5
     kind: str = field(default="synthetic", init=False)
 
-    def build(self, n_dim: int, p: int) -> np.ndarray:
+    def __post_init__(self):
+        _check_seed(self.seed)
         r = self.column_correlation
         if not -1.0 < r < 1.0:
             raise InvalidCorrelation(f"column_correlation must be in (-1, 1), got {r}")
+
+    def build(self, n_dim: int, p: int) -> np.ndarray:
+        r = self.column_correlation
         corr = np.full((p, p), r)
         np.fill_diagonal(corr, 1.0)
         if p > 1 and np.linalg.eigvalsh(corr)[0] <= 0.0:
@@ -247,12 +261,15 @@ class SimulationScenario:
         object.__setattr__(self, "ensemble_sizes", tuple(int(n) for n in self.ensemble_sizes))
         if len(self.true_beta) != len(self.ensemble_sizes):
             raise DimensionMismatch("true_beta and ensemble_sizes must have equal length")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
+        if min(self.n_dim, self.m_runs, *self.ensemble_sizes) < 1:
+            raise OutOfDomain("n_dim, m_runs and the ensemble sizes must be >= 1")
+        if not self.gamma >= 0.0:
+            raise OutOfDomain(f"gamma must be nonnegative, got {self.gamma}")
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise OutOfDomain("replicates must be >= 1")
+        _check_seed(self.base_seed)
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise OutOfDomain("alpha must be in (0, 1)")
         if isinstance(self.sigma_model, SeparableAr1Sigma):
             st = self.sigma_model.spatial_dim * self.sigma_model.temporal_dim
             if st != self.n_dim:

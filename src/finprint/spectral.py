@@ -9,19 +9,18 @@ remainder of the space is kept as a null block: its dimension and the Gram
 matrix of the data's residual off the retained eigenvectors. A grid of G
 lambdas is then evaluated in one pass of stacked array operations on the
 G x (r+1) weight matrix 1/(d_i + lambda), whose last column is the null
-block's 1/lambda, at O(G r p^2); the one-lambda entry points are the G = 1
-case of the same code. Neither S + lambda*I nor, from control runs, S itself
-is ever formed.
+block's 1/lambda, at O(G r p^2); one lambda is a grid of one. Neither
+S + lambda*I nor, from control runs, S itself is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SampleCovariance, runs_tau_bar
-from .errors import DegenerateDenominator, DimensionMismatch, EigenFailure
+from .errors import DimensionMismatch, EigenFailure, OutOfDomain
 
 __all__ = [
     "SpectralCache",
@@ -30,13 +29,6 @@ __all__ = [
     "weights",
     "weighted_gram",
     "rmt_grid",
-    "q1",
-    "q2",
-    "theta1",
-    "theta2",
-    "g_forms",
-    "rmt_functionals",
-    "stability_margin",
 ]
 
 # Denominators b = 1 - (N/m)(1 - lambda*Q1) smaller than this are treated as
@@ -76,21 +68,22 @@ class SpectralCache:
 
 @dataclass(frozen=True)
 class RmtFunctionals:
-    """Trace/quadratic functionals of the shrunk covariance.
+    """Trace/quadratic functionals of the shrunk covariance W = S + lambda*I.
 
-    Stacked over a grid by ``rmt_grid`` (G-vectors, with g1 and g2 of shape
-    (G, p, p)); floats and p x p matrices at one lambda. ``stability`` is the
-    denominator b; theta1 and theta2 are NaN where |b| <= DEGENERATE_TOL.
+    Stacked over a grid by ``rmt_grid``: G-vectors, with g1 and g_s of shape
+    (G, p, p). g1 = X~^T W^-1 X~ / N and g_s = X~^T W^-1 S W^-1 X~ / N.
+    ``stability`` is the denominator b; theta1 and theta2 are NaN where
+    |b| <= DEGENERATE_TOL.
     """
 
-    lam: float | np.ndarray
-    q1: float | np.ndarray
-    q2: float | np.ndarray
-    theta1: float | np.ndarray
-    theta2: float | np.ndarray
+    lam: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    theta1: np.ndarray
+    theta2: np.ndarray
     g1: np.ndarray
-    g2: np.ndarray
-    stability: float | np.ndarray = np.nan
+    g_s: np.ndarray
+    stability: np.ndarray
 
 
 def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache:
@@ -159,14 +152,8 @@ def _check_lambda(lam) -> np.ndarray:
     """Regularization levels as a 1-d float array; each must be positive."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or not (lams > 0.0).all():
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise OutOfDomain(f"lambda must be positive, got {lam}")
     return lams
-
-
-def grid_row(stacked, i: int = 0):
-    """Row ``i`` of a dataclass stacked over a grid; 0-d rows become floats."""
-    rows = {f.name: getattr(stacked, f.name)[i] for f in fields(stacked)}
-    return replace(stacked, **{k: float(v) if np.ndim(v) == 0 else v for k, v in rows.items()})
 
 
 def weights(cache: SpectralCache, lams: np.ndarray) -> np.ndarray:
@@ -200,18 +187,17 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     Q1 = (1/N) sum 1/(d_i + lambda), Q2 = (1/N) sum 1/(d_i + lambda)^2,
     b = 1 - (N/m)(1 - lambda*Q1), theta1 = (1 - lambda*Q1)/b,
     theta2 = (1 - lambda*Q1)/b^3 - lambda*(Q1 - lambda*Q2)/b^4, and the
-    symmetric PSD forms g1 = X~^T (S+lambda I)^-1 X~ / N and g2 (squared
-    inverse). The sums run over all N eigenvalues: the null block adds
-    (N - r)/lambda to N*Q1 and its residual Gram matrix over lambda to N*g1
-    (lambda^2 for Q2 and g2). A degenerate denominator gives NaN thetas, not
-    an exception.
+    symmetric PSD forms g1 = X~^T W^-1 X~ / N and g_s = X~^T W^-1 S W^-1 X~ / N
+    with W = S + lambda*I. The sums run over all N eigenvalues: the null
+    block adds (N - r)/lambda to N*Q1 (lambda^2 for Q2) and its residual
+    Gram matrix over lambda to N*g1; it has weight 0 in g_s. A degenerate
+    denominator gives NaN thetas, not an exception.
     """
     lams = _check_lambda(lams)
     w = weights(cache, lams)
-    w2 = w * w
     p = cache.proj_x.shape[1]
     q1v = _normalized_trace(cache, w)
-    q2v = _normalized_trace(cache, w2)
+    q2v = _normalized_trace(cache, w * w)
     u = 1.0 - lams * q1v
     b = 1.0 - (cache.n_dim / cache.m_runs) * u
     # theta2 = (u b - lambda (Q1 - lambda Q2)) / b^4. With a_i = d_i/(d_i +
@@ -236,54 +222,8 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
         theta1=u / usable_b,
         theta2=theta2_num / usable_b**4,
         g1=weighted_gram(w, cache.proj_x, null_x) / cache.n_dim,
-        g2=weighted_gram(w2, cache.proj_x, null_x) / cache.n_dim,
+        # Weights d_i/(d_i + lambda)^2: W^-1 - lambda*W^-2 without the
+        # cancellation of its two terms on the zero eigenvalues.
+        g_s=weighted_gram(a * w, cache.proj_x, null_x) / cache.n_dim,
         stability=b,
     )
-
-
-def _at(cache: SpectralCache, lam: float) -> RmtFunctionals:
-    return grid_row(rmt_grid(cache, [float(lam)]))
-
-
-def rmt_functionals(cache: SpectralCache, lam: float) -> RmtFunctionals:
-    """All functionals at one lambda; raises DegenerateDenominator when b vanishes."""
-    f = _at(cache, lam)
-    if np.isnan(f.theta1):
-        raise DegenerateDenominator(f"denominator {f.stability:.3e} at lambda={f.lam:.6g}")
-    return f
-
-
-def q1(cache: SpectralCache, lam: float) -> float:
-    """Normalized trace of the inverse shrunk covariance, (1/N) sum 1/(d_i + lambda)."""
-    return _at(cache, lam).q1
-
-
-def q2(cache: SpectralCache, lam: float) -> float:
-    """Normalized trace of the squared inverse, (1/N) sum 1/(d_i + lambda)^2."""
-    return _at(cache, lam).q2
-
-
-def stability_margin(cache: SpectralCache, lam: float) -> float:
-    """Denominator b = 1 - (N/m)(1 - lambda*Q1).
-
-    Approaches zero as lambda -> 0 when m < N, which is where the trace
-    functionals become unstable; exposed as a diagnostic rather than
-    guessing a hard cutoff.
-    """
-    return _at(cache, lam).stability
-
-
-def theta1(cache: SpectralCache, lam: float) -> float:
-    """First self-consistent trace functional (1 - lambda*Q1) / b."""
-    return rmt_functionals(cache, lam).theta1
-
-
-def theta2(cache: SpectralCache, lam: float) -> float:
-    """Second trace functional, (1 - lambda*Q1)/b^3 - lambda*(Q1 - lambda*Q2)/b^4."""
-    return rmt_functionals(cache, lam).theta2
-
-
-def g_forms(cache: SpectralCache, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fingerprint quadratic forms ``(g1, g2)`` in the inverse shrunk covariance."""
-    f = _at(cache, lam)
-    return f.g1, f.g2

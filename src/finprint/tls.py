@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenFailure, NearDegenerateWarning, VerticalSolution
-from .spectral import SpectralCache, _check_lambda, grid_row, weighted_gram, weights
+from .errors import EigenFailure, NearDegenerateWarning, OutOfDomain, VerticalSolution
+from .spectral import SpectralCache, _check_lambda, weighted_gram, weights
 
 __all__ = ["TlsSolution", "tls_grid", "tls_fit"]
 
@@ -60,11 +60,11 @@ def tls_grid(cache: SpectralCache, ensemble_sizes, lams) -> tuple[TlsSolution, n
     lams = _check_lambda(lams)
     sizes = np.asarray(ensemble_sizes, dtype=float)
     if sizes.shape != (cache.proj_x.shape[1],):
-        raise ValueError(
+        raise OutOfDomain(
             f"ensemble_sizes must have length {cache.proj_x.shape[1]}, got {sizes.shape}"
         )
     if (sizes < 1).any():
-        raise ValueError("all ensemble sizes must be >= 1")
+        raise OutOfDomain("all ensemble sizes must be >= 1")
     scale = np.append(np.sqrt(sizes), 1.0)
     design = np.column_stack([cache.proj_x, cache.proj_y]) * scale
     m = weighted_gram(weights(cache, lams), design, cache.null_gram * np.outer(scale, scale))
@@ -108,4 +108,9 @@ def tls_fit(cache: SpectralCache, ensemble_sizes, lam: float) -> TlsSolution:
             "minimizing eigenvector has zero response component; "
             "fingerprints are orthogonal to Y in the whitened metric"
         )
-    return grid_row(solution)
+    return TlsSolution(
+        beta_hat=solution.beta_hat[0],
+        beta_star=solution.beta_star[0],
+        min_eigenvalue=float(solution.min_eigenvalue[0]),
+        gap=float(solution.gap[0]),
+    )

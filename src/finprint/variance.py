@@ -6,7 +6,7 @@ alone, by correcting the fingerprint quadratic forms for measurement error
 with the trace functionals of the shrunk covariance. Minimizing the trace of
 that estimate over lambda on a log grid picks the weight matrix with the
 smallest total asymptotic uncertainty. The whole grid is evaluated at once
-as stacked array operations; the per-lambda entry points are its G = 1 case.
+as stacked array operations; ``evaluate_lambda`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import DetectionDataset, validate_dataset
-from .errors import DimensionMismatch, NoFeasiblePoint, SingularDelta1
+from .errors import DimensionMismatch, NoFeasiblePoint, OutOfDomain
 from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid
 # tls_fit is unused here but stays importable from this module: perfbench's
 # layer tracer wraps finprint.variance.tls_fit by name.
@@ -28,13 +28,11 @@ if TYPE_CHECKING:
     from .inference import FitResult
 
 __all__ = [
-    "XiEstimate",
     "LambdaCurve",
     "FitOptions",
     "REASONS",
     "delta1_hat",
     "delta2_hat",
-    "k_hat",
     "xi_hat",
     "evaluate_grid",
     "evaluate_lambda",
@@ -58,22 +56,12 @@ _CRITERIA = {
 }
 _OBJECTIVES = tuple(_CRITERIA)
 
-# Reason codes for infeasible grid points with their failure messages; a
-# point carries the first code, in this order, whose check it fails.
-REASONS = {
-    "degenerate_denominator": "denominator 1 - (N/m)(1 - lambda*Q1) vanished",
-    "vertical_solution": "TLS has no finite solution: fingerprints are orthogonal to Y",
-    "singular_delta1": "corrected Gram matrix is numerically singular",
-    "nonpositive_variance": "nonpositive variance estimate on the diagonal",
-}
-
-
-def _d_vector(d) -> np.ndarray:
-    """Accept the measurement-error scaling as a diagonal vector or matrix."""
-    d = np.asarray(d, dtype=float)
-    if d.ndim == 2:
-        d = np.diag(d)
-    return d
+# Reason codes for infeasible grid points; a point carries the first code, in
+# this order, whose check it fails: the denominator 1 - (N/m)(1 - lambda*Q1)
+# vanished, TLS has no finite solution (fingerprints orthogonal to Y), the
+# corrected Gram matrix Delta1 is numerically singular, or a diagonal entry
+# of the covariance estimate is <= 0.
+REASONS = ("degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
 
 
 def _mat(x) -> np.ndarray:
@@ -86,38 +74,18 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class XiEstimate:
-    """Everything computed at a single regularization level.
-
-    ``feasible`` is true iff the corrected Gram matrix was invertible
-    (reciprocal condition >= 1e-10) and every diagonal entry of the
-    covariance estimate is positive. ``stability`` records the denominator
-    b = 1 - (N/m)(1 - lambda*Q1), which drifts to zero at small lambda when
-    m < N. Points that fail before the covariance is assembled keep NaN
-    payloads; every infeasible point has a failure message.
-    """
-
-    lam: float
-    beta_hat: np.ndarray
-    delta1_hat: np.ndarray
-    delta2_hat: np.ndarray
-    k_hat: float
-    xi_hat: np.ndarray
-    trace_xi: float
-    feasible: bool
-    stability: float = np.nan
-    failure: str | None = None
-
-
-@dataclass(frozen=True)
 class LambdaCurve:
     """The regularization search on its whole grid, as stacked arrays.
 
     Row g of every array belongs to ``grid[g]``: ``beta_hat`` is (G, p),
     ``delta1_hat``, ``delta2_hat`` and ``xi_hat`` are (G, p, p), ``k_hat``
-    and ``stability`` are G-vectors, and ``reason`` holds None at a usable
-    point and a REASONS code otherwise. ``n_near_degenerate`` counts points
-    with a usable denominator whose smallest TLS eigenvalue is nearly tied.
+    (the plug-in residual-interaction trace, theta2) and ``stability`` (the
+    denominator b = 1 - (N/m)(1 - lambda*Q1), which drifts to zero at small
+    lambda when m < N) are G-vectors, and ``reason`` holds None at a usable
+    point and a REASONS code otherwise; points that fail before the
+    covariance is assembled carry NaN payloads. ``n_near_degenerate`` counts
+    points with a usable denominator whose smallest TLS eigenvalue is nearly
+    tied.
     ``objective`` is the ``criterion`` at feasible points and +inf elsewhere;
     ``chosen_index`` is its first minimum, so ties go to the smallest lambda.
     """
@@ -153,26 +121,6 @@ class LambdaCurve:
     def chosen_lambda(self) -> float:
         return float(self.grid[self.chosen_index])
 
-    @property
-    def chosen(self) -> XiEstimate:
-        return self.estimate(self.chosen_index)
-
-    def estimate(self, i: int) -> XiEstimate:
-        """Grid point ``i`` as a single-lambda estimate."""
-        reason = self.reason[i]
-        return XiEstimate(
-            lam=float(self.grid[i]),
-            beta_hat=self.beta_hat[i],
-            delta1_hat=self.delta1_hat[i],
-            delta2_hat=self.delta2_hat[i],
-            k_hat=float(self.k_hat[i]),
-            xi_hat=self.xi_hat[i],
-            trace_xi=float(np.trace(self.xi_hat[i])),
-            feasible=reason is None,
-            stability=float(self.stability[i]),
-            failure=None if reason is None else REASONS[reason],
-        )
-
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -186,30 +134,29 @@ class FitOptions:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise OutOfDomain(f"alpha must be in (0, 1), got {self.alpha}")
         if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
+            raise OutOfDomain(f"grid_size must be >= 2, got {self.grid_size}")
         if self.objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}")
+            raise OutOfDomain(f"objective must be one of {_OBJECTIVES}")
 
 
 def delta1_hat(f: RmtFunctionals, d) -> np.ndarray:
-    """Measurement-error corrected Gram matrix G1 - theta1 * D (stacked if ``f`` is)."""
-    return _sym(f.g1 - _mat(f.theta1) * np.diag(_d_vector(d)))
+    """Measurement-error corrected Gram matrix G1 - theta1 * D, one per grid point.
+
+    ``d`` is the diagonal of D, 1/n_i per forcing.
+    """
+    return _sym(f.g1 - _mat(f.theta1) * np.diag(d))
 
 
 def delta2_hat(f: RmtFunctionals, d, n_dim: int, m_runs: int) -> np.ndarray:
-    """Corrected middle matrix [1 + (N/m) theta1]^2 (G1 - lambda G2) - theta2 * D.
+    """Corrected middle matrix [1 + (N/m) theta1]^2 G_S - theta2 * D, one per grid point.
 
-    Stacked over the grid when ``f`` is.
+    G_S = X~^T W^-1 S W^-1 X~ / N equals G1 - lambda * G2 with G2 the
+    squared-inverse form.
     """
     scale = (1.0 + (n_dim / m_runs) * _mat(f.theta1)) ** 2
-    return _sym(scale * (f.g1 - _mat(f.lam) * f.g2) - _mat(f.theta2) * np.diag(_d_vector(d)))
-
-
-def k_hat(f: RmtFunctionals):
-    """Plug-in estimate of the residual-interaction trace; equals theta2."""
-    return f.theta2
+    return _sym(scale * f.g_s - _mat(f.theta2) * np.diag(d))
 
 
 def _ill_conditioned(svals: np.ndarray) -> np.ndarray:
@@ -218,26 +165,21 @@ def _ill_conditioned(svals: np.ndarray) -> np.ndarray:
         return (svals[..., 0] <= 0.0) | (svals[..., -1] / svals[..., 0] < RCOND_TOL)
 
 
-def _assemble_xi(beta_hat, d, d1_inv, d2, k) -> np.ndarray:
-    factor = _mat(1.0 + np.sum(beta_hat * (d * beta_hat), axis=-1))
-    # Sherman-Morrison form of (D^-1 + b b^T)^-1; never forms D^-1.
-    db = d * beta_hat
-    core_inv = np.diag(d) - db[..., :, None] * db[..., None, :] / factor
-    return _sym(factor * d1_inv @ (d2 + _mat(k) * core_inv) @ d1_inv)
-
-
 def xi_hat(beta_hat, d, d1, d2, k) -> np.ndarray:
     """Assemble the covariance estimate from its plug-in ingredients.
 
     Computes (1 + b^T D b) * D1^{-1} {D2 + k (D^{-1} + b b^T)^{-1}} D1^{-1}
-    and symmetrizes the result. Raises SingularDelta1 when D1 cannot be
-    inverted reliably.
+    and symmetrizes the result, stacked over a leading grid axis when the
+    arguments are. ``d`` is the diagonal of D. D1 is inverted as given:
+    whether it is too close to singular is ``evaluate_grid``'s call.
     """
-    d1 = np.asarray(d1, dtype=float)
-    if _ill_conditioned(np.linalg.svd(d1, compute_uv=False)).any():
-        raise SingularDelta1(f"corrected Gram matrix has reciprocal condition below {RCOND_TOL:g}")
-    beta_hat, d2 = np.asarray(beta_hat, dtype=float), np.asarray(d2, dtype=float)
-    return _assemble_xi(beta_hat, _d_vector(d), np.linalg.inv(d1), d2, k)
+    beta_hat, d = np.asarray(beta_hat, dtype=float), np.asarray(d, dtype=float)
+    factor = _mat(1.0 + np.sum(beta_hat * (d * beta_hat), axis=-1))
+    # Sherman-Morrison form of (D^-1 + b b^T)^-1; never forms D^-1.
+    db = d * beta_hat
+    core_inv = np.diag(d) - db[..., :, None] * db[..., None, :] / factor
+    d1_inv = np.linalg.inv(d1)
+    return _sym(factor * d1_inv @ (np.asarray(d2, dtype=float) + _mat(k) * core_inv) @ d1_inv)
 
 
 def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "trace") -> LambdaCurve:
@@ -249,7 +191,7 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     code and, unless only its variance is nonpositive, NaN payloads.
     """
     if criterion not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {_OBJECTIVES}")
+        raise OutOfDomain(f"objective must be one of {_OBJECTIVES}")
     d = 1.0 / np.asarray(ensemble_sizes, dtype=float)
     f = rmt_grid(cache, grid)
     sol, vertical, near_tied = tls_grid(cache, ensemble_sizes, f.lam)
@@ -270,7 +212,7 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     unusable = degenerate | vertical | singular
     blank = unusable[:, None, None]
     d2 = delta2_hat(f, d, cache.n_dim, cache.m_runs)
-    xi = _assemble_xi(sol.beta_hat, d, np.linalg.inv(np.where(blank, eye, d1)), d2, k_hat(f))
+    xi = xi_hat(sol.beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
     nonpositive = ~(np.diagonal(xi, axis1=1, axis2=2) > 0.0).all(axis=1)
 
     failed = np.stack([degenerate, vertical, singular, nonpositive])
@@ -280,7 +222,7 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
         beta_hat=np.where(unusable[:, None], np.nan, sol.beta_hat),
         delta1_hat=np.where(blank, np.nan, d1),
         delta2_hat=np.where(blank, np.nan, d2),
-        k_hat=np.where(unusable, np.nan, k_hat(f)),
+        k_hat=np.where(unusable, np.nan, f.theta2),
         xi_hat=np.where(blank, np.nan, xi),
         stability=f.stability,
         reason=np.array([*REASONS, None], dtype=object)[first],
@@ -289,20 +231,19 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     )
 
 
-def evaluate_lambda(cache: SpectralCache, ensemble_sizes, lam: float) -> XiEstimate:
+def evaluate_lambda(cache: SpectralCache, ensemble_sizes, lam: float) -> LambdaCurve:
     """Fit the scaling factors and assemble their covariance at one lambda.
 
-    The G = 1 case of ``evaluate_grid``: degenerate denominators, vertical
+    ``evaluate_grid`` on a one-point grid: degenerate denominators, vertical
     TLS solutions, singular corrected Gram matrices and nonpositive
-    variances come back as infeasible estimates instead of raising.
+    variances show in ``reason[0]`` instead of raising.
     """
-    return evaluate_grid(cache, ensemble_sizes, [float(lam)]).estimate(0)
+    return evaluate_grid(cache, ensemble_sizes, [float(lam)])
 
 
 def default_bounds(tau_bar: float) -> tuple[float, float]:
-    """Search interval [0.01, 10] * tau_bar; unit scale when tr(S) = 0."""
-    scale = tau_bar if tau_bar > 0.0 else 1.0
-    return (DEFAULT_BOUNDS[0] * scale, DEFAULT_BOUNDS[1] * scale)
+    """Search interval [0.01, 10] * tau_bar, with tau_bar = tr(S)/N."""
+    return (DEFAULT_BOUNDS[0] * tau_bar, DEFAULT_BOUNDS[1] * tau_bar)
 
 
 def select_lambda(
@@ -321,10 +262,10 @@ def select_lambda(
     if bounds is None:
         bounds = default_bounds(cache.tau_bar)
     lo, hi = float(bounds[0]), float(bounds[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"need 0 < lambda_min < lambda_max, got ({lo}, {hi})")
+    if not 0.0 < lo < hi < np.inf:
+        raise OutOfDomain(f"need 0 < lambda_min < lambda_max < inf, got ({lo}, {hi})")
     if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+        raise OutOfDomain(f"grid_size must be >= 2, got {grid_size}")
 
     curve = evaluate_grid(cache, ensemble_sizes, np.geomspace(lo, hi, grid_size), objective)
     if not curve.feasible.any():

@@ -13,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from finprint.errors import DimensionMismatch, FinprintError, NoConvergence
+from finprint.errors import DimensionMismatch, FinprintError
 
 
 class Singular(FinprintError):
     """A dense linear solve hit a singular matrix."""
+
+
+class NoConvergence(FinprintError):
+    """Fixed-point iteration did not converge within the iteration budget."""
 
 
 @dataclass(frozen=True)

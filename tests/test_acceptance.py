@@ -11,7 +11,7 @@ import pytest
 
 import finprint as fp
 import oracles
-from finprint.spectral import rmt_functionals
+from finprint.spectral import rmt_grid
 from finprint.simulate import ReplicateGenerator
 from finprint.variance import delta1_hat, delta2_hat
 
@@ -89,10 +89,10 @@ def test_c3_optimality_ordering():
         ds = gen.make(rep)
         cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
         curve = fp.select_lambda(cache, ds.ensemble_sizes)
-        sq_err_opt.append(np.sum((curve.chosen.beta_hat - truth) ** 2))
+        sq_err_opt.append(np.sum((curve.beta_hat[curve.chosen_index] - truth) ** 2))
         for mult in sq_err_fixed:
             est = fp.evaluate_lambda(cache, ds.ensemble_sizes, mult * cache.tau_bar)
-            sq_err_fixed[mult].append(np.sum((est.beta_hat - truth) ** 2))
+            sq_err_fixed[mult].append(np.sum((est.beta_hat[0] - truth) ** 2))
     mse_opt = float(np.mean(sq_err_opt))
     mse_fixed = {mult: float(np.mean(v)) for mult, v in sq_err_fixed.items()}
     best_fixed = min(mse_fixed.values())
@@ -124,9 +124,9 @@ def test_c4_variance_estimator_consistency():
         ds = gen.make(rep)
         cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
         est = fp.evaluate_lambda(cache, ds.ensemble_sizes, cache.tau_bar)
-        assert est.feasible
-        betas.append(est.beta_hat)
-        xis.append(est.xi_hat)
+        assert est.feasible[0]
+        betas.append(est.beta_hat[0])
+        xis.append(est.xi_hat[0])
     scaled = np.sqrt(n_dim) * (np.array(betas) - np.asarray(scn.true_beta))
     empirical = np.cov(scaled.T, ddof=1)
     mean_xi = np.mean(xis, axis=0)
@@ -158,14 +158,14 @@ def _plugin_oracle_errors(n_dim: int, m_runs: int, seed: int):
         x_tilde = x + rng.standard_normal((n_dim, p)) * np.sqrt(d)
         cache = fp.build_cache(cov, x_tilde, np.zeros(n_dim))
         lam = cache.tau_bar
-        f = rmt_functionals(cache, lam)
+        f = rmt_grid(cache, [lam])
 
         px = cache.eigvecs.T @ x
         w = 1.0 / (cache.eigvals + lam)
         a1 = (px.T * w) @ px / n_dim      # X^T shrunk^-1 X / N
         a2 = (px.T * w**2) @ px / n_dim   # X^T shrunk^-1 Sigma shrunk^-1 X / N, Sigma = I
-        raw1 += delta1_hat(f, d) - a1
-        raw2 += delta2_hat(f, d, n_dim, m_runs) - a2
+        raw1 += delta1_hat(f, d)[0] - a1
+        raw2 += delta2_hat(f, d, n_dim, m_runs)[0] - a2
     return np.linalg.norm(raw1) / R, np.linalg.norm(raw2) / R
 
 
@@ -186,8 +186,8 @@ def _trace_plugin_bias(n_dim: int, m_runs: int, seed: int, reps: int = 5000):
         z = rng.standard_normal((n_dim, m_runs))
         cache = fp.build_cache(fp.compute_sample_covariance(z), dummy_x, dummy_y)
         lam = cache.tau_bar
-        q1v, q2v = fp.q1(cache, lam), fp.q2(cache, lam)
-        t1 = fp.theta1(cache, lam)
+        f = rmt_grid(cache, [lam])
+        q1v, q2v, t1 = f.q1[0], f.q2[0], f.theta1[0]
         s = 1.0 + (n_dim / m_runs) * t1
         # Sigma = I oracles: tr(shrunk^-1 Sigma)/N = Q1, tr(shrunk^-2 Sigma)/N = Q2
         bias1 += t1 - q1v
@@ -242,7 +242,7 @@ def test_c6_marchenko_pastur_oracle():
         cache = fp.build_cache(
             fp.compute_sample_covariance(z), np.ones((400, 1)), np.zeros(400)
         )
-        if abs(fp.q1(cache, 1.0) - 0.618034) < 0.02:
+        if abs(rmt_grid(cache, [1.0]).q1[0] - 0.618034) < 0.02:
             hits += 1
     _report(
         "C6 Marchenko-Pastur oracle",
@@ -280,16 +280,18 @@ def test_c7_deterministic_identities():
 
     # q2 equals the negative derivative of q1 by central differences
     h = 1e-5 * lam
-    fd = -(fp.q1(cache, lam + h) - fp.q1(cache, lam - h)) / (2 * h)
-    checks["q2=-q1'<=1e-6"] = abs(fp.q2(cache, lam) - fd) <= 1e-6
+    f = rmt_grid(cache, [lam, lam + h, lam - h])
+    fd = -(f.q1[1] - f.q1[2]) / (2 * h)
+    checks["q2=-q1'<=1e-6"] = abs(f.q2[0] - fd) <= 1e-6
 
     # theta2 structural identity
     h = 1e-4 * lam
-    dtheta1 = (fp.theta1(cache, lam + h) - fp.theta1(cache, lam - h)) / (2 * h)
+    f = rmt_grid(cache, [lam, lam + h, lam - h])
+    dtheta1 = (f.theta1[1] - f.theta1[2]) / (2 * h)
     ratio = cache.n_dim / cache.m_runs
-    t1 = fp.theta1(cache, lam)
+    t1 = f.theta1[0]
     structural = (1.0 + ratio * t1) ** 2 * (t1 + lam * dtheta1)
-    checks["theta2_identity<=1e-5"] = abs(fp.theta2(cache, lam) - structural) <= 1e-5
+    checks["theta2_identity<=1e-5"] = abs(f.theta2[0] - structural) <= 1e-5
 
     # single-forcing grid oracle
     x1 = rng.standard_normal((n, 1))
@@ -332,39 +334,41 @@ def test_c8_small_instance_bruteforce():
     mixed = fp.build_cache(
         fp.SampleCovariance(s=np.diag([0.0, 2.0]), m=10), np.ones((2, 1)), np.zeros(2)
     )
-    checks["q1"] = fp.q1(flat, 1.0) == 0.5 and abs(fp.q1(mixed, 1.0) - 2.0 / 3.0) < 1e-15
-    checks["q2"] = fp.q2(flat, 1.0) == 0.25 and abs(fp.q2(mixed, 1.0) - (1 + 1 / 9) / 2) < 1e-15
+    flat_f, mixed_f = rmt_grid(flat, [1.0]), rmt_grid(mixed, [1.0])
+    checks["q1"] = flat_f.q1[0] == 0.5 and abs(mixed_f.q1[0] - 2.0 / 3.0) < 1e-15
+    checks["q2"] = flat_f.q2[0] == 0.25 and abs(mixed_f.q2[0] - (1 + 1 / 9) / 2) < 1e-15
 
     eq = fp.build_cache(fp.SampleCovariance(s=np.eye(2), m=2), np.ones((2, 1)), np.zeros(2))
     quad = fp.build_cache(fp.SampleCovariance(s=np.eye(2), m=4), np.ones((2, 1)), np.zeros(2))
     scalar = fp.build_cache(fp.SampleCovariance(s=np.array([[2.0]]), m=2), np.ones((1, 1)), np.zeros(1))
+    eq_f, quad_f, scalar_f = (rmt_grid(c, [1.0]) for c in (eq, quad, scalar))
     checks["theta1"] = (
-        abs(fp.theta1(eq, 1.0) - 1.0) < 1e-15
-        and abs(fp.theta1(quad, 1.0) - 0.5 / 0.75) < 1e-15
+        abs(eq_f.theta1[0] - 1.0) < 1e-15
+        and abs(quad_f.theta1[0] - 0.5 / 0.75) < 1e-15
     )
     checks["theta2"] = (
-        abs(fp.theta2(eq, 1.0)) < 1e-14 and abs(fp.theta2(scalar, 1.0) - 1.125) < 1e-14
+        abs(eq_f.theta2[0]) < 1e-14 and abs(scalar_f.theta2[0] - 1.125) < 1e-14
     )
 
     unit = fp.build_cache(
         fp.SampleCovariance(s=np.eye(2), m=10), np.array([[1.0], [0.0]]), np.zeros(2)
     )
-    g1, g2 = fp.g_forms(unit, 1.0)
-    checks["g_forms"] = abs(g1[0, 0] - 0.25) < 1e-15 and abs(g2[0, 0] - 0.125) < 1e-15
+    unit_f = rmt_grid(unit, [1.0])
+    checks["g_forms"] = (
+        abs(unit_f.g1[0, 0, 0] - 0.25) < 1e-15 and abs(unit_f.g_s[0, 0, 0] - 0.125) < 1e-15
+    )
     checks["whiten"] = np.allclose(
         oracles.whiten(np.eye(2), 3.0, np.array([2.0, 2.0])), [1.0, 1.0], atol=1e-15
     )
 
-    checks["delta1"] = abs(fp.delta1_hat(
-        fp.RmtFunctionals(lam=1.0, q1=0.5, q2=0.25, theta1=1.0, theta2=0.0,
-                          g1=np.array([[0.25]]), g2=np.array([[0.125]])),
-        [0.1],
-    )[0, 0] - 0.15) < 1e-15
-    checks["delta2"] = abs(fp.delta2_hat(
-        fp.RmtFunctionals(lam=1.0, q1=0.5, q2=0.25, theta1=1.0, theta2=0.0,
-                          g1=np.array([[0.25]]), g2=np.array([[0.125]])),
-        [0.1], 4, 4,
-    )[0, 0] - 0.5) < 1e-15
+    # One grid point with g_s = g1 - lambda * g2 = 0.25 - 0.125.
+    f = fp.RmtFunctionals(
+        lam=np.array([1.0]), q1=np.array([0.5]), q2=np.array([0.25]), theta1=np.array([1.0]),
+        theta2=np.array([0.0]), g1=np.array([[[0.25]]]), g_s=np.array([[[0.125]]]),
+        stability=np.array([1.0]),
+    )
+    checks["delta1"] = abs(fp.delta1_hat(f, [0.1])[0, 0, 0] - 0.15) < 1e-15
+    checks["delta2"] = abs(fp.delta2_hat(f, [0.1], 4, 4)[0, 0, 0] - 0.5) < 1e-15
     checks["xi"] = abs(fp.xi_hat([1.0], [0.5], [[2.0]], [[1.0]], 1.0)[0, 0] - 0.5) < 1e-15
 
     checks["da_verdict"] = (

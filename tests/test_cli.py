@@ -127,6 +127,33 @@ class TestFitCommand:
         assert main(["fit", str(manifest)]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_zero_control_runs_exit_2(self, manifest, tmp_path, capsys):
+        # tau_bar = 0 leaves lambda without a scale; the round-off of an
+        # all-zero covariance must not pick one.
+        write_matrix(tmp_path / "control.txt", np.zeros((16, 30)))
+        assert main(["fit", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tr(S)" in err and err.count("\n") == 1
+
+    def test_non_numeric_matrix_exit_2(self, manifest, tmp_path, capsys):
+        (tmp_path / "x_tilde.txt").write_text("1.0 2.0\n3.0 abc\n")
+        assert main(["fit", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x_tilde.txt" in err and err.count("\n") == 1
+
+    def test_internal_value_error_exit_4(self, manifest, monkeypatch, capsys):
+        # A ValueError that no input check raised is a failure of the
+        # computation, not of the input.
+        import finprint.cli as cli_mod
+
+        def boom(ds, options):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli_mod, "fit_optimal", boom)
+        assert main(["fit", str(manifest)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     def test_dimension_mismatch_exit_2(self, tmp_path):
         rng = np.random.default_rng(3)
         write_matrix(tmp_path / "y.txt", rng.standard_normal((10, 1)))
@@ -302,15 +329,9 @@ class TestSimulateCommand:
         m2 = json.loads(out2.read_text())["metrics"]["per_forcing"]
         assert m1 != m2
 
-    def test_env_seed_fallback(self, scenario_file, tmp_path, monkeypatch):
-        out1 = tmp_path / "s1.json"
-        out2 = tmp_path / "s2.json"
-        monkeypatch.setenv("FINPRINT_SEED", "99")
-        main(["simulate", str(scenario_file), "--output", str(out1)])
-        monkeypatch.delenv("FINPRINT_SEED")
-        main(["simulate", str(scenario_file), "--seed", "99", "--output", str(out2)])
-        assert json.loads(out1.read_text())["metrics"] == json.loads(out2.read_text())["metrics"]
-        assert json.loads(out1.read_text())["scenario"]["base_seed"] == 99
+    def test_negative_seed_exit_2(self, scenario_file, capsys):
+        assert main(["simulate", str(scenario_file), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVersionCommand:

@@ -8,6 +8,7 @@ import pytest
 import finprint as fp
 from conftest import random_cache
 from finprint import variance
+from finprint.spectral import rmt_grid
 from reference import reference_curve, reference_point
 
 CRITERIA = ("trace", "determinant", "max_eigenvalue")
@@ -113,10 +114,10 @@ class TestAgainstReference:
         # Scale the fingerprint so that g1 cancels theta1 * d at one lambda.
         base = random_cache(seed=5, n=8, p=1, m=12)
         lam, n_size = base.tau_bar, 2.0
-        f = fp.rmt_functionals(base, lam)
+        f = rmt_grid(base, [lam])
         rng = np.random.default_rng(5)
         z = rng.standard_normal((8, 12))
-        x = rng.standard_normal((8, 1)) * np.sqrt(f.theta1 / (n_size * f.g1[0, 0]))
+        x = rng.standard_normal((8, 1)) * np.sqrt(f.theta1[0] / (n_size * f.g1[0, 0, 0]))
         cache = fp.build_cache(fp.compute_sample_covariance(z), x, rng.standard_normal(8))
         curve = assert_matches_reference(cache, [n_size], np.array([0.5, 1.0, 2.0]) * lam)
         assert curve.reason[1] == "singular_delta1"
@@ -152,14 +153,14 @@ class TestOnePointCase:
         cache = signal_cache(7, 16, 10, 2)
         est = fp.evaluate_lambda(cache, [3, 5], lam)
         ref = reference_point(cache, [3, 5], lam)
-        assert est.feasible == (ref["reason"] is None)
-        np.testing.assert_allclose(est.beta_hat, ref["beta_hat"], rtol=1e-10)
-        np.testing.assert_allclose(est.xi_hat, ref["xi_hat"], rtol=1e-9)
-        assert est.stability == pytest.approx(ref["stability"], rel=1e-12)
+        assert est.feasible[0] == (ref["reason"] is None)
+        np.testing.assert_allclose(est.beta_hat[0], ref["beta_hat"], rtol=1e-10)
+        np.testing.assert_allclose(est.xi_hat[0], ref["xi_hat"], rtol=1e-9)
+        assert est.stability[0] == pytest.approx(ref["stability"], rel=1e-12)
 
     def test_failure_names_the_reason(self):
         cache = fp.build_cache(
             fp.SampleCovariance(s=np.eye(4), m=8), np.zeros((4, 1)), np.array([1.0, 0, 0, 0])
         )
         est = fp.evaluate_lambda(cache, [3], 1.0)
-        assert est.failure == variance.REASONS["vertical_solution"]
+        assert list(est.reason) == ["vertical_solution"]

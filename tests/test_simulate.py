@@ -3,6 +3,7 @@ import pytest
 
 import finprint as fp
 import oracles
+from finprint.spectral import rmt_grid
 
 
 class TestBuildSigmaSt:
@@ -258,7 +259,7 @@ class TestMpStieltjes:
 
     def test_no_convergence_budget(self):
         spec = oracles.PopulationSpectrum(np.array([1.0]), np.array([1.0]), aspect_ratio=1.0)
-        with pytest.raises(fp.NoConvergence):
+        with pytest.raises(oracles.NoConvergence):
             oracles.mp_stieltjes(spec, 1.0, max_iter=2)
 
     def test_omega2_consistent_with_derivative_identity(self):
@@ -291,9 +292,10 @@ class TestMpStieltjes:
             ok = True
             for lam in (0.5 * cache.tau_bar, cache.tau_bar, 2.0 * cache.tau_bar):
                 limits = oracles.mp_stieltjes(spec, lam)
-                if abs(fp.theta1(cache, lam) - limits.omega1) >= 0.03:
+                f = rmt_grid(cache, [lam])
+                if abs(f.theta1[0] - limits.omega1) >= 0.03:
                     ok = False
-                if abs(fp.theta2(cache, lam) - limits.omega2) >= 0.06:
+                if abs(f.theta2[0] - limits.omega2) >= 0.06:
                     ok = False
             hits += ok
         assert hits >= int(0.95 * n_seeds)
@@ -341,3 +343,22 @@ class TestScenarioValidation:
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             small_scenario(replicates=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"n_dim": 0}, {"m_runs": 0}, {"ensemble_sizes": (0, 3)}, {"gamma": float("nan")}, {"base_seed": -1}],
+    )
+    def test_ranges_checked_on_construction(self, overrides):
+        # A bad value fails when the scenario is built, not when the Monte
+        # Carlo loop first draws from it.
+        with pytest.raises(fp.OutOfDomain):
+            small_scenario(**overrides)
+
+    def test_model_fields_checked_on_construction(self):
+        for bad in (dict(seed=-1), dict(seed=1.5), dict(seed=3, column_correlation=1.0)):
+            with pytest.raises(fp.FinprintError):
+                fp.SyntheticFingerprints(**bad)
+        with pytest.raises(fp.OutOfDomain):
+            fp.UnstructuredSigma(seed="a")
+        with pytest.raises(ValueError):
+            fp.SeparableAr1Sigma(2, 3, "a", 0.1)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import finprint as fp
 import oracles
 from conftest import random_cache, random_problem
+from finprint.spectral import rmt_grid
 
 
 def cache_from_matrix(s, x, y, m=10):
@@ -62,39 +63,39 @@ class TestBuildCache:
 class TestTraceFunctionals:
     def test_q1_flat_spectrum(self):
         cache = cache_from_matrix(np.eye(4), np.ones((4, 1)), np.zeros(4))
-        assert fp.q1(cache, 1.0) == pytest.approx(0.5)
+        assert rmt_grid(cache, [1.0]).q1[0] == pytest.approx(0.5)
 
     def test_q1_mixed_spectrum(self):
         cache = cache_from_matrix(np.diag([0.0, 2.0]), np.ones((2, 1)), np.zeros(2))
-        assert fp.q1(cache, 1.0) == pytest.approx(2.0 / 3.0)
+        assert rmt_grid(cache, [1.0]).q1[0] == pytest.approx(2.0 / 3.0)
 
     def test_q1_scalar(self):
         cache = cache_from_matrix(np.array([[3.0]]), np.ones((1, 1)), np.zeros(1))
-        assert fp.q1(cache, 0.5) == pytest.approx(1.0 / 3.5)
+        assert rmt_grid(cache, [0.5]).q1[0] == pytest.approx(1.0 / 3.5)
 
     def test_q2_flat_spectrum(self):
         cache = cache_from_matrix(np.eye(4), np.ones((4, 1)), np.zeros(4))
-        assert fp.q2(cache, 1.0) == pytest.approx(0.25)
+        assert rmt_grid(cache, [1.0]).q2[0] == pytest.approx(0.25)
 
     def test_q2_mixed_spectrum(self):
         cache = cache_from_matrix(np.diag([0.0, 2.0]), np.ones((2, 1)), np.zeros(2))
-        assert fp.q2(cache, 1.0) == pytest.approx((1.0 + 1.0 / 9.0) / 2.0)
+        assert rmt_grid(cache, [1.0]).q2[0] == pytest.approx((1.0 + 1.0 / 9.0) / 2.0)
 
     @given(st.integers(0, 500), st.floats(0.05, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_q2_is_negative_derivative_of_q1(self, seed, lam):
         cache = random_cache(seed=seed)
         h = 1e-5 * lam
-        fd = -(fp.q1(cache, lam + h) - fp.q1(cache, lam - h)) / (2 * h)
-        assert fp.q2(cache, lam) == pytest.approx(fd, abs=1e-6)
+        up, down = rmt_grid(cache, [lam + h, lam - h]).q1
+        assert rmt_grid(cache, [lam]).q2[0] == pytest.approx(-(up - down) / (2 * h), abs=1e-6)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_q_schwarz_and_monotone(self, seed):
         cache = random_cache(seed=seed)
         grid = np.geomspace(0.1, 10.0, 12) * max(cache.tau_bar, 1e-3)
-        q1s = np.array([fp.q1(cache, lam) for lam in grid])
-        q2s = np.array([fp.q2(cache, lam) for lam in grid])
+        f = rmt_grid(cache, grid)
+        q1s, q2s = f.q1, f.q2
         assert (q1s > 0).all() and (q2s > 0).all()
         assert (q2s >= q1s**2 - 1e-15).all()
         assert (np.diff(q1s) < 0).all()
@@ -103,35 +104,35 @@ class TestTraceFunctionals:
     def test_positive_lambda_required(self):
         cache = random_cache()
         with pytest.raises(ValueError):
-            fp.q1(cache, 0.0)
+            rmt_grid(cache, [0.0])
         with pytest.raises(ValueError):
-            fp.q2(cache, -1.0)
+            rmt_grid(cache, [1.0, -1.0])
 
 
 class TestTheta:
     def test_theta1_equal_dims(self):
         cache = cache_from_matrix(np.eye(2), np.ones((2, 1)), np.zeros(2), m=2)
-        assert fp.theta1(cache, 1.0) == pytest.approx(1.0)
+        assert rmt_grid(cache, [1.0]).theta1[0] == pytest.approx(1.0)
 
     def test_theta1_more_runs(self):
         cache = cache_from_matrix(np.eye(2), np.ones((2, 1)), np.zeros(2), m=4)
-        assert fp.theta1(cache, 1.0) == pytest.approx(0.5 / 0.75)
+        assert rmt_grid(cache, [1.0]).theta1[0] == pytest.approx(0.5 / 0.75)
 
     def test_theta1_large_m_limit(self):
         cache = cache_from_matrix(np.array([[1.0]]), np.ones((1, 1)), np.zeros(1), m=10**6)
-        assert fp.theta1(cache, 1.0) == pytest.approx(0.5 + 2.5e-7, abs=1e-9)
+        assert rmt_grid(cache, [1.0]).theta1[0] == pytest.approx(0.5 + 2.5e-7, abs=1e-9)
 
     def test_theta2_equal_dims_cancels(self):
         cache = cache_from_matrix(np.eye(2), np.ones((2, 1)), np.zeros(2), m=2)
-        assert fp.theta2(cache, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert rmt_grid(cache, [1.0]).theta2[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_theta2_more_runs(self):
         cache = cache_from_matrix(np.eye(2), np.ones((2, 1)), np.zeros(2), m=4)
-        assert fp.theta2(cache, 1.0) == pytest.approx(0.5 / 0.75**3 - 0.25 / 0.75**4)
+        assert rmt_grid(cache, [1.0]).theta2[0] == pytest.approx(0.5 / 0.75**3 - 0.25 / 0.75**4)
 
     def test_theta2_scalar(self):
         cache = cache_from_matrix(np.array([[2.0]]), np.ones((1, 1)), np.zeros(1), m=2)
-        assert fp.theta2(cache, 1.0) == pytest.approx(1.125)
+        assert rmt_grid(cache, [1.0]).theta2[0] == pytest.approx(1.125)
 
     def test_theta2_vanishes_for_one_run(self):
         # With S = z z^T (m = 1) the two terms of theta2 cancel exactly; at
@@ -141,8 +142,8 @@ class TestTheta:
         z = rng.standard_normal((40, 1))
         x, y = rng.standard_normal((40, 1)), rng.standard_normal(40)
         for cache in (fp.build_cache(z, x, y), fp.build_cache(fp.compute_sample_covariance(z), x, y)):
-            for lam in np.array([0.01, 1.0, 10.0]) * cache.tau_bar:
-                assert fp.theta2(cache, lam) == 0.0
+            grid = np.array([0.01, 1.0, 10.0]) * cache.tau_bar
+            np.testing.assert_array_equal(rmt_grid(cache, grid).theta2, 0.0)
 
     @given(st.integers(0, 500), st.floats(0.2, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -151,42 +152,42 @@ class TestTheta:
         # derivative taken by central differences.
         cache = random_cache(seed=seed, n=6, m=9)
         h = 1e-4 * lam
-        dtheta1 = (fp.theta1(cache, lam + h) - fp.theta1(cache, lam - h)) / (2 * h)
+        f = rmt_grid(cache, [lam, lam + h, lam - h])
+        t1, up, down = f.theta1
+        dtheta1 = (up - down) / (2 * h)
         ratio = cache.n_dim / cache.m_runs
-        t1 = fp.theta1(cache, lam)
         expected = (1.0 + ratio * t1) ** 2 * (t1 + lam * dtheta1)
-        assert fp.theta2(cache, lam) == pytest.approx(expected, abs=1e-5)
+        assert f.theta2[0] == pytest.approx(expected, abs=1e-5)
 
     def test_degenerate_denominator(self):
         # rank-1 S with m=1 < N=4: b = lambda / (d_max + lambda) -> 0 as
-        # lambda -> 0, tripping the degeneracy guard.
+        # lambda -> 0, tripping the degeneracy guard: the thetas are NaN there.
         rng = np.random.default_rng(0)
         z = rng.standard_normal((4, 1))
         cov = fp.compute_sample_covariance(z)
         cache = fp.build_cache(cov, np.ones((4, 1)), np.zeros(4))
-        with pytest.raises(fp.DegenerateDenominator):
-            fp.theta1(cache, 1e-15)
-        with pytest.raises(fp.DegenerateDenominator):
-            fp.theta2(cache, 1e-15)
+        f = rmt_grid(cache, [1e-15, 1.0])
+        np.testing.assert_array_equal(np.isnan(f.theta1), [True, False])
+        np.testing.assert_array_equal(np.isnan(f.theta2), [True, False])
 
     def test_stability_margin_positive_at_sane_lambda(self):
         cache = random_cache(n=8, m=4)
-        assert 0.0 < fp.stability_margin(cache, cache.tau_bar) < 1.0
+        assert 0.0 < rmt_grid(cache, [cache.tau_bar]).stability[0] < 1.0
 
 
 class TestGForms:
     def test_unit_fingerprint(self):
         x = np.array([[1.0], [0.0]])
         cache = cache_from_matrix(np.eye(2), x, np.zeros(2))
-        g1, g2 = fp.g_forms(cache, 1.0)
-        assert g1[0, 0] == pytest.approx(0.25)
-        assert g2[0, 0] == pytest.approx(0.125)
+        f = rmt_grid(cache, [1.0])
+        assert f.g1[0, 0, 0] == pytest.approx(0.25)
+        assert f.g_s[0, 0, 0] == pytest.approx(0.125)
 
     def test_zero_fingerprints(self):
         cache = cache_from_matrix(np.eye(3), np.zeros((3, 2)), np.zeros(3))
-        g1, g2 = fp.g_forms(cache, 0.7)
-        np.testing.assert_array_equal(g1, np.zeros((2, 2)))
-        np.testing.assert_array_equal(g2, np.zeros((2, 2)))
+        f = rmt_grid(cache, [0.7])
+        np.testing.assert_array_equal(f.g1, np.zeros((1, 2, 2)))
+        np.testing.assert_array_equal(f.g_s, np.zeros((1, 2, 2)))
 
     def test_against_dense_inverse(self):
         rng = np.random.default_rng(11)
@@ -196,26 +197,21 @@ class TestGForms:
         cache = fp.build_cache(cov, x, rng.standard_normal(8))
         lam = 0.8 * cache.tau_bar
         shrunk = cov.s + lam * np.eye(8)
-        g1, g2 = fp.g_forms(cache, lam)
-        np.testing.assert_allclose(g1, x.T @ np.linalg.solve(shrunk, x) / 8, atol=1e-9)
-        dense_g2 = x.T @ np.linalg.solve(shrunk, np.linalg.solve(shrunk, x)) / 8
-        np.testing.assert_allclose(g2, dense_g2, atol=1e-9)
+        f = rmt_grid(cache, [lam])
+        np.testing.assert_allclose(f.g1[0], x.T @ np.linalg.solve(shrunk, x) / 8, atol=1e-9)
+        dense_g_s = x.T @ np.linalg.solve(shrunk, cov.s @ np.linalg.solve(shrunk, x)) / 8
+        np.testing.assert_allclose(f.g_s[0], dense_g_s, atol=1e-9)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_psd_and_loewner_decreasing(self, seed):
         cache = random_cache(seed=seed)
         lams = np.geomspace(0.2, 5.0, 6) * max(cache.tau_bar, 1e-3)
-        traces1, traces2 = [], []
-        for lam in lams:
-            g1, g2 = fp.g_forms(cache, lam)
-            np.testing.assert_array_equal(g1, g1.T)
-            assert np.linalg.eigvalsh(g1).min() >= -1e-12
-            assert np.linalg.eigvalsh(g2).min() >= -1e-12
-            traces1.append(np.trace(g1))
-            traces2.append(np.trace(g2))
-        assert (np.diff(traces1) <= 1e-15).all()
-        assert (np.diff(traces2) <= 1e-15).all()
+        f = rmt_grid(cache, lams)
+        for g in (f.g1, f.g_s):
+            np.testing.assert_array_equal(g, g.swapaxes(1, 2))
+            assert np.linalg.eigvalsh(g).min() >= -1e-12
+            assert (np.diff(np.trace(g, axis1=1, axis2=2)) <= 1e-15).all()
 
 
 class TestWhiten:
@@ -259,6 +255,6 @@ class TestMarchenkoPasturConsistency:
             z = rng.standard_normal((400, 400))
             cov = fp.compute_sample_covariance(z)
             cache = fp.build_cache(cov, np.ones((400, 1)), np.zeros(400))
-            if abs(fp.q1(cache, 1.0) - 0.618034) < 0.02:
+            if abs(rmt_grid(cache, [1.0]).q1[0] - 0.618034) < 0.02:
                 hits += 1
         assert hits >= 9

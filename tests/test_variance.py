@@ -4,41 +4,48 @@ import pytest
 import finprint as fp
 from conftest import random_cache
 from finprint import variance
-from finprint.spectral import RmtFunctionals
+from finprint.spectral import RmtFunctionals, rmt_grid
 
 
-def make_functionals(lam=1.0, q1=0.5, q2=0.25, theta1=1.0, theta2=0.0, g1=0.25, g2=0.125):
+def make_functionals(lam=1.0, q1=0.5, q2=0.25, theta1=1.0, theta2=0.0, g1=0.25, g_s=0.125):
+    """A one-point grid of functionals with the given values."""
     return RmtFunctionals(
-        lam=lam,
-        q1=q1,
-        q2=q2,
-        theta1=theta1,
-        theta2=theta2,
-        g1=np.atleast_2d(g1),
-        g2=np.atleast_2d(g2),
+        lam=np.array([lam]),
+        q1=np.array([q1]),
+        q2=np.array([q2]),
+        theta1=np.array([theta1]),
+        theta2=np.array([theta2]),
+        g1=np.atleast_2d(g1)[None],
+        g_s=np.atleast_2d(g_s)[None],
+        stability=np.array([1.0]),
     )
 
 
 class TestAssemblyPieces:
     def test_delta1_scalar(self):
         f = make_functionals(g1=0.25, theta1=1.0)
-        np.testing.assert_allclose(fp.delta1_hat(f, [0.1]), [[0.15]])
+        np.testing.assert_allclose(fp.delta1_hat(f, [0.1]), [[[0.15]]])
 
     def test_delta1_no_measurement_error(self):
-        f = make_functionals(g1=np.array([[0.25, 0.1], [0.1, 0.3]]), g2=np.zeros((2, 2)))
+        f = make_functionals(g1=np.array([[0.25, 0.1], [0.1, 0.3]]), g_s=np.zeros((2, 2)))
         np.testing.assert_array_equal(fp.delta1_hat(f, [0.0, 0.0]), f.g1)
 
     def test_delta2_scalar(self):
-        f = make_functionals(lam=1.0, theta1=1.0, theta2=0.0, g1=0.25, g2=0.125)
-        np.testing.assert_allclose(fp.delta2_hat(f, [0.1], 4, 4), [[0.5]])
+        # G_S = G1 - lambda * G2 = 0.25 - 0.125
+        f = make_functionals(lam=1.0, theta1=1.0, theta2=0.0, g1=0.25, g_s=0.125)
+        np.testing.assert_allclose(fp.delta2_hat(f, [0.1], 4, 4), [[[0.5]]])
 
     def test_delta2_zero_fingerprints(self):
-        f = make_functionals(g1=np.zeros((2, 2)), g2=np.zeros((2, 2)), theta2=0.7)
-        np.testing.assert_array_equal(fp.delta2_hat(f, [0.0, 0.0], 8, 4), np.zeros((2, 2)))
+        f = make_functionals(g1=np.zeros((2, 2)), g_s=np.zeros((2, 2)), theta2=0.7)
+        np.testing.assert_array_equal(fp.delta2_hat(f, [0.0, 0.0], 8, 4), np.zeros((1, 2, 2)))
 
     def test_k_hat_is_theta2(self):
-        assert fp.k_hat(make_functionals(theta2=0.0)) == 0.0
-        assert fp.k_hat(make_functionals(theta2=1.125)) == 1.125
+        cache = random_cache(seed=2)
+        grid = np.geomspace(0.1, 10.0, 7) * cache.tau_bar
+        curve = variance.evaluate_grid(cache, [3, 5], grid)
+        usable = np.equal(curve.reason, None)
+        assert usable.any()
+        np.testing.assert_array_equal(curve.k_hat[usable], rmt_grid(cache, grid).theta2[usable])
 
     def test_xi_scalar_example(self):
         xi = fp.xi_hat(beta_hat=[1.0], d=[0.5], d1=[[2.0]], d2=[[1.0]], k=1.0)
@@ -68,10 +75,6 @@ class TestAssemblyPieces:
         expected = (1.0 + beta @ np.diag(d) @ beta) * inv1 @ (d2 + k * core) @ inv1
         np.testing.assert_allclose(xi, 0.5 * (expected + expected.T), atol=1e-12)
 
-    def test_xi_singular_delta1(self):
-        with pytest.raises(fp.SingularDelta1):
-            fp.xi_hat([1.0, 1.0], [0.1, 0.1], np.ones((2, 2)), np.eye(2), 1.0)
-
     def test_k_hat_matches_trace_oracle_monte_carlo(self):
         # For Sigma = I the target trace tr(shrunk^-1 Sigma shrunk^-1 Sigma)/N
         # reduces to q2; the plug-in is theta2. Means over 500 replicates
@@ -84,8 +87,9 @@ class TestAssemblyPieces:
             cov = fp.compute_sample_covariance(rng.standard_normal((n, m)))
             cache = fp.build_cache(cov, dummy_x, dummy_y)
             lam = cache.tau_bar
-            total_k += fp.k_hat(fp.rmt_functionals(cache, lam))
-            total_oracle += fp.q2(cache, lam)
+            f = rmt_grid(cache, [lam])
+            total_k += f.theta2[0]
+            total_oracle += f.q2[0]
         assert abs(total_k - total_oracle) / reps < 0.02
 
     def test_xi_symmetric(self):
@@ -114,57 +118,58 @@ class TestEvaluateLambda:
         )
         cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
         est = fp.evaluate_lambda(cache, ds.ensemble_sizes, cache.tau_bar)
-        np.testing.assert_allclose(est.beta_hat, beta, atol=1e-8)
+        np.testing.assert_allclose(est.beta_hat[0], beta, atol=1e-8)
         assert np.isfinite(est.xi_hat).all()
-        assert est.feasible
+        assert est.feasible[0]
 
     def test_singular_delta1_marks_infeasible(self):
         # scale the fingerprint so g1 exactly cancels theta1 * d
         cache = random_cache(seed=5, n=8, p=1, m=12)
         lam = cache.tau_bar
-        f = fp.rmt_functionals(cache, lam)
+        f = rmt_grid(cache, [lam])
         n_size = 2.0
-        scale = np.sqrt(f.theta1 / (n_size * f.g1[0, 0]))
+        scale = np.sqrt(f.theta1[0] / (n_size * f.g1[0, 0, 0]))
         rng = np.random.default_rng(5)
         z = rng.standard_normal((8, 12))
         x = rng.standard_normal((8, 1)) * scale
         y = rng.standard_normal(8)
         cache2 = fp.build_cache(fp.compute_sample_covariance(z), x, y)
         est = fp.evaluate_lambda(cache2, [n_size], lam)
-        assert not est.feasible
-        assert est.failure is not None
-        assert np.isnan(est.trace_xi)
+        assert not est.feasible[0]
+        assert est.reason[0] == "singular_delta1"
+        assert np.isnan(est.xi_hat).all()
 
     def test_vertical_solution_marks_infeasible(self):
         cache = fp.build_cache(
             fp.SampleCovariance(s=np.eye(4), m=8), np.zeros((4, 1)), np.array([1.0, 0, 0, 0])
         )
         est = fp.evaluate_lambda(cache, [3], 1.0)
-        assert not est.feasible
-        assert "orthogonal" in est.failure
+        assert not est.feasible[0]
+        assert est.reason[0] == "vertical_solution"
 
     def test_degenerate_denominator_marks_infeasible(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal((4, 1))
         cache = fp.build_cache(fp.compute_sample_covariance(z), rng.standard_normal((4, 1)), rng.standard_normal(4))
         est = fp.evaluate_lambda(cache, [2], 1e-15)
-        assert not est.feasible
+        assert not est.feasible[0]
+        assert est.reason[0] == "degenerate_denominator"
 
     def test_stability_margin_recorded(self):
         cache = random_cache(seed=2)
         est = fp.evaluate_lambda(cache, [3, 5], cache.tau_bar)
-        assert est.stability == pytest.approx(fp.stability_margin(cache, cache.tau_bar))
+        assert est.stability[0] == pytest.approx(rmt_grid(cache, [cache.tau_bar]).stability[0])
 
     def test_seeded_snapshot(self):
         # Regression snapshot recorded from the first verified run.
         cache = random_cache(seed=42, n=8, p=2, m=12)
         est = fp.evaluate_lambda(cache, [3, 5], 1.0)
-        assert est.feasible
+        assert est.feasible[0]
         np.testing.assert_allclose(
-            est.beta_hat, [0.6713077408250118, -0.1226308745124174], atol=1e-12
+            est.beta_hat[0], [0.6713077408250118, -0.1226308745124174], atol=1e-12
         )
-        assert est.trace_xi == pytest.approx(3.5195507647925734, abs=1e-10)
-        assert est.k_hat == pytest.approx(0.17957289499725526, abs=1e-12)
+        assert np.trace(est.xi_hat[0]) == pytest.approx(3.5195507647925734, abs=1e-10)
+        assert est.k_hat[0] == pytest.approx(0.17957289499725526, abs=1e-12)
 
 
 class TestSelectLambda:
@@ -217,7 +222,7 @@ class TestSelectLambda:
         cache = cache_factory(seed=10)
         curve = fp.select_lambda(cache, [3, 5], grid_size=25)
         recomputed = [
-            fp.evaluate_lambda(cache, [3, 5], lam).trace_xi if f else np.inf
+            np.trace(fp.evaluate_lambda(cache, [3, 5], lam).xi_hat[0]) if f else np.inf
             for lam, f in zip(curve.grid, curve.feasible)
         ]
         assert curve.chosen_index == int(np.argmin(recomputed))
