@@ -28,6 +28,7 @@ __all__ = [
     "quantile_normal",
     "quantile_chisq",
     "build_fit_result",
+    "build_fit_results",
 ]
 
 
@@ -74,12 +75,16 @@ def quantile_chisq(df: int, q: float) -> float:
     return float(chi2.ppf(q, df))
 
 
-def _normal_interval(beta_i: float, xi_ii: float, n_dim: int, z: float) -> tuple[float, float]:
-    """beta_i +/- z * sqrt(xi_ii / N); raises NonpositiveVariance unless xi_ii > 0."""
-    if xi_ii <= 0.0:
-        raise NonpositiveVariance(f"variance estimate must be positive, got {xi_ii}")
-    half_width = z * float(np.sqrt(xi_ii / n_dim))
-    return (float(beta_i) - half_width, float(beta_i) + half_width)
+def _normal_intervals(beta, variances, n_dim: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends beta -/+ z * sqrt(variance / N), elementwise over any shape.
+
+    Raises NonpositiveVariance unless every variance is > 0.
+    """
+    var = np.asarray(variances, dtype=float)
+    if not (var > 0.0).all():
+        raise NonpositiveVariance(f"variance estimate must be positive, got {var.min()}")
+    half_width = z * np.sqrt(var / n_dim)
+    return beta - half_width, beta + half_width
 
 
 def _two_sided_z(alpha: float) -> float:
@@ -91,7 +96,8 @@ def _two_sided_z(alpha: float) -> float:
 
 def marginal_ci(beta_i: float, xi_ii: float, n_dim: int, alpha: float = 0.05) -> tuple[float, float]:
     """Two-sided normal interval beta_i +/- z_{1-alpha/2} * sqrt(xi_ii / N)."""
-    return _normal_interval(beta_i, xi_ii, n_dim, _two_sided_z(alpha))
+    lower, upper = _normal_intervals(float(beta_i), xi_ii, n_dim, _two_sided_z(alpha))
+    return (float(lower), float(upper))
 
 
 def joint_region_test(beta0, beta_hat, xi, n_dim: int, alpha: float = 0.05) -> JointRegionResult:
@@ -125,21 +131,47 @@ def da_verdict(ci: tuple[float, float]) -> Verdict:
     return Verdict(detected=detected, attributed=detected and lower <= 1.0 <= upper)
 
 
+def _chosen_fits(curve: "LambdaCurve", n_dim: int, alpha: float, rows: list) -> list[FitResult]:
+    """FitResults at the chosen points of ``curve``, one per entry of ``rows``.
+
+    Each row is a replicate's own curve (``curve`` itself when it is not
+    stacked); the chosen points and the intervals are taken in one pass
+    over the stack.
+    """
+    at = curve.chosen_at
+    p = curve.beta_hat.shape[-1]
+    lams = np.reshape(curve.grid[at], -1)
+    beta_hat = curve.beta_hat[at].reshape(-1, p)
+    xi_hat = curve.xi_hat[at].reshape(-1, p, p)
+    variances = np.diagonal(xi_hat, axis1=1, axis2=2)
+    lower, upper = _normal_intervals(beta_hat, variances, n_dim, _two_sided_z(alpha))
+    fits = []
+    for r, row in enumerate(rows):
+        intervals = tuple(zip(lower[r].tolist(), upper[r].tolist()))
+        fits.append(
+            FitResult(
+                beta_hat=beta_hat[r],
+                lambda_opt=float(lams[r]),
+                xi_hat=xi_hat[r],
+                n_dim=n_dim,
+                alpha=alpha,
+                intervals=intervals,
+                verdicts=tuple(da_verdict(ci) for ci in intervals),
+                curve=row,
+            )
+        )
+    return fits
+
+
 def build_fit_result(curve: "LambdaCurve", n_dim: int, alpha: float) -> FitResult:
     """Bundle the chosen grid point into a FitResult with intervals and verdicts."""
-    i = curve.chosen_index
-    beta_hat, xi_hat = curve.beta_hat[i], curve.xi_hat[i]
-    z = _two_sided_z(alpha)
-    intervals = tuple(
-        _normal_interval(beta_hat[j], xi_hat[j, j], n_dim, z) for j in range(beta_hat.shape[0])
-    )
-    return FitResult(
-        beta_hat=beta_hat,
-        lambda_opt=curve.chosen_lambda,
-        xi_hat=xi_hat,
-        n_dim=n_dim,
-        alpha=alpha,
-        intervals=intervals,
-        verdicts=tuple(da_verdict(ci) for ci in intervals),
-        curve=curve,
-    )
+    return _chosen_fits(curve, n_dim, alpha, [curve])[0]
+
+
+def build_fit_results(curve: "LambdaCurve", n_dim: int, alpha: float) -> list[FitResult]:
+    """``build_fit_result`` for every replicate of a curve stacked over replicates.
+
+    Every replicate must have a feasible point.
+    """
+    rows = [curve.replicate(r) for r in range(curve.grid.shape[0])]
+    return _chosen_fits(curve, n_dim, alpha, rows)

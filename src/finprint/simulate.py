@@ -3,7 +3,9 @@
 Replicates a desk-scale version of the method's coverage/interval-length
 study: draw control runs, noisy fingerprints, and observations from a known
 covariance, fit with the optimally regularized weight matrix, and aggregate
-bias, spread, interval length, and empirical coverage.
+bias, spread, interval length, and empirical coverage. Replicates are drawn
+and decomposed one at a time and fitted in stacks (``variance.fit_stack``)
+of at most ``stack_size`` replicates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.linalg import toeplitz
 
 from .dataset import DetectionDataset
 from .errors import DimensionMismatch, FinprintError, InvalidCorrelation, NotPSD, OutOfDomain
-from .variance import FitOptions, fit_optimal
+from .variance import FitOptions, fit_stack, prepare_cache
 
 __all__ = [
     "IdentitySigma",
@@ -36,6 +38,7 @@ __all__ = [
     "sample_mvn",
     "generate_replicate",
     "run_scenario",
+    "stack_size",
     "summarize_replicates",
 ]
 
@@ -46,6 +49,12 @@ PSD_TOL = 1e-10
 # fingerprint noise per forcing, p+1 = control runs.
 _STREAM_EPS = 0
 _STREAM_CONTROL_OFFSET = 1
+
+# Doubles in the R x G x (r+1) weight stack of one stacked grid pass (512 KB);
+# the pass keeps a few arrays of that size alive. It caps R, the replicates
+# per stack: more would grow the peak memory without making a replicate
+# cheaper.
+STACK_ELEMENTS = 2**16
 
 
 def _ar1_correlation(dim: int, rho: float) -> np.ndarray:
@@ -261,6 +270,8 @@ class SimulationScenario:
         object.__setattr__(self, "ensemble_sizes", tuple(int(n) for n in self.ensemble_sizes))
         if len(self.true_beta) != len(self.ensemble_sizes):
             raise DimensionMismatch("true_beta and ensemble_sizes must have equal length")
+        if not self.true_beta:
+            raise OutOfDomain("need at least one forcing: true_beta and ensemble_sizes are empty")
         if min(self.n_dim, self.m_runs, *self.ensemble_sizes) < 1:
             raise OutOfDomain("n_dim, m_runs and the ensemble sizes must be >= 1")
         if not self.gamma >= 0.0:
@@ -373,10 +384,9 @@ class SimulationReport:
     failure_counts: dict[str, int]
 
 
-def _fit_record(ds: DetectionDataset, true_beta, index: int, options: FitOptions) -> ReplicateRecord:
-    try:
-        fit = fit_optimal(ds, options)
-    except FinprintError as exc:
+def _record(index: int, fit, true_beta) -> ReplicateRecord:
+    """A replicate's record from its FitResult, or from the FinprintError its fit raised."""
+    if isinstance(fit, FinprintError):
         return ReplicateRecord(
             index=index,
             beta_hat=None,
@@ -384,7 +394,7 @@ def _fit_record(ds: DetectionDataset, true_beta, index: int, options: FitOptions
             ci_lower=None,
             ci_upper=None,
             covered=None,
-            error=f"{type(exc).__name__}: {exc}",
+            error=f"{type(fit).__name__}: {fit}",
         )
     lower = tuple(ci[0] for ci in fit.intervals)
     upper = tuple(ci[1] for ci in fit.intervals)
@@ -401,9 +411,49 @@ def _fit_record(ds: DetectionDataset, true_beta, index: int, options: FitOptions
     )
 
 
+def stack_size(rank: int, grid_size: int) -> int:
+    """Replicates per stacked grid pass for caches of ``rank`` kept eigenvalues.
+
+    As many as fit STACK_ELEMENTS weights of grid_size x (rank+1) each, and
+    at least one.
+    """
+    return max(1, STACK_ELEMENTS // (grid_size * (rank + 1)))
+
+
 def _run_chunk(scenario: SimulationScenario, indices, options: FitOptions) -> list[ReplicateRecord]:
+    """Records of the replicates ``indices``, fitted in stacks of equal-shape caches.
+
+    A full-rank cache keeps min(N, m) eigenvalues (all N on the dense route);
+    full-rank replicates share a stack, and any other one is a stack of one.
+    """
     gen = ReplicateGenerator(scenario)
-    return [_fit_record(gen.make(i), scenario.true_beta, i, options) for i in indices]
+    sizes = np.asarray(scenario.ensemble_sizes)
+    full_rank = min(scenario.n_dim, scenario.m_runs)
+    cap = stack_size(full_rank, options.grid_size)
+    records: list[ReplicateRecord] = []
+    stack: list = []
+
+    def fit(entries) -> None:
+        fits = fit_stack([cache for _, cache in entries], sizes, options)
+        records.extend(_record(i, f, scenario.true_beta) for (i, _), f in zip(entries, fits))
+
+    for i in indices:
+        ds = gen.make(i)
+        try:
+            cache = prepare_cache(ds)
+        except FinprintError as exc:
+            records.append(_record(i, exc, scenario.true_beta))
+            continue
+        if cache.eigvals.shape[-1] != full_rank:
+            fit([(i, cache)])
+            continue
+        stack.append((i, cache))
+        if len(stack) == cap:
+            fit(stack)
+            stack = []
+    if stack:
+        fit(stack)
+    return records
 
 
 def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> SimulationReport:
@@ -452,9 +502,11 @@ def run_scenario(
 ) -> SimulationReport:
     """Run the full Monte Carlo loop: generate, fit, interval, aggregate.
 
-    Replicates are independent; ``jobs > 1`` fans them out over processes.
-    Aggregates are identical for any jobs value because every replicate owns
-    its seed-derived streams and records are reduced in index order.
+    Replicates are independent; ``jobs > 1`` fans them out over processes,
+    each of which fits its share in stacks. Records and aggregates are
+    identical for any jobs value and stack size because every replicate owns
+    its seed-derived streams, its record is the one ``fit_optimal`` gives,
+    and records are reduced in index order.
     """
     options = fit_options or FitOptions(alpha=scenario.alpha)
     start = time.perf_counter()

@@ -10,7 +10,9 @@ matrix of the data's residual off the retained eigenvectors. A grid of G
 lambdas is then evaluated in one pass of stacked array operations on the
 G x (r+1) weight matrix 1/(d_i + lambda), whose last column is the null
 block's 1/lambda, at O(G r p^2); one lambda is a grid of one. Neither
-S + lambda*I nor, from control runs, S itself is ever formed.
+S + lambda*I nor, from control runs, S itself is ever formed. Caches of
+equal shape stack along a leading replicate axis (``stack_caches``); the
+grid functions broadcast over it, with an (R, G) lambda grid.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "SpectralCache",
     "RmtFunctionals",
     "build_cache",
+    "stack_caches",
     "weights",
     "weighted_gram",
     "rmt_grid",
@@ -47,10 +50,14 @@ class SpectralCache:
     there only through ``null_gram``, the (p+1) x (p+1) Gram matrix R^T R of
     the residual R = A - U U^T A of A = [x_tilde, y]. A cache built from S
     keeps all N eigenpairs, so its null block is empty and ``null_gram`` zero.
+
+    A stack of R caches (``stack_caches``) carries a leading replicate axis
+    on ``eigvals``, ``proj_x``, ``proj_y``, ``null_gram`` and ``tau_bar``
+    and no eigenvectors, which the grid never reads.
     """
 
     eigvals: np.ndarray
-    eigvecs: np.ndarray
+    eigvecs: np.ndarray | None
     proj_x: np.ndarray
     proj_y: np.ndarray
     null_dim: int
@@ -71,7 +78,8 @@ class RmtFunctionals:
     """Trace/quadratic functionals of the shrunk covariance W = S + lambda*I.
 
     Stacked over a grid by ``rmt_grid``: G-vectors, with g1 and g_s of shape
-    (G, p, p). g1 = X~^T W^-1 X~ / N and g_s = X~^T W^-1 S W^-1 X~ / N.
+    (G, p, p), and (R, G, ...) from a stack of R caches. g1 = X~^T W^-1 X~ / N
+    and g_s = X~^T W^-1 S W^-1 X~ / N.
     ``stability`` is the denominator b; theta1 and theta2 are NaN where
     |b| <= DEGENERATE_TOL.
     """
@@ -148,37 +156,74 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     )
 
 
-def _check_lambda(lam) -> np.ndarray:
-    """Regularization levels as a 1-d float array; each must be positive."""
+def stack_caches(caches) -> SpectralCache:
+    """Caches of one shape stacked along a new leading replicate axis.
+
+    The grid functions evaluate the stack in one pass, each replicate on its
+    own (R, G) row of lambdas, with the same per-replicate results as its
+    own cache gives. Raises DimensionMismatch unless every cache has the
+    same N, m, kept rank and forcing count.
+    """
+    caches = list(caches)
+    shapes = {(c.n_dim, c.m_runs, c.proj_x.shape) for c in caches}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"only caches of one shape stack, got {sorted(shapes)}")
+    first = caches[0]
+    return SpectralCache(
+        eigvals=np.stack([c.eigvals for c in caches]),
+        eigvecs=None,
+        proj_x=np.stack([c.proj_x for c in caches]),
+        proj_y=np.stack([c.proj_y for c in caches]),
+        null_dim=first.null_dim,
+        null_gram=np.stack([c.null_gram for c in caches]),
+        n_dim=first.n_dim,
+        m_runs=first.m_runs,
+        tau_bar=np.array([c.tau_bar for c in caches]),
+    )
+
+
+def _check_lambda(cache: SpectralCache, lam) -> np.ndarray:
+    """Regularization levels as a float array of the cache's stack shape + (G,); each must be positive."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lams.ndim != 1 or not (lams > 0.0).all():
+    if lams.shape[:-1] != cache.eigvals.shape[:-1]:
+        raise DimensionMismatch(
+            f"lambda grid of shape {lams.shape} does not fit a cache stack of {cache.eigvals.shape[:-1]}"
+        )
+    if not (lams > 0.0).all():
         raise OutOfDomain(f"lambda must be positive, got {lam}")
     return lams
 
 
+def _spectrum(cache: SpectralCache) -> np.ndarray:
+    """The r kept eigenvalues followed by the null block's 0, as (..., r+1)."""
+    d = cache.eigvals
+    return np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
+
+
 def weights(cache: SpectralCache, lams: np.ndarray) -> np.ndarray:
-    """G x (r+1) matrix of shrunk inverse eigenvalues 1/(d_i + lambda_g).
+    """(..., G, r+1) stack of shrunk inverse eigenvalues 1/(d_i + lambda_g).
 
     The last column is the null block's weight 1/lambda_g (eigenvalue 0).
     """
-    return 1.0 / (np.append(cache.eigvals, 0.0) + lams[:, None])
+    return 1.0 / (_spectrum(cache)[..., None, :] + lams[..., :, None])
 
 
 def _normalized_trace(cache: SpectralCache, w: np.ndarray) -> np.ndarray:
     """(1/N) sum over all N eigenvalues of the weights ``w`` (a ``weights`` stack)."""
-    return (w[:, :-1].sum(axis=1) + cache.null_dim * w[:, -1]) / cache.n_dim
+    return (w[..., :-1].sum(axis=-1) + cache.null_dim * w[..., -1]) / cache.n_dim
 
 
 def weighted_gram(w: np.ndarray, a: np.ndarray, null_gram: np.ndarray) -> np.ndarray:
-    """Symmetric sum_i w[g, i] a_i a_i^T + w[g, -1] * null_gram for every row g, as (G, k, k).
+    """Symmetric sum_i w[..., g, i] a_i a_i^T + w[..., g, -1] * null_gram for every row g, as (..., G, k, k).
 
-    ``a`` has one row per retained eigenpair (r x k); the null block enters
-    through its residual Gram matrix (k x k).
+    ``a`` has one row per retained eigenpair (..., r, k); the null block
+    enters through its residual Gram matrix (..., k, k).
     """
-    n, k = a.shape
-    outer = (a[:, :, None] * a[:, None, :]).reshape(n, k * k)
-    gram = (w @ np.vstack([outer, null_gram.reshape(1, k * k)])).reshape(-1, k, k)
-    return 0.5 * (gram + gram.swapaxes(1, 2))
+    *lead, n, k = a.shape
+    outer = (a[..., :, :, None] * a[..., None, :]).reshape(*lead, n, k * k)
+    terms = np.concatenate([outer, null_gram.reshape(*lead, 1, k * k)], axis=-2)
+    gram = (w @ terms).reshape(*w.shape[:-1], k, k)
+    return 0.5 * (gram + gram.swapaxes(-1, -2))
 
 
 def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
@@ -191,11 +236,12 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     with W = S + lambda*I. The sums run over all N eigenvalues: the null
     block adds (N - r)/lambda to N*Q1 (lambda^2 for Q2) and its residual
     Gram matrix over lambda to N*g1; it has weight 0 in g_s. A degenerate
-    denominator gives NaN thetas, not an exception.
+    denominator gives NaN thetas, not an exception. A stacked cache takes
+    an (R, G) grid and gives every functional a leading replicate axis.
     """
-    lams = _check_lambda(lams)
+    lams = _check_lambda(cache, lams)
     w = weights(cache, lams)
-    p = cache.proj_x.shape[1]
+    p = cache.proj_x.shape[-1]
     q1v = _normalized_trace(cache, w)
     q2v = _normalized_trace(cache, w * w)
     u = 1.0 - lams * q1v
@@ -206,15 +252,15 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     # and Q2 it is a difference of terms of size u/b^3 that cancel exactly
     # when m = 1; summed instead as the spread of the r nonzero a_i about
     # their mean plus (1/r - 1/m)(sum a_i)^2, nothing cancels when r <= m.
-    d = np.append(cache.eigvals, 0.0)
+    d = _spectrum(cache)[..., None, :]
     a = d * w
     nonzero = d > 0.0
-    r = max(int(np.count_nonzero(nonzero)), 1)
-    total = a.sum(axis=1)
-    spread = (((a - total[:, None] / r) * nonzero) ** 2).sum(axis=1)
+    r = np.maximum(np.count_nonzero(nonzero, axis=-1), 1)
+    total = a.sum(axis=-1)
+    spread = (((a - (total / r)[..., None]) * nonzero) ** 2).sum(axis=-1)
     theta2_num = (spread + (1.0 / r - 1.0 / cache.m_runs) * total**2) / cache.n_dim
     usable_b = np.where(np.abs(b) > DEGENERATE_TOL, b, np.nan)
-    null_x = cache.null_gram[:p, :p]
+    null_x = cache.null_gram[..., :p, :p]
     return RmtFunctionals(
         lam=lams,
         q1=q1v,

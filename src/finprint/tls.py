@@ -39,7 +39,7 @@ class TlsSolution:
     objective value and ``gap`` (second smallest minus smallest eigenvalue)
     measures how well-separated the minimizer is. From ``tls_fit`` the
     fields describe one lambda; from ``tls_grid`` each is stacked over the
-    grid (``beta_hat`` is G x p).
+    grid (``beta_hat`` is (..., G, p)).
     """
 
     beta_hat: np.ndarray
@@ -55,34 +55,34 @@ def tls_grid(cache: SpectralCache, ensemble_sizes, lams) -> tuple[TlsSolution, n
     the solution with every field stacked over the grid, a mask of vertical
     points (the minimizing eigenvector is orthogonal to the response
     direction, so no finite estimate exists; their coefficients are NaN) and
-    a mask of points whose smallest eigenvalue is nearly tied.
+    a mask of points whose smallest eigenvalue is nearly tied. A stacked
+    cache takes an (R, G) grid and stacks every output over its replicates.
     """
-    lams = _check_lambda(lams)
+    lams = _check_lambda(cache, lams)
     sizes = np.asarray(ensemble_sizes, dtype=float)
-    if sizes.shape != (cache.proj_x.shape[1],):
-        raise OutOfDomain(
-            f"ensemble_sizes must have length {cache.proj_x.shape[1]}, got {sizes.shape}"
-        )
+    p = cache.proj_x.shape[-1]
+    if sizes.shape != (p,):
+        raise OutOfDomain(f"ensemble_sizes must have length {p}, got {sizes.shape}")
     if (sizes < 1).any():
         raise OutOfDomain("all ensemble sizes must be >= 1")
     scale = np.append(np.sqrt(sizes), 1.0)
-    design = np.column_stack([cache.proj_x, cache.proj_y]) * scale
+    design = np.concatenate([cache.proj_x, cache.proj_y[..., None]], axis=-1) * scale
     m = weighted_gram(weights(cache, lams), design, cache.null_gram * np.outer(scale, scale))
     try:
         eigvals, eigvecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"augmented Gram eigenproblem failed: {exc}") from exc
 
-    v = eigvecs[:, :, 0]
-    gap = eigvals[:, 1] - eigvals[:, 0]
-    near_tied = gap < NEAR_DEGENERATE_TOL * np.trace(m, axis1=1, axis2=2) / m.shape[-1]
-    last = v[:, -1]
-    vertical = np.abs(last) < VERTICAL_TOL * np.linalg.norm(v, axis=1)
-    beta_star = -v[:, :-1] / np.where(vertical, np.nan, last)[:, None]
+    v = eigvecs[..., 0]
+    gap = eigvals[..., 1] - eigvals[..., 0]
+    near_tied = gap < NEAR_DEGENERATE_TOL * np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
+    last = v[..., -1]
+    vertical = np.abs(last) < VERTICAL_TOL * np.linalg.norm(v, axis=-1)
+    beta_star = -v[..., :-1] / np.where(vertical, np.nan, last)[..., None]
     solution = TlsSolution(
         beta_hat=np.sqrt(sizes) * beta_star,
         beta_star=beta_star,
-        min_eigenvalue=np.maximum(eigvals[:, 0], 0.0),
+        min_eigenvalue=np.maximum(eigvals[..., 0], 0.0),
         gap=np.maximum(gap, 0.0),
     )
     return solution, vertical, near_tied

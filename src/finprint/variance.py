@@ -6,20 +6,21 @@ alone, by correcting the fingerprint quadratic forms for measurement error
 with the trace functionals of the shrunk covariance. Minimizing the trace of
 that estimate over lambda on a log grid picks the weight matrix with the
 smallest total asymptotic uncertainty. The whole grid is evaluated at once
-as stacked array operations; ``evaluate_lambda`` is its one-point case.
+as stacked array operations; ``evaluate_lambda`` is its one-point case, and
+``fit_stack`` runs the same pass over a stack of replicates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import DetectionDataset, validate_dataset
-from .errors import DimensionMismatch, NoFeasiblePoint, OutOfDomain
-from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid
+from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, OutOfDomain
+from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid, stack_caches
 # tls_fit is unused here but stays importable from this module: perfbench's
 # layer tracer wraps finprint.variance.tls_fit by name.
 from .tls import tls_fit, tls_grid  # noqa: F401
@@ -37,7 +38,9 @@ __all__ = [
     "evaluate_grid",
     "evaluate_lambda",
     "select_lambda",
+    "prepare_cache",
     "fit_optimal",
+    "fit_stack",
 ]
 
 # Reciprocal condition number below which the corrected Gram matrix is
@@ -50,9 +53,9 @@ DEFAULT_BOUNDS = (0.01, 10.0)
 
 # Selection criteria on a stack of covariance estimates.
 _CRITERIA = {
-    "trace": lambda xi: np.trace(xi, axis1=1, axis2=2),
+    "trace": lambda xi: np.trace(xi, axis1=-2, axis2=-1),
     "determinant": np.linalg.det,
-    "max_eigenvalue": lambda xi: np.linalg.eigvalsh(xi)[:, -1],
+    "max_eigenvalue": lambda xi: np.linalg.eigvalsh(xi)[..., -1],
 }
 _OBJECTIVES = tuple(_CRITERIA)
 
@@ -63,6 +66,8 @@ _OBJECTIVES = tuple(_CRITERIA)
 # of the covariance estimate is <= 0.
 REASONS = ("degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
 
+NO_FEASIBLE = "every grid point was infeasible"
+
 
 def _mat(x) -> np.ndarray:
     """A scalar, or a stack of them, broadcastable against (..., p, p)."""
@@ -71,6 +76,11 @@ def _mat(x) -> np.ndarray:
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _count(n):
+    """A count as a Python int, or an array of them over a replicate stack."""
+    return int(n) if np.ndim(n) == 0 else n
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,11 @@ class LambdaCurve:
     tied.
     ``objective`` is the ``criterion`` at feasible points and +inf elsewhere;
     ``chosen_index`` is its first minimum, so ties go to the smallest lambda.
+
+    From a stacked cache every field gains a leading replicate axis (``grid``
+    is (R, G), ``n_near_degenerate`` an R-vector), ``chosen_index`` and
+    ``chosen_lambda`` are R-vectors, and ``replicate(i)`` is replicate i's
+    own curve.
     """
 
     grid: np.ndarray
@@ -98,7 +113,7 @@ class LambdaCurve:
     xi_hat: np.ndarray
     stability: np.ndarray
     reason: np.ndarray
-    n_near_degenerate: int = 0
+    n_near_degenerate: int | np.ndarray = 0
     criterion: str = "trace"
 
     @cached_property
@@ -114,12 +129,26 @@ class LambdaCurve:
         return np.isfinite(self.objective)
 
     @property
-    def chosen_index(self) -> int:
-        return int(np.argmin(self.objective))
+    def chosen_index(self):
+        i = np.argmin(self.objective, axis=-1)
+        return int(i) if i.ndim == 0 else i
 
     @property
-    def chosen_lambda(self) -> float:
-        return float(self.grid[self.chosen_index])
+    def chosen_at(self) -> tuple:
+        """Index of every replicate's chosen point into the stacked fields."""
+        i = self.chosen_index
+        return (*np.indices(np.shape(i), sparse=True), i)
+
+    @property
+    def chosen_lambda(self):
+        lam = self.grid[self.chosen_at]
+        return float(lam) if lam.ndim == 0 else lam
+
+    def replicate(self, i) -> "LambdaCurve":
+        """Row ``i`` (an index or index array) of a curve stacked over replicates."""
+        rows = {f.name: getattr(self, f.name)[i] for f in fields(self) if f.name != "criterion"}
+        rows["n_near_degenerate"] = _count(rows["n_near_degenerate"])
+        return LambdaCurve(**rows, criterion=self.criterion)
 
 
 @dataclass(frozen=True)
@@ -188,7 +217,8 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     Costs O(G N p^2) given the cache, as stacked array operations: one
     stacked eigh for TLS, one stacked svd for the Delta1 checks and one
     stacked inv. Infeasible points do not raise; each carries its REASONS
-    code and, unless only its variance is nonpositive, NaN payloads.
+    code and, unless only its variance is nonpositive, NaN payloads. A
+    stacked cache with an (R, G) grid is one such pass for all R replicates.
     """
     if criterion not in _OBJECTIVES:
         raise OutOfDomain(f"objective must be one of {_OBJECTIVES}")
@@ -196,37 +226,38 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     f = rmt_grid(cache, grid)
     sol, vertical, near_tied = tls_grid(cache, ensemble_sizes, f.lam)
     degenerate = np.isnan(f.theta1)
-    g, p = sol.beta_hat.shape
+    g, p = sol.beta_hat.shape[-2:]
     eye = np.eye(p)
 
     d1 = delta1_hat(f, d)
     # Identity in place of unusable rows keeps NaN out of LAPACK. The g1 stack
     # rides along in the same svd call for its spectral norms.
-    usable_d1 = np.where(degenerate[:, None, None], eye, d1)
-    svals = np.linalg.svd(np.concatenate([usable_d1, f.g1]), compute_uv=False)
+    usable_d1 = np.where(degenerate[..., None, None], eye, d1)
+    svals = np.linalg.svd(np.concatenate([usable_d1, f.g1], axis=-3), compute_uv=False)
+    d1_svals, g1_svals = svals[..., :g, :], svals[..., g:, :]
     # The correction is a difference of two terms; a smallest singular value
     # that is round-off relative to their size means the matrix is singular
     # even when its own condition number looks fine (p = 1).
-    scale = svals[g:, 0] + np.abs(f.theta1) * d.max()
-    singular = (svals[:g, -1] < RCOND_TOL * scale) | _ill_conditioned(svals[:g])
+    scale = g1_svals[..., 0] + np.abs(f.theta1) * d.max()
+    singular = (d1_svals[..., -1] < RCOND_TOL * scale) | _ill_conditioned(d1_svals)
     unusable = degenerate | vertical | singular
-    blank = unusable[:, None, None]
+    blank = unusable[..., None, None]
     d2 = delta2_hat(f, d, cache.n_dim, cache.m_runs)
     xi = xi_hat(sol.beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
-    nonpositive = ~(np.diagonal(xi, axis1=1, axis2=2) > 0.0).all(axis=1)
+    nonpositive = ~(np.diagonal(xi, axis1=-2, axis2=-1) > 0.0).all(axis=-1)
 
     failed = np.stack([degenerate, vertical, singular, nonpositive])
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(REASONS))
     return LambdaCurve(
         grid=f.lam,
-        beta_hat=np.where(unusable[:, None], np.nan, sol.beta_hat),
+        beta_hat=np.where(unusable[..., None], np.nan, sol.beta_hat),
         delta1_hat=np.where(blank, np.nan, d1),
         delta2_hat=np.where(blank, np.nan, d2),
         k_hat=np.where(unusable, np.nan, f.theta2),
         xi_hat=np.where(blank, np.nan, xi),
         stability=f.stability,
         reason=np.array([*REASONS, None], dtype=object)[first],
-        n_near_degenerate=int(np.count_nonzero(near_tied & ~degenerate)),
+        n_near_degenerate=_count(np.count_nonzero(near_tied & ~degenerate, axis=-1)),
         criterion=criterion,
     )
 
@@ -246,6 +277,35 @@ def default_bounds(tau_bar: float) -> tuple[float, float]:
     return (DEFAULT_BOUNDS[0] * tau_bar, DEFAULT_BOUNDS[1] * tau_bar)
 
 
+def _check_bounds(lo, hi, n_dim: int) -> tuple[float, float]:
+    """Search bounds as floats with 0 < lo < hi < inf.
+
+    lo must also keep N/lo^2 finite in float64: Q2 sums the weight 1/lo^2
+    of a zero eigenvalue over up to N directions (the null block's N - r
+    among them).
+    """
+    lo, hi = float(lo), float(hi)
+    if not 0.0 < lo < hi < np.inf:
+        raise OutOfDomain(f"need 0 < lambda_min < lambda_max < inf, got ({lo}, {hi})")
+    if not np.isfinite(n_dim / lo / lo):
+        raise OutOfDomain(f"lambda_min = {lo} is too small: N/lambda_min^2 overflows float64 at N = {n_dim}")
+    return lo, hi
+
+
+def _search_bounds(tau_bar: float, opts: FitOptions) -> tuple[float, float]:
+    """The options' bounds where given, else the default ones at this tau_bar."""
+    lo, hi = default_bounds(tau_bar)
+    return (
+        lo if opts.lambda_min is None else opts.lambda_min,
+        hi if opts.lambda_max is None else opts.lambda_max,
+    )
+
+
+def _log_grid(lo, hi, grid_size: int) -> np.ndarray:
+    """Log-spaced grid from lo to hi inclusive; R-vectors of bounds give (R, G)."""
+    return np.geomspace(lo, hi, grid_size, axis=-1)
+
+
 def select_lambda(
     cache: SpectralCache,
     ensemble_sizes,
@@ -261,16 +321,29 @@ def select_lambda(
     """
     if bounds is None:
         bounds = default_bounds(cache.tau_bar)
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not 0.0 < lo < hi < np.inf:
-        raise OutOfDomain(f"need 0 < lambda_min < lambda_max < inf, got ({lo}, {hi})")
+    lo, hi = _check_bounds(*bounds, cache.n_dim)
     if grid_size < 2:
         raise OutOfDomain(f"grid_size must be >= 2, got {grid_size}")
 
-    curve = evaluate_grid(cache, ensemble_sizes, np.geomspace(lo, hi, grid_size), objective)
+    curve = evaluate_grid(cache, ensemble_sizes, _log_grid(lo, hi, grid_size), objective)
     if not curve.feasible.any():
-        raise NoFeasiblePoint("every grid point was infeasible")
+        raise NoFeasiblePoint(NO_FEASIBLE)
     return curve
+
+
+def prepare_cache(ds: DetectionDataset) -> SpectralCache:
+    """Validate a dataset and decompose it once for the lambda search.
+
+    Raises DimensionMismatch when validation fails. With m < N control
+    runs, S = Z Z^T/m has rank <= m: the cache comes from the thin SVD of Z
+    and S is never formed. A supplied S, or m >= N, keeps the eigh of S,
+    which is then no more expensive.
+    """
+    report = validate_dataset(ds)
+    if not report.ok:
+        raise DimensionMismatch("; ".join(report.errors))
+    low_rank = ds.sample_cov is None and ds.m_runs < ds.n_dim
+    return build_cache(ds.control_runs if low_rank else ds.sample_covariance(), ds.x_tilde, ds.y)
 
 
 def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> "FitResult":
@@ -282,25 +355,60 @@ def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> "Fit
     from .inference import build_fit_result
 
     opts = options or FitOptions()
-    report = validate_dataset(ds)
-    if not report.ok:
-        raise DimensionMismatch("; ".join(report.errors))
-
-    # With m < N control runs, S = Z Z^T/m has rank <= m: the cache comes
-    # from the thin SVD of Z and S is never formed. A supplied S, or m >= N,
-    # keeps the eigh of S, which is then no more expensive.
-    low_rank = ds.sample_cov is None and ds.m_runs < ds.n_dim
-    cache = build_cache(ds.control_runs if low_rank else ds.sample_covariance(), ds.x_tilde, ds.y)
-    lo, hi = default_bounds(cache.tau_bar)
-    if opts.lambda_min is not None:
-        lo = opts.lambda_min
-    if opts.lambda_max is not None:
-        hi = opts.lambda_max
+    cache = prepare_cache(ds)
     curve = select_lambda(
         cache,
         ds.ensemble_sizes,
-        bounds=(lo, hi),
+        bounds=_search_bounds(cache.tau_bar, opts),
         grid_size=opts.grid_size,
         objective=opts.objective,
     )
     return build_fit_result(curve, n_dim=cache.n_dim, alpha=opts.alpha)
+
+
+def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list:
+    """Fit replicates whose caches share one shape in a single stacked pass.
+
+    Entry i is the FitResult that ``fit_optimal`` returns for the dataset
+    behind ``caches[i]``, or the FinprintError it raises, whatever else is
+    in the stack. Each replicate's bounds are checked on its own and give
+    its own row of the (R, G) grid; ``evaluate_grid``, the first minima and
+    the intervals then run once on the stack. When that pass raises, the
+    stack is refitted one replicate at a time, so the error stays with the
+    replicate that caused it.
+    """
+    from .inference import build_fit_results
+
+    opts = options or FitOptions()
+    out: list = [None] * len(caches)
+    bounds = {}
+    for i, cache in enumerate(caches):
+        try:
+            bounds[i] = _check_bounds(*_search_bounds(cache.tau_bar, opts), cache.n_dim)
+        except OutOfDomain as exc:
+            out[i] = exc
+    rows = np.array(list(bounds), dtype=int)
+    if rows.size == 0:
+        return out
+    try:
+        lo, hi = np.array(list(bounds.values())).T
+        curve = evaluate_grid(
+            stack_caches([caches[i] for i in rows]),
+            ensemble_sizes,
+            _log_grid(lo, hi, opts.grid_size),
+            opts.objective,
+        )
+        feasible = curve.feasible.any(axis=-1)
+        fits = build_fit_results(curve.replicate(feasible), caches[rows[0]].n_dim, opts.alpha)
+    except FinprintError as exc:
+        if rows.size == 1:
+            out[rows[0]] = exc
+        else:
+            for i in rows:
+                out[i] = fit_stack([caches[i]], ensemble_sizes, opts)[0]
+        return out
+    for i in rows[~feasible]:
+        out[i] = NoFeasiblePoint(NO_FEASIBLE)
+    for i, fit in zip(rows[feasible], fits):
+        out[i] = fit
+    return out

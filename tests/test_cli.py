@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 import finprint as fp
 from finprint.cli import main
 from finprint.io import write_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -153,6 +157,19 @@ class TestFitCommand:
         assert main(["fit", str(manifest)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+    def test_lambda_min_too_small_exit_2(self, manifest):
+        # 1/lambda_min^2 overflows float64; the bound is rejected before the
+        # grid turns it into numpy overflow warnings.
+        proc = subprocess.run(
+            [sys.executable, "-m", "finprint", "fit", str(manifest), "--lambda-min", "1e-300", "--lambda-max", "1e300"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "lambda_min" in lines[0]
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -319,6 +336,14 @@ class TestSimulateCommand:
         assert out1.with_suffix(".replicates.tsv").read_bytes() == out2.with_suffix(
             ".replicates.tsv"
         ).read_bytes()
+
+    def test_no_forcings_exit_2(self, scenario_file, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc.update(true_beta=[], ensemble_sizes=[])
+        scenario_file.write_text(json.dumps(doc))
+        assert main(["simulate", str(scenario_file)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_seed_override_changes_results(self, scenario_file, tmp_path):
         out1 = tmp_path / "s1.json"

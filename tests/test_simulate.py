@@ -346,7 +346,14 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"n_dim": 0}, {"m_runs": 0}, {"ensemble_sizes": (0, 3)}, {"gamma": float("nan")}, {"base_seed": -1}],
+        [
+            {"n_dim": 0},
+            {"m_runs": 0},
+            {"ensemble_sizes": (0, 3)},
+            {"gamma": float("nan")},
+            {"base_seed": -1},
+            {"true_beta": (), "ensemble_sizes": ()},
+        ],
     )
     def test_ranges_checked_on_construction(self, overrides):
         # A bad value fails when the scenario is built, not when the Monte

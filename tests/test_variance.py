@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,18 @@ class TestSelectLambda:
             fp.select_lambda(cache_factory(), [3, 5], bounds=(0.0, 1.0))
         with pytest.raises(ValueError):
             fp.select_lambda(cache_factory(), [3, 5], grid_size=1)
+
+    @pytest.mark.parametrize("m", [5, 20], ids=["null_block", "dense"])
+    def test_lambda_min_floor(self, dataset_factory, m):
+        # Q2 sums the weight 1/lambda^2 over up to N = 12 zero-eigenvalue
+        # directions: 12/1e-154^2 overflows float64, 12/1e-153^2 does not.
+        ds = dataset_factory(n=12, m=m)
+        cache = fp.build_cache(ds.control_runs if m < 12 else ds.sample_covariance(), ds.x_tilde, ds.y)
+        with pytest.raises(fp.OutOfDomain, match="lambda_min"):
+            fp.select_lambda(cache, [3, 5], bounds=(1e-154, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fp.select_lambda(cache, [3, 5], bounds=(1e-153, 1e300))
 
 
 class TestFitOptimal:
