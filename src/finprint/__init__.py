@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     EigenFailure,
     FinprintError,
+    InputError,
     InvalidCorrelation,
     NearDegenerateWarning,
     NoFeasiblePoint,
@@ -124,6 +125,7 @@ __all__ = [
     "summarize_replicates",
     # errors
     "FinprintError",
+    "InputError",
     "NonFinite",
     "DimensionMismatch",
     "EigenFailure",

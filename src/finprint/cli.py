@@ -20,17 +20,9 @@ import numpy as np
 
 from . import __version__
 from .dataset import validate_dataset
-from .errors import (
-    DimensionMismatch,
-    FinprintError,
-    InvalidCorrelation,
-    NoFeasiblePoint,
-    NonFinite,
-    NotPSD,
-    OutOfDomain,
-)
+from .errors import FinprintError, InputError, NoFeasiblePoint, OutOfDomain
 from .inference import FitResult
-from .io import SchemaError, load_dataset, load_scenario, manifest_input_paths
+from .io import load_dataset, load_scenario, manifest_input_paths
 from .simulate import SimulationReport, SimulationScenario, run_scenario
 from .variance import FitOptions, fit_optimal
 
@@ -41,16 +33,7 @@ EXIT_INPUT = 2
 EXIT_NO_FEASIBLE = 3
 EXIT_NUMERIC = 4
 
-_INPUT_ERRORS = (
-    SchemaError,
-    DimensionMismatch,
-    NonFinite,
-    InvalidCorrelation,
-    OutOfDomain,
-    NotPSD,
-    FileNotFoundError,
-    IsADirectoryError,
-)
+_INPUT_ERRORS = (InputError, FileNotFoundError, IsADirectoryError)
 # Anything else that escapes a command is a failure of the computation,
 # not of its input.
 _NUMERIC_ERRORS = (FinprintError, np.linalg.LinAlgError, FloatingPointError, ValueError)
@@ -175,21 +158,13 @@ def cmd_fit(cfg: CliConfig) -> int:
     validation = validate_dataset(ds)
     for w in validation.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if not validation.ok:
-        print(f"error: {'; '.join(validation.errors)}", file=sys.stderr)
-        return EXIT_INPUT
     result = fit_optimal(ds, cfg.fit)
     _write_doc(_fit_doc(result, validation, cfg), cfg.output_path)
     return EXIT_OK
 
 
 def cmd_lambda_curve(cfg: CliConfig) -> int:
-    ds = load_dataset(cfg.input_path)
-    validation = validate_dataset(ds)
-    if not validation.ok:
-        print(f"error: {'; '.join(validation.errors)}", file=sys.stderr)
-        return EXIT_INPUT
-    curve = fit_optimal(ds, cfg.fit).curve
+    curve = fit_optimal(load_dataset(cfg.input_path), cfg.fit).curve
     label = "trace_xi" if cfg.fit.objective == "trace" else cfg.fit.objective
     lines = [f"# lambda\t{label}  (inf marks infeasible grid points)"]
     for lam, value in zip(curve.grid, curve.objective):

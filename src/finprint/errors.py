@@ -2,6 +2,7 @@
 
 __all__ = [
     "FinprintError",
+    "InputError",
     "NonFinite",
     "DimensionMismatch",
     "EigenFailure",
@@ -20,11 +21,15 @@ class FinprintError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonFinite(FinprintError):
+class InputError(FinprintError):
+    """Base class for errors in the input: a command that raises one exits 2."""
+
+
+class NonFinite(InputError):
     """Input contains NaN or infinite entries."""
 
 
-class DimensionMismatch(FinprintError):
+class DimensionMismatch(InputError):
     """Array shapes are inconsistent with each other or with metadata."""
 
 
@@ -49,15 +54,15 @@ class SingularXi(FinprintError):
     """The estimated asymptotic covariance cannot be inverted."""
 
 
-class OutOfDomain(FinprintError, ValueError):
+class OutOfDomain(InputError, ValueError):
     """Argument outside the domain of the function: an input-range check failed."""
 
 
-class InvalidCorrelation(FinprintError):
+class InvalidCorrelation(InputError):
     """AR(1) coefficient outside (-1, 1) or nonpositive variances."""
 
 
-class NotPSD(FinprintError):
+class NotPSD(InputError):
     """Matrix required to be positive semidefinite is not."""
 
 

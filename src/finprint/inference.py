@@ -28,7 +28,6 @@ __all__ = [
     "quantile_normal",
     "quantile_chisq",
     "build_fit_result",
-    "build_fit_results",
 ]
 
 
@@ -131,22 +130,21 @@ def da_verdict(ci: tuple[float, float]) -> Verdict:
     return Verdict(detected=detected, attributed=detected and lower <= 1.0 <= upper)
 
 
-def _chosen_fits(curve: "LambdaCurve", n_dim: int, alpha: float, rows: list) -> list[FitResult]:
-    """FitResults at the chosen points of ``curve``, one per entry of ``rows``.
+def build_fit_result(curve: "LambdaCurve", n_dim: int, alpha: float) -> list[FitResult]:
+    """One FitResult per replicate of a replicate-stacked curve, at its chosen point.
 
-    Each row is a replicate's own curve (``curve`` itself when it is not
-    stacked); the chosen points and the intervals are taken in one pass
-    over the stack.
+    The chosen points and their intervals are taken in one pass over the
+    stack; each FitResult carries its replicate's own curve. Every replicate
+    must have a feasible point.
     """
     at = curve.chosen_at
-    p = curve.beta_hat.shape[-1]
-    lams = np.reshape(curve.grid[at], -1)
-    beta_hat = curve.beta_hat[at].reshape(-1, p)
-    xi_hat = curve.xi_hat[at].reshape(-1, p, p)
-    variances = np.diagonal(xi_hat, axis1=1, axis2=2)
+    lams = curve.grid[at]
+    beta_hat = curve.beta_hat[at]
+    xi_hat = curve.xi_hat[at]
+    variances = np.diagonal(xi_hat, axis1=-2, axis2=-1)
     lower, upper = _normal_intervals(beta_hat, variances, n_dim, _two_sided_z(alpha))
     fits = []
-    for r, row in enumerate(rows):
+    for r in range(lams.shape[0]):
         intervals = tuple(zip(lower[r].tolist(), upper[r].tolist()))
         fits.append(
             FitResult(
@@ -157,21 +155,7 @@ def _chosen_fits(curve: "LambdaCurve", n_dim: int, alpha: float, rows: list) -> 
                 alpha=alpha,
                 intervals=intervals,
                 verdicts=tuple(da_verdict(ci) for ci in intervals),
-                curve=row,
+                curve=curve.replicate(r),
             )
         )
     return fits
-
-
-def build_fit_result(curve: "LambdaCurve", n_dim: int, alpha: float) -> FitResult:
-    """Bundle the chosen grid point into a FitResult with intervals and verdicts."""
-    return _chosen_fits(curve, n_dim, alpha, [curve])[0]
-
-
-def build_fit_results(curve: "LambdaCurve", n_dim: int, alpha: float) -> list[FitResult]:
-    """``build_fit_result`` for every replicate of a curve stacked over replicates.
-
-    Every replicate must have a feasible point.
-    """
-    rows = [curve.replicate(r) for r in range(curve.grid.shape[0])]
-    return _chosen_fits(curve, n_dim, alpha, rows)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DetectionDataset, SampleCovariance, ensemble_mean
-from .errors import FinprintError
+from .errors import FinprintError, InputError
 from .simulate import (
     FingerprintModel,
     IdentitySigma,
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class SchemaError(FinprintError):
+class SchemaError(InputError):
     """Manifest or scenario document is missing or misusing a field."""
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SampleCovariance, runs_tau_bar
-from .errors import DimensionMismatch, EigenFailure, OutOfDomain
+from .errors import DimensionMismatch, EigenFailure, NotPSD, OutOfDomain
 
 __all__ = [
     "SpectralCache",
@@ -101,7 +101,8 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     time, O(N^2) memory), or the N x m control runs Z themselves, whose thin
     SVD gives the eigenpairs of S = Z Z^T/m without forming it (O(N m^2)
     time, O(N m) memory). Eigenvalues below 1e-10 * tau_bar are clamped to
-    zero; from Z they join the null block. Raises EigenFailure if the
+    zero; from Z they join the null block. Raises NotPSD when a supplied S
+    has an eigenvalue below -1e-10 * tau_bar, EigenFailure if the
     decomposition does not converge and DimensionMismatch on inconsistent
     shapes.
     """
@@ -130,8 +131,15 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"spectral decomposition failed: {exc}") from exc
     # Round-off eigenvalues (either sign) below 1e-10 * tau_bar are exact
-    # zeros of the rank-deficient S.
-    eigvals = np.where(eigvals < 1e-10 * max(tau_bar, 0.0), 0.0, eigvals)
+    # zeros of the rank-deficient S; a supplied S with an eigenvalue further
+    # below zero is not a covariance. Singular values cannot go negative.
+    floor = 1e-10 * max(tau_bar, 0.0)
+    lowest = eigvals.min(initial=0.0)
+    if z is None and lowest < -floor:
+        raise NotPSD(
+            f"sample covariance is not positive semidefinite: eigenvalue {lowest:.3g} below -1e-10 * tau_bar"
+        )
+    eigvals = np.where(eigvals < floor, 0.0, eigvals)
     data = np.column_stack([x_tilde, y])
     if z is None:
         proj, null_gram = eigvecs.T @ data, np.zeros((data.shape[1],) * 2)

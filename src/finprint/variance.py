@@ -6,8 +6,9 @@ alone, by correcting the fingerprint quadratic forms for measurement error
 with the trace functionals of the shrunk covariance. Minimizing the trace of
 that estimate over lambda on a log grid picks the weight matrix with the
 smallest total asymptotic uncertainty. The whole grid is evaluated at once
-as stacked array operations; ``evaluate_lambda`` is its one-point case, and
-``fit_stack`` runs the same pass over a stack of replicates.
+as stacked array operations; ``evaluate_lambda`` is its one-point case.
+``fit_stack`` is the one fit path: it runs that pass over a stack of
+replicates, and a single fit (``fit_optimal``) is a stack of one.
 """
 
 from __future__ import annotations
@@ -272,38 +273,28 @@ def evaluate_lambda(cache: SpectralCache, ensemble_sizes, lam: float) -> LambdaC
     return evaluate_grid(cache, ensemble_sizes, [float(lam)])
 
 
-def default_bounds(tau_bar: float) -> tuple[float, float]:
-    """Search interval [0.01, 10] * tau_bar, with tau_bar = tr(S)/N."""
+def default_bounds(tau_bar):
+    """Search interval [0.01, 10] * tau_bar, with tau_bar = tr(S)/N; elementwise over a stack."""
     return (DEFAULT_BOUNDS[0] * tau_bar, DEFAULT_BOUNDS[1] * tau_bar)
 
 
-def _check_bounds(lo, hi, n_dim: int) -> tuple[float, float]:
-    """Search bounds as floats with 0 < lo < hi < inf.
+def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int) -> None:
+    """Require 0 < lo < hi < inf elementwise over R-vectors of bounds.
 
     lo must also keep N/lo^2 finite in float64: Q2 sums the weight 1/lo^2
     of a zero eigenvalue over up to N directions (the null block's N - r
-    among them).
+    among them). The message names the first offending pair.
     """
-    lo, hi = float(lo), float(hi)
-    if not 0.0 < lo < hi < np.inf:
-        raise OutOfDomain(f"need 0 < lambda_min < lambda_max < inf, got ({lo}, {hi})")
-    if not np.isfinite(n_dim / lo / lo):
-        raise OutOfDomain(f"lambda_min = {lo} is too small: N/lambda_min^2 overflows float64 at N = {n_dim}")
-    return lo, hi
-
-
-def _search_bounds(tau_bar: float, opts: FitOptions) -> tuple[float, float]:
-    """The options' bounds where given, else the default ones at this tau_bar."""
-    lo, hi = default_bounds(tau_bar)
-    return (
-        lo if opts.lambda_min is None else opts.lambda_min,
-        hi if opts.lambda_max is None else opts.lambda_max,
-    )
-
-
-def _log_grid(lo, hi, grid_size: int) -> np.ndarray:
-    """Log-spaced grid from lo to hi inclusive; R-vectors of bounds give (R, G)."""
-    return np.geomspace(lo, hi, grid_size, axis=-1)
+    bad = ~((0.0 < lo) & (lo < hi) & (hi < np.inf))
+    if bad.any():
+        i = np.argmax(bad)
+        raise OutOfDomain(f"need 0 < lambda_min < lambda_max < inf, got ({float(lo[i])}, {float(hi[i])})")
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(n_dim / lo / lo)
+    if bad.any():
+        raise OutOfDomain(
+            f"lambda_min = {float(lo[np.argmax(bad)])} is too small: N/lambda_min^2 overflows float64 at N = {n_dim}"
+        )
 
 
 def select_lambda(
@@ -315,20 +306,14 @@ def select_lambda(
 ) -> LambdaCurve:
     """Grid-search the regularization level minimizing the covariance objective.
 
-    The grid is log-spaced and inclusive of both bounds; infeasible points
-    are skipped rather than fatal. Raises NoFeasiblePoint when nothing on
-    the grid is usable.
+    The curve of ``fit_stack`` on a stack of one, with the search ``bounds``
+    (default ``default_bounds(cache.tau_bar)``) on a log grid inclusive of
+    both; infeasible points are skipped rather than fatal. Raises
+    NoFeasiblePoint when nothing on the grid is usable.
     """
-    if bounds is None:
-        bounds = default_bounds(cache.tau_bar)
-    lo, hi = _check_bounds(*bounds, cache.n_dim)
-    if grid_size < 2:
-        raise OutOfDomain(f"grid_size must be >= 2, got {grid_size}")
-
-    curve = evaluate_grid(cache, ensemble_sizes, _log_grid(lo, hi, grid_size), objective)
-    if not curve.feasible.any():
-        raise NoFeasiblePoint(NO_FEASIBLE)
-    return curve
+    lo, hi = (None, None) if bounds is None else bounds
+    opts = FitOptions(lambda_min=lo, lambda_max=hi, grid_size=grid_size, objective=objective)
+    return _fit_one(cache, ensemble_sizes, opts).curve
 
 
 def prepare_cache(ds: DetectionDataset) -> SpectralCache:
@@ -349,66 +334,52 @@ def prepare_cache(ds: DetectionDataset) -> SpectralCache:
 def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> "FitResult":
     """End-to-end fit: cache, lambda search, covariance, intervals, verdicts.
 
-    Raises DimensionMismatch on inconsistent inputs and NoFeasiblePoint when
-    the search fails everywhere.
+    ``fit_stack`` on a stack of one. Raises DimensionMismatch on
+    inconsistent inputs and NoFeasiblePoint when the search fails everywhere.
     """
-    from .inference import build_fit_result
+    return _fit_one(prepare_cache(ds), ds.ensemble_sizes, options)
 
-    opts = options or FitOptions()
-    cache = prepare_cache(ds)
-    curve = select_lambda(
-        cache,
-        ds.ensemble_sizes,
-        bounds=_search_bounds(cache.tau_bar, opts),
-        grid_size=opts.grid_size,
-        objective=opts.objective,
-    )
-    return build_fit_result(curve, n_dim=cache.n_dim, alpha=opts.alpha)
+
+def _fit_one(cache: SpectralCache, ensemble_sizes, options: FitOptions | None) -> "FitResult":
+    """``fit_stack`` on a stack of one, raising its error."""
+    (fit,) = fit_stack([cache], ensemble_sizes, options)
+    if isinstance(fit, FinprintError):
+        raise fit
+    return fit
 
 
 def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list:
     """Fit replicates whose caches share one shape in a single stacked pass.
 
-    Entry i is the FitResult that ``fit_optimal`` returns for the dataset
-    behind ``caches[i]``, or the FinprintError it raises, whatever else is
-    in the stack. Each replicate's bounds are checked on its own and give
-    its own row of the (R, G) grid; ``evaluate_grid``, the first minima and
-    the intervals then run once on the stack. When that pass raises, the
-    stack is refitted one replicate at a time, so the error stays with the
-    replicate that caused it.
+    This is the only fit path: ``fit_optimal`` and ``select_lambda`` are its
+    stack of one. Entry i is the FitResult for ``caches[i]``, or the
+    FinprintError its fit raises, whatever else is in the stack. Each
+    replicate's search bounds (the options' where given, else
+    ``default_bounds`` at its tau_bar) give its own row of the (R, G) grid;
+    ``evaluate_grid``, the first minima and the intervals then run once on
+    the stack, and a replicate with no feasible point gets NoFeasiblePoint.
+    When that pass raises, as it does on a bad bound, the stack is refitted
+    one replicate at a time, so the error stays with the replicate that
+    caused it.
     """
-    from .inference import build_fit_results
+    from .inference import build_fit_result
 
     opts = options or FitOptions()
-    out: list = [None] * len(caches)
-    bounds = {}
-    for i, cache in enumerate(caches):
-        try:
-            bounds[i] = _check_bounds(*_search_bounds(cache.tau_bar, opts), cache.n_dim)
-        except OutOfDomain as exc:
-            out[i] = exc
-    rows = np.array(list(bounds), dtype=int)
-    if rows.size == 0:
-        return out
     try:
-        lo, hi = np.array(list(bounds.values())).T
-        curve = evaluate_grid(
-            stack_caches([caches[i] for i in rows]),
-            ensemble_sizes,
-            _log_grid(lo, hi, opts.grid_size),
-            opts.objective,
-        )
+        stack = stack_caches(caches)
+        lo, hi = default_bounds(stack.tau_bar)
+        if opts.lambda_min is not None:
+            lo = np.full_like(stack.tau_bar, opts.lambda_min)
+        if opts.lambda_max is not None:
+            hi = np.full_like(stack.tau_bar, opts.lambda_max)
+        _check_bounds(lo, hi, stack.n_dim)
+        grid = np.geomspace(lo, hi, opts.grid_size, axis=-1)
+        curve = evaluate_grid(stack, ensemble_sizes, grid, opts.objective)
         feasible = curve.feasible.any(axis=-1)
-        fits = build_fit_results(curve.replicate(feasible), caches[rows[0]].n_dim, opts.alpha)
+        usable = curve if feasible.all() else curve.replicate(feasible)
+        fits = iter(build_fit_result(usable, stack.n_dim, opts.alpha))
     except FinprintError as exc:
-        if rows.size == 1:
-            out[rows[0]] = exc
-        else:
-            for i in rows:
-                out[i] = fit_stack([caches[i]], ensemble_sizes, opts)[0]
-        return out
-    for i in rows[~feasible]:
-        out[i] = NoFeasiblePoint(NO_FEASIBLE)
-    for i, fit in zip(rows[feasible], fits):
-        out[i] = fit
-    return out
+        if len(caches) == 1:
+            return [exc]
+        return [fit_stack([cache], ensemble_sizes, opts)[0] for cache in caches]
+    return [next(fits) if ok else NoFeasiblePoint(NO_FEASIBLE) for ok in feasible]

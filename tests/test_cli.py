@@ -131,13 +131,29 @@ class TestFitCommand:
         assert main(["fit", str(manifest)]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_zero_control_runs_exit_2(self, manifest, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "lambda-curve"])
+    def test_zero_control_runs_exit_2(self, command, manifest, tmp_path, capsys):
         # tau_bar = 0 leaves lambda without a scale; the round-off of an
         # all-zero covariance must not pick one.
         write_matrix(tmp_path / "control.txt", np.zeros((16, 30)))
-        assert main(["fit", str(manifest)]) == 2
+        assert main([command, str(manifest)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tr(S)" in err and err.count("\n") == 1
+
+    def test_non_psd_sample_cov_exit_2(self, manifest, tmp_path, capsys):
+        # A supplied S with eigenvalue -0.77 (tau_bar ~ 1) is not a
+        # covariance; clamping it to zero would fit a different problem.
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        eigvals = np.linspace(0.5, 1.5, 16)
+        eigvals[0] = -0.77
+        write_matrix(tmp_path / "s.txt", (q * eigvals) @ q.T)
+        doc = json.loads(manifest.read_text())
+        del doc["control_runs"]
+        manifest.write_text(json.dumps({**doc, "sample_cov": "s.txt", "m_runs": 30}))
+        assert main(["fit", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive semidefinite" in err and err.count("\n") == 1
 
     def test_non_numeric_matrix_exit_2(self, manifest, tmp_path, capsys):
         (tmp_path / "x_tilde.txt").write_text("1.0 2.0\n3.0 abc\n")

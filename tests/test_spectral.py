@@ -51,6 +51,15 @@ class TestBuildCache:
         with pytest.raises(fp.DimensionMismatch):
             cache_from_matrix(np.eye(3), np.ones((2, 1)), np.zeros(3))
 
+    def test_negative_eigenvalue_rejected(self):
+        # tau_bar = 2/3: -2e-10 lies below the clamp's round-off scale
+        # -1e-10 * tau_bar, -3e-11 inside it.
+        x, y = np.ones((3, 1)), np.zeros(3)
+        with pytest.raises(fp.NotPSD, match="not positive semidefinite"):
+            cache_from_matrix(np.diag([-2e-10, 1.0, 1.0]), x, y)
+        cache = cache_from_matrix(np.diag([-3e-11, 1.0, 1.0]), x, y)
+        np.testing.assert_array_equal(cache.eigvals, [0.0, 1.0, 1.0])
+
     def test_eigensolver_failure_wrapped(self, monkeypatch):
         def boom(_):
             raise np.linalg.LinAlgError("no convergence")

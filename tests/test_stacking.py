@@ -1,19 +1,23 @@
-"""Replicate-stacked Monte Carlo fits against one fit_optimal per replicate.
+"""Replicate-stacked fits against stacks of one, and a stack of one against the reference.
 
 run_scenario draws and decomposes every replicate on its own, then fits the
-replicates whose caches share a shape in stacks (variance.fit_stack). A
-replicate's record must equal, with ==, the record of fit_optimal on its
-own dataset, whatever else its stack holds and however large the stack is.
+replicates whose caches share a shape in stacks (variance.fit_stack).
+fit_optimal is fit_stack on a stack of one. A replicate's record must
+equal, with ==, the record of fit_optimal on its own dataset, whatever else
+its stack holds and however large the stack is. fit_optimal itself is
+checked against the slow per-lambda reference in reference.py.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import finprint as fp
 from finprint import simulate, variance
 from finprint.spectral import stack_caches
+from reference import reference_curve
 
 
 def scenario(m_runs, gamma=1.0, replicates=30):
@@ -145,6 +149,42 @@ class TestBatchIndependence:
             np.testing.assert_array_equal(fit.curve.objective, want.curve.objective)
             np.testing.assert_array_equal(fit.curve.reason, want.curve.reason)
             assert fit.curve.n_near_degenerate == want.curve.n_near_degenerate
+
+
+class TestStackOfOne:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("covariance", ["control_runs", "sample_cov"])
+    def test_fit_optimal_matches_reference(self, covariance, p):
+        # Dense caches only, which the reference handles: m >= N control
+        # runs, or a supplied S.
+        rng = np.random.default_rng(11 + p)
+        n, m, alpha = 24, 40, 0.1
+        x = rng.standard_normal((n, p))
+        runs = rng.standard_normal((n, m))
+        if covariance == "sample_cov":
+            cov = {"sample_cov": fp.compute_sample_covariance(runs)}
+        else:
+            cov = {"control_runs": runs}
+        ds = fp.DetectionDataset(
+            y=x @ np.ones(p) + 0.5 * rng.standard_normal(n),
+            x_tilde=x,
+            ensemble_sizes=np.arange(3, 3 + 2 * p, 2),
+            **cov,
+        )
+        fit = fp.fit_optimal(ds, fp.FitOptions(alpha=alpha))
+        cache = variance.prepare_cache(ds)
+        assert cache.null_dim == 0
+        points, _, chosen = reference_curve(cache, ds.ensemble_sizes, fit.curve.grid)
+
+        assert fit.curve.chosen_index == chosen
+        assert list(fit.curve.reason) == [pt["reason"] for pt in points]
+        beta, xi = points[chosen]["beta_hat"], points[chosen]["xi_hat"]
+        # test_grid.py's tolerances
+        np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-9, atol=1e-10 * np.abs(beta).max())
+        np.testing.assert_allclose(fit.xi_hat, xi, rtol=1e-9, atol=1e-10 * np.abs(xi).max())
+        half = norm.ppf(1 - alpha / 2) * np.sqrt(np.diag(xi) / n)
+        want = np.column_stack([beta - half, beta + half])
+        np.testing.assert_allclose(fit.intervals, want, rtol=1e-9, atol=1e-10 * np.abs(want).max())
 
 
 class TestStackSize:
