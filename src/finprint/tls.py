@@ -6,7 +6,10 @@ D = diag(1/n_i). Rescaling b* = D^{1/2} b turns the denominator into
 1 + ||b*||^2, so the minimizer is read off the eigenvector with smallest
 eigenvalue of the (p+1) x (p+1) Gram matrix of the whitened, rescaled design
 [X~ D^{-1/2}, Y]. p is small, so the Gram eigenproblem beats an N x (p+1)
-SVD and the whitened products come straight from the spectral cache.
+SVD and the whitened products come straight from the spectral cache. For
+p = 2 the smallest eigenpair is solved in closed form over the whole grid
+(``_symmetric.smallest_eigenpair``); nearly tied points, and every other p,
+keep LAPACK's eigh.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._symmetric import smallest_eigenpair
 from .errors import EigenFailure, NearDegenerateWarning, OutOfDomain, VerticalSolution
 from .spectral import SpectralCache, _check_lambda, weighted_gram, weights
 
@@ -28,6 +32,12 @@ VERTICAL_TOL = 1e-10
 # Eigenvalue gaps below 1e-8 * mean diagonal of the Gram matrix mark the
 # minimizer as numerically non-unique.
 NEAR_DEGENERATE_TOL = 1e-8
+# Points whose gap is below this many NEAR_DEGENERATE_TOL (1e-3 of the mean
+# diagonal) take LAPACK's eigh instead of the closed form, so near ties are
+# always LAPACK's call. The closed-form eigenvector carries ~1e-16/gap of
+# error, up to ~5x LAPACK's; above 1e-3 that is ~1e-12 or less. Paper-scale
+# replicates have relative gaps of 0.2 and more.
+LAPACK_GAP_FACTOR = 1e5
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,11 @@ class TlsSolution:
 def tls_grid(cache: SpectralCache, ensemble_sizes, lams) -> tuple[TlsSolution, np.ndarray, np.ndarray]:
     """Solve the prewhitened total-least-squares problem at every lambda of a grid.
 
-    One stacked eigendecomposition of the G augmented Gram matrices. Returns
+    The smallest eigenpair of every augmented Gram matrix comes from
+    ``_symmetric.smallest_eigenpair``: in closed form for p = 2, from
+    LAPACK's eigh at points whose two smallest eigenvalues are within
+    LAPACK_GAP_FACTOR * NEAR_DEGENERATE_TOL of each other (relative to the
+    mean diagonal) and for every other p. Returns
     the solution with every field stacked over the grid, a mask of vertical
     points (the minimizing eigenvector is orthogonal to the response
     direction, so no finite estimate exists; their coefficients are NaN) and
@@ -69,11 +83,10 @@ def tls_grid(cache: SpectralCache, ensemble_sizes, lams) -> tuple[TlsSolution, n
     design = np.concatenate([cache.proj_x, cache.proj_y[..., None]], axis=-1) * scale
     m = weighted_gram(weights(cache, lams), design, cache.null_gram * np.outer(scale, scale))
     try:
-        eigvals, eigvecs = np.linalg.eigh(m)
+        eigvals, v = smallest_eigenpair(m, LAPACK_GAP_FACTOR * NEAR_DEGENERATE_TOL)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"augmented Gram eigenproblem failed: {exc}") from exc
 
-    v = eigvecs[..., 0]
     gap = eigvals[..., 1] - eigvals[..., 0]
     near_tied = gap < NEAR_DEGENERATE_TOL * np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
     last = v[..., -1]

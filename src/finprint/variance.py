@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _symmetric
 from .dataset import DetectionDataset, validate_dataset
 from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, OutOfDomain
 from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid, stack_caches
@@ -56,7 +57,7 @@ DEFAULT_BOUNDS = (0.01, 10.0)
 _CRITERIA = {
     "trace": lambda xi: np.trace(xi, axis1=-2, axis2=-1),
     "determinant": np.linalg.det,
-    "max_eigenvalue": lambda xi: np.linalg.eigvalsh(xi)[..., -1],
+    "max_eigenvalue": lambda xi: _symmetric.eigvalsh(xi)[..., -1],
 }
 _OBJECTIVES = tuple(_CRITERIA)
 
@@ -64,7 +65,9 @@ _OBJECTIVES = tuple(_CRITERIA)
 # this order, whose check it fails: the denominator 1 - (N/m)(1 - lambda*Q1)
 # vanished, TLS has no finite solution (fingerprints orthogonal to Y), the
 # corrected Gram matrix Delta1 is numerically singular, or a diagonal entry
-# of the covariance estimate is <= 0.
+# of the covariance estimate is <= 0 (under the "determinant" criterion, also
+# its determinant, relative to its scale: a product of two negative
+# eigenvalues must not win the minimum).
 REASONS = ("degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
 
 NO_FEASIBLE = "every grid point was infeasible"
@@ -208,18 +211,25 @@ def xi_hat(beta_hat, d, d1, d2, k) -> np.ndarray:
     # Sherman-Morrison form of (D^-1 + b b^T)^-1; never forms D^-1.
     db = d * beta_hat
     core_inv = np.diag(d) - db[..., :, None] * db[..., None, :] / factor
-    d1_inv = np.linalg.inv(d1)
+    d1_inv = _symmetric.inv(d1)
     return _sym(factor * d1_inv @ (np.asarray(d2, dtype=float) + _mat(k) * core_inv) @ d1_inv)
 
 
 def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "trace") -> LambdaCurve:
     """Fit the scaling factors and assemble their covariance at every lambda.
 
-    Costs O(G N p^2) given the cache, as stacked array operations: one
-    stacked eigh for TLS, one stacked svd for the Delta1 checks and one
-    stacked inv. Infeasible points do not raise; each carries its REASONS
-    code and, unless only its variance is nonpositive, NaN payloads. A
-    stacked cache with an (R, G) grid is one such pass for all R replicates.
+    Costs O(G N p^2) given the cache, as stacked array operations. The small
+    symmetric algebra runs in ``_symmetric``: the TLS eigenpair, the
+    singular values of Delta1 and g1 for the Delta1 checks (as sorted
+    |eigenvalues|, both being symmetric) and the inverse of Delta1 are
+    closed forms for p = 2, on each matrix divided by its largest |entry|
+    where that guards the determinant, and LAPACK for every other p and for
+    nearly tied TLS minima. Infeasible points do not raise; each carries its
+    REASONS code and, unless only its variance is nonpositive, NaN
+    payloads. Under the "determinant" criterion a covariance estimate whose
+    determinant, taken on it divided by its largest |entry|, is at most
+    RCOND_TOL is nonpositive too. A stacked cache with an (R, G) grid is
+    one such pass for all R replicates.
     """
     if criterion not in _OBJECTIVES:
         raise OutOfDomain(f"objective must be one of {_OBJECTIVES}")
@@ -227,15 +237,13 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     f = rmt_grid(cache, grid)
     sol, vertical, near_tied = tls_grid(cache, ensemble_sizes, f.lam)
     degenerate = np.isnan(f.theta1)
-    g, p = sol.beta_hat.shape[-2:]
+    p = sol.beta_hat.shape[-1]
     eye = np.eye(p)
 
     d1 = delta1_hat(f, d)
-    # Identity in place of unusable rows keeps NaN out of LAPACK. The g1 stack
-    # rides along in the same svd call for its spectral norms.
-    usable_d1 = np.where(degenerate[..., None, None], eye, d1)
-    svals = np.linalg.svd(np.concatenate([usable_d1, f.g1], axis=-3), compute_uv=False)
-    d1_svals, g1_svals = svals[..., :g, :], svals[..., g:, :]
+    # Identity in place of unusable rows keeps NaN out of the kernels.
+    d1_svals = _symmetric.singular_values(np.where(degenerate[..., None, None], eye, d1))
+    g1_svals = _symmetric.singular_values(f.g1)
     # The correction is a difference of two terms; a smallest singular value
     # that is round-off relative to their size means the matrix is singular
     # even when its own condition number looks fine (p = 1).
@@ -244,8 +252,19 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     unusable = degenerate | vertical | singular
     blank = unusable[..., None, None]
     d2 = delta2_hat(f, d, cache.n_dim, cache.m_runs)
-    xi = xi_hat(sol.beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
+    # Far above tau_bar, Delta1 can be small enough that Xi overflows; such a
+    # point has a non-finite objective (or diagonal) and is infeasible.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = xi_hat(sol.beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
     nonpositive = ~(np.diagonal(xi, axis1=-2, axis2=-1) > 0.0).all(axis=-1)
+    if criterion == "determinant":
+        # det <= 0 gives a combination of the scaling factors a variance <= 0;
+        # on Xi divided by its largest |entry|, a determinant below RCOND_TOL
+        # is one whose sign is round-off.
+        rows = np.where(nonpositive[..., None, None], eye, xi)
+        with np.errstate(invalid="ignore"):
+            det = np.linalg.det(rows / np.abs(rows).max(axis=(-2, -1))[..., None, None])
+        nonpositive |= ~(det > RCOND_TOL)
 
     failed = np.stack([degenerate, vertical, singular, nonpositive])
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(REASONS))

@@ -30,7 +30,12 @@ def _functionals(cache, lam):
         raise _Infeasible("degenerate_denominator")
     v = cache.proj_x
     g1 = (v.T * w) @ v / cache.n_dim
-    g2 = (v.T * w**2) @ v / cache.n_dim
+    # G_S = X~^T W^-1 S W^-1 X~ / N, which is g1 - lam * X~^T W^-2 X~ / N, with
+    # the weights d/(d + lam)^2 instead: at lam far above the eigenvalues the
+    # two terms of the difference agree to more digits than a double holds,
+    # and at m << N the zero eigenvalues give both terms 1/lam each, so at
+    # the default floor g1 can outweigh G_S a million times.
+    g_s = (v.T * (cache.eigvals * w**2)) @ v / cache.n_dim
     # theta2 = (u b - lam (q1 - lam q2)) / b^4 has the numerator
     # (1/N) [sum a^2 - (sum a)^2 / m], a = d/(d + lam), whose two terms
     # cancel exactly at m = 1. Written without cancellation through the
@@ -44,7 +49,7 @@ def _functionals(cache, lam):
         "theta1": u / b,
         "theta2": theta2_num / b**4,
         "g1": 0.5 * (g1 + g1.T),
-        "g2": 0.5 * (g2 + g2.T),
+        "g_s": 0.5 * (g_s + g_s.T),
     }
 
 
@@ -58,12 +63,17 @@ def _tls(cache, sizes, lam):
     gap = float(eigvals[1] - eigvals[0])
     near_tied = gap < 1e-8 * np.trace(m) / m.shape[0]
     if abs(v[-1]) < VERTICAL_TOL * np.linalg.norm(v):
-        raise _Infeasible("vertical_solution")
+        return None, near_tied
     return np.sqrt(sizes) * (-v[:-1] / v[-1]), near_tied
 
 
-def reference_point(cache, ensemble_sizes, lam: float) -> dict:
-    """Everything the grid reports at one lambda, computed the slow way."""
+def reference_point(cache, ensemble_sizes, lam: float, kind: str = "trace") -> dict:
+    """Everything the grid reports at one lambda, computed the slow way.
+
+    Under the "determinant" criterion ``kind``, a covariance estimate whose
+    determinant is at most RCOND_TOL, taken on the estimate divided by its
+    largest |entry|, is nonpositive even when its diagonal is positive.
+    """
     sizes = np.asarray(ensemble_sizes, dtype=float)
     p = cache.proj_x.shape[1]
     d = 1.0 / sizes
@@ -77,7 +87,10 @@ def reference_point(cache, ensemble_sizes, lam: float) -> dict:
     }
     try:
         f = _functionals(cache, lam)
+        # A vertical point still reports whether its minimum is nearly tied.
         beta, out["near_tied"] = _tls(cache, sizes, lam)
+        if beta is None:
+            raise _Infeasible("vertical_solution")
         d1 = f["g1"] - f["theta1"] * np.diag(d)
         d1 = 0.5 * (d1 + d1.T)
         scale = np.linalg.norm(f["g1"], 2) + abs(f["theta1"]) * d.max()
@@ -87,7 +100,7 @@ def reference_point(cache, ensemble_sizes, lam: float) -> dict:
         if svals[0] <= 0.0 or svals[-1] / svals[0] < RCOND_TOL:
             raise _Infeasible("singular_delta1")
         scale2 = (1.0 + (cache.n_dim / cache.m_runs) * f["theta1"]) ** 2
-        d2 = scale2 * (f["g1"] - lam * f["g2"]) - f["theta2"] * np.diag(d)
+        d2 = scale2 * f["g_s"] - f["theta2"] * np.diag(d)
         d2 = 0.5 * (d2 + d2.T)
         k = f["theta2"]
         d1_inv = np.linalg.inv(d1)
@@ -100,7 +113,10 @@ def reference_point(cache, ensemble_sizes, lam: float) -> dict:
         out["reason"] = exc.reason
         return out
     out.update(beta_hat=beta, xi_hat=xi, k_hat=k)
-    out["reason"] = None if (np.diag(xi) > 0.0).all() else "nonpositive_variance"
+    positive = (np.diag(xi) > 0.0).all()
+    if kind == "determinant":
+        positive = positive and np.linalg.det(xi / np.abs(xi).max()) > RCOND_TOL
+    out["reason"] = None if positive else "nonpositive_variance"
     return out
 
 
@@ -117,7 +133,7 @@ def reference_objective(point: dict, kind: str) -> float:
 
 def reference_curve(cache, ensemble_sizes, grid, kind: str = "trace"):
     """Per-point results, objective values and first-minimum index over a grid."""
-    points = [reference_point(cache, ensemble_sizes, lam) for lam in grid]
+    points = [reference_point(cache, ensemble_sizes, lam, kind) for lam in grid]
     values = np.array([reference_objective(pt, kind) for pt in points])
     chosen = int(np.argmin(values)) if np.isfinite(values).any() else None
     return points, values, chosen

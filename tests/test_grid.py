@@ -1,13 +1,21 @@
-"""The stacked lambda grid against the slow per-lambda reference in reference.py."""
+"""The stacked lambda grid against the slow per-lambda reference in reference.py.
+
+The grid's small symmetric algebra runs on closed forms for p = 2
+(finprint._symmetric); the differential test at the end also checks it
+against the same grid on LAPACK's kernels.
+"""
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finprint as fp
 from conftest import random_cache
-from finprint import variance
+from finprint import _symmetric, tls, variance
 from finprint.spectral import rmt_grid
 from reference import reference_curve, reference_point
 
@@ -33,24 +41,41 @@ def assert_matches_reference(cache, sizes, grid, criterion="trace"):
         warnings.simplefilter("error")  # the grid counts near ties instead of warning
         curve = variance.evaluate_grid(cache, sizes, grid, criterion)
 
-    assert list(curve.reason) == [pt["reason"] for pt in points]
-    np.testing.assert_array_equal(curve.feasible, np.isfinite(values))
+    degenerate = np.array([pt["reason"] == "degenerate_denominator" for pt in points])
+    near_tied = np.array([pt["near_tied"] for pt in points])
+    want = {name: np.array([pt[name] for pt in points]) for name in ("beta_hat", "xi_hat", "k_hat", "stability")}
+    assert_same_curve(
+        curve,
+        reason=[pt["reason"] for pt in points],
+        feasible=np.isfinite(values),
+        chosen=chosen,
+        n_near_degenerate=int((near_tied & ~degenerate).sum()),
+        **want,
+    )
+    return curve
+
+
+def assert_same_curve(curve, reason, feasible, chosen, n_near_degenerate, compared=None, **want):
+    """The grid's tolerances: equal reason codes, feasibility, choice and near-tie count; close values.
+
+    Values are compared at the ``compared`` points (a mask; default all).
+    """
+    assert list(curve.reason) == list(reason)
+    np.testing.assert_array_equal(curve.feasible, feasible)
     if chosen is not None:
         assert curve.chosen_index == chosen
-    ref_trace = np.array([np.trace(pt["xi_hat"]) for pt in points])
-    trace = np.trace(curve.xi_hat, axis1=1, axis2=2)
+    assert curve.n_near_degenerate == n_near_degenerate
+    keep = slice(None) if compared is None else compared
+    ref_trace = np.trace(want["xi_hat"][keep], axis1=1, axis2=2)
+    trace = np.trace(curve.xi_hat[keep], axis1=1, axis2=2)
     np.testing.assert_array_equal(np.isnan(trace), np.isnan(ref_trace))
     usable = ~np.isnan(ref_trace)
     assert (np.abs(trace - ref_trace)[usable] <= TRACE_RTOL * np.abs(ref_trace[usable])).all()
-    for name in ("beta_hat", "xi_hat", "k_hat", "stability"):
-        ref = np.array([pt[name] for pt in points])
+    for name, ref in want.items():
+        ref = ref[keep]
         finite = np.abs(ref[np.isfinite(ref)])
         atol = 1e-10 * finite.max() if finite.size else 0.0
-        np.testing.assert_allclose(getattr(curve, name), ref, rtol=1e-9, atol=atol)
-    degenerate = np.array([pt["reason"] == "degenerate_denominator" for pt in points])
-    near_tied = np.array([pt["near_tied"] for pt in points])
-    assert curve.n_near_degenerate == int((near_tied & ~degenerate).sum())
-    return curve
+        np.testing.assert_allclose(getattr(curve, name)[keep], ref, rtol=1e-9, atol=atol)
 
 
 class TestAgainstReference:
@@ -92,6 +117,27 @@ class TestAgainstReference:
         curve = assert_matches_reference(cache, [4, 7, 1], grid, criterion)
         assert "nonpositive_variance" in list(curve.reason)
         assert None in list(curve.reason)
+
+    def test_determinant_marks_indefinite_xi(self):
+        # At two points of this grid Xi_hat has positive variances and a
+        # negative determinant; the determinant criterion must not pick one.
+        rng = np.random.default_rng(2107100304)
+        ds = fp.DetectionDataset(
+            y=rng.standard_normal(6),
+            x_tilde=rng.standard_normal((6, 2)),
+            ensemble_sizes=np.array([5, 1]),
+            control_runs=rng.standard_normal((6, 8)),
+        )
+        cache = variance.prepare_cache(ds)
+        grid = default_grid(cache, 100)
+        by_trace = variance.evaluate_grid(cache, ds.ensemble_sizes, grid)
+        usable = np.equal(by_trace.reason, None)
+        indefinite = usable & (np.linalg.det(np.where(usable[:, None, None], by_trace.xi_hat, np.eye(2))) <= 0.0)
+        assert indefinite.any()
+        curve = assert_matches_reference(cache, ds.ensemble_sizes, grid, "determinant")
+        assert set(curve.reason[indefinite]) == {"nonpositive_variance"}
+        fit = fp.fit_optimal(ds, fp.FitOptions(objective="determinant"))
+        assert np.linalg.det(fit.xi_hat) > 0.0
 
     def test_degenerate_before_vertical(self):
         # Rank-1 S with m = 1 < N: b -> 0 as lambda -> 0. A zero fingerprint
@@ -164,3 +210,153 @@ class TestOnePointCase:
         )
         est = fp.evaluate_lambda(cache, [3], 1.0)
         assert list(est.reason) == ["vertical_solution"]
+
+
+@contextmanager
+def lapack_kernels():
+    """The grid with LAPACK in place of every closed form: svd, inv and eigh as before them."""
+
+    def smallest_eigenpair(m, tie_tol):
+        vals, vecs = np.linalg.eigh(m)
+        return vals, vecs[..., 0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_symmetric, "eigvalsh", np.linalg.eigvalsh)
+        mp.setattr(_symmetric, "singular_values", lambda a: np.linalg.svd(a, compute_uv=False))
+        mp.setattr(_symmetric, "inv", np.linalg.inv)
+        mp.setattr(tls, "smallest_eigenpair", smallest_eigenpair)
+        yield
+
+
+def grid_problem(p, n, m, data, tie, axes, sizes, bounds, seed):
+    """A dense cache, the caches to compare with LAPACK's kernels, and a 25-point grid.
+
+    ``data`` is "signal", "noise", "rank_deficient" (Z of rank below
+    min(N, m)) or "tie": S = c*I, under which every augmented Gram matrix
+    is a multiple of the same one, whose two smallest eigenvalues are tied
+    to a relative gap ``tie``. ``axes`` builds it on coordinate axes, so
+    both sides of a comparison see exactly the same diagonal matrices, at
+    any gap; otherwise it is rotated at random, and the gap is kept at
+    1e-4 or more, where the eigenvector is still determined to the grid's
+    tolerances (at a gap g it moves by ~1e-16/g under round-off in either
+    kernel, and beta and Xi amplify that); those straddle the closed
+    form's fallback to LAPACK at 1e-3. Under S = c*I with m = N,
+    theta2 is exactly 0 and the comparison's atol (relative to the largest
+    value) would be 0 as well, so tie problems take m = N + 1 there.
+    ``bounds`` are the defaults, or
+    reach the lambda floor 1e-153 (N/lambda^2 is finite for N <= 179) or
+    1e300 ("floor", "top", "both").
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, m))
+    if data == "rank_deficient" and min(n, m) > 1:
+        rank = int(rng.integers(1, min(n, m)))
+        z = z[:, :rank] @ rng.standard_normal((rank, m))
+    x = rng.standard_normal((n, p))
+    y = rng.standard_normal(n) + (x.sum(axis=1) if data == "signal" else 0.0)
+    if data == "tie":
+        # Augmented Gram matrix c' * V diag(spread) V^T.
+        if m == n:
+            m += 1
+        k = p + 1
+        spread = np.concatenate([[1.0, 1.0], 1.5 + rng.random(k - 2)])
+        spread[1] += tie * spread.sum() / k
+        if axes:
+            # The tied pair lands on any two of the forcings and the response.
+            basis = np.eye(n)[:, rng.permutation(n)[:k]] * np.sqrt(spread[rng.permutation(k)])
+        else:
+            # The minimizing eigenvector (first column of v) keeps a response
+            # component of at least 1/2: a near-vertical one amplifies its
+            # round-off into beta by 1/|component| in any kernel.
+            head = rng.standard_normal(k - 1)
+            head *= rng.uniform(0.0, np.sqrt(3.0)) / np.linalg.norm(head)
+            u = np.linalg.qr(rng.standard_normal((n, k)))[0]
+            v = np.linalg.qr(np.column_stack([np.append(head, 1.0), rng.standard_normal((k, k - 1))]))[0]
+            basis = (u * np.sqrt(spread)) @ v.T
+        x, y = basis[:, :p] / np.sqrt(sizes), basis[:, p]
+        dense = fp.build_cache(fp.SampleCovariance(s=rng.uniform(0.5, 2.0) * np.eye(n), m=m), x, y)
+        caches = [dense]
+    else:
+        dense = fp.build_cache(fp.compute_sample_covariance(z), x, y)
+        caches = [dense, fp.build_cache(z, x, y)]
+    lo, hi = variance.default_bounds(dense.tau_bar)
+    if bounds in ("floor", "both"):
+        lo = 1e-153
+    if bounds in ("top", "both"):
+        hi = 1e300
+    return dense, caches, np.geomspace(lo, hi, 25)
+
+
+@st.composite
+def grid_problems(draw):
+    p = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(p + 2, 16))
+    m = draw(st.one_of(st.integers(1, n - 1), st.integers(n, 2 * n)))
+    data = draw(st.sampled_from(["signal", "noise", "rank_deficient", "tie"]))
+    axes = draw(st.booleans())
+    if axes:
+        tie = draw(st.just(0.0) | st.floats(-13.0, -2.0).map(lambda e: 10.0**e))
+    else:
+        tie = 10.0 ** draw(st.floats(-4.0, -2.0))
+    sizes = np.array(draw(st.lists(st.integers(1, 50), min_size=p, max_size=p)))
+    bounds = draw(st.sampled_from(["default", "floor", "top", "both"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dense, caches, grid = grid_problem(p, n, m, data, tie, axes, sizes, bounds, seed)
+    reference = bounds == "default" and (data != "tie" or axes)
+    return dense, caches, sizes, grid, draw(st.sampled_from(CRITERIA)), reference
+
+
+# Two backward-stable inverses of a Delta1 with condition number c differ by
+# ~c * 1e-16, so values are compared with LAPACK's where c <= 1e5; above it
+# neither side is accurate to the grid's tolerances. Nor is the trace of an
+# indefinite Xi whose diagonal cancels to below 1/100 of its size (such a
+# point is infeasible; a feasible one always has its values compared).
+COMPARED_COND = 1e5
+COMPARED_CANCELLATION = 1e-2
+
+
+def assert_matches_lapack(cache, sizes, grid, criterion):
+    """The grid equals itself on LAPACK's kernels: reason codes, near ties and choice; values to tolerance."""
+    with lapack_kernels():
+        want = variance.evaluate_grid(cache, sizes, grid, criterion)
+        objective = want.objective
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = variance.evaluate_grid(cache, sizes, grid, criterion)
+    svals = np.linalg.svd(np.nan_to_num(want.delta1_hat), compute_uv=False)
+    diag = np.diagonal(want.xi_hat, axis1=1, axis2=2)
+    cancels = np.abs(diag.sum(axis=1)) < COMPARED_CANCELLATION * np.abs(diag).sum(axis=1)
+    assert_same_curve(
+        curve,
+        reason=want.reason,
+        feasible=np.isfinite(objective),
+        chosen=None,
+        n_near_degenerate=want.n_near_degenerate,
+        compared=(svals[:, 0] <= COMPARED_COND * svals[:, -1]) & ~cancels,
+        **{name: getattr(want, name) for name in ("beta_hat", "xi_hat", "k_hat", "stability")},
+    )
+    if np.isfinite(objective).any():
+        # Points whose objectives tie to round-off (a plateau at large
+        # lambda) may trade places; the choice must attain LAPACK's minimum.
+        i, j = curve.chosen_index, want.chosen_index
+        assert i == j or np.isclose(objective[i], objective[j], rtol=1e-9, atol=0.0)
+
+
+class TestClosedFormKernels:
+    @given(grid_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_matches_reference_and_lapack(self, problem):
+        # The reference is compared at the default bounds. At lambda far
+        # above tau_bar its G_S and theta2 underflow in another order than
+        # the grid's, and near the floor at m < N the denominator b is
+        # round-off that theta2 ~ 1/b^4 amplifies: there both sides of that
+        # comparison are round-off, with LAPACK's kernels as with these.
+        # Rotated ties are not compared with it either: on their exact
+        # spectrum Xi's middle term D2 + theta2 * core nearly cancels (say
+        # -5.5529 + 5.5533), which lifts the reference's other summation of
+        # theta2 past 1e-10 in Xi at a few points in a thousand draws.
+        dense, caches, sizes, grid, criterion, reference = problem
+        if reference:
+            assert_matches_reference(dense, sizes, grid, criterion)
+        for cache in caches:
+            assert_matches_lapack(cache, sizes, grid, criterion)

@@ -15,17 +15,17 @@ import pytest
 from scipy.stats import norm
 
 import finprint as fp
-from finprint import simulate, variance
+from finprint import simulate, tls, variance
 from finprint.spectral import stack_caches
 from reference import reference_curve
 
 
-def scenario(m_runs, gamma=1.0, replicates=30):
+def scenario(m_runs, gamma=1.0, replicates=30, p=2):
     return fp.SimulationScenario(
         n_dim=48,
-        true_beta=(1.0, 1.0),
+        true_beta=(1.0,) * p,
         gamma=gamma,
-        ensemble_sizes=(35, 46),
+        ensemble_sizes=(35, 46, 40)[:p],
         m_runs=m_runs,
         sigma_model=fp.SeparableAr1Sigma(8, 6, 0.3, 0.3),
         true_x=fp.SyntheticFingerprints(seed=4),
@@ -80,9 +80,12 @@ class TestBatchIndependence:
     # m >= N takes the eigh of S (a cache of N eigenvalues, cap 13 at N=48);
     # m < N the thin SVD of Z (m eigenvalues when Z has full rank, cap 26 at
     # m=24). 30 replicates are two full stacks and a partial one at N=48.
+    # The grid's small-matrix kernels differ by size: closed forms for the
+    # 2x2 Delta1 and 3x3 TLS Gram matrix at p = 2, LAPACK at p = 1 and 3.
+    @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
-    def test_records_match_fit_optimal(self, m_runs, stack_sizes):
-        scn = scenario(m_runs)
+    def test_records_match_fit_optimal(self, m_runs, p, stack_sizes):
+        scn = scenario(m_runs, p=p)
         report = fp.run_scenario(scn)
         assert report.replicates == expected_records(scn)
         rank = min(48, m_runs)
@@ -205,8 +208,9 @@ class TestStackSize:
 class TestFailureIsolation:
     def test_eigen_failure_refits_one_at_a_time(self, monkeypatch, stack_sizes):
         # Replicate 3 has y = 0, so the last row of every augmented Gram
-        # matrix it contributes is zero; the eigensolver below fails on any
-        # stack that holds one, as LAPACK does on a matrix it cannot handle.
+        # matrix it contributes is zero; the TLS eigenpair kernel below fails
+        # on any stack that holds one, as LAPACK does on a matrix it cannot
+        # handle, and tls_grid turns that into EigenFailure.
         bad = 3
         original_make = simulate.ReplicateGenerator.make
 
@@ -216,16 +220,15 @@ class TestFailureIsolation:
                 return replace(ds, y=np.zeros_like(ds.y))
             return ds
 
-        original_eigh = np.linalg.eigh
+        original_pair = tls.smallest_eigenpair
 
-        def eigh(a, *args, **kwargs):
-            a = np.asarray(a)
-            if a.ndim >= 3 and (a[..., -1, :] == 0.0).all(axis=-1).any():
+        def smallest_eigenpair(m, *args, **kwargs):
+            if (m[..., -1, :] == 0.0).all(axis=-1).any():
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return original_eigh(a, *args, **kwargs)
+            return original_pair(m, *args, **kwargs)
 
         monkeypatch.setattr(simulate.ReplicateGenerator, "make", make)
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(tls, "smallest_eigenpair", smallest_eigenpair)
         scn = scenario(60, replicates=20)
         report = fp.run_scenario(scn)
         assert report.failure_counts == {"EigenFailure": 1}
