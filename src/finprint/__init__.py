@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .dataset import (
     DetectionDataset,
     SampleCovariance,
-    ValidationReport,
     compute_sample_covariance,
-    ensemble_mean,
     validate_dataset,
 )
 from .errors import (
@@ -21,46 +19,28 @@ from .errors import (
     EigenFailure,
     FinprintError,
     InputError,
-    InvalidCorrelation,
     NearDegenerateWarning,
     NoFeasiblePoint,
     NonFinite,
-    NonpositiveVariance,
     NotPSD,
     OutOfDomain,
-    SingularXi,
+    SchemaError,
     VerticalSolution,
 )
-from .inference import (
-    FitResult,
-    JointRegionResult,
-    Verdict,
-    da_verdict,
-    joint_region_test,
-    marginal_ci,
-    quantile_chisq,
-    quantile_normal,
-)
-from .spectral import RmtFunctionals, SpectralCache, build_cache
+from .inference import FitResult, Verdict, da_verdict, joint_region_test, marginal_ci
+from .spectral import build_cache
 from .simulate import (
-    ForcingMetrics,
     IdentitySigma,
-    ReplicateRecord,
     SeparableAr1Sigma,
-    SimulationReport,
     SimulationScenario,
     SyntheticFingerprints,
     UnstructuredSigma,
     UserMatrixFingerprints,
     UserMatrixSigma,
-    build_sigma_st,
-    build_sigma_un,
     generate_replicate,
     run_scenario,
-    sample_mvn,
-    summarize_replicates,
 )
-from .tls import TlsSolution, tls_fit
+from .tls import tls_fit
 from .variance import (
     FitOptions,
     LambdaCurve,
@@ -72,21 +52,18 @@ from .variance import (
     xi_hat,
 )
 
+# The documented API. Every other public type and helper stays importable
+# from its own module (finprint.simulate.SimulationReport, ...).
 __all__ = [
     "__version__",
     # dataset
     "DetectionDataset",
     "SampleCovariance",
-    "ValidationReport",
     "compute_sample_covariance",
-    "ensemble_mean",
     "validate_dataset",
     # spectral
-    "SpectralCache",
-    "RmtFunctionals",
     "build_cache",
     # tls
-    "TlsSolution",
     "tls_fit",
     # variance
     "LambdaCurve",
@@ -100,41 +77,29 @@ __all__ = [
     # inference
     "FitResult",
     "Verdict",
-    "JointRegionResult",
     "marginal_ci",
     "joint_region_test",
     "da_verdict",
-    "quantile_normal",
-    "quantile_chisq",
     # simulate
     "SimulationScenario",
-    "SimulationReport",
-    "ForcingMetrics",
-    "ReplicateRecord",
     "IdentitySigma",
     "SeparableAr1Sigma",
     "UserMatrixSigma",
     "UnstructuredSigma",
     "SyntheticFingerprints",
     "UserMatrixFingerprints",
-    "build_sigma_st",
-    "build_sigma_un",
-    "sample_mvn",
     "generate_replicate",
     "run_scenario",
-    "summarize_replicates",
     # errors
     "FinprintError",
     "InputError",
+    "SchemaError",
     "NonFinite",
     "DimensionMismatch",
-    "EigenFailure",
-    "VerticalSolution",
-    "NoFeasiblePoint",
-    "NonpositiveVariance",
-    "SingularXi",
     "OutOfDomain",
-    "InvalidCorrelation",
     "NotPSD",
+    "EigenFailure",
+    "NoFeasiblePoint",
+    "VerticalSolution",
     "NearDegenerateWarning",
 ]

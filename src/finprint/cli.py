@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +43,8 @@ _NUMERIC_ERRORS = (FinprintError, np.linalg.LinAlgError, FloatingPointError, Val
 class CliConfig:
     """Validated command configuration assembled from parsed flags.
 
-    ``fit`` holds the fit flags (their defaults for ``simulate``), checked
-    once by FitOptions.
+    ``fit`` holds the fit flags, checked once by FitOptions; ``simulate``
+    has none and fits with its scenario's options.
     """
 
     command: str
@@ -82,26 +82,31 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _provenance(cfg: CliConfig, input_files) -> dict:
+def _provenance(options: FitOptions, input_files) -> dict:
     return {
         "package": "finprint",
         "version": __version__,
         "inputs": {str(p): _sha256(Path(p)) for p in input_files},
         "grid": {
-            "size": cfg.fit.grid_size,
-            "lambda_min": cfg.fit.lambda_min,
-            "lambda_max": cfg.fit.lambda_max,
-            "objective": cfg.fit.objective,
+            "size": options.grid_size,
+            "lambda_min": options.lambda_min,
+            "lambda_max": options.lambda_max,
+            "objective": options.objective,
         },
-        "alpha": cfg.fit.alpha,
+        "alpha": options.alpha,
     }
 
 
-def _curve_doc(result: FitResult) -> dict:
+def _objective_label(objective: str) -> str:
+    """Name of the criterion values in the fit report and the lambda-curve header."""
+    return "trace_xi" if objective == "trace" else objective
+
+
+def _curve_doc(result: FitResult, objective: str) -> dict:
     curve = result.curve
     return {
         "lambda": [float(v) for v in curve.grid],
-        "trace_xi": [float(v) if np.isfinite(v) else None for v in curve.objective],
+        _objective_label(objective): [float(v) if np.isfinite(v) else None for v in curve.objective],
         "feasible": [bool(f) for f in curve.feasible],
         "reason": list(curve.reason),
         "chosen_index": int(curve.chosen_index),
@@ -133,7 +138,7 @@ def _fit_doc(result: FitResult, validation, cfg: CliConfig) -> dict:
         "m_runs": validation.m_runs,
         "tau_bar": validation.tau_bar,
         "forcings": forcings,
-        "lambda_curve": _curve_doc(result),
+        "lambda_curve": _curve_doc(result, cfg.fit.objective),
         "diagnostics": {
             "k_hat": float(curve.k_hat[curve.chosen_index]),
             "stability_margin": float(curve.stability[curve.chosen_index]),
@@ -141,7 +146,7 @@ def _fit_doc(result: FitResult, validation, cfg: CliConfig) -> dict:
             "n_near_degenerate_grid_points": curve.n_near_degenerate,
             "validation_warnings": list(validation.warnings),
         },
-        "provenance": _provenance(cfg, manifest_input_paths(cfg.input_path)),
+        "provenance": _provenance(cfg.fit, manifest_input_paths(cfg.input_path)),
     }
 
 
@@ -165,8 +170,7 @@ def cmd_fit(cfg: CliConfig) -> int:
 
 def cmd_lambda_curve(cfg: CliConfig) -> int:
     curve = fit_optimal(load_dataset(cfg.input_path), cfg.fit).curve
-    label = "trace_xi" if cfg.fit.objective == "trace" else cfg.fit.objective
-    lines = [f"# lambda\t{label}  (inf marks infeasible grid points)"]
+    lines = [f"# lambda\t{_objective_label(cfg.fit.objective)}  (inf marks infeasible grid points)"]
     for lam, value in zip(curve.grid, curve.objective):
         lines.append(f"{float(lam)!r}\t{float(value)!r}")
     lines.append(f"# chosen\t{float(curve.chosen_lambda)!r}\t{float(curve.objective[curve.chosen_index])!r}")
@@ -227,16 +231,16 @@ def _simulate_doc(report: SimulationReport, scn: SimulationScenario, cfg: CliCon
                 report.n_replicates / report.elapsed_seconds if report.elapsed_seconds > 0 else None
             ),
         },
-        "provenance": _provenance(cfg, [cfg.input_path]),
+        "provenance": _provenance(scn.fit_options, [cfg.input_path]),
     }
 
 
 def cmd_simulate(cfg: CliConfig) -> int:
     scn = load_scenario(cfg.input_path)
     if cfg.replicates is not None:
-        scn = scn.with_replicates(cfg.replicates)
+        scn = replace(scn, replicates=cfg.replicates)
     if cfg.seed is not None:
-        scn = scn.with_seed(cfg.seed)
+        scn = replace(scn, base_seed=cfg.seed)
     report = run_scenario(scn, jobs=cfg.jobs)
     _write_doc(_simulate_doc(report, scn, cfg), cfg.output_path)
     if cfg.output_path is not None:

@@ -118,10 +118,6 @@ class DetectionDataset:
             return self.control_runs.shape[1]
         return self.sample_cov.m
 
-    def d_diagonal(self) -> np.ndarray:
-        """Diagonal of the measurement-error scaling matrix, 1/n_i per forcing."""
-        return 1.0 / self.ensemble_sizes.astype(float)
-
     @property
     def tau_bar(self) -> float:
         """Average eigenvalue tr(S)/N, from the control runs without forming S."""
@@ -143,7 +139,6 @@ class ValidationReport:
     n_dim: int
     n_forcings: int
     m_runs: int
-    n_over_m: float
     tau_bar: float
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
@@ -241,7 +236,6 @@ def validate_dataset(ds: DetectionDataset) -> ValidationReport:
         n_dim=n,
         n_forcings=p,
         m_runs=m,
-        n_over_m=n / m,
         tau_bar=tau_bar,
         errors=tuple(errors),
         warnings=tuple(warnings),

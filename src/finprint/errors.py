@@ -1,18 +1,16 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types: every one the package raises or warns with."""
 
 __all__ = [
     "FinprintError",
     "InputError",
+    "SchemaError",
     "NonFinite",
     "DimensionMismatch",
-    "EigenFailure",
-    "VerticalSolution",
-    "NoFeasiblePoint",
-    "NonpositiveVariance",
-    "SingularXi",
     "OutOfDomain",
-    "InvalidCorrelation",
     "NotPSD",
+    "EigenFailure",
+    "NoFeasiblePoint",
+    "VerticalSolution",
     "NearDegenerateWarning",
 ]
 
@@ -25,6 +23,10 @@ class InputError(FinprintError):
     """Base class for errors in the input: a command that raises one exits 2."""
 
 
+class SchemaError(InputError):
+    """Manifest or scenario document is missing or misusing a field."""
+
+
 class NonFinite(InputError):
     """Input contains NaN or infinite entries."""
 
@@ -33,37 +35,25 @@ class DimensionMismatch(InputError):
     """Array shapes are inconsistent with each other or with metadata."""
 
 
+class OutOfDomain(InputError, ValueError):
+    """Argument outside the domain of the function: an input-range check failed."""
+
+
+class NotPSD(InputError):
+    """Matrix required to be positive semidefinite is not."""
+
+
 class EigenFailure(FinprintError):
     """The symmetric eigensolver failed to converge."""
-
-
-class VerticalSolution(FinprintError):
-    """No finite scaling-factor solution: the minimizing eigenvector has a
-    (numerically) zero last component."""
 
 
 class NoFeasiblePoint(FinprintError):
     """Every grid point in the regularization search was infeasible."""
 
 
-class NonpositiveVariance(FinprintError):
-    """A variance estimate required to be positive was <= 0."""
-
-
-class SingularXi(FinprintError):
-    """The estimated asymptotic covariance cannot be inverted."""
-
-
-class OutOfDomain(InputError, ValueError):
-    """Argument outside the domain of the function: an input-range check failed."""
-
-
-class InvalidCorrelation(InputError):
-    """AR(1) coefficient outside (-1, 1) or nonpositive variances."""
-
-
-class NotPSD(InputError):
-    """Matrix required to be positive semidefinite is not."""
+class VerticalSolution(FinprintError):
+    """No finite scaling-factor solution: the minimizing eigenvector has a
+    (numerically) zero last component."""
 
 
 class NearDegenerateWarning(UserWarning):

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.stats import chi2, norm
 
-from .errors import NonpositiveVariance, OutOfDomain, SingularXi
+from .errors import OutOfDomain
 from .variance import _ill_conditioned
 
 if TYPE_CHECKING:
@@ -77,11 +77,11 @@ def quantile_chisq(df: int, q: float) -> float:
 def _normal_intervals(beta, variances, n_dim: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper ends beta -/+ z * sqrt(variance / N), elementwise over any shape.
 
-    Raises NonpositiveVariance unless every variance is > 0.
+    Raises OutOfDomain unless every variance is > 0.
     """
     var = np.asarray(variances, dtype=float)
     if not (var > 0.0).all():
-        raise NonpositiveVariance(f"variance estimate must be positive, got {var.min()}")
+        raise OutOfDomain(f"variance estimate must be positive, got {var.min()}")
     half_width = z * np.sqrt(var / n_dim)
     return beta - half_width, beta + half_width
 
@@ -114,7 +114,7 @@ def joint_region_test(beta0, beta_hat, xi, n_dim: int, alpha: float = 0.05) -> J
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
 
     if _ill_conditioned(np.linalg.svd(xi, compute_uv=False)):
-        raise SingularXi("covariance estimate is numerically singular")
+        raise OutOfDomain("covariance estimate is numerically singular")
     diff = beta_hat - beta0
     statistic = float(n_dim * diff @ np.linalg.solve(xi, diff))
     threshold = quantile_chisq(beta_hat.shape[0], 1.0 - alpha)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DetectionDataset, SampleCovariance, ensemble_mean
-from .errors import FinprintError, InputError
+from .errors import FinprintError, SchemaError
 from .simulate import (
     FingerprintModel,
     IdentitySigma,
@@ -30,7 +30,6 @@ from .simulate import (
 )
 
 __all__ = [
-    "SchemaError",
     "read_matrix",
     "read_vector",
     "write_matrix",
@@ -39,10 +38,6 @@ __all__ = [
     "scenario_to_dict",
     "scenario_from_dict",
 ]
-
-
-class SchemaError(InputError):
-    """Manifest or scenario document is missing or misusing a field."""
 
 
 def _read_npy(path: Path) -> np.ndarray:

@@ -13,13 +13,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from .dataset import DetectionDataset
-from .errors import DimensionMismatch, FinprintError, InvalidCorrelation, NotPSD, OutOfDomain
+from .errors import DimensionMismatch, FinprintError, NotPSD, OutOfDomain
 from .variance import FitOptions, fit_stack, prepare_cache
 
 __all__ = [
@@ -59,7 +59,7 @@ STACK_ELEMENTS = 2**16
 
 def _ar1_correlation(dim: int, rho: float) -> np.ndarray:
     if not abs(rho) < 1.0:
-        raise InvalidCorrelation(f"AR(1) coefficient must satisfy |rho| < 1, got {rho}")
+        raise OutOfDomain(f"AR(1) coefficient must satisfy |rho| < 1, got {rho}")
     return toeplitz(rho ** np.arange(dim))
 
 
@@ -88,7 +88,7 @@ def build_sigma_st(
     if v.shape != (n,):
         raise DimensionMismatch(f"variances must have length {n}, got {v.shape}")
     if (v <= 0.0).any():
-        raise InvalidCorrelation("variances must be positive")
+        raise OutOfDomain("variances must be positive")
     root_v = np.sqrt(v)
     return corr * np.outer(root_v, root_v)
 
@@ -219,14 +219,14 @@ class SyntheticFingerprints:
         _check_seed(self.seed)
         r = self.column_correlation
         if not -1.0 < r < 1.0:
-            raise InvalidCorrelation(f"column_correlation must be in (-1, 1), got {r}")
+            raise OutOfDomain(f"column_correlation must be in (-1, 1), got {r}")
 
     def build(self, n_dim: int, p: int) -> np.ndarray:
         r = self.column_correlation
         corr = np.full((p, p), r)
         np.fill_diagonal(corr, 1.0)
         if p > 1 and np.linalg.eigvalsh(corr)[0] <= 0.0:
-            raise InvalidCorrelation(f"column_correlation {r} not positive definite for p={p}")
+            raise OutOfDomain(f"column_correlation {r} not positive definite for p={p}")
         rng = np.random.default_rng(self.seed)
         g = rng.standard_normal((n_dim, p))
         return g @ np.linalg.cholesky(corr).T
@@ -290,11 +290,10 @@ class SimulationScenario:
     def n_forcings(self) -> int:
         return len(self.true_beta)
 
-    def with_replicates(self, replicates: int) -> "SimulationScenario":
-        return replace(self, replicates=replicates)
-
-    def with_seed(self, base_seed: int) -> "SimulationScenario":
-        return replace(self, base_seed=base_seed)
+    @property
+    def fit_options(self) -> FitOptions:
+        """The options every replicate is fitted with: the default grid at ``alpha``."""
+        return FitOptions(alpha=self.alpha)
 
 
 def _stream_rng(base_seed: int, rep_index: int, stream: int) -> np.random.Generator:
@@ -495,11 +494,7 @@ def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> Si
     )
 
 
-def run_scenario(
-    scenario: SimulationScenario,
-    jobs: int = 1,
-    fit_options: FitOptions | None = None,
-) -> SimulationReport:
+def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationReport:
     """Run the full Monte Carlo loop: generate, fit, interval, aggregate.
 
     Replicates are independent; ``jobs > 1`` fans them out over processes,
@@ -508,7 +503,7 @@ def run_scenario(
     its seed-derived streams, its record is the one ``fit_optimal`` gives,
     and records are reduced in index order.
     """
-    options = fit_options or FitOptions(alpha=scenario.alpha)
+    options = scenario.fit_options
     start = time.perf_counter()
     indices = list(range(scenario.replicates))
     if jobs > 1 and scenario.replicates > 1:

@@ -327,7 +327,7 @@ def test_c8_small_instance_bruteforce():
     cov = fp.compute_sample_covariance(np.array([[1.0, 0.0], [0.0, 1.0]]))
     checks["sample_cov"] = np.array_equal(cov.s, 0.5 * np.eye(2))
     checks["ensemble_mean"] = np.array_equal(
-        fp.ensemble_mean(np.array([[1.0, 3.0], [1.0, 3.0]])), [2.0, 2.0]
+        fp.dataset.ensemble_mean(np.array([[1.0, 3.0], [1.0, 3.0]])), [2.0, 2.0]
     )
 
     flat = fp.build_cache(fp.SampleCovariance(s=np.eye(4), m=10), np.ones((4, 1)), np.zeros(4))
@@ -362,7 +362,7 @@ def test_c8_small_instance_bruteforce():
     )
 
     # One grid point with g_s = g1 - lambda * g2 = 0.25 - 0.125.
-    f = fp.RmtFunctionals(
+    f = fp.spectral.RmtFunctionals(
         lam=np.array([1.0]), q1=np.array([0.5]), q2=np.array([0.25]), theta1=np.array([1.0]),
         theta2=np.array([0.0]), g1=np.array([[[0.25]]]), g_s=np.array([[[0.125]]]),
         stability=np.array([1.0]),
@@ -376,7 +376,7 @@ def test_c8_small_instance_bruteforce():
         and fp.da_verdict((-0.1, 0.5)) == fp.Verdict(False, False)
         and fp.da_verdict((0.3, 0.9)) == fp.Verdict(True, False)
     )
-    checks["chisq_2df"] = abs(fp.quantile_chisq(2, 0.95) + 2.0 * np.log(0.05)) < 1e-9
+    checks["chisq_2df"] = abs(fp.inference.quantile_chisq(2, 0.95) + 2.0 * np.log(0.05)) < 1e-9
 
     _report(
         "C8 small-instance brute force",

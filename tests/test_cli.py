@@ -287,6 +287,19 @@ class TestLambdaCurveCommand:
         fit_lambda = json.loads(fit_out.read_text())["lambda_opt"]
         assert chosen_lambda == pytest.approx(fit_lambda, rel=1e-12)
 
+    def test_curve_keyed_by_objective(self, manifest, tmp_path):
+        curve_out = tmp_path / "curve.tsv"
+        fit_out = tmp_path / "report.json"
+        flags = ["--objective", "determinant"]
+        assert main(["lambda-curve", str(manifest), *flags, "--output", str(curve_out)]) == 0
+        assert main(["fit", str(manifest), *flags, "--output", str(fit_out)]) == 0
+        assert curve_out.read_text().startswith("# lambda\tdeterminant ")
+        doc = json.loads(fit_out.read_text())
+        curve = doc["lambda_curve"]
+        assert "determinant" in curve and "trace_xi" not in curve
+        chosen = curve["determinant"][curve["chosen_index"]]
+        assert chosen == pytest.approx(np.linalg.det(doc["xi_hat"]), rel=1e-12)
+
 
 class TestSimulateCommand:
     def test_smoke(self, scenario_file, tmp_path):
@@ -305,6 +318,22 @@ class TestSimulateCommand:
         out = tmp_path / "sim.json"
         assert main(["simulate", str(scenario_file), "--replicates", "4", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["metrics"]["n_replicates"] == 4
+
+    def test_provenance_reports_scenario_options(self, scenario_file, tmp_path):
+        doc = json.loads(scenario_file.read_text())
+        doc["alpha"] = 0.1
+        scenario_file.write_text(json.dumps(doc))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", str(scenario_file), "--output", str(out)]) == 0
+        provenance = json.loads(out.read_text())["provenance"]
+        options = fp.FitOptions(alpha=0.1)
+        assert provenance["alpha"] == 0.1
+        assert provenance["grid"] == {
+            "size": options.grid_size,
+            "lambda_min": options.lambda_min,
+            "lambda_max": options.lambda_max,
+            "objective": options.objective,
+        }
 
     def test_invalid_correlation_exit_2(self, tmp_path):
         path = tmp_path / "scenario.json"

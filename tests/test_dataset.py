@@ -54,19 +54,19 @@ class TestComputeSampleCovariance:
 class TestEnsembleMean:
     def test_two_runs(self):
         runs = np.array([[1.0, 3.0], [1.0, 3.0]])
-        np.testing.assert_array_equal(fp.ensemble_mean(runs), [2.0, 2.0])
+        np.testing.assert_array_equal(fp.dataset.ensemble_mean(runs), [2.0, 2.0])
 
     def test_single_run_identity(self):
         runs = np.array([[1.5], [-2.0]])
-        np.testing.assert_array_equal(fp.ensemble_mean(runs), [1.5, -2.0])
+        np.testing.assert_array_equal(fp.dataset.ensemble_mean(runs), [1.5, -2.0])
 
     def test_three_runs(self):
         runs = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0]])
-        np.testing.assert_array_equal(fp.ensemble_mean(runs), [1.0, 1.0])
+        np.testing.assert_array_equal(fp.dataset.ensemble_mean(runs), [1.0, 1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(fp.NonFinite):
-            fp.ensemble_mean(np.array([[np.inf], [0.0]]))
+            fp.dataset.ensemble_mean(np.array([[np.inf], [0.0]]))
 
 
 class TestValidateDataset:
@@ -165,10 +165,6 @@ class TestDetectionDataset:
                 ensemble_sizes=[0],
                 control_runs=np.ones((3, 2)),
             )
-
-    def test_d_diagonal(self, dataset_factory):
-        ds = dataset_factory(ensemble_sizes=(4, 8))
-        np.testing.assert_allclose(ds.d_diagonal(), [0.25, 0.125])
 
     def test_nonfinite_y_rejected(self):
         with pytest.raises(fp.NonFinite):

@@ -238,7 +238,7 @@ class TestScenarioDocuments:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         scn = load_scenario(path)  # loads fine; building the matrix fails
-        with pytest.raises(fp.InvalidCorrelation):
+        with pytest.raises(fp.OutOfDomain, match=r"AR\(1\) coefficient must satisfy \|rho\| < 1, got 1.5"):
             fp.generate_replicate(scn, 0)
 
     def test_unstructured_kind(self):
@@ -251,7 +251,7 @@ class TestScenarioDocuments:
         assert eigvals.min() > 0
 
     def test_user_matrix_paths_resolve_relative(self, tmp_path):
-        sigma = fp.build_sigma_st(4, 3, 0.1, 0.1)
+        sigma = fp.simulate.build_sigma_st(4, 3, 0.1, 0.1)
         write_matrix(tmp_path / "sigma.txt", sigma)
         doc = self.scenario_doc()
         doc["sigma_model"] = {"kind": "user_matrix", "path": "sigma.txt"}

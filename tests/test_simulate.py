@@ -8,38 +8,38 @@ from finprint.spectral import rmt_grid
 
 class TestBuildSigmaSt:
     def test_two_sites_one_step(self):
-        sigma = fp.build_sigma_st(2, 1, 0.1, 0.5)
+        sigma = fp.simulate.build_sigma_st(2, 1, 0.1, 0.5)
         np.testing.assert_allclose(sigma, [[1.0, 0.1], [0.1, 1.0]])
 
     def test_zero_correlation_gives_diagonal(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        sigma = fp.build_sigma_st(2, 2, 0.0, 0.0, v)
+        sigma = fp.simulate.build_sigma_st(2, 2, 0.0, 0.0, v)
         np.testing.assert_allclose(sigma, np.diag(v))
 
     def test_kronecker_cross_entry(self):
-        sigma = fp.build_sigma_st(2, 2, 0.1, 0.5)
+        sigma = fp.simulate.build_sigma_st(2, 2, 0.1, 0.5)
         # coordinates (s, t): k = 2s + t; entry between (0,0) and (1,1)
         assert sigma[0, 3] == pytest.approx(0.1 * 0.5)
 
     def test_invalid_correlation(self):
-        with pytest.raises(fp.InvalidCorrelation):
-            fp.build_sigma_st(2, 2, 1.5, 0.1)
-        with pytest.raises(fp.InvalidCorrelation):
-            fp.build_sigma_st(2, 2, 0.1, 1.0)
+        with pytest.raises(fp.OutOfDomain, match=r"AR\(1\) coefficient must satisfy \|rho\| < 1, got 1.5"):
+            fp.simulate.build_sigma_st(2, 2, 1.5, 0.1)
+        with pytest.raises(fp.OutOfDomain, match=r"AR\(1\) coefficient must satisfy \|rho\| < 1, got 1.0"):
+            fp.simulate.build_sigma_st(2, 2, 0.1, 1.0)
 
     def test_positive_variances_required(self):
-        with pytest.raises(fp.InvalidCorrelation):
-            fp.build_sigma_st(2, 1, 0.1, 0.0, [1.0, -1.0])
+        with pytest.raises(fp.OutOfDomain, match="variances must be positive"):
+            fp.simulate.build_sigma_st(2, 1, 0.1, 0.0, [1.0, -1.0])
 
     def test_positive_definite(self):
-        sigma = fp.build_sigma_st(8, 6, 0.1, 0.1)
+        sigma = fp.simulate.build_sigma_st(8, 6, 0.1, 0.1)
         assert np.linalg.eigvalsh(sigma).min() > 0
 
 
 class TestBuildSigmaUn:
     def test_seeded_and_spd(self):
-        s1 = fp.build_sigma_un(16, seed=4)
-        s2 = fp.build_sigma_un(16, seed=4)
+        s1 = fp.simulate.build_sigma_un(16, seed=4)
+        s2 = fp.simulate.build_sigma_un(16, seed=4)
         np.testing.assert_array_equal(s1, s2)
         eigvals = np.linalg.eigvalsh(s1)
         assert eigvals.min() > 0
@@ -49,25 +49,25 @@ class TestBuildSigmaUn:
 
 class TestSampleMvn:
     def test_zero_covariance(self):
-        out = fp.sample_mvn(np.zeros((3, 3)), 5, seed=0)
+        out = fp.simulate.sample_mvn(np.zeros((3, 3)), 5, seed=0)
         np.testing.assert_array_equal(out, np.zeros((3, 5)))
 
     def test_deterministic_given_seed(self):
-        sigma = fp.build_sigma_st(2, 2, 0.3, 0.2)
-        a = fp.sample_mvn(sigma, 10, seed=77)
-        b = fp.sample_mvn(sigma, 10, seed=77)
+        sigma = fp.simulate.build_sigma_st(2, 2, 0.3, 0.2)
+        a = fp.simulate.sample_mvn(sigma, 10, seed=77)
+        b = fp.simulate.sample_mvn(sigma, 10, seed=77)
         np.testing.assert_array_equal(a, b)
 
     def test_large_sample_variances(self):
         sigma = np.diag([1.0, 4.0])
-        draws = fp.sample_mvn(sigma, 100_000, seed=5)
+        draws = fp.simulate.sample_mvn(sigma, 100_000, seed=5)
         variances = draws.var(axis=1)
         assert 0.97 <= variances[0] <= 1.03
         assert 0.97 * 4.0 <= variances[1] <= 1.03 * 4.0
 
     def test_not_psd_rejected(self):
         with pytest.raises(fp.NotPSD):
-            fp.sample_mvn(np.array([[1.0, 2.0], [2.0, 1.0]]), 3, seed=0)
+            fp.simulate.sample_mvn(np.array([[1.0, 2.0], [2.0, 1.0]]), 3, seed=0)
 
 
 def small_scenario(**overrides):
@@ -135,7 +135,7 @@ class TestGenerateReplicate:
 class TestSummaries:
     def _record(self, index, beta, ci=None, covered=None, error=None):
         if error:
-            return fp.ReplicateRecord(
+            return fp.simulate.ReplicateRecord(
                 index=index, beta_hat=None, lambda_opt=None,
                 ci_lower=None, ci_upper=None, covered=None, error=error,
             )
@@ -143,7 +143,7 @@ class TestSummaries:
         covered = covered if covered is not None else tuple(
             lo <= 1.0 <= hi for lo, hi in ci
         )
-        return fp.ReplicateRecord(
+        return fp.simulate.ReplicateRecord(
             index=index,
             beta_hat=tuple(beta),
             lambda_opt=1.0,
@@ -154,7 +154,7 @@ class TestSummaries:
 
     def test_bias_and_sd(self):
         records = [self._record(i, (b,)) for i, b in enumerate((0.9, 1.1, 1.0))]
-        report = fp.summarize_replicates(records, (1.0,))
+        report = fp.simulate.summarize_replicates(records, (1.0,))
         metrics = report.per_forcing[0]
         assert metrics.bias == pytest.approx(0.0, abs=1e-15)
         assert metrics.sd == pytest.approx(0.1)
@@ -162,7 +162,7 @@ class TestSummaries:
     def test_coverage_two_of_three(self):
         cis = [((0.5, 1.5),), ((0.8, 1.2),), ((2.0, 3.0),)]
         records = [self._record(i, (1.0,), ci=c) for i, c in enumerate(cis)]
-        report = fp.summarize_replicates(records, (1.0,))
+        report = fp.simulate.summarize_replicates(records, (1.0,))
         assert report.per_forcing[0].coverage_rate == pytest.approx(2.0 / 3.0)
 
     def test_failures_excluded_with_count(self):
@@ -171,7 +171,7 @@ class TestSummaries:
             self._record(1, None, error="NoFeasiblePoint: all infeasible"),
             self._record(2, (3.0,)),
         ]
-        report = fp.summarize_replicates(records, (1.0,))
+        report = fp.simulate.summarize_replicates(records, (1.0,))
         assert report.n_failed == 1
         assert report.failure_counts == {"NoFeasiblePoint": 1}
         assert report.n_replicates == 3
@@ -180,7 +180,7 @@ class TestSummaries:
     def test_mean_ci_length(self):
         cis = [((0.0, 1.0),), ((0.0, 3.0),)]
         records = [self._record(i, (1.0,), ci=c) for i, c in enumerate(cis)]
-        report = fp.summarize_replicates(records, (1.0,))
+        report = fp.simulate.summarize_replicates(records, (1.0,))
         assert report.per_forcing[0].mean_ci_length == pytest.approx(2.0)
 
 
@@ -313,7 +313,7 @@ class TestGlsOracle:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, 2))
         beta = np.array([0.4, -1.2])
-        sigma = fp.build_sigma_st(7, 1, 0.3, 0.0)
+        sigma = fp.simulate.build_sigma_st(7, 1, 0.3, 0.0)
         np.testing.assert_allclose(oracles.gls_oracle(x @ beta, x, sigma), beta, atol=1e-10)
 
     def test_matches_normal_equation_bruteforce(self):

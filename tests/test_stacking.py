@@ -39,10 +39,10 @@ def expected_record(scn, i, options):
     try:
         fit = fp.fit_optimal(fp.generate_replicate(scn, i), options)
     except fp.FinprintError as exc:
-        return fp.ReplicateRecord(i, None, None, None, None, None, error=f"{type(exc).__name__}: {exc}")
+        return fp.simulate.ReplicateRecord(i, None, None, None, None, None, error=f"{type(exc).__name__}: {exc}")
     lower = tuple(ci[0] for ci in fit.intervals)
     upper = tuple(ci[1] for ci in fit.intervals)
-    return fp.ReplicateRecord(
+    return fp.simulate.ReplicateRecord(
         index=i,
         beta_hat=tuple(float(b) for b in fit.beta_hat),
         lambda_opt=fit.lambda_opt,
@@ -127,7 +127,8 @@ class TestBatchIndependence:
         scn = scenario(60, replicates=20)
         taus = [fp.generate_replicate(scn, i).tau_bar for i in range(scn.replicates)]
         options = fp.FitOptions(lambda_min=10.0 * float(np.median(taus)))
-        report = fp.run_scenario(scn, fit_options=options)
+        records = simulate._run_chunk(scn, range(scn.replicates), options)
+        report = simulate.summarize_replicates(records, scn.true_beta)
         assert 0 < report.failure_counts.get("OutOfDomain", 0) < scn.replicates
         assert report.replicates == expected_records(scn, options)
 
