@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eigvalsh", "singular_values", "inv", "smallest_eigenpair"]
+__all__ = ["RCOND_TOL", "eigvalsh", "singular_values", "ill_conditioned", "inv", "smallest_eigenpair"]
+
+# Reciprocal condition number below which a matrix is treated as singular.
+RCOND_TOL = 1e-10
 
 _THIRD_TURN = 2.0 * np.pi / 3.0
 
@@ -51,6 +54,12 @@ def eigvalsh(a) -> np.ndarray:
 def singular_values(a) -> np.ndarray:
     """Descending singular values of a stack of symmetric matrices: the sorted |eigenvalues|."""
     return np.sort(np.abs(eigvalsh(a)), axis=-1)[..., ::-1]
+
+
+def ill_conditioned(svals: np.ndarray) -> np.ndarray:
+    """Reciprocal condition below RCOND_TOL, from descending singular values."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (svals[..., 0] <= 0.0) | (svals[..., -1] / svals[..., 0] < RCOND_TOL)
 
 
 def inv(a) -> np.ndarray:

@@ -13,20 +13,20 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dataset import validate_dataset
-from .errors import FinprintError, InputError, NoFeasiblePoint, OutOfDomain
+from .errors import FinprintError, InputError, NoFeasiblePoint
 from .inference import FitResult
-from .io import load_dataset, load_scenario, manifest_input_paths
+from .io import load_dataset, load_scenario, manifest_input_paths, scenario_to_dict
 from .simulate import SimulationReport, SimulationScenario, run_scenario
-from .variance import FitOptions, fit_optimal
+from .variance import DEFAULT_BOUNDS, OBJECTIVES, FitOptions, fit_optimal
 
-__all__ = ["CliConfig", "main", "entry_point"]
+__all__ = ["main", "entry_point"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,45 +39,6 @@ _INPUT_ERRORS = (InputError, FileNotFoundError, IsADirectoryError)
 _NUMERIC_ERRORS = (FinprintError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated command configuration assembled from parsed flags.
-
-    ``fit`` holds the fit flags, checked once by FitOptions; ``simulate``
-    has none and fits with its scenario's options.
-    """
-
-    command: str
-    input_path: Path | None
-    output_path: Path | None
-    fit: FitOptions
-    seed: int | None
-    replicates: int | None
-    jobs: int
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise OutOfDomain("--jobs must be >= 1")
-        if self.replicates is not None and self.replicates < 1:
-            raise OutOfDomain("--replicates must be >= 1")
-        if self.input_path is not None and not self.input_path.exists():
-            raise FileNotFoundError(f"input file not found: {self.input_path}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        # The fit flags' dests are FitOptions' field names.
-        fit_flags = {f.name: getattr(args, f.name) for f in fields(FitOptions) if hasattr(args, f.name)}
-        return cls(
-            command=args.command,
-            input_path=Path(args.input) if getattr(args, "input", None) else None,
-            output_path=Path(args.output) if getattr(args, "output", None) else None,
-            fit=FitOptions(**fit_flags),
-            seed=getattr(args, "seed", None),
-            replicates=getattr(args, "replicates", None),
-            jobs=getattr(args, "jobs", 1),
-        )
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -86,7 +47,7 @@ def _provenance(options: FitOptions, input_files) -> dict:
     return {
         "package": "finprint",
         "version": __version__,
-        "inputs": {str(p): _sha256(Path(p)) for p in input_files},
+        "inputs": {str(p): _sha256(p) for p in map(Path, input_files)},
         "grid": {
             "size": options.grid_size,
             "lambda_min": options.lambda_min,
@@ -114,7 +75,7 @@ def _curve_doc(result: FitResult, objective: str) -> dict:
     }
 
 
-def _fit_doc(result: FitResult, validation, cfg: CliConfig) -> dict:
+def _fit_doc(result: FitResult, ds, warnings: tuple[str, ...], options: FitOptions, manifest: str) -> dict:
     curve = result.curve
     forcings = [
         {
@@ -133,52 +94,60 @@ def _fit_doc(result: FitResult, validation, cfg: CliConfig) -> dict:
         "xi_hat": [[float(v) for v in row] for row in result.xi_hat],
         "trace_xi": float(np.trace(result.xi_hat)),
         "alpha": result.alpha,
-        "n_dim": validation.n_dim,
-        "n_forcings": validation.n_forcings,
-        "m_runs": validation.m_runs,
-        "tau_bar": validation.tau_bar,
+        "n_dim": ds.n_dim,
+        "n_forcings": ds.n_forcings,
+        "m_runs": ds.m_runs,
+        "tau_bar": ds.tau_bar,
         "forcings": forcings,
-        "lambda_curve": _curve_doc(result, cfg.fit.objective),
+        "lambda_curve": _curve_doc(result, options.objective),
         "diagnostics": {
             "k_hat": float(curve.k_hat[curve.chosen_index]),
             "stability_margin": float(curve.stability[curve.chosen_index]),
             "n_infeasible_grid_points": int((~curve.feasible).sum()),
             "n_near_degenerate_grid_points": curve.n_near_degenerate,
-            "validation_warnings": list(validation.warnings),
+            "validation_warnings": list(warnings),
         },
-        "provenance": _provenance(cfg.fit, manifest_input_paths(cfg.input_path)),
+        "provenance": _provenance(options, manifest_input_paths(manifest)),
     }
 
 
-def _write_doc(doc: dict, output: Path | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(text: str, output: str | None) -> None:
+    """Write ``text`` to the ``--output`` path, or to stdout without one."""
     if output is None:
         sys.stdout.write(text)
     else:
-        output.write_text(text)
+        Path(output).write_text(text)
 
 
-def cmd_fit(cfg: CliConfig) -> int:
-    ds = load_dataset(cfg.input_path)
-    validation = validate_dataset(ds)
-    for w in validation.warnings:
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _fit_options(args: argparse.Namespace) -> FitOptions:
+    """FitOptions from the fit flags that were given; their dests are its field names."""
+    given = {f.name: getattr(args, f.name) for f in fields(FitOptions) if getattr(args, f.name) is not None}
+    return FitOptions(**given)
+
+
+def cmd_fit(args: argparse.Namespace) -> int:
+    options = _fit_options(args)
+    ds = load_dataset(args.input)
+    warnings = validate_dataset(ds)
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    result = fit_optimal(ds, cfg.fit)
-    _write_doc(_fit_doc(result, validation, cfg), cfg.output_path)
+    result = fit_optimal(ds, options)
+    _write(_json(_fit_doc(result, ds, warnings, options, args.input)), args.output)
     return EXIT_OK
 
 
-def cmd_lambda_curve(cfg: CliConfig) -> int:
-    curve = fit_optimal(load_dataset(cfg.input_path), cfg.fit).curve
-    lines = [f"# lambda\t{_objective_label(cfg.fit.objective)}  (inf marks infeasible grid points)"]
+def cmd_lambda_curve(args: argparse.Namespace) -> int:
+    options = _fit_options(args)
+    curve = fit_optimal(load_dataset(args.input), options).curve
+    lines = [f"# lambda\t{_objective_label(options.objective)}  (inf marks infeasible grid points)"]
     for lam, value in zip(curve.grid, curve.objective):
         lines.append(f"{float(lam)!r}\t{float(value)!r}")
     lines.append(f"# chosen\t{float(curve.chosen_lambda)!r}\t{float(curve.objective[curve.chosen_index])!r}")
-    text = "\n".join(lines) + "\n"
-    if cfg.output_path is None:
-        sys.stdout.write(text)
-    else:
-        cfg.output_path.write_text(text)
+    _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -205,9 +174,7 @@ def _replicate_table(report: SimulationReport, p: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simulate_doc(report: SimulationReport, scn: SimulationScenario, cfg: CliConfig) -> dict:
-    from .io import scenario_to_dict
-
+def _simulate_doc(report: SimulationReport, scn: SimulationScenario, scenario_path: str) -> dict:
     return {
         "scenario": scenario_to_dict(scn),
         "metrics": {
@@ -231,25 +198,25 @@ def _simulate_doc(report: SimulationReport, scn: SimulationScenario, cfg: CliCon
                 report.n_replicates / report.elapsed_seconds if report.elapsed_seconds > 0 else None
             ),
         },
-        "provenance": _provenance(scn.fit_options, [cfg.input_path]),
+        "provenance": _provenance(scn.fit_options, [scenario_path]),
     }
 
 
-def cmd_simulate(cfg: CliConfig) -> int:
-    scn = load_scenario(cfg.input_path)
-    if cfg.replicates is not None:
-        scn = replace(scn, replicates=cfg.replicates)
-    if cfg.seed is not None:
-        scn = replace(scn, base_seed=cfg.seed)
-    report = run_scenario(scn, jobs=cfg.jobs)
-    _write_doc(_simulate_doc(report, scn, cfg), cfg.output_path)
-    if cfg.output_path is not None:
-        table_path = cfg.output_path.with_suffix(".replicates.tsv")
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scn = load_scenario(args.input)
+    if args.replicates is not None:
+        scn = replace(scn, replicates=args.replicates)
+    if args.seed is not None:
+        scn = replace(scn, base_seed=args.seed)
+    report = run_scenario(scn, jobs=args.jobs)
+    _write(_json(_simulate_doc(report, scn, args.input)), args.output)
+    if args.output is not None:
+        table_path = Path(args.output).with_suffix(".replicates.tsv")
         table_path.write_text(_replicate_table(report, scn.n_forcings))
     return EXIT_OK
 
 
-def cmd_version(cfg: CliConfig) -> int:
+def cmd_version(args: argparse.Namespace) -> int:
     print(f"finprint {__version__}")
     return EXIT_OK
 
@@ -263,15 +230,14 @@ _COMMANDS = {
 
 
 def _add_common_fit_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=0.05, help="confidence level complement (default 0.05)")
-    sub.add_argument("--grid-size", type=int, default=100, help="regularization grid points (default 100)")
-    sub.add_argument("--lambda-min", type=float, default=None, help="lower search bound (default 0.01*tau_bar)")
-    sub.add_argument("--lambda-max", type=float, default=None, help="upper search bound (default 10*tau_bar)")
+    # Every fit flag defaults to None: FitOptions holds the defaults and checks the values.
+    sub.add_argument("--alpha", type=float, help=f"confidence level complement (default {FitOptions.alpha})")
+    sub.add_argument("--grid-size", type=int, help=f"regularization grid points (default {FitOptions.grid_size})")
+    sub.add_argument("--lambda-min", type=float, help=f"lower search bound (default {DEFAULT_BOUNDS[0]:g}*tau_bar)")
+    sub.add_argument("--lambda-max", type=float, help=f"upper search bound (default {DEFAULT_BOUNDS[1]:g}*tau_bar)")
     sub.add_argument(
         "--objective",
-        choices=("trace", "determinant", "max_eigenvalue"),
-        default="trace",
-        help="selection objective (default trace)",
+        help=f"selection objective, one of {', '.join(OBJECTIVES)} (default {FitOptions.objective})",
     )
     sub.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -311,8 +277,7 @@ def _fail(label: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = CliConfig.from_args(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args)
     except NoFeasiblePoint as exc:
         return _fail("error", exc, EXIT_NO_FEASIBLE)
     except _INPUT_ERRORS as exc:

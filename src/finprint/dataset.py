@@ -17,7 +17,6 @@ from .errors import DimensionMismatch, NonFinite, OutOfDomain
 __all__ = [
     "DetectionDataset",
     "SampleCovariance",
-    "ValidationReport",
     "compute_sample_covariance",
     "ensemble_mean",
     "runs_tau_bar",
@@ -132,22 +131,6 @@ class DetectionDataset:
         return compute_sample_covariance(self.control_runs)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of dataset validation: hard errors abort, warnings proceed."""
-
-    n_dim: int
-    n_forcings: int
-    m_runs: int
-    tau_bar: float
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def compute_sample_covariance(control_runs) -> SampleCovariance:
     """Sample covariance S = (1/m) * sum_j Z_j Z_j^T of centered control runs.
 
@@ -176,14 +159,17 @@ def ensemble_mean(runs) -> np.ndarray:
     return r.mean(axis=1)
 
 
-def validate_dataset(ds: DetectionDataset) -> ValidationReport:
+def validate_dataset(ds: DetectionDataset) -> tuple[str, ...]:
     """Check shapes and identifiability heuristics of a dataset.
+
+    Returns the warnings, which do not stop a fit.
 
     Raises
     ------
     DimensionMismatch
         If array shapes disagree with each other, with ``ensemble_sizes``,
-        or with the length of ``y``.
+        or with the length of ``y``; or, with every failed check in one
+        message, if there is no forcing, N < p + 1, or tr(S)/N <= 0.
 
     Notes
     -----
@@ -232,11 +218,6 @@ def validate_dataset(ds: DetectionDataset) -> ValidationReport:
     if not tau_bar > 0.0:
         errors.append(f"tr(S)/N = {tau_bar:.3g} <= 0: the control runs vanish, so lambda has no scale")
 
-    return ValidationReport(
-        n_dim=n,
-        n_forcings=p,
-        m_runs=m,
-        tau_bar=tau_bar,
-        errors=tuple(errors),
-        warnings=tuple(warnings),
-    )
+    if errors:
+        raise DimensionMismatch("; ".join(errors))
+    return tuple(warnings)

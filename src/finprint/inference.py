@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.stats import chi2, norm
 
+from ._symmetric import ill_conditioned
 from .errors import OutOfDomain
-from .variance import _ill_conditioned
 
 if TYPE_CHECKING:
     from .variance import LambdaCurve
@@ -113,7 +113,7 @@ def joint_region_test(beta0, beta_hat, xi, n_dim: int, alpha: float = 0.05) -> J
     if not 0.0 < alpha < 1.0:
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
 
-    if _ill_conditioned(np.linalg.svd(xi, compute_uv=False)):
+    if ill_conditioned(np.linalg.svd(xi, compute_uv=False)):
         raise OutOfDomain("covariance estimate is numerically singular")
     diff = beta_hat - beta0
     statistic = float(n_dim * diff @ np.linalg.solve(xi, diff))

@@ -309,9 +309,7 @@ class ReplicateGenerator:
 
     def __init__(self, scenario: SimulationScenario):
         self.scenario = scenario
-        sigma = scenario.sigma_model.build(scenario.n_dim)
-        self.sigma = sigma
-        self.root = _psd_sqrt(sigma)
+        self.root = _psd_sqrt(scenario.sigma_model.build(scenario.n_dim))
         self.x_true = scenario.true_x.build(scenario.n_dim, scenario.n_forcings)
 
     def make(self, rep_index: int) -> DetectionDataset:
@@ -503,6 +501,8 @@ def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationRepor
     its seed-derived streams, its record is the one ``fit_optimal`` gives,
     and records are reduced in index order.
     """
+    if jobs < 1:
+        raise OutOfDomain(f"jobs must be >= 1, got {jobs}")
     options = scenario.fit_options
     start = time.perf_counter()
     indices = list(range(scenario.replicates))

@@ -15,25 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _symmetric
+# inference.build_fit_result is looked up at call time, so a wrapper set on
+# the inference module (perfbench's layer tracer) sees every fit.
+from . import _symmetric, inference
+from ._symmetric import RCOND_TOL, ill_conditioned
 from .dataset import DetectionDataset, validate_dataset
-from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, OutOfDomain
+from .errors import FinprintError, NoFeasiblePoint, OutOfDomain
 from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid, stack_caches
 # tls_fit is unused here but stays importable from this module: perfbench's
 # layer tracer wraps finprint.variance.tls_fit by name.
 from .tls import tls_fit, tls_grid  # noqa: F401
 
-if TYPE_CHECKING:
-    from .inference import FitResult
-
 __all__ = [
     "LambdaCurve",
     "FitOptions",
     "REASONS",
+    "OBJECTIVES",
     "delta1_hat",
     "delta2_hat",
     "xi_hat",
@@ -45,10 +45,6 @@ __all__ = [
     "fit_stack",
 ]
 
-# Reciprocal condition number below which the corrected Gram matrix is
-# treated as singular.
-RCOND_TOL = 1e-10
-
 DEFAULT_GRID_SIZE = 100
 # Search bounds as multiples of tau_bar = tr(S)/N.
 DEFAULT_BOUNDS = (0.01, 10.0)
@@ -59,7 +55,7 @@ _CRITERIA = {
     "determinant": np.linalg.det,
     "max_eigenvalue": lambda xi: _symmetric.eigvalsh(xi)[..., -1],
 }
-_OBJECTIVES = tuple(_CRITERIA)
+OBJECTIVES = tuple(_CRITERIA)
 
 # Reason codes for infeasible grid points; a point carries the first code, in
 # this order, whose check it fails: the denominator 1 - (N/m)(1 - lambda*Q1)
@@ -170,8 +166,8 @@ class FitOptions:
             raise OutOfDomain(f"alpha must be in (0, 1), got {self.alpha}")
         if self.grid_size < 2:
             raise OutOfDomain(f"grid_size must be >= 2, got {self.grid_size}")
-        if self.objective not in _OBJECTIVES:
-            raise OutOfDomain(f"objective must be one of {_OBJECTIVES}")
+        if self.objective not in OBJECTIVES:
+            raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
 
 
 def delta1_hat(f: RmtFunctionals, d) -> np.ndarray:
@@ -190,12 +186,6 @@ def delta2_hat(f: RmtFunctionals, d, n_dim: int, m_runs: int) -> np.ndarray:
     """
     scale = (1.0 + (n_dim / m_runs) * _mat(f.theta1)) ** 2
     return _sym(scale * f.g_s - _mat(f.theta2) * np.diag(d))
-
-
-def _ill_conditioned(svals: np.ndarray) -> np.ndarray:
-    """Reciprocal condition below RCOND_TOL, from descending singular values."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (svals[..., 0] <= 0.0) | (svals[..., -1] / svals[..., 0] < RCOND_TOL)
 
 
 def xi_hat(beta_hat, d, d1, d2, k) -> np.ndarray:
@@ -231,8 +221,8 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     RCOND_TOL is nonpositive too. A stacked cache with an (R, G) grid is
     one such pass for all R replicates.
     """
-    if criterion not in _OBJECTIVES:
-        raise OutOfDomain(f"objective must be one of {_OBJECTIVES}")
+    if criterion not in OBJECTIVES:
+        raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
     d = 1.0 / np.asarray(ensemble_sizes, dtype=float)
     f = rmt_grid(cache, grid)
     sol, vertical, near_tied = tls_grid(cache, ensemble_sizes, f.lam)
@@ -248,7 +238,7 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     # that is round-off relative to their size means the matrix is singular
     # even when its own condition number looks fine (p = 1).
     scale = g1_svals[..., 0] + np.abs(f.theta1) * d.max()
-    singular = (d1_svals[..., -1] < RCOND_TOL * scale) | _ill_conditioned(d1_svals)
+    singular = (d1_svals[..., -1] < RCOND_TOL * scale) | ill_conditioned(d1_svals)
     unusable = degenerate | vertical | singular
     blank = unusable[..., None, None]
     d2 = delta2_hat(f, d, cache.n_dim, cache.m_runs)
@@ -343,14 +333,12 @@ def prepare_cache(ds: DetectionDataset) -> SpectralCache:
     and S is never formed. A supplied S, or m >= N, keeps the eigh of S,
     which is then no more expensive.
     """
-    report = validate_dataset(ds)
-    if not report.ok:
-        raise DimensionMismatch("; ".join(report.errors))
+    validate_dataset(ds)
     low_rank = ds.sample_cov is None and ds.m_runs < ds.n_dim
     return build_cache(ds.control_runs if low_rank else ds.sample_covariance(), ds.x_tilde, ds.y)
 
 
-def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> "FitResult":
+def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> inference.FitResult:
     """End-to-end fit: cache, lambda search, covariance, intervals, verdicts.
 
     ``fit_stack`` on a stack of one. Raises DimensionMismatch on
@@ -359,7 +347,7 @@ def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> "Fit
     return _fit_one(prepare_cache(ds), ds.ensemble_sizes, options)
 
 
-def _fit_one(cache: SpectralCache, ensemble_sizes, options: FitOptions | None) -> "FitResult":
+def _fit_one(cache: SpectralCache, ensemble_sizes, options: FitOptions | None) -> inference.FitResult:
     """``fit_stack`` on a stack of one, raising its error."""
     (fit,) = fit_stack([cache], ensemble_sizes, options)
     if isinstance(fit, FinprintError):
@@ -381,8 +369,6 @@ def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list
     one replicate at a time, so the error stays with the replicate that
     caused it.
     """
-    from .inference import build_fit_result
-
     opts = options or FitOptions()
     try:
         stack = stack_caches(caches)
@@ -396,7 +382,7 @@ def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list
         curve = evaluate_grid(stack, ensemble_sizes, grid, opts.objective)
         feasible = curve.feasible.any(axis=-1)
         usable = curve if feasible.all() else curve.replicate(feasible)
-        fits = iter(build_fit_result(usable, stack.n_dim, opts.alpha))
+        fits = iter(inference.build_fit_result(usable, stack.n_dim, opts.alpha))
     except FinprintError as exc:
         if len(caches) == 1:
             return [exc]

@@ -9,8 +9,7 @@ from finprint import errors
 
 
 def submodules():
-    # finprint.__main__ runs the command line when imported.
-    names = [info.name for info in pkgutil.iter_modules(fp.__path__) if info.name != "__main__"]
+    names = [info.name for info in pkgutil.iter_modules(fp.__path__)]
     return [importlib.import_module(f"finprint.{name}") for name in names]
 
 

@@ -59,6 +59,12 @@ def scenario_file(tmp_path):
     return path
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
 class TestFitCommand:
     def test_report_written(self, manifest, tmp_path):
         out = tmp_path / "report.json"
@@ -100,6 +106,12 @@ class TestFitCommand:
 
     def test_invalid_alpha_exit_2(self, manifest):
         assert main(["fit", str(manifest), "--alpha", "1.5"]) == 2
+
+    @pytest.mark.parametrize("command", ["fit", "lambda-curve"])
+    def test_unknown_objective_exit_2(self, command, manifest, capsys):
+        # FitOptions, not the argument parser, names the valid objectives.
+        assert main([command, str(manifest), "--objective", "bogus"]) == 2
+        assert "objective must be one of" in assert_one_error_line(capsys)
 
     def test_no_feasible_point_exit_3(self, tmp_path, capsys):
         # zero fingerprints leave every grid point vertical
@@ -398,6 +410,15 @@ class TestSimulateCommand:
         m1 = json.loads(out1.read_text())["metrics"]["per_forcing"]
         m2 = json.loads(out2.read_text())["metrics"]["per_forcing"]
         assert m1 != m2
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--replicates"])
+    def test_count_below_one_exit_2(self, flag, scenario_file, capsys):
+        assert main(["simulate", str(scenario_file), flag, "0"]) == 2
+        assert "must be >= 1" in assert_one_error_line(capsys)
+
+    def test_missing_scenario_exit_2(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path / "nope.json")]) == 2
+        assert "nope.json" in assert_one_error_line(capsys)
 
     def test_negative_seed_exit_2(self, scenario_file, capsys):
         assert main(["simulate", str(scenario_file), "--seed", "-1"]) == 2

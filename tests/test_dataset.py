@@ -71,13 +71,12 @@ class TestEnsembleMean:
 
 class TestValidateDataset:
     def test_consistent_shapes_report_ok(self, dataset_factory):
-        report = fp.validate_dataset(dataset_factory())
-        assert report.ok
-        assert report.errors == ()
-        assert report.n_dim == 12
-        assert report.n_forcings == 2
-        assert report.m_runs == 20
-        assert report.tau_bar > 0
+        ds = dataset_factory()
+        fp.validate_dataset(ds)
+        assert ds.n_dim == 12
+        assert ds.n_forcings == 2
+        assert ds.m_runs == 20
+        assert ds.tau_bar > 0
 
     def test_y_length_mismatch_raises(self):
         rng = np.random.default_rng(0)
@@ -105,9 +104,8 @@ class TestValidateDataset:
         # m < N is the normal regime in practice; the report must flag it
         # without aborting.
         ds = dataset_factory(n=12, m=5)
-        report = fp.validate_dataset(ds)
-        assert report.ok
-        assert any("singular sample covariance" in w for w in report.warnings)
+        warnings = fp.validate_dataset(ds)
+        assert any("singular sample covariance" in w for w in warnings)
         # The rank comes from the fit's one decomposition, on either path.
         duplicated = ds.control_runs[:, [0, 1, 2, 0, 1]]
         for runs, rank in ((ds.control_runs, 5), (duplicated, 3)):
@@ -126,9 +124,8 @@ class TestValidateDataset:
             ensemble_sizes=[2, 2],
             control_runs=rng.standard_normal((8, 10)),
         )
-        report = fp.validate_dataset(ds)
-        assert report.ok
-        assert any("zero norm" in w for w in report.warnings)
+        warnings = fp.validate_dataset(ds)
+        assert any("zero norm" in w for w in warnings)
 
     def test_too_few_rows_is_error(self):
         rng = np.random.default_rng(2)
@@ -138,8 +135,8 @@ class TestValidateDataset:
             ensemble_sizes=[1, 1],
             control_runs=rng.standard_normal((2, 4)),
         )
-        report = fp.validate_dataset(ds)
-        assert not report.ok
+        with pytest.raises(fp.DimensionMismatch, match="too small for p=2"):
+            fp.validate_dataset(ds)
 
 
 class TestDetectionDataset:

@@ -1,4 +1,4 @@
-"""Malformed manifests, scenario files and matrix files, fed to the CLI.
+"""Malformed manifests, scenario files, matrix files and fit flags, fed to the CLI.
 
 Whatever the input, ``main`` returns a documented exit code, reports a
 failure as exactly one stderr line (besides ``warning:`` lines) and raises
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from finprint.cli import main
 from finprint.io import write_matrix
+from finprint.variance import OBJECTIVES
 
 FUZZ = settings(
     max_examples=40,
@@ -74,6 +75,19 @@ models = st.builds(
     st.deferred(lambda: edits(sorted({k for m in MODELS for k in m}), json_values)),
 )
 
+# Parseable values of the fit flags, in range or not. At most 200 grid points
+# on the 12-point dataset keep every fit quick.
+fit_flags = st.fixed_dictionaries(
+    {},
+    optional={
+        "--alpha": st.floats(),
+        "--grid-size": st.integers(max_value=200),
+        "--lambda-min": st.floats(),
+        "--lambda-max": st.floats(),
+        "--objective": st.sampled_from(OBJECTIVES) | names,
+    },
+)
+
 matrix_text = st.text(st.sampled_from("0123456789.-+e,# \t\nnaif"), max_size=80)
 
 
@@ -130,6 +144,21 @@ def test_manifest_fields(folder, capsys, changes):
     path = folder / "manifest.json"
     path.write_text(json.dumps(apply(MANIFEST, changes)))
     assert_clean_exit(["fit", str(path), "--output", str(folder / "report.json")], capsys)
+
+
+@FUZZ
+@given(command=st.sampled_from(["fit", "lambda-curve"]), flags=fit_flags)
+@example(command="fit", flags={"--alpha": float("nan"), "--grid-size": 0})
+@example(command="fit", flags={"--lambda-min": float("-inf"), "--lambda-max": float("inf")})
+@example(command="fit", flags={"--lambda-min": 0.0, "--lambda-max": -1.0})
+@example(command="fit", flags={"--lambda-min": 5e-324})
+@example(command="lambda-curve", flags={"--objective": "bogus"})
+def test_fit_flags(folder, capsys, command, flags):
+    path = folder / "manifest.json"
+    path.write_text(json.dumps(MANIFEST))
+    # "--flag=value", so that argparse takes a value such as "-inf" as one.
+    argv = [command, str(path), "--output", str(folder / "out")]
+    assert_clean_exit(argv + [f"{flag}={value}" for flag, value in flags.items()], capsys)
 
 
 @FUZZ

@@ -102,7 +102,8 @@ class TestAgainstDense:
         ds = problem(3, 20, 5, p, runs=np.zeros((20, 5)))
         low, dense = caches(ds)
         assert ds.tau_bar == low.tau_bar == dense.tau_bar == 0.0
-        assert not fp.validate_dataset(ds).ok
+        with pytest.raises(fp.DimensionMismatch, match=r"tr\(S\)/N"):
+            fp.validate_dataset(ds)
         with pytest.raises(fp.DimensionMismatch):
             fp.fit_optimal(ds)
         assert low.eigvals.shape == (0,) and low.null_dim == 20
@@ -215,6 +216,5 @@ class TestDecompositions:
         assert (n, m) not in calls["svd"]
 
     def test_validation_does_not_decompose(self, calls):
-        report = fp.validate_dataset(problem(1, 60, 15, 2))
-        assert report.ok
+        fp.validate_dataset(problem(1, 60, 15, 2))
         assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "sample_cov": 0}

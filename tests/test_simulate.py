@@ -203,6 +203,11 @@ class TestRunScenario:
         assert serial.per_forcing == parallel.per_forcing
         assert serial.replicates == parallel.replicates
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(fp.OutOfDomain, match="jobs must be >= 1"):
+            fp.run_scenario(small_scenario(replicates=2), jobs=jobs)
+
     def test_unstructured_sigma_smoke(self):
         scn = small_scenario(
             n_dim=16,
