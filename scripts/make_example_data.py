@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from finprint import SeparableAr1Sigma, SimulationScenario, SyntheticFingerprints, generate_replicate
-from finprint.io import scenario_to_dict, write_matrix
+from finprint.io import write_matrix
+from finprint.simulate import scenario_to_dict
 
 
 def main() -> None:

@@ -22,8 +22,8 @@ from . import __version__
 from .dataset import validate_dataset
 from .errors import FinprintError, InputError, NoFeasiblePoint
 from .inference import FitResult
-from .io import load_dataset, load_scenario, manifest_input_paths, scenario_to_dict
-from .simulate import SimulationReport, SimulationScenario, run_scenario
+from .io import load_dataset, manifest_input_paths
+from .simulate import SimulationReport, SimulationScenario, load_scenario, run_scenario, scenario_to_dict
 from .variance import DEFAULT_BOUNDS, OBJECTIVES, FitOptions, fit_optimal
 
 __all__ = ["main", "entry_point"]
@@ -33,10 +33,10 @@ EXIT_INPUT = 2
 EXIT_NO_FEASIBLE = 3
 EXIT_NUMERIC = 4
 
-_INPUT_ERRORS = (InputError, FileNotFoundError, IsADirectoryError)
+_INPUT_ERRORS = (InputError, OSError)
 # Anything else that escapes a command is a failure of the computation,
 # not of its input.
-_NUMERIC_ERRORS = (FinprintError, np.linalg.LinAlgError, FloatingPointError, ValueError)
+_NUMERIC_ERRORS = (FinprintError, np.linalg.LinAlgError, FloatingPointError, ValueError, MemoryError)
 
 
 def _sha256(path: Path) -> str:

@@ -1,11 +1,11 @@
-"""File formats: delimited matrices, dataset manifests, scenario files.
+"""File formats: delimited matrices and dataset manifests.
 
 Matrix files are plain text with one row per line, '.' decimal separator,
 whitespace or comma delimited, and optional '#' comment lines, or NumPy
 ``.npy`` files (numeric, 1-d or 2-d; a 1-d array is one column). Vectors are
-single-column files. Manifests and scenarios are JSON documents whose keys
-mirror the corresponding dataclasses; relative paths resolve against the
-document's directory.
+single-column files. Manifests are JSON documents; relative paths resolve
+against the manifest's directory. Scenario documents are read and written by
+``finprint.simulate``.
 """
 
 from __future__ import annotations
@@ -16,27 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DetectionDataset, SampleCovariance, ensemble_mean
-from .errors import FinprintError, SchemaError
-from .simulate import (
-    FingerprintModel,
-    IdentitySigma,
-    SeparableAr1Sigma,
-    SigmaModel,
-    SimulationScenario,
-    SyntheticFingerprints,
-    UnstructuredSigma,
-    UserMatrixFingerprints,
-    UserMatrixSigma,
-)
+from .errors import SchemaError
 
 __all__ = [
     "read_matrix",
     "read_vector",
     "write_matrix",
+    "read_json",
+    "resolve",
     "load_dataset",
-    "load_scenario",
-    "scenario_to_dict",
-    "scenario_from_dict",
 ]
 
 
@@ -85,7 +73,8 @@ def write_matrix(path, a, header: str | None = None) -> None:
     np.savetxt(path, a, header=header or "", comments="# ")
 
 
-def _load_json(path: Path) -> dict:
+def read_json(path: Path) -> dict:
+    """A JSON document whose top level is an object; SchemaError otherwise."""
     try:
         doc = json.loads(path.read_text())
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -95,7 +84,8 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
-def _resolve(base: Path, rel) -> Path:
+def resolve(base: Path, rel) -> Path:
+    """``rel`` against the directory ``base`` unless it is absolute."""
     p = Path(rel)
     return p if p.is_absolute() else base / p
 
@@ -110,7 +100,7 @@ def load_dataset(manifest_path) -> DetectionDataset:
     ``m_runs``.
     """
     manifest_path = Path(manifest_path)
-    doc = _load_json(manifest_path)
+    doc = read_json(manifest_path)
     base = manifest_path.parent
 
     # Schema checks before touching any referenced file.
@@ -128,22 +118,22 @@ def load_dataset(manifest_path) -> DetectionDataset:
         raise SchemaError(f"{manifest_path}: 'sample_cov' requires 'm_runs'")
 
     try:
-        y = read_vector(_resolve(base, doc["y"]))
+        y = read_vector(resolve(base, doc["y"]))
         if "forcing_runs" in doc:
-            runs = [read_matrix(_resolve(base, p)) for p in doc["forcing_runs"]]
+            runs = [read_matrix(resolve(base, p)) for p in doc["forcing_runs"]]
             x_tilde = np.column_stack([ensemble_mean(r) for r in runs])
             sizes = np.array([r.shape[1] for r in runs])
         else:
-            x_tilde = read_matrix(_resolve(base, doc["x_tilde"]))
+            x_tilde = read_matrix(resolve(base, doc["x_tilde"]))
             sizes = np.asarray(doc["ensemble_sizes"], dtype=int)
 
         control = None
         sample_cov = None
         if "control_runs" in doc:
-            control = read_matrix(_resolve(base, doc["control_runs"]))
+            control = read_matrix(resolve(base, doc["control_runs"]))
         else:
             sample_cov = SampleCovariance(
-                s=read_matrix(_resolve(base, doc["sample_cov"])), m=int(doc["m_runs"])
+                s=read_matrix(resolve(base, doc["sample_cov"])), m=int(doc["m_runs"])
             )
     except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong type or range
         raise SchemaError(f"{manifest_path}: bad field value ({exc})") from exc
@@ -160,108 +150,13 @@ def load_dataset(manifest_path) -> DetectionDataset:
 def manifest_input_paths(manifest_path) -> list[Path]:
     """Every file the manifest references, for provenance hashing."""
     manifest_path = Path(manifest_path)
-    doc = _load_json(manifest_path)
+    doc = read_json(manifest_path)
     base = manifest_path.parent
     paths = [manifest_path]
     for key in ("y", "x_tilde", "control_runs", "sample_cov"):
         if key in doc:
-            paths.append(_resolve(base, doc[key]))
+            paths.append(resolve(base, doc[key]))
     for p in doc.get("forcing_runs", []):
-        paths.append(_resolve(base, p))
+        paths.append(resolve(base, p))
     return paths
 
-
-# ---------------------------------------------------------------------------
-# Scenario documents
-
-_SIGMA_KINDS = {
-    "identity": IdentitySigma,
-    "separable_ar1": SeparableAr1Sigma,
-    "user_matrix": UserMatrixSigma,
-    "unstructured": UnstructuredSigma,
-}
-
-_FINGERPRINT_KINDS = {
-    "synthetic": SyntheticFingerprints,
-    "user_matrix": UserMatrixFingerprints,
-}
-
-
-def _model_from_dict(doc, kinds, label: str, base: Path | None):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SchemaError(f"{label} must be an object with a 'kind' key")
-    kind = doc["kind"]
-    if kind not in kinds:
-        raise SchemaError(f"unknown {label} kind {kind!r}; expected one of {sorted(kinds)}")
-    kwargs = {k: v for k, v in doc.items() if k != "kind"}
-    if "variances" in kwargs and kwargs["variances"] is not None:
-        kwargs["variances"] = tuple(kwargs["variances"])
-    if "path" in kwargs and base is not None:
-        kwargs["path"] = str(_resolve(base, kwargs["path"]))
-    try:
-        return kinds[kind](**kwargs)
-    except TypeError as exc:
-        raise SchemaError(f"bad fields for {label} kind {kind!r}: {exc}") from exc
-
-
-def scenario_from_dict(doc: dict, base: Path | None = None) -> SimulationScenario:
-    required = {
-        "n_dim",
-        "true_beta",
-        "gamma",
-        "ensemble_sizes",
-        "m_runs",
-        "sigma_model",
-        "true_x",
-        "replicates",
-        "base_seed",
-    }
-    missing = required - doc.keys()
-    if missing:
-        raise SchemaError(f"scenario missing keys: {sorted(missing)}")
-    return SimulationScenario(
-        n_dim=int(doc["n_dim"]),
-        true_beta=tuple(doc["true_beta"]),
-        gamma=float(doc["gamma"]),
-        ensemble_sizes=tuple(doc["ensemble_sizes"]),
-        m_runs=int(doc["m_runs"]),
-        sigma_model=_model_from_dict(doc["sigma_model"], _SIGMA_KINDS, "sigma_model", base),
-        true_x=_model_from_dict(doc["true_x"], _FINGERPRINT_KINDS, "true_x", base),
-        replicates=int(doc["replicates"]),
-        base_seed=int(doc["base_seed"]),
-        alpha=float(doc.get("alpha", 0.05)),
-    )
-
-
-def load_scenario(path) -> SimulationScenario:
-    """Read a SimulationScenario from a JSON document mirroring its fields."""
-    path = Path(path)
-    doc = _load_json(path)
-    try:
-        return scenario_from_dict(doc, base=path.parent)
-    except (TypeError, ValueError, OverflowError, FinprintError) as exc:  # a field of the wrong type or range
-        raise SchemaError(f"{path}: {exc}") from exc
-
-
-def _model_to_dict(model: SigmaModel | FingerprintModel) -> dict:
-    out = {"kind": model.kind}
-    for name, value in vars(model).items():
-        if name == "kind":
-            continue
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def scenario_to_dict(scn: SimulationScenario) -> dict:
-    return {
-        "n_dim": scn.n_dim,
-        "true_beta": list(scn.true_beta),
-        "gamma": scn.gamma,
-        "ensemble_sizes": list(scn.ensemble_sizes),
-        "m_runs": scn.m_runs,
-        "sigma_model": _model_to_dict(scn.sigma_model),
-        "true_x": _model_to_dict(scn.true_x),
-        "replicates": scn.replicates,
-        "base_seed": scn.base_seed,
-        "alpha": scn.alpha,
-    }

@@ -6,6 +6,10 @@ covariance, fit with the optimally regularized weight matrix, and aggregate
 bias, spread, interval length, and empirical coverage. Replicates are drawn
 and decomposed one at a time and fitted in stacks (``variance.fit_stack``)
 of at most ``stack_size`` replicates.
+
+A scenario document is the JSON form of a ``SimulationScenario``: its keys
+are the dataclass's fields, and each model is an object of its class's
+fields under a ``kind`` key, with paths relative to the document.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ from __future__ import annotations
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from pathlib import Path
+from typing import get_args
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from .dataset import DetectionDataset
-from .errors import DimensionMismatch, FinprintError, NotPSD, OutOfDomain
+from .errors import DimensionMismatch, FinprintError, NotPSD, OutOfDomain, SchemaError
+from .io import read_json, read_matrix, resolve
 from .variance import FitOptions, fit_stack, prepare_cache
 
 __all__ = [
@@ -40,6 +47,9 @@ __all__ = [
     "run_scenario",
     "stack_size",
     "summarize_replicates",
+    "load_scenario",
+    "scenario_from_dict",
+    "scenario_to_dict",
 ]
 
 # Relative floor for deciding a symmetric matrix is not PSD.
@@ -185,8 +195,6 @@ class UserMatrixSigma:
     kind: str = field(default="user_matrix", init=False)
 
     def build(self, n_dim: int) -> np.ndarray:
-        from .io import read_matrix
-
         sigma = read_matrix(self.path)
         if sigma.shape != (n_dim, n_dim):
             raise DimensionMismatch(f"covariance file is {sigma.shape}, expected ({n_dim}, {n_dim})")
@@ -238,8 +246,6 @@ class UserMatrixFingerprints:
     kind: str = field(default="user_matrix", init=False)
 
     def build(self, n_dim: int, p: int) -> np.ndarray:
-        from .io import read_matrix
-
         x = read_matrix(self.path)
         if x.shape != (n_dim, p):
             raise DimensionMismatch(f"fingerprint file is {x.shape}, expected ({n_dim}, {p})")
@@ -266,6 +272,10 @@ class SimulationScenario:
     alpha: float = 0.05
 
     def __post_init__(self):
+        # The coercions a scenario document's values go through.
+        for name, convert in (("n_dim", int), ("gamma", float), ("m_runs", int),
+                              ("replicates", int), ("base_seed", int), ("alpha", float)):
+            object.__setattr__(self, name, convert(getattr(self, name)))
         object.__setattr__(self, "true_beta", tuple(float(b) for b in self.true_beta))
         object.__setattr__(self, "ensemble_sizes", tuple(int(n) for n in self.ensemble_sizes))
         if len(self.true_beta) != len(self.ensemble_sizes):
@@ -294,6 +304,60 @@ class SimulationScenario:
     def fit_options(self) -> FitOptions:
         """The options every replicate is fitted with: the default grid at ``alpha``."""
         return FitOptions(alpha=self.alpha)
+
+
+# ---------------------------------------------------------------------------
+# Scenario documents
+
+_MODEL_KINDS = {
+    name: {cls.kind: cls for cls in get_args(union)}
+    for name, union in (("sigma_model", SigmaModel), ("true_x", FingerprintModel))
+}
+
+
+def _model_from_dict(doc, label: str, base: Path | None):
+    kinds = _MODEL_KINDS[label]
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise SchemaError(f"{label} must be an object with a 'kind' key")
+    kind = doc["kind"]
+    if kind not in kinds:
+        raise SchemaError(f"unknown {label} kind {kind!r}; expected one of {sorted(kinds)}")
+    kwargs = {k: v for k, v in doc.items() if k != "kind"}
+    if "path" in kwargs and base is not None:
+        kwargs["path"] = str(resolve(base, kwargs["path"]))
+    try:
+        return kinds[kind](**kwargs)
+    except TypeError as exc:
+        raise SchemaError(f"bad fields for {label} kind {kind!r}: {exc}") from exc
+
+
+def scenario_from_dict(doc: dict, base: Path | None = None) -> SimulationScenario:
+    """The SimulationScenario of a scenario document; unknown top-level keys are ignored."""
+    missing = {f.name for f in fields(SimulationScenario) if f.default is MISSING} - doc.keys()
+    if missing:
+        raise SchemaError(f"scenario missing keys: {sorted(missing)}")
+    kwargs = {f.name: doc[f.name] for f in fields(SimulationScenario) if f.name in doc}
+    for label in _MODEL_KINDS:
+        kwargs[label] = _model_from_dict(doc[label], label, base)
+    return SimulationScenario(**kwargs)
+
+
+def load_scenario(path) -> SimulationScenario:
+    """Read a SimulationScenario from a scenario document."""
+    path = Path(path)
+    doc = read_json(path)
+    try:
+        return scenario_from_dict(doc, base=path.parent)
+    except (TypeError, ValueError, OverflowError, FinprintError) as exc:  # a field of the wrong type or range
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def scenario_to_dict(scn: SimulationScenario) -> dict:
+    """The scenario document of ``scn``, ready for ``json.dumps``; each model's ``kind`` comes first."""
+    doc = asdict(scn)
+    for label in _MODEL_KINDS:
+        doc[label] = {"kind": doc[label].pop("kind"), **doc[label]}
+    return doc
 
 
 def _stream_rng(base_seed: int, rep_index: int, stream: int) -> np.random.Generator:

@@ -1,8 +1,11 @@
-"""The package's error surface and its top-level export list."""
+"""The package's error surface, its top-level export list and its import structure."""
 
+import ast
+import graphlib
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import finprint as fp
 from finprint import errors
@@ -53,3 +56,46 @@ def test_star_import_binds_exactly_all():
     assert set(namespace) == set(fp.__all__)
     assert len(fp.__all__) == len(set(fp.__all__)) == 40
     assert all(namespace[name] is getattr(fp, name) for name in fp.__all__)
+
+
+def module_level_imports(tree):
+    """The module's top-level imports, with those under a top-level ``if TYPE_CHECKING:``."""
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            yield from (n for n in node.body if isinstance(n, (ast.Import, ast.ImportFrom)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
+def runtime_dependencies(tree, names):
+    """Submodules of the package that ``tree`` imports when it is executed ("__init__" for the package)."""
+    deps = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            package = "finprint" + (f".{node.module}" if node.module else "")
+            modules = [package] if node.module else [f"{package}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module]
+        else:
+            continue
+        for parts in (m.split(".") for m in modules):
+            if parts[0] == "finprint":
+                deps.add(parts[1] if len(parts) > 1 and parts[1] in names else "__init__")
+    return deps
+
+
+def test_imports_are_module_level_and_acyclic():
+    files = sorted(Path(fp.__file__).parent.glob("*.py"))
+    trees = {f.stem: ast.parse(f.read_text()) for f in files}
+    for name, tree in trees.items():
+        allowed = set(module_level_imports(tree))
+        nested = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in allowed
+        ]
+        assert not nested, f"finprint/{name}.py imports below module level at lines {nested}"
+    graph = {name: runtime_dependencies(tree, trees) for name, tree in trees.items()}
+    assert graph["simulate"] >= {"io"} and "simulate" not in graph["io"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -186,6 +186,24 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["output", "input"])
+    def test_path_through_a_file_exit_2(self, where, manifest, tmp_path, capsys):
+        # Each path runs through the file y.txt, so opening it raises NotADirectoryError.
+        argv = ["fit", str(manifest)]
+        if where == "output":
+            argv += ["--output", str(tmp_path / "y.txt" / "out.json")]
+        else:
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "y": "y.txt/x"}))
+        assert main(argv) == 2
+        assert "Not a directory" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["fit", "lambda-curve"])
+    def test_unallocatable_grid_exit_4(self, command, manifest, capsys):
+        # The grid's first array (8e18 bytes) fails to allocate before any work is done.
+        assert main([command, str(manifest), "--grid-size", "1000000000000000000"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ")
+
     def test_lambda_min_too_small_exit_2(self, manifest):
         # 1/lambda_min^2 overflows float64; the bound is rejected before the
         # grid turns it into numpy overflow warnings.

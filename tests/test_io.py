@@ -1,19 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import finprint as fp
-from finprint.io import (
-    SchemaError,
-    load_dataset,
-    load_scenario,
-    read_matrix,
-    read_vector,
-    scenario_from_dict,
-    scenario_to_dict,
-    write_matrix,
-)
+from finprint.io import SchemaError, load_dataset, read_matrix, read_vector, write_matrix
+from finprint.simulate import load_scenario, scenario_from_dict, scenario_to_dict
 
 
 class TestMatrixFiles:
@@ -213,6 +206,32 @@ class TestScenarioDocuments:
         rebuilt = scenario_to_dict(scn)
         assert rebuilt["sigma_model"]["kind"] == "separable_ar1"
         assert scenario_from_dict(rebuilt) == scn
+
+    @pytest.mark.parametrize(
+        "sigma_model",
+        [
+            fp.IdentitySigma(),
+            fp.SeparableAr1Sigma(4, 3, 0.1, -0.2),
+            fp.SeparableAr1Sigma(4, 3, 0.1, 0.2, variances=tuple(range(1, 13))),
+            fp.UserMatrixSigma("sigma.txt"),
+            fp.UnstructuredSigma(seed=9, condition_number=50.0),
+        ],
+        ids=["identity", "separable_ar1", "separable_ar1_variances", "user_matrix", "unstructured"],
+    )
+    @pytest.mark.parametrize(
+        "true_x",
+        [fp.SyntheticFingerprints(seed=3, column_correlation=-0.25), fp.UserMatrixFingerprints("x.txt")],
+        ids=lambda m: m.kind,
+    )
+    def test_every_model_kind_roundtrips(self, sigma_model, true_x):
+        scn = fp.SimulationScenario(
+            n_dim=12, true_beta=(1.0, 0.5), gamma=0.5, ensemble_sizes=(3, 5), m_runs=24,
+            sigma_model=sigma_model, true_x=true_x, replicates=5, base_seed=17, alpha=0.1,
+        )
+        doc = scenario_to_dict(scn)
+        assert list(doc) == [f.name for f in dataclasses.fields(fp.SimulationScenario)]
+        assert list(doc["sigma_model"])[0] == "kind" and list(doc["true_x"])[0] == "kind"
+        assert scenario_from_dict(json.loads(json.dumps(doc))) == scn
 
     def test_unknown_kind(self):
         doc = self.scenario_doc()
