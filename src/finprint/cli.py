@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +63,16 @@ def _objective_label(objective: str) -> str:
     return "trace_xi" if objective == "trace" else objective
 
 
+def _number(value) -> float | None:
+    """``value`` as a JSON number, or None (null) when it is not finite."""
+    return float(value) if np.isfinite(value) else None
+
+
 def _curve_doc(result: FitResult, objective: str) -> dict:
     curve = result.curve
     return {
         "lambda": [float(v) for v in curve.grid],
-        _objective_label(objective): [float(v) if np.isfinite(v) else None for v in curve.objective],
+        _objective_label(objective): [_number(v) for v in curve.objective],
         "feasible": [bool(f) for f in curve.feasible],
         "reason": list(curve.reason),
         "chosen_index": int(curve.chosen_index),
@@ -120,7 +125,8 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """A report as strict JSON: a NaN or infinity raises rather than being written."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _fit_options(args: argparse.Namespace) -> FitOptions:
@@ -179,13 +185,7 @@ def _simulate_doc(report: SimulationReport, scn: SimulationScenario, scenario_pa
         "scenario": scenario_to_dict(scn),
         "metrics": {
             "per_forcing": [
-                {
-                    "index": i,
-                    "bias": m.bias,
-                    "sd": m.sd,
-                    "mean_ci_length": m.mean_ci_length,
-                    "coverage_rate": m.coverage_rate,
-                }
+                {"index": i, **{name: _number(v) for name, v in asdict(m).items()}}
                 for i, m in enumerate(report.per_forcing)
             ],
             "n_replicates": report.n_replicates,

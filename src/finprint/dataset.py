@@ -17,6 +17,7 @@ from .errors import DimensionMismatch, NonFinite, OutOfDomain
 __all__ = [
     "DetectionDataset",
     "SampleCovariance",
+    "as_count",
     "compute_sample_covariance",
     "ensemble_mean",
     "runs_tau_bar",
@@ -25,6 +26,19 @@ __all__ = [
 
 # Norm below which a fingerprint column is flagged as effectively zero.
 ZERO_FINGERPRINT_TOL = 1e-12
+
+
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int: a Python or NumPy integer of at least ``minimum``.
+
+    Every count and seed goes through this rule. A float (even 48.0), a bool
+    or a string raises OutOfDomain rather than being truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise OutOfDomain(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise OutOfDomain(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
@@ -47,8 +61,7 @@ class SampleCovariance:
         s = _as_float_array(self.s, "s", 2)
         if s.shape[0] != s.shape[1]:
             raise DimensionMismatch(f"covariance must be square, got {s.shape}")
-        if self.m < 1:
-            raise OutOfDomain(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", as_count(self.m, "m"))
         object.__setattr__(self, "s", 0.5 * (s + s.T))
 
     @property
@@ -64,6 +77,9 @@ class SampleCovariance:
 @dataclass(frozen=True)
 class DetectionDataset:
     """One fingerprinting regression instance.
+
+    Building one checks that the shapes agree, p >= 1 and N >= p + 1
+    (DimensionMismatch otherwise), and that each ensemble size is an integer >= 1.
 
     Parameters
     ----------
@@ -89,11 +105,11 @@ class DetectionDataset:
     def __post_init__(self):
         object.__setattr__(self, "y", _as_float_array(self.y, "y", 1))
         object.__setattr__(self, "x_tilde", _as_float_array(self.x_tilde, "x_tilde", 2))
-        sizes = np.asarray(self.ensemble_sizes, dtype=int)
-        if sizes.ndim != 1:
+        # dtype=object keeps each size as given, so a float is seen, not truncated.
+        given = np.asarray(self.ensemble_sizes, dtype=object)
+        if given.ndim != 1:
             raise DimensionMismatch("ensemble_sizes must be a 1-d integer vector")
-        if (sizes < 1).any():
-            raise OutOfDomain("all ensemble sizes must be >= 1")
+        sizes = np.array([as_count(n_i, "ensemble sizes") for n_i in given], dtype=int)
         object.__setattr__(self, "ensemble_sizes", sizes)
         if self.control_runs is not None:
             runs = _as_float_array(self.control_runs, "control_runs", 2)
@@ -102,6 +118,23 @@ class DetectionDataset:
             object.__setattr__(self, "control_runs", runs)
         if self.control_runs is None and self.sample_cov is None:
             raise OutOfDomain("either control_runs or sample_cov must be supplied")
+        n, p = self.y.shape[0], self.x_tilde.shape[1]
+        if self.x_tilde.shape[0] != n:
+            raise DimensionMismatch(f"y has length {n} but x_tilde has {self.x_tilde.shape[0]} rows")
+        if len(sizes) != p:
+            raise DimensionMismatch(f"x_tilde has {p} columns but ensemble_sizes has length {len(sizes)}")
+        if self.control_runs is not None and self.control_runs.shape[0] != n:
+            raise DimensionMismatch(f"control_runs has {self.control_runs.shape[0]} rows, expected {n}")
+        k = n if self.sample_cov is None else self.sample_cov.n_dim
+        if k != n:
+            raise DimensionMismatch(f"sample covariance is {k}x{k}, expected {n}x{n}")
+        errors = []
+        if p < 1:
+            errors.append("need at least one forcing")
+        if n < p + 1:
+            errors.append(f"N={n} too small for p={p} forcings (need N >= p+1)")
+        if errors:
+            raise DimensionMismatch("; ".join(errors))
 
     @property
     def n_dim(self) -> int:
@@ -160,16 +193,15 @@ def ensemble_mean(runs) -> np.ndarray:
 
 
 def validate_dataset(ds: DetectionDataset) -> tuple[str, ...]:
-    """Check shapes and identifiability heuristics of a dataset.
+    """Check that a dataset can be fitted and collect its warnings.
 
-    Returns the warnings, which do not stop a fit.
+    Its shapes were checked when it was built. Returns the warnings, which
+    do not stop a fit.
 
     Raises
     ------
     DimensionMismatch
-        If array shapes disagree with each other, with ``ensemble_sizes``,
-        or with the length of ``y``; or, with every failed check in one
-        message, if there is no forcing, N < p + 1, or tr(S)/N <= 0.
+        If tr(S)/N <= 0: the control runs vanish, so lambda has no scale.
 
     Notes
     -----
@@ -178,34 +210,8 @@ def validate_dataset(ds: DetectionDataset) -> tuple[str, ...]:
     decomposes or forms S: every check costs O(N m) from the control runs
     (O(N) given S). The rank of S is ``SpectralCache.s_rank``.
     """
-    n = ds.y.shape[0]
-    if ds.x_tilde.shape[0] != n:
-        raise DimensionMismatch(
-            f"y has length {n} but x_tilde has {ds.x_tilde.shape[0]} rows"
-        )
-    p = ds.x_tilde.shape[1]
-    if ds.ensemble_sizes.shape[0] != p:
-        raise DimensionMismatch(
-            f"x_tilde has {p} columns but ensemble_sizes has length {ds.ensemble_sizes.shape[0]}"
-        )
-    if ds.control_runs is not None and ds.control_runs.shape[0] != n:
-        raise DimensionMismatch(
-            f"control_runs has {ds.control_runs.shape[0]} rows, expected {n}"
-        )
-    if ds.sample_cov is not None and ds.sample_cov.n_dim != n:
-        k = ds.sample_cov.n_dim
-        raise DimensionMismatch(f"sample covariance is {k}x{k}, expected {n}x{n}")
-
-    m = ds.m_runs
-    errors: list[str] = []
+    n, m = ds.n_dim, ds.m_runs
     warnings: list[str] = []
-
-    if p < 1:
-        errors.append("need at least one forcing")
-    if n < p + 1:
-        errors.append(f"N={n} too small for p={p} forcings (need N >= p+1)")
-
-    tau_bar = ds.tau_bar
     if m < n:
         warnings.append(
             f"m={m} < N={n}: singular sample covariance (rank <= {m}); "
@@ -215,9 +221,7 @@ def validate_dataset(ds: DetectionDataset) -> tuple[str, ...]:
     for i, nrm in enumerate(col_norms):
         if nrm <= ZERO_FINGERPRINT_TOL:
             warnings.append(f"fingerprint column {i} has (near-)zero norm {nrm:.3e}")
+    tau_bar = ds.tau_bar
     if not tau_bar > 0.0:
-        errors.append(f"tr(S)/N = {tau_bar:.3g} <= 0: the control runs vanish, so lambda has no scale")
-
-    if errors:
-        raise DimensionMismatch("; ".join(errors))
+        raise DimensionMismatch(f"tr(S)/N = {tau_bar:.3g} <= 0: the control runs vanish, so lambda has no scale")
     return tuple(warnings)

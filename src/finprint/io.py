@@ -125,7 +125,7 @@ def load_dataset(manifest_path) -> DetectionDataset:
             sizes = np.array([r.shape[1] for r in runs])
         else:
             x_tilde = read_matrix(resolve(base, doc["x_tilde"]))
-            sizes = np.asarray(doc["ensemble_sizes"], dtype=int)
+            sizes = doc["ensemble_sizes"]
 
         control = None
         sample_cov = None
@@ -133,18 +133,17 @@ def load_dataset(manifest_path) -> DetectionDataset:
             control = read_matrix(resolve(base, doc["control_runs"]))
         else:
             sample_cov = SampleCovariance(
-                s=read_matrix(resolve(base, doc["sample_cov"])), m=int(doc["m_runs"])
+                s=read_matrix(resolve(base, doc["sample_cov"])), m=doc["m_runs"]
             )
+        return DetectionDataset(
+            y=y,
+            x_tilde=x_tilde,
+            ensemble_sizes=sizes,
+            control_runs=control,
+            sample_cov=sample_cov,
+        )
     except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong type or range
         raise SchemaError(f"{manifest_path}: bad field value ({exc})") from exc
-
-    return DetectionDataset(
-        y=y,
-        x_tilde=x_tilde,
-        ensemble_sizes=sizes,
-        control_runs=control,
-        sample_cov=sample_cov,
-    )
 
 
 def manifest_input_paths(manifest_path) -> list[Path]:

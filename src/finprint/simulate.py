@@ -24,8 +24,8 @@ from typing import get_args
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .dataset import DetectionDataset
-from .errors import DimensionMismatch, FinprintError, NotPSD, OutOfDomain, SchemaError
+from .dataset import DetectionDataset, as_count
+from .errors import DimensionMismatch, FinprintError, NonFinite, NotPSD, OutOfDomain, SchemaError
 from .io import read_json, read_matrix, resolve
 from .variance import FitOptions, fit_stack, prepare_cache
 
@@ -125,11 +125,6 @@ def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise OutOfDomain(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -169,6 +164,8 @@ class SeparableAr1Sigma:
     kind: str = field(default="separable_ar1", init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "spatial_dim", as_count(self.spatial_dim, "spatial_dim"))
+        object.__setattr__(self, "temporal_dim", as_count(self.temporal_dim, "temporal_dim"))
         object.__setattr__(self, "rho_spatial", float(self.rho_spatial))
         object.__setattr__(self, "rho_temporal", float(self.rho_temporal))
         if self.variances is not None:
@@ -208,7 +205,7 @@ class UnstructuredSigma:
     kind: str = field(default="unstructured", init=False)
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         object.__setattr__(self, "condition_number", float(self.condition_number))
 
     def build(self, n_dim: int) -> np.ndarray:
@@ -224,7 +221,7 @@ class SyntheticFingerprints:
     kind: str = field(default="synthetic", init=False)
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         r = self.column_correlation
         if not -1.0 < r < 1.0:
             raise OutOfDomain(f"column_correlation must be in (-1, 1), got {r}")
@@ -272,23 +269,20 @@ class SimulationScenario:
     alpha: float = 0.05
 
     def __post_init__(self):
-        # The coercions a scenario document's values go through.
-        for name, convert in (("n_dim", int), ("gamma", float), ("m_runs", int),
-                              ("replicates", int), ("base_seed", int), ("alpha", float)):
-            object.__setattr__(self, name, convert(getattr(self, name)))
+        for name, minimum in (("n_dim", 1), ("m_runs", 1), ("replicates", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, minimum))
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "true_beta", tuple(float(b) for b in self.true_beta))
-        object.__setattr__(self, "ensemble_sizes", tuple(int(n) for n in self.ensemble_sizes))
+        object.__setattr__(self, "ensemble_sizes", tuple(as_count(n, "ensemble sizes") for n in self.ensemble_sizes))
         if len(self.true_beta) != len(self.ensemble_sizes):
             raise DimensionMismatch("true_beta and ensemble_sizes must have equal length")
         if not self.true_beta:
             raise OutOfDomain("need at least one forcing: true_beta and ensemble_sizes are empty")
-        if min(self.n_dim, self.m_runs, *self.ensemble_sizes) < 1:
-            raise OutOfDomain("n_dim, m_runs and the ensemble sizes must be >= 1")
-        if not self.gamma >= 0.0:
-            raise OutOfDomain(f"gamma must be nonnegative, got {self.gamma}")
-        if self.replicates < 1:
-            raise OutOfDomain("replicates must be >= 1")
-        _check_seed(self.base_seed)
+        if not np.isfinite(self.true_beta).all():
+            raise NonFinite("true_beta contains NaN or infinite entries")
+        if not 0.0 <= self.gamma < np.inf:
+            raise OutOfDomain(f"gamma must be finite and nonnegative, got {self.gamma}")
         if not 0.0 < self.alpha < 1.0:
             raise OutOfDomain("alpha must be in (0, 1)")
         if isinstance(self.sigma_model, SeparableAr1Sigma):
@@ -499,9 +493,8 @@ def _run_chunk(scenario: SimulationScenario, indices, options: FitOptions) -> li
         records.extend(_record(i, f, scenario.true_beta) for (i, _), f in zip(entries, fits))
 
     for i in indices:
-        ds = gen.make(i)
         try:
-            cache = prepare_cache(ds)
+            cache = prepare_cache(gen.make(i))
         except FinprintError as exc:
             records.append(_record(i, exc, scenario.true_beta))
             continue

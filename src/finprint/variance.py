@@ -22,7 +22,7 @@ import numpy as np
 # the inference module (perfbench's layer tracer) sees every fit.
 from . import _symmetric, inference
 from ._symmetric import RCOND_TOL, ill_conditioned
-from .dataset import DetectionDataset, validate_dataset
+from .dataset import DetectionDataset, as_count, validate_dataset
 from .errors import FinprintError, NoFeasiblePoint, OutOfDomain
 from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid, stack_caches
 # tls_fit is unused here but stays importable from this module: perfbench's
@@ -164,8 +164,7 @@ class FitOptions:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise OutOfDomain(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.grid_size < 2:
-            raise OutOfDomain(f"grid_size must be >= 2, got {self.grid_size}")
+        object.__setattr__(self, "grid_size", as_count(self.grid_size, "grid_size", 2))
         if self.objective not in OBJECTIVES:
             raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
 
@@ -328,7 +327,7 @@ def select_lambda(
 def prepare_cache(ds: DetectionDataset) -> SpectralCache:
     """Validate a dataset and decompose it once for the lambda search.
 
-    Raises DimensionMismatch when validation fails. With m < N control
+    Raises DimensionMismatch when tr(S)/N <= 0. With m < N control
     runs, S = Z Z^T/m has rank <= m: the cache comes from the thin SVD of Z
     and S is never formed. A supplied S, or m >= N, keeps the eigh of S,
     which is then no more expensive.
@@ -341,8 +340,8 @@ def prepare_cache(ds: DetectionDataset) -> SpectralCache:
 def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> inference.FitResult:
     """End-to-end fit: cache, lambda search, covariance, intervals, verdicts.
 
-    ``fit_stack`` on a stack of one. Raises DimensionMismatch on
-    inconsistent inputs and NoFeasiblePoint when the search fails everywhere.
+    ``fit_stack`` on a stack of one. Raises DimensionMismatch when
+    tr(S)/N <= 0 and NoFeasiblePoint when the search fails everywhere.
     """
     return _fit_one(prepare_cache(ds), ds.ensemble_sizes, options)
 

@@ -443,6 +443,80 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    def test_all_replicates_failing_gives_strict_json(self, scenario_file, tmp_path):
+        # N = 2 < p + 1: every replicate's dataset fails to build, and each
+        # failure is a record, not an exit. The metrics have no finite value.
+        doc = json.loads(scenario_file.read_text())
+        doc["n_dim"] = 2
+        scenario_file.write_text(json.dumps(doc))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", str(scenario_file), "--output", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["metrics"]["failure_counts"] == {"DimensionMismatch": 2}
+        assert all(
+            value is None for m in report["metrics"]["per_forcing"] for key, value in m.items() if key != "index"
+        )
+
+
+    @pytest.mark.parametrize("changes", [{"gamma": float("inf")}, {"true_beta": [float("nan"), 1.0]}])
+    def test_nonfinite_scenario_number_exit_2(self, scenario_file, changes, capsys):
+        # Rejected with the scenario, before any replicate: a report could not hold it as JSON.
+        doc = json.loads(scenario_file.read_text())
+        scenario_file.write_text(json.dumps({**doc, **changes}))
+        assert main(["simulate", str(scenario_file)]) == 2
+        assert_one_error_line(capsys)
+
+
+class TestNonIntegerCounts:
+    """A count that is not an integer exits 2 with one line; it is never truncated."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"ensemble_sizes": [35.7, 46.2]},
+            {"ensemble_sizes": [35.0, 46]},
+            {"ensemble_sizes": [True, 46]},
+            {"sample_cov": "s.txt", "m_runs": 20.9},
+            {"sample_cov": "s.txt", "m_runs": 20.0},
+        ],
+    )
+    def test_manifest(self, manifest, changes, capsys):
+        doc = json.loads(manifest.read_text())
+        if "sample_cov" in changes:
+            write_matrix(manifest.parent / "s.txt", np.eye(16))
+            del doc["control_runs"]
+        manifest.write_text(json.dumps({**doc, **changes}))
+        assert main(["fit", str(manifest)]) == 2
+        assert "must be an integer" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"n_dim": 12.7},
+            {"m_runs": 24.5},
+            {"replicates": 2.5},
+            {"base_seed": 17.9},
+            {"ensemble_sizes": [3.5, 5]},
+            {"n_dim": 12.0},
+            {"true_x": {"kind": "synthetic", "seed": 3.0}},
+            {"sigma_model": {"kind": "unstructured", "seed": 2.5}},
+            {"sigma_model": {"kind": "separable_ar1", "spatial_dim": 3.0, "temporal_dim": 4,
+                             "rho_spatial": 0.1, "rho_temporal": 0.1}},
+            {"sigma_model": {"kind": "separable_ar1", "spatial_dim": 3, "temporal_dim": 4.5,
+                             "rho_spatial": 0.1, "rho_temporal": 0.1}},
+        ],
+    )
+    def test_scenario(self, scenario_file, changes, capsys):
+        doc = json.loads(scenario_file.read_text())
+        scenario_file.write_text(json.dumps({**doc, **changes}))
+        assert main(["simulate", str(scenario_file)]) == 2
+        assert "must be an integer" in assert_one_error_line(capsys)
+
+
 class TestVersionCommand:
     def test_version(self, capsys):
         assert main(["version"]) == 0

@@ -80,25 +80,23 @@ class TestValidateDataset:
 
     def test_y_length_mismatch_raises(self):
         rng = np.random.default_rng(0)
-        ds = fp.DetectionDataset(
-            y=rng.standard_normal(10),
-            x_tilde=rng.standard_normal((9, 1)),
-            ensemble_sizes=[4],
-            control_runs=rng.standard_normal((9, 3)),
-        )
         with pytest.raises(fp.DimensionMismatch):
-            fp.validate_dataset(ds)
+            fp.DetectionDataset(
+                y=rng.standard_normal(10),
+                x_tilde=rng.standard_normal((9, 1)),
+                ensemble_sizes=[4],
+                control_runs=rng.standard_normal((9, 3)),
+            )
 
     def test_ensemble_sizes_mismatch_raises(self):
         rng = np.random.default_rng(0)
-        ds = fp.DetectionDataset(
-            y=rng.standard_normal(6),
-            x_tilde=rng.standard_normal((6, 2)),
-            ensemble_sizes=[4, 5, 6],
-            control_runs=rng.standard_normal((6, 3)),
-        )
         with pytest.raises(fp.DimensionMismatch):
-            fp.validate_dataset(ds)
+            fp.DetectionDataset(
+                y=rng.standard_normal(6),
+                x_tilde=rng.standard_normal((6, 2)),
+                ensemble_sizes=[4, 5, 6],
+                control_runs=rng.standard_normal((6, 3)),
+            )
 
     def test_singular_covariance_is_warning_not_error(self, dataset_factory):
         # m < N is the normal regime in practice; the report must flag it
@@ -129,14 +127,13 @@ class TestValidateDataset:
 
     def test_too_few_rows_is_error(self):
         rng = np.random.default_rng(2)
-        ds = fp.DetectionDataset(
-            y=rng.standard_normal(2),
-            x_tilde=rng.standard_normal((2, 2)),
-            ensemble_sizes=[1, 1],
-            control_runs=rng.standard_normal((2, 4)),
-        )
         with pytest.raises(fp.DimensionMismatch, match="too small for p=2"):
-            fp.validate_dataset(ds)
+            fp.DetectionDataset(
+                y=rng.standard_normal(2),
+                x_tilde=rng.standard_normal((2, 2)),
+                ensemble_sizes=[1, 1],
+                control_runs=rng.standard_normal((2, 4)),
+            )
 
 
 class TestDetectionDataset:
@@ -171,3 +168,58 @@ class TestDetectionDataset:
                 ensemble_sizes=[1],
                 control_runs=np.ones((2, 2)),
             )
+
+
+def scenario(**overrides):
+    base = dict(
+        n_dim=4, true_beta=(1.0,), gamma=1.0, ensemble_sizes=(4,), m_runs=4,
+        sigma_model=fp.IdentitySigma(), true_x=fp.SyntheticFingerprints(seed=4),
+        replicates=4, base_seed=4,
+    )
+    return fp.SimulationScenario(**{**base, **overrides})
+
+
+# Each count or seed field, built from a value that is valid when it is the integer 4.
+COUNT_FIELDS = {
+    "DetectionDataset.ensemble_sizes": lambda v: fp.DetectionDataset(
+        y=np.arange(3.0), x_tilde=np.ones((3, 1)), ensemble_sizes=[v], control_runs=np.ones((3, 2))
+    ),
+    "SampleCovariance.m": lambda v: fp.SampleCovariance(s=np.eye(3), m=v),
+    "FitOptions.grid_size": lambda v: fp.FitOptions(grid_size=v),
+    "SimulationScenario.n_dim": lambda v: scenario(n_dim=v),
+    "SimulationScenario.m_runs": lambda v: scenario(m_runs=v),
+    "SimulationScenario.replicates": lambda v: scenario(replicates=v),
+    "SimulationScenario.base_seed": lambda v: scenario(base_seed=v),
+    "SimulationScenario.ensemble_sizes": lambda v: scenario(ensemble_sizes=(v,)),
+    "SeparableAr1Sigma.spatial_dim": lambda v: fp.SeparableAr1Sigma(v, 1, 0.1, 0.1),
+    "SeparableAr1Sigma.temporal_dim": lambda v: fp.SeparableAr1Sigma(1, v, 0.1, 0.1),
+    "UnstructuredSigma.seed": lambda v: fp.UnstructuredSigma(seed=v),
+    "SyntheticFingerprints.seed": lambda v: fp.SyntheticFingerprints(seed=v),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_integers_are_accepted(self, field):
+        COUNT_FIELDS[field](4)
+        COUNT_FIELDS[field](np.int64(4))
+
+    @pytest.mark.parametrize("value", [4.5, 48.7, 4.0, "4", True, None])
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_non_integer_raises_rather_than_truncating(self, field, value):
+        with pytest.raises(fp.OutOfDomain, match="must be an integer"):
+            COUNT_FIELDS[field](value)
+
+    def test_as_count(self):
+        value = fp.dataset.as_count(np.int32(7), "n")
+        assert value == 7 and type(value) is int
+        assert fp.dataset.as_count(0, "seed", 0) == 0
+        with pytest.raises(fp.OutOfDomain, match=r"^seed must be >= 0, got -1$"):
+            fp.dataset.as_count(-1, "seed", 0)
+        with pytest.raises(fp.OutOfDomain, match=r"^grid_size must be >= 2, got 1$"):
+            fp.dataset.as_count(1, "grid_size", 2)
+
+    def test_stored_as_python_int(self):
+        scn = scenario(n_dim=np.int64(4), base_seed=np.uint8(4), ensemble_sizes=np.array([4]))
+        assert all(type(v) is int for v in (scn.n_dim, scn.base_seed, *scn.ensemble_sizes))
+        assert type(fp.FitOptions(grid_size=np.int16(5)).grid_size) is int

@@ -2,9 +2,10 @@
 
 Whatever the input, ``main`` returns a documented exit code, reports a
 failure as exactly one stderr line (besides ``warning:`` lines) and raises
-nothing. Generated values are kept small, so no field can ask for real work,
-and file names never contain a path separator, so every referenced file
-resolves inside the test's directory.
+nothing; a count that holds a float never succeeds. Generated values are
+kept small, so no field can ask for real work, and file names never contain
+a path separator, so every referenced file resolves inside the test's
+directory.
 """
 
 import json
@@ -47,6 +48,9 @@ MANIFEST = {
     "control_runs": "control.txt",
 }
 MANIFEST_KEYS = [*MANIFEST, "forcing_runs", "sample_cov", "m_runs"]
+# The integer-valued keys of a scenario document and of its models.
+SCENARIO_COUNTS = ("n_dim", "m_runs", "replicates", "base_seed", "ensemble_sizes")
+MODEL_COUNTS = ("seed", "spatial_dim", "temporal_dim")
 
 SCENARIO = {
     "n_dim": 6,
@@ -106,6 +110,12 @@ def apply(doc, changes):
     return out
 
 
+def holds_float(doc, keys):
+    """Whether one of ``keys`` of ``doc`` holds a float, alone or in a list."""
+    values = [doc.get(key) for key in keys]
+    return any(isinstance(v, float) or isinstance(v, list) and any(isinstance(e, float) for e in v) for v in values)
+
+
 def write_inputs(folder):
     rng = np.random.default_rng(1)
     write_matrix(folder / "sigma.txt", np.eye(6))
@@ -140,10 +150,16 @@ def folder(tmp_path):
 @example(changes={"y": [None]})
 @example(changes={"ensemble_sizes": [["a", 1]]})
 @example(changes={"sample_cov": ["control.txt"], "m_runs": [3]})
+@example(changes={"ensemble_sizes": [[35.7, 46.2]]})
+@example(changes={"ensemble_sizes": [35.0]})
 def test_manifest_fields(folder, capsys, changes):
     path = folder / "manifest.json"
-    path.write_text(json.dumps(apply(MANIFEST, changes)))
-    assert_clean_exit(["fit", str(path), "--output", str(folder / "report.json")], capsys)
+    doc = apply(MANIFEST, changes)
+    path.write_text(json.dumps(doc))
+    code = assert_clean_exit(["fit", str(path), "--output", str(folder / "report.json")], capsys)
+    # Manifest counts are read only on the route that uses them.
+    if "x_tilde" in doc and holds_float(doc, ["ensemble_sizes"]) or "sample_cov" in doc and holds_float(doc, ["m_runs"]):
+        assert code != 0
 
 
 @FUZZ
@@ -191,10 +207,17 @@ def test_matrix_files(folder, capsys, target, content):
 @example(changes={"m_runs": [-1]}, raw=None)
 @example(changes={"true_x": [{"kind": "synthetic", "seed": -1}]}, raw=None)
 @example(changes={"sigma_model": [{"kind": "unstructured", "seed": "a"}]}, raw=None)
+@example(changes={"n_dim": [6.5]}, raw=None)
+@example(changes={"base_seed": [17.0]}, raw=None)
+@example(changes={"true_x": [{"kind": "synthetic", "seed": 3.5}]}, raw=None)
 def test_scenario_files(folder, capsys, changes, raw):
     path = folder / "scenario.json"
+    doc = apply(SCENARIO, changes)
     if raw is None:
-        path.write_text(json.dumps(apply(SCENARIO, changes)))
+        path.write_text(json.dumps(doc))
     else:
         path.write_bytes(raw)
-    assert_clean_exit(["simulate", str(path), "--replicates", "1"], capsys)
+    code = assert_clean_exit(["simulate", str(path), "--replicates", "1"], capsys)
+    models = [doc[label] for label in ("sigma_model", "true_x") if isinstance(doc.get(label), dict)]
+    if raw is None and (holds_float(doc, SCENARIO_COUNTS) or any(holds_float(m, MODEL_COUNTS) for m in models)):
+        assert code != 0

@@ -342,13 +342,13 @@ class TestFitOptimal:
 
     def test_validation_failure_raises(self):
         rng = np.random.default_rng(0)
-        ds = fp.DetectionDataset(
-            y=rng.standard_normal(2),
-            x_tilde=rng.standard_normal((2, 2)),
-            ensemble_sizes=[1, 1],
-            control_runs=rng.standard_normal((2, 4)),
-        )
         with pytest.raises(fp.DimensionMismatch):
+            ds = fp.DetectionDataset(
+                y=rng.standard_normal(2),
+                x_tilde=rng.standard_normal((2, 2)),
+                ensemble_sizes=[1, 1],
+                control_runs=rng.standard_normal((2, 4)),
+            )
             fp.fit_optimal(ds)
 
     def test_options_validation(self):
