@@ -28,16 +28,23 @@ __all__ = [
 ZERO_FINGERPRINT_TOL = 1e-12
 
 
+# Largest count or seed accepted: what an int64 holds.
+MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
 def as_count(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int: a Python or NumPy integer of at least ``minimum``.
+    """``value`` as an int: a Python or NumPy integer from ``minimum`` to MAX_COUNT.
 
     Every count and seed goes through this rule. A float (even 48.0), a bool
-    or a string raises OutOfDomain rather than being truncated.
+    or a string raises OutOfDomain rather than being truncated, and so does
+    an integer no int64 holds.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise OutOfDomain(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise OutOfDomain(f"{name} must be >= {minimum}, got {value!r}")
+    if value > MAX_COUNT:
+        raise OutOfDomain(f"{name} must be <= {MAX_COUNT}, got {value!r}")
     return int(value)
 
 

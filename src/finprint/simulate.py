@@ -40,9 +40,6 @@ __all__ = [
     "ForcingMetrics",
     "ReplicateRecord",
     "SimulationReport",
-    "build_sigma_st",
-    "build_sigma_un",
-    "sample_mvn",
     "generate_replicate",
     "run_scenario",
     "stack_size",
@@ -68,78 +65,18 @@ STACK_ELEMENTS = 2**16
 
 
 def _ar1_correlation(dim: int, rho: float) -> np.ndarray:
-    if not abs(rho) < 1.0:
-        raise OutOfDomain(f"AR(1) coefficient must satisfy |rho| < 1, got {rho}")
     return toeplitz(rho ** np.arange(dim))
 
 
-def build_sigma_st(
-    spatial_dim: int,
-    temporal_dim: int,
-    rho_spatial: float,
-    rho_temporal: float,
-    variances=None,
-) -> np.ndarray:
-    """Separable spatio-temporal covariance.
-
-    The correlation is the Kronecker product of spatial and temporal AR(1)
-    correlation matrices (entry rho^|i-j|); ``variances`` scales the
-    diagonal (unit variances when omitted). Index order is spatial-major:
-    coordinate k = s * temporal_dim + t.
-    """
-    n = spatial_dim * temporal_dim
-    corr = np.kron(
-        _ar1_correlation(spatial_dim, rho_spatial),
-        _ar1_correlation(temporal_dim, rho_temporal),
-    )
-    if variances is None:
-        return corr
-    v = np.asarray(variances, dtype=float)
-    if v.shape != (n,):
-        raise DimensionMismatch(f"variances must have length {n}, got {v.shape}")
-    if (v <= 0.0).any():
-        raise OutOfDomain("variances must be positive")
-    root_v = np.sqrt(v)
-    return corr * np.outer(root_v, root_v)
-
-
-def build_sigma_un(n_dim: int, seed: int, condition_number: float = 1e3) -> np.ndarray:
-    """Seeded unstructured SPD covariance: random orthogonal conjugation of a
-    geometrically decaying spectrum, normalized to unit average eigenvalue."""
-    if condition_number < 1.0:
-        raise OutOfDomain("condition_number must be >= 1")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n_dim, n_dim)))
-    eigvals = np.geomspace(1.0, 1.0 / condition_number, n_dim)
-    eigvals /= eigvals.mean()
-    sigma = (q * eigvals) @ q.T
-    return 0.5 * (sigma + sigma.T)
-
-
 def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
+    """Symmetric square root; NotPSD for a genuinely negative eigenvalue
+    (round-off negatives are clamped to zero)."""
     sigma = np.asarray(sigma, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     floor = -PSD_TOL * max(float(eigvals[-1]), 1.0)
     if eigvals[0] < floor:
         raise NotPSD(f"matrix has eigenvalue {eigvals[0]:.3e} below tolerance")
     return (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_mvn(sigma, count: int, seed) -> np.ndarray:
-    """Draw ``count`` i.i.d. N(0, sigma) columns via the symmetric square root.
-
-    Deterministic given the seed; raises NotPSD when sigma has a genuinely
-    negative eigenvalue (round-off negatives are clamped to zero).
-    """
-    root = _psd_sqrt(sigma)
-    rng = _as_rng(seed)
-    return root @ rng.standard_normal((root.shape[0], count))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +93,14 @@ class IdentitySigma:
 
 @dataclass(frozen=True)
 class SeparableAr1Sigma:
+    """Separable spatio-temporal covariance.
+
+    The correlation is the Kronecker product of spatial and temporal AR(1)
+    correlation matrices (entry rho^|i-j|); ``variances`` scales the
+    diagonal (unit variances when omitted). Index order is spatial-major:
+    coordinate k = s * temporal_dim + t.
+    """
+
     spatial_dim: int
     temporal_dim: int
     rho_spatial: float
@@ -166,24 +111,38 @@ class SeparableAr1Sigma:
     def __post_init__(self):
         object.__setattr__(self, "spatial_dim", as_count(self.spatial_dim, "spatial_dim"))
         object.__setattr__(self, "temporal_dim", as_count(self.temporal_dim, "temporal_dim"))
-        object.__setattr__(self, "rho_spatial", float(self.rho_spatial))
-        object.__setattr__(self, "rho_temporal", float(self.rho_temporal))
+        for name in ("rho_spatial", "rho_temporal"):
+            rho = float(getattr(self, name))
+            if not abs(rho) < 1.0:
+                raise OutOfDomain(f"{name}: AR(1) coefficient must satisfy |rho| < 1, got {rho}")
+            object.__setattr__(self, name, rho)
         if self.variances is not None:
-            object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
+            v = tuple(float(x) for x in self.variances)
+            n = self.spatial_dim * self.temporal_dim
+            if len(v) != n:
+                raise DimensionMismatch(f"variances must have length spatial_dim * temporal_dim = {n}, got {len(v)}")
+            if not np.isfinite(v).all():
+                raise NonFinite("variances contains NaN or infinite entries")
+            if min(v) <= 0.0:
+                raise OutOfDomain("variances must be positive")
+            object.__setattr__(self, "variances", v)
+
+    def check_n_dim(self, n_dim: int) -> None:
+        """DimensionMismatch unless spatial_dim * temporal_dim equals ``n_dim``."""
+        n = self.spatial_dim * self.temporal_dim
+        if n != n_dim:
+            raise DimensionMismatch(f"spatial_dim * temporal_dim = {n} must equal n_dim = {n_dim}")
 
     def build(self, n_dim: int) -> np.ndarray:
-        if self.spatial_dim * self.temporal_dim != n_dim:
-            raise DimensionMismatch(
-                f"spatial_dim * temporal_dim = {self.spatial_dim * self.temporal_dim} "
-                f"must equal n_dim = {n_dim}"
-            )
-        return build_sigma_st(
-            self.spatial_dim,
-            self.temporal_dim,
-            self.rho_spatial,
-            self.rho_temporal,
-            self.variances,
+        self.check_n_dim(n_dim)
+        corr = np.kron(
+            _ar1_correlation(self.spatial_dim, self.rho_spatial),
+            _ar1_correlation(self.temporal_dim, self.rho_temporal),
         )
+        if self.variances is None:
+            return corr
+        root_v = np.sqrt(np.asarray(self.variances, dtype=float))
+        return corr * np.outer(root_v, root_v)
 
 
 @dataclass(frozen=True)
@@ -200,16 +159,27 @@ class UserMatrixSigma:
 
 @dataclass(frozen=True)
 class UnstructuredSigma:
+    """Seeded unstructured SPD covariance: random orthogonal conjugation of a
+    geometrically decaying spectrum, normalized to unit average eigenvalue."""
+
     seed: int
     condition_number: float = 1e3
     kind: str = field(default="unstructured", init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
-        object.__setattr__(self, "condition_number", float(self.condition_number))
+        c = float(self.condition_number)
+        if not 1.0 <= c < np.inf:
+            raise OutOfDomain(f"condition_number must be finite and >= 1, got {c}")
+        object.__setattr__(self, "condition_number", c)
 
     def build(self, n_dim: int) -> np.ndarray:
-        return build_sigma_un(n_dim, self.seed, self.condition_number)
+        rng = np.random.default_rng(self.seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n_dim, n_dim)))
+        eigvals = np.geomspace(1.0, 1.0 / self.condition_number, n_dim)
+        eigvals /= eigvals.mean()
+        sigma = (q * eigvals) @ q.T
+        return 0.5 * (sigma + sigma.T)
 
 
 @dataclass(frozen=True)
@@ -283,12 +253,9 @@ class SimulationScenario:
             raise NonFinite("true_beta contains NaN or infinite entries")
         if not 0.0 <= self.gamma < np.inf:
             raise OutOfDomain(f"gamma must be finite and nonnegative, got {self.gamma}")
-        if not 0.0 < self.alpha < 1.0:
-            raise OutOfDomain("alpha must be in (0, 1)")
+        self.fit_options  # building the FitOptions checks alpha
         if isinstance(self.sigma_model, SeparableAr1Sigma):
-            st = self.sigma_model.spatial_dim * self.sigma_model.temporal_dim
-            if st != self.n_dim:
-                raise DimensionMismatch(f"n_dim={self.n_dim} but spatial*temporal={st}")
+            self.sigma_model.check_n_dim(self.n_dim)
 
     @property
     def n_forcings(self) -> int:

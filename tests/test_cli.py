@@ -331,6 +331,10 @@ class TestLambdaCurveCommand:
         assert chosen == pytest.approx(np.linalg.det(doc["xi_hat"]), rel=1e-12)
 
 
+# A separable_ar1 sigma model for the 12-point scenario_file.
+SEPARABLE = {"kind": "separable_ar1", "spatial_dim": 3, "temporal_dim": 4, "rho_spatial": 0.1, "rho_temporal": 0.1}
+
+
 class TestSimulateCommand:
     def test_smoke(self, scenario_file, tmp_path):
         out = tmp_path / "sim.json"
@@ -462,13 +466,40 @@ class TestSimulateCommand:
         )
 
 
-    @pytest.mark.parametrize("changes", [{"gamma": float("inf")}, {"true_beta": [float("nan"), 1.0]}])
-    def test_nonfinite_scenario_number_exit_2(self, scenario_file, changes, capsys):
-        # Rejected with the scenario, before any replicate: a report could not hold it as JSON.
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_not_psd_sigma_exit_2(self, scenario_file, jobs, capsys):
+        sigma = np.eye(12)
+        sigma[0, 1] = sigma[1, 0] = 2.0  # eigenvalue -1
+        write_matrix(scenario_file.parent / "sigma.txt", sigma)
+        doc = json.loads(scenario_file.read_text())
+        doc["sigma_model"] = {"kind": "user_matrix", "path": "sigma.txt"}
+        scenario_file.write_text(json.dumps(doc))
+        assert main(["simulate", str(scenario_file), "--jobs", jobs]) == 2
+        assert "below tolerance" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"sigma_model": {**SEPARABLE, "variances": [1.0, float("inf")] + [1.0] * 10}},
+            {"sigma_model": {**SEPARABLE, "variances": [float("nan")] + [1.0] * 11}},
+            {"sigma_model": {**SEPARABLE, "variances": [1.0] * 11}},
+            {"sigma_model": {**SEPARABLE, "rho_spatial": float("nan")}},
+            {"sigma_model": {"kind": "unstructured", "seed": 2, "condition_number": float("inf")}},
+            {"sigma_model": {"kind": "unstructured", "seed": 2, "condition_number": float("nan")}},
+            {"m_runs": 10**30},
+            {"gamma": float("inf")},
+            {"true_beta": [float("nan"), 1.0]},
+        ],
+    )
+    def test_bad_scenario_number_exit_2_at_load(self, scenario_file, changes, jobs, capsys):
+        # Rejected when the document is read, before any replicate, so the line
+        # names it whatever --jobs is: a report could not hold a non-finite
+        # number as JSON.
         doc = json.loads(scenario_file.read_text())
         scenario_file.write_text(json.dumps({**doc, **changes}))
-        assert main(["simulate", str(scenario_file)]) == 2
-        assert_one_error_line(capsys)
+        assert main(["simulate", str(scenario_file), "--jobs", jobs]) == 2
+        assert assert_one_error_line(capsys).startswith(f"error: {scenario_file}: ")
 
 
 class TestNonIntegerCounts:

@@ -210,6 +210,13 @@ class TestCounts:
         with pytest.raises(fp.OutOfDomain, match="must be an integer"):
             COUNT_FIELDS[field](value)
 
+    @pytest.mark.parametrize("value", [2**63, 10**30])
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_above_int64_raises(self, field, value):
+        COUNT_FIELDS[field](2**63 - 1)
+        with pytest.raises(fp.OutOfDomain, match=rf"must be <= 9223372036854775807, got {value}$"):
+            COUNT_FIELDS[field](value)
+
     def test_as_count(self):
         value = fp.dataset.as_count(np.int32(7), "n")
         assert value == 7 and type(value) is int

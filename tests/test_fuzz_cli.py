@@ -2,13 +2,16 @@
 
 Whatever the input, ``main`` returns a documented exit code, reports a
 failure as exactly one stderr line (besides ``warning:`` lines) and raises
-nothing; a count that holds a float never succeeds. Generated values are
+nothing; a count that holds a float never succeeds, and a non-finite model
+number or a scenario count past int64 ends neither in success nor in a
+numeric failure. Generated values are
 kept small, so no field can ask for real work, and file names never contain
 a path separator, so every referenced file resolves inside the test's
 directory.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -110,10 +113,22 @@ def apply(doc, changes):
     return out
 
 
-def holds_float(doc, keys):
-    """Whether one of ``keys`` of ``doc`` holds a float, alone or in a list."""
+def is_float(value):
+    return isinstance(value, float)
+
+
+def is_nonfinite(value):
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def is_huge(value):
+    return isinstance(value, int) and value > np.iinfo(np.int64).max
+
+
+def holds(doc, keys, test=is_float):
+    """Whether one of ``keys`` of ``doc`` holds a value that passes ``test``, alone or in a list."""
     values = [doc.get(key) for key in keys]
-    return any(isinstance(v, float) or isinstance(v, list) and any(isinstance(e, float) for e in v) for v in values)
+    return any(test(v) or isinstance(v, list) and any(test(e) for e in v) for v in values)
 
 
 def write_inputs(folder):
@@ -158,7 +173,7 @@ def test_manifest_fields(folder, capsys, changes):
     path.write_text(json.dumps(doc))
     code = assert_clean_exit(["fit", str(path), "--output", str(folder / "report.json")], capsys)
     # Manifest counts are read only on the route that uses them.
-    if "x_tilde" in doc and holds_float(doc, ["ensemble_sizes"]) or "sample_cov" in doc and holds_float(doc, ["m_runs"]):
+    if "x_tilde" in doc and holds(doc, ["ensemble_sizes"]) or "sample_cov" in doc and holds(doc, ["m_runs"]):
         assert code != 0
 
 
@@ -210,6 +225,11 @@ def test_matrix_files(folder, capsys, target, content):
 @example(changes={"n_dim": [6.5]}, raw=None)
 @example(changes={"base_seed": [17.0]}, raw=None)
 @example(changes={"true_x": [{"kind": "synthetic", "seed": 3.5}]}, raw=None)
+@example(changes={"sigma_model": [{**MODELS[1], "variances": [1.0, float("inf"), 1.0, 1.0, 1.0, 1.0]}]}, raw=None)
+@example(changes={"sigma_model": [{**MODELS[1], "variances": [float("nan"), 1.0, 1.0, 1.0, 1.0, 1.0]}]}, raw=None)
+@example(changes={"sigma_model": [{**MODELS[2], "condition_number": float("inf")}]}, raw=None)
+@example(changes={"sigma_model": [{**MODELS[2], "condition_number": float("nan")}]}, raw=None)
+@example(changes={"m_runs": [10**30]}, raw=None)
 def test_scenario_files(folder, capsys, changes, raw):
     path = folder / "scenario.json"
     doc = apply(SCENARIO, changes)
@@ -219,5 +239,8 @@ def test_scenario_files(folder, capsys, changes, raw):
         path.write_bytes(raw)
     code = assert_clean_exit(["simulate", str(path), "--replicates", "1"], capsys)
     models = [doc[label] for label in ("sigma_model", "true_x") if isinstance(doc.get(label), dict)]
-    if raw is None and (holds_float(doc, SCENARIO_COUNTS) or any(holds_float(m, MODEL_COUNTS) for m in models)):
+    if raw is None and (holds(doc, SCENARIO_COUNTS) or any(holds(m, MODEL_COUNTS) for m in models)):
         assert code != 0
+    # A non-finite model number or a count past int64 is an input error, found at load.
+    if raw is None and (any(holds(m, list(m), is_nonfinite) for m in models) or holds(doc, SCENARIO_COUNTS, is_huge)):
+        assert code not in (0, 4)

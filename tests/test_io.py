@@ -256,9 +256,10 @@ class TestScenarioDocuments:
         doc["sigma_model"]["rho_spatial"] = 1.5
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        scn = load_scenario(path)  # loads fine; building the matrix fails
-        with pytest.raises(fp.OutOfDomain, match=r"AR\(1\) coefficient must satisfy \|rho\| < 1, got 1.5"):
-            fp.generate_replicate(scn, 0)
+        # Rejected when the scenario is loaded, with the document's path.
+        message = r"scenario\.json: rho_spatial: AR\(1\) coefficient must satisfy \|rho\| < 1, got 1.5"
+        with pytest.raises(SchemaError, match=message):
+            load_scenario(path)
 
     def test_unstructured_kind(self):
         doc = self.scenario_doc()
@@ -270,7 +271,7 @@ class TestScenarioDocuments:
         assert eigvals.min() > 0
 
     def test_user_matrix_paths_resolve_relative(self, tmp_path):
-        sigma = fp.simulate.build_sigma_st(4, 3, 0.1, 0.1)
+        sigma = fp.SeparableAr1Sigma(4, 3, 0.1, 0.1).build(12)
         write_matrix(tmp_path / "sigma.txt", sigma)
         doc = self.scenario_doc()
         doc["sigma_model"] = {"kind": "user_matrix", "path": "sigma.txt"}

@@ -6,68 +6,54 @@ import oracles
 from finprint.spectral import rmt_grid
 
 
-class TestBuildSigmaSt:
+class TestSeparableAr1Sigma:
     def test_two_sites_one_step(self):
-        sigma = fp.simulate.build_sigma_st(2, 1, 0.1, 0.5)
+        sigma = fp.SeparableAr1Sigma(2, 1, 0.1, 0.5).build(2)
         np.testing.assert_allclose(sigma, [[1.0, 0.1], [0.1, 1.0]])
 
     def test_zero_correlation_gives_diagonal(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        sigma = fp.simulate.build_sigma_st(2, 2, 0.0, 0.0, v)
+        sigma = fp.SeparableAr1Sigma(2, 2, 0.0, 0.0, v).build(4)
         np.testing.assert_allclose(sigma, np.diag(v))
 
     def test_kronecker_cross_entry(self):
-        sigma = fp.simulate.build_sigma_st(2, 2, 0.1, 0.5)
+        sigma = fp.SeparableAr1Sigma(2, 2, 0.1, 0.5).build(4)
         # coordinates (s, t): k = 2s + t; entry between (0,0) and (1,1)
         assert sigma[0, 3] == pytest.approx(0.1 * 0.5)
 
     def test_invalid_correlation(self):
         with pytest.raises(fp.OutOfDomain, match=r"AR\(1\) coefficient must satisfy \|rho\| < 1, got 1.5"):
-            fp.simulate.build_sigma_st(2, 2, 1.5, 0.1)
+            fp.SeparableAr1Sigma(2, 2, 1.5, 0.1)
         with pytest.raises(fp.OutOfDomain, match=r"AR\(1\) coefficient must satisfy \|rho\| < 1, got 1.0"):
-            fp.simulate.build_sigma_st(2, 2, 0.1, 1.0)
+            fp.SeparableAr1Sigma(2, 2, 0.1, 1.0)
 
     def test_positive_variances_required(self):
         with pytest.raises(fp.OutOfDomain, match="variances must be positive"):
-            fp.simulate.build_sigma_st(2, 1, 0.1, 0.0, [1.0, -1.0])
+            fp.SeparableAr1Sigma(2, 1, 0.1, 0.0, [1.0, -1.0])
+
+    def test_variances_length_checked_on_construction(self):
+        message = r"variances must have length spatial_dim \* temporal_dim = 4, got 3"
+        with pytest.raises(fp.DimensionMismatch, match=message):
+            fp.SeparableAr1Sigma(2, 2, 0.1, 0.1, [1.0, 2.0, 3.0])
 
     def test_positive_definite(self):
-        sigma = fp.simulate.build_sigma_st(8, 6, 0.1, 0.1)
+        sigma = fp.SeparableAr1Sigma(8, 6, 0.1, 0.1).build(48)
         assert np.linalg.eigvalsh(sigma).min() > 0
 
 
-class TestBuildSigmaUn:
+class TestUnstructuredSigma:
     def test_seeded_and_spd(self):
-        s1 = fp.simulate.build_sigma_un(16, seed=4)
-        s2 = fp.simulate.build_sigma_un(16, seed=4)
+        s1 = fp.UnstructuredSigma(seed=4).build(16)
+        s2 = fp.UnstructuredSigma(seed=4).build(16)
         np.testing.assert_array_equal(s1, s2)
         eigvals = np.linalg.eigvalsh(s1)
         assert eigvals.min() > 0
         assert eigvals[-1] / eigvals[0] == pytest.approx(1e3, rel=1e-6)
         assert eigvals.mean() == pytest.approx(1.0)
 
-
-class TestSampleMvn:
-    def test_zero_covariance(self):
-        out = fp.simulate.sample_mvn(np.zeros((3, 3)), 5, seed=0)
-        np.testing.assert_array_equal(out, np.zeros((3, 5)))
-
-    def test_deterministic_given_seed(self):
-        sigma = fp.simulate.build_sigma_st(2, 2, 0.3, 0.2)
-        a = fp.simulate.sample_mvn(sigma, 10, seed=77)
-        b = fp.simulate.sample_mvn(sigma, 10, seed=77)
-        np.testing.assert_array_equal(a, b)
-
-    def test_large_sample_variances(self):
-        sigma = np.diag([1.0, 4.0])
-        draws = fp.simulate.sample_mvn(sigma, 100_000, seed=5)
-        variances = draws.var(axis=1)
-        assert 0.97 <= variances[0] <= 1.03
-        assert 0.97 * 4.0 <= variances[1] <= 1.03 * 4.0
-
-    def test_not_psd_rejected(self):
-        with pytest.raises(fp.NotPSD):
-            fp.simulate.sample_mvn(np.array([[1.0, 2.0], [2.0, 1.0]]), 3, seed=0)
+    def test_condition_number_below_one_rejected(self):
+        with pytest.raises(fp.OutOfDomain, match=r"condition_number must be finite and >= 1, got 0.5"):
+            fp.UnstructuredSigma(seed=4, condition_number=0.5)
 
 
 def small_scenario(**overrides):
@@ -124,6 +110,25 @@ class TestGenerateReplicate:
         b = fp.generate_replicate(scn, 1)
         assert not np.array_equal(a.y, b.y)
         assert not np.array_equal(a.control_runs, b.control_runs)
+
+    def test_control_run_variances_follow_sigma(self):
+        scn = small_scenario(
+            n_dim=2, true_beta=(1.0,), ensemble_sizes=(3,), m_runs=100_000, replicates=1,
+            sigma_model=fp.SeparableAr1Sigma(2, 1, 0.0, 0.0, (1.0, 4.0)),
+        )
+        variances = fp.generate_replicate(scn, 0).control_runs.var(axis=1)
+        assert 0.97 <= variances[0] <= 1.03
+        assert 0.97 * 4.0 <= variances[1] <= 1.03 * 4.0
+
+    def test_not_psd_sigma_rejected(self, tmp_path):
+        from finprint.io import write_matrix
+
+        sigma = np.eye(12)
+        sigma[0, 1] = sigma[1, 0] = 2.0  # eigenvalue -1
+        write_matrix(tmp_path / "sigma.txt", sigma)
+        scn = small_scenario(sigma_model=fp.UserMatrixSigma(path=str(tmp_path / "sigma.txt")))
+        with pytest.raises(fp.NotPSD, match="below tolerance"):
+            fp.generate_replicate(scn, 0)
 
     def test_measurement_noise_scales_with_ensemble_size(self):
         big = small_scenario(ensemble_sizes=(10_000, 10_000), replicates=1)
@@ -318,7 +323,7 @@ class TestGlsOracle:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, 2))
         beta = np.array([0.4, -1.2])
-        sigma = fp.simulate.build_sigma_st(7, 1, 0.3, 0.0)
+        sigma = fp.SeparableAr1Sigma(7, 1, 0.3, 0.0).build(7)
         np.testing.assert_allclose(oracles.gls_oracle(x @ beta, x, sigma), beta, atol=1e-10)
 
     def test_matches_normal_equation_bruteforce(self):
@@ -336,10 +341,32 @@ class TestGlsOracle:
             oracles.gls_oracle(np.ones(3), np.ones((3, 1)), np.zeros((3, 3)))
 
 
+# Each number field of a model, built from a value that replaces one valid entry.
+MODEL_NUMBERS = {
+    "rho_spatial": lambda v: fp.SeparableAr1Sigma(2, 2, v, 0.1),
+    "rho_temporal": lambda v: fp.SeparableAr1Sigma(2, 2, 0.1, v),
+    "variances": lambda v: fp.SeparableAr1Sigma(2, 2, 0.1, 0.1, (1.0, v, 1.0, 1.0)),
+    "condition_number": lambda v: fp.UnstructuredSigma(seed=1, condition_number=v),
+    "column_correlation": lambda v: fp.SyntheticFingerprints(seed=1, column_correlation=v),
+}
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", MODEL_NUMBERS)
+    def test_nonfinite_model_number_raises_on_construction(self, field, value):
+        MODEL_NUMBERS[field](0.5 if field != "condition_number" else 10.0)
+        with pytest.raises(fp.InputError):
+            MODEL_NUMBERS[field](value)
+
     def test_separable_dims_must_match(self):
-        with pytest.raises(fp.DimensionMismatch):
-            small_scenario(sigma_model=fp.SeparableAr1Sigma(5, 3, 0.1, 0.1))
+        # One rule and one message, whether the scenario or a direct build checks it.
+        model = fp.SeparableAr1Sigma(5, 3, 0.1, 0.1)
+        message = r"^spatial_dim \* temporal_dim = 15 must equal n_dim = 12$"
+        with pytest.raises(fp.DimensionMismatch, match=message):
+            small_scenario(sigma_model=model)
+        with pytest.raises(fp.DimensionMismatch, match=message):
+            model.build(12)
 
     def test_beta_sizes_must_match(self):
         with pytest.raises(fp.DimensionMismatch):
@@ -365,6 +392,11 @@ class TestScenarioValidation:
         # Carlo loop first draws from it.
         with pytest.raises(fp.OutOfDomain):
             small_scenario(**overrides)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+    def test_alpha_checked_by_fit_options(self, alpha):
+        with pytest.raises(fp.OutOfDomain, match=rf"^alpha must be in \(0, 1\), got {alpha}$"):
+            small_scenario(alpha=alpha)
 
     def test_model_fields_checked_on_construction(self):
         for bad in (dict(seed=-1), dict(seed=1.5), dict(seed=3, column_correlation=1.0)):
