@@ -18,6 +18,7 @@ __all__ = [
     "DetectionDataset",
     "SampleCovariance",
     "as_count",
+    "as_real",
     "compute_sample_covariance",
     "ensemble_mean",
     "runs_tau_bar",
@@ -46,6 +47,21 @@ def as_count(value, name: str, minimum: int = 1) -> int:
     if value > MAX_COUNT:
         raise OutOfDomain(f"{name} must be <= {MAX_COUNT}, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float: a Python or NumPy integer or float.
+
+    Every real number of a scenario goes through this rule. A bool, a
+    string or None raises OutOfDomain rather than being converted, and so
+    does an integer no float holds.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise OutOfDomain(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise OutOfDomain(f"{name} must be a number a float holds, got {value!r}") from None
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import get_args
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .dataset import DetectionDataset, as_count
+from .dataset import DetectionDataset, as_count, as_real
 from .errors import DimensionMismatch, FinprintError, NonFinite, NotPSD, OutOfDomain, SchemaError
 from .io import read_json, read_matrix, resolve
 from .variance import FitOptions, fit_stack, prepare_cache
@@ -112,12 +112,12 @@ class SeparableAr1Sigma:
         object.__setattr__(self, "spatial_dim", as_count(self.spatial_dim, "spatial_dim"))
         object.__setattr__(self, "temporal_dim", as_count(self.temporal_dim, "temporal_dim"))
         for name in ("rho_spatial", "rho_temporal"):
-            rho = float(getattr(self, name))
+            rho = as_real(getattr(self, name), name)
             if not abs(rho) < 1.0:
                 raise OutOfDomain(f"{name}: AR(1) coefficient must satisfy |rho| < 1, got {rho}")
             object.__setattr__(self, name, rho)
         if self.variances is not None:
-            v = tuple(float(x) for x in self.variances)
+            v = tuple(as_real(x, "variances entry") for x in self.variances)
             n = self.spatial_dim * self.temporal_dim
             if len(v) != n:
                 raise DimensionMismatch(f"variances must have length spatial_dim * temporal_dim = {n}, got {len(v)}")
@@ -168,7 +168,7 @@ class UnstructuredSigma:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
-        c = float(self.condition_number)
+        c = as_real(self.condition_number, "condition_number")
         if not 1.0 <= c < np.inf:
             raise OutOfDomain(f"condition_number must be finite and >= 1, got {c}")
         object.__setattr__(self, "condition_number", c)
@@ -192,9 +192,10 @@ class SyntheticFingerprints:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
-        r = self.column_correlation
+        r = as_real(self.column_correlation, "column_correlation")
         if not -1.0 < r < 1.0:
             raise OutOfDomain(f"column_correlation must be in (-1, 1), got {r}")
+        object.__setattr__(self, "column_correlation", r)
 
     def build(self, n_dim: int, p: int) -> np.ndarray:
         r = self.column_correlation
@@ -241,9 +242,9 @@ class SimulationScenario:
     def __post_init__(self):
         for name, minimum in (("n_dim", 1), ("m_runs", 1), ("replicates", 1), ("base_seed", 0)):
             object.__setattr__(self, name, as_count(getattr(self, name), name, minimum))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "true_beta", tuple(float(b) for b in self.true_beta))
+        object.__setattr__(self, "gamma", as_real(self.gamma, "gamma"))
+        object.__setattr__(self, "alpha", as_real(self.alpha, "alpha"))
+        object.__setattr__(self, "true_beta", tuple(as_real(b, "true_beta entry") for b in self.true_beta))
         object.__setattr__(self, "ensemble_sizes", tuple(as_count(n, "ensemble sizes") for n in self.ensemble_sizes))
         if len(self.true_beta) != len(self.ensemble_sizes):
             raise DimensionMismatch("true_beta and ensemble_sizes must have equal length")
@@ -329,13 +330,26 @@ def _stream_rng(base_seed: int, rep_index: int, stream: int) -> np.random.Genera
     )
 
 
+def _built(label: str, model, build):
+    """``build()``, with an error's message prefixed by the model's role, kind and any file."""
+    try:
+        return build()
+    except FinprintError as exc:
+        path = f" ({model.path})" if getattr(model, "path", None) else ""
+        raise type(exc)(f"{label} {model.kind!r}{path}: {exc}") from exc
+
+
 class ReplicateGenerator:
-    """Precomputes the covariance root and fingerprints for repeated draws."""
+    """Precomputes the covariance root and fingerprints for repeated draws.
+
+    A model that cannot be built raises here, its message naming the model.
+    """
 
     def __init__(self, scenario: SimulationScenario):
         self.scenario = scenario
-        self.root = _psd_sqrt(scenario.sigma_model.build(scenario.n_dim))
-        self.x_true = scenario.true_x.build(scenario.n_dim, scenario.n_forcings)
+        n, sigma, x = scenario.n_dim, scenario.sigma_model, scenario.true_x
+        self.root = _built("sigma_model", sigma, lambda: _psd_sqrt(sigma.build(n)))
+        self.x_true = _built("true_x", x, lambda: x.build(n, scenario.n_forcings))
 
     def make(self, rep_index: int) -> DetectionDataset:
         scn = self.scenario
@@ -442,13 +456,13 @@ def stack_size(rank: int, grid_size: int) -> int:
     return max(1, STACK_ELEMENTS // (grid_size * (rank + 1)))
 
 
-def _run_chunk(scenario: SimulationScenario, indices, options: FitOptions) -> list[ReplicateRecord]:
+def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[ReplicateRecord]:
     """Records of the replicates ``indices``, fitted in stacks of equal-shape caches.
 
     A full-rank cache keeps min(N, m) eigenvalues (all N on the dense route);
     full-rank replicates share a stack, and any other one is a stack of one.
     """
-    gen = ReplicateGenerator(scenario)
+    scenario = gen.scenario
     sizes = np.asarray(scenario.ensemble_sizes)
     full_rank = min(scenario.n_dim, scenario.m_runs)
     cap = stack_size(full_rank, options.grid_size)
@@ -523,19 +537,21 @@ def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationRepor
     each of which fits its share in stacks. Records and aggregates are
     identical for any jobs value and stack size because every replicate owns
     its seed-derived streams, its record is the one ``fit_optimal`` gives,
-    and records are reduced in index order.
+    and records are reduced in index order. Sigma's root and the
+    fingerprints are built once, before any process starts.
     """
     if jobs < 1:
         raise OutOfDomain(f"jobs must be >= 1, got {jobs}")
     options = scenario.fit_options
     start = time.perf_counter()
+    gen = ReplicateGenerator(scenario)
     indices = list(range(scenario.replicates))
     if jobs > 1 and scenario.replicates > 1:
         chunks = [indices[k::jobs] for k in range(jobs) if indices[k::jobs]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_run_chunk, scenario, chunk, options) for chunk in chunks]
+            futures = [pool.submit(_run_chunk, gen, chunk, options) for chunk in chunks]
             records = [rec for fut in futures for rec in fut.result()]
     else:
-        records = _run_chunk(scenario, indices, options)
+        records = _run_chunk(gen, indices, options)
     elapsed = time.perf_counter() - start
     return summarize_replicates(records, scenario.true_beta, elapsed)

@@ -29,8 +29,6 @@ __all__ = [
     "RmtFunctionals",
     "build_cache",
     "stack_caches",
-    "weights",
-    "weighted_gram",
     "rmt_grid",
 ]
 
@@ -43,21 +41,19 @@ DEGENERATE_TOL = 1e-12
 class SpectralCache:
     """Eigendecomposition of S plus the data expressed in its eigenbasis.
 
-    ``eigvals`` (r of them) are ascending and clamped to >= 0; ``eigvecs``
-    (N x r) has the matching eigenvectors as columns. ``proj_x`` and
-    ``proj_y`` are the fingerprints and observations rotated onto them. The
-    other N - r = ``null_dim`` directions have eigenvalue 0; the data enter
-    there only through ``null_gram``, the (p+1) x (p+1) Gram matrix R^T R of
-    the residual R = A - U U^T A of A = [x_tilde, y]. A cache built from S
-    keeps all N eigenpairs, so its null block is empty and ``null_gram`` zero.
+    ``eigvals`` (r of them) are ascending and clamped to >= 0. ``proj_x``
+    and ``proj_y`` are the fingerprints and observations rotated onto their
+    eigenvectors U, which are not kept. The other N - r = ``null_dim``
+    directions have eigenvalue 0; the data enter there only through
+    ``null_gram``, the (p+1) x (p+1) Gram matrix R^T R of the residual
+    R = A - U U^T A of A = [x_tilde, y]. A cache built from S keeps all N
+    eigenpairs, so its null block is empty and ``null_gram`` zero.
 
     A stack of R caches (``stack_caches``) carries a leading replicate axis
-    on ``eigvals``, ``proj_x``, ``proj_y``, ``null_gram`` and ``tau_bar``
-    and no eigenvectors, which the grid never reads.
+    on ``eigvals``, ``proj_x``, ``proj_y``, ``null_gram`` and ``tau_bar``.
     """
 
     eigvals: np.ndarray
-    eigvecs: np.ndarray | None
     proj_x: np.ndarray
     proj_y: np.ndarray
     null_dim: int
@@ -78,8 +74,8 @@ class RmtFunctionals:
     """Trace/quadratic functionals of the shrunk covariance W = S + lambda*I.
 
     Stacked over a grid by ``rmt_grid``: G-vectors, with g1 and g_s of shape
-    (G, p, p), and (R, G, ...) from a stack of R caches. g1 = X~^T W^-1 X~ / N
-    and g_s = X~^T W^-1 S W^-1 X~ / N.
+    (G, p, p) and the data Gram ``gram`` (G, p+1, p+1), and (R, G, ...) from
+    a stack of R caches. See ``rmt_grid`` for the forms.
     ``stability`` is the denominator b; theta1 and theta2 are NaN where
     |b| <= DEGENERATE_TOL.
     """
@@ -89,6 +85,7 @@ class RmtFunctionals:
     q2: np.ndarray
     theta1: np.ndarray
     theta2: np.ndarray
+    gram: np.ndarray
     g1: np.ndarray
     g_s: np.ndarray
     stability: np.ndarray
@@ -153,7 +150,6 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         null_gram = resid.T @ resid
     return SpectralCache(
         eigvals=eigvals,
-        eigvecs=eigvecs,
         proj_x=proj[:, :-1],
         proj_y=proj[:, -1],
         null_dim=n - eigvals.shape[0],
@@ -179,7 +175,6 @@ def stack_caches(caches) -> SpectralCache:
     first = caches[0]
     return SpectralCache(
         eigvals=np.stack([c.eigvals for c in caches]),
-        eigvecs=None,
         proj_x=np.stack([c.proj_x for c in caches]),
         proj_y=np.stack([c.proj_y for c in caches]),
         null_dim=first.null_dim,
@@ -240,12 +235,13 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     Q1 = (1/N) sum 1/(d_i + lambda), Q2 = (1/N) sum 1/(d_i + lambda)^2,
     b = 1 - (N/m)(1 - lambda*Q1), theta1 = (1 - lambda*Q1)/b,
     theta2 = (1 - lambda*Q1)/b^3 - lambda*(Q1 - lambda*Q2)/b^4, and the
-    symmetric PSD forms g1 = X~^T W^-1 X~ / N and g_s = X~^T W^-1 S W^-1 X~ / N
-    with W = S + lambda*I. The sums run over all N eigenvalues: the null
-    block adds (N - r)/lambda to N*Q1 (lambda^2 for Q2) and its residual
-    Gram matrix over lambda to N*g1; it has weight 0 in g_s. A degenerate
-    denominator gives NaN thetas, not an exception. A stacked cache takes
-    an (R, G) grid and gives every functional a leading replicate axis.
+    symmetric PSD forms gram = A^T W^-1 A of the data A = [X~, y], its block
+    g1 = X~^T W^-1 X~ / N and g_s = X~^T W^-1 S W^-1 X~ / N, W = S + lambda*I.
+    The sums run over all N eigenvalues: the null block adds (N - r)/lambda
+    to N*Q1 (lambda^2 for Q2) and its residual Gram matrix over lambda to
+    gram; it has weight 0 in g_s. A degenerate denominator gives NaN
+    thetas, not an exception. A stacked cache takes an (R, G) grid and
+    gives every functional a leading replicate axis.
     """
     lams = _check_lambda(cache, lams)
     w = weights(cache, lams)
@@ -268,16 +264,18 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     spread = (((a - (total / r)[..., None]) * nonzero) ** 2).sum(axis=-1)
     theta2_num = (spread + (1.0 / r - 1.0 / cache.m_runs) * total**2) / cache.n_dim
     usable_b = np.where(np.abs(b) > DEGENERATE_TOL, b, np.nan)
-    null_x = cache.null_gram[..., :p, :p]
+    data = np.concatenate([cache.proj_x, cache.proj_y[..., None]], axis=-1)
+    gram = weighted_gram(w, data, cache.null_gram)
     return RmtFunctionals(
         lam=lams,
         q1=q1v,
         q2=q2v,
         theta1=u / usable_b,
         theta2=theta2_num / usable_b**4,
-        g1=weighted_gram(w, cache.proj_x, null_x) / cache.n_dim,
+        gram=gram,
+        g1=gram[..., :p, :p] / cache.n_dim,
         # Weights d_i/(d_i + lambda)^2: W^-1 - lambda*W^-2 without the
         # cancellation of its two terms on the zero eigenvalues.
-        g_s=weighted_gram(a * w, cache.proj_x, null_x) / cache.n_dim,
+        g_s=weighted_gram(a * w, cache.proj_x, cache.null_gram[..., :p, :p]) / cache.n_dim,
         stability=b,
     )

@@ -6,7 +6,7 @@ D = diag(1/n_i). Rescaling b* = D^{1/2} b turns the denominator into
 1 + ||b*||^2, so the minimizer is read off the eigenvector with smallest
 eigenvalue of the (p+1) x (p+1) Gram matrix of the whitened, rescaled design
 [X~ D^{-1/2}, Y]. p is small, so the Gram eigenproblem beats an N x (p+1)
-SVD and the whitened products come straight from the spectral cache. For
+SVD; that matrix is ``rmt_grid``'s data Gram, scaled by (sqrt(n_i), 1). For
 p = 2 the smallest eigenpair is solved in closed form over the whole grid
 (``_symmetric.smallest_eigenpair``); nearly tied points, and every other p,
 keep LAPACK's eigh.
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._symmetric import smallest_eigenpair
 from .errors import EigenFailure, NearDegenerateWarning, OutOfDomain, VerticalSolution
-from .spectral import SpectralCache, _check_lambda, weighted_gram, weights
+from .spectral import SpectralCache, rmt_grid
 
 __all__ = ["TlsSolution", "tls_grid", "tls_fit"]
 
@@ -58,10 +58,11 @@ class TlsSolution:
     gap: float | np.ndarray
 
 
-def tls_grid(cache: SpectralCache, ensemble_sizes, lams) -> tuple[TlsSolution, np.ndarray, np.ndarray]:
+def tls_grid(gram, ensemble_sizes) -> tuple[TlsSolution, np.ndarray, np.ndarray]:
     """Solve the prewhitened total-least-squares problem at every lambda of a grid.
 
-    The smallest eigenpair of every augmented Gram matrix comes from
+    ``gram`` is ``rmt_grid``'s (..., G, p+1, p+1) stack of data Gram
+    matrices. The smallest eigenpair of every augmented Gram matrix comes from
     ``_symmetric.smallest_eigenpair``: in closed form for p = 2, from
     LAPACK's eigh at points whose two smallest eigenvalues are within
     LAPACK_GAP_FACTOR * NEAR_DEGENERATE_TOL of each other (relative to the
@@ -69,19 +70,16 @@ def tls_grid(cache: SpectralCache, ensemble_sizes, lams) -> tuple[TlsSolution, n
     the solution with every field stacked over the grid, a mask of vertical
     points (the minimizing eigenvector is orthogonal to the response
     direction, so no finite estimate exists; their coefficients are NaN) and
-    a mask of points whose smallest eigenvalue is nearly tied. A stacked
-    cache takes an (R, G) grid and stacks every output over its replicates.
+    a mask of points whose smallest eigenvalue is nearly tied.
     """
-    lams = _check_lambda(cache, lams)
     sizes = np.asarray(ensemble_sizes, dtype=float)
-    p = cache.proj_x.shape[-1]
+    p = gram.shape[-1] - 1
     if sizes.shape != (p,):
         raise OutOfDomain(f"ensemble_sizes must have length {p}, got {sizes.shape}")
     if (sizes < 1).any():
         raise OutOfDomain("all ensemble sizes must be >= 1")
     scale = np.append(np.sqrt(sizes), 1.0)
-    design = np.concatenate([cache.proj_x, cache.proj_y[..., None]], axis=-1) * scale
-    m = weighted_gram(weights(cache, lams), design, cache.null_gram * np.outer(scale, scale))
+    m = gram * np.outer(scale, scale)
     try:
         eigvals, v = smallest_eigenpair(m, LAPACK_GAP_FACTOR * NEAR_DEGENERATE_TOL)
     except np.linalg.LinAlgError as exc:
@@ -107,8 +105,9 @@ def tls_fit(cache: SpectralCache, ensemble_sizes, lam: float) -> TlsSolution:
     Raises VerticalSolution when the minimizing eigenvector is orthogonal to
     the response direction (no finite estimate exists), and emits a
     NearDegenerateWarning when the smallest eigenvalue is nearly tied.
+    ``tls_grid`` on a one-point ``rmt_grid``.
     """
-    solution, vertical, near_tied = tls_grid(cache, ensemble_sizes, [float(lam)])
+    solution, vertical, near_tied = tls_grid(rmt_grid(cache, [float(lam)]).gram, ensemble_sizes)
     if near_tied[0]:
         warnings.warn(
             f"smallest Gram eigenvalue nearly tied (gap {solution.gap[0]:.3e}); "

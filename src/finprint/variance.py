@@ -224,7 +224,7 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
         raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
     d = 1.0 / np.asarray(ensemble_sizes, dtype=float)
     f = rmt_grid(cache, grid)
-    sol, vertical, near_tied = tls_grid(cache, ensemble_sizes, f.lam)
+    sol, vertical, near_tied = tls_grid(f.gram, ensemble_sizes)
     degenerate = np.isnan(f.theta1)
     p = sol.beta_hat.shape[-1]
     eye = np.eye(p)

@@ -55,8 +55,13 @@ def _functionals(cache, lam):
 
 def _tls(cache, sizes, lam):
     w = 1.0 / (cache.eigvals + lam)
-    p = np.column_stack([cache.proj_x * np.sqrt(sizes), cache.proj_y])
-    m = (p.T * w) @ p
+    # The data Gram sum_i w_i a_i a_i^T, then scaled by (sqrt(n), 1) on both
+    # sides, in the order the grid forms it: on exactly tied (diagonal) Gram
+    # matrices both sides then hold the same doubles, and the tie breaks the
+    # same way.
+    a = np.column_stack([cache.proj_x, cache.proj_y])
+    scale = np.append(np.sqrt(sizes), 1.0)
+    m = np.tensordot(w, a[:, :, None] * a[:, None, :], axes=1) * np.outer(scale, scale)
     m = 0.5 * (m + m.T)
     eigvals, eigvecs = np.linalg.eigh(m)
     v = eigvecs[:, 0]

@@ -160,7 +160,8 @@ def _plugin_oracle_errors(n_dim: int, m_runs: int, seed: int):
         lam = cache.tau_bar
         f = rmt_grid(cache, [lam])
 
-        px = cache.eigvecs.T @ x
+        # eigh of the same S gives the eigenvectors the cache was built on.
+        px = np.linalg.eigh(cov.s)[1].T @ x
         w = 1.0 / (cache.eigvals + lam)
         a1 = (px.T * w) @ px / n_dim      # X^T shrunk^-1 X / N
         a2 = (px.T * w**2) @ px / n_dim   # X^T shrunk^-1 Sigma shrunk^-1 X / N, Sigma = I
@@ -361,11 +362,12 @@ def test_c8_small_instance_bruteforce():
         oracles.whiten(np.eye(2), 3.0, np.array([2.0, 2.0])), [1.0, 1.0], atol=1e-15
     )
 
-    # One grid point with g_s = g1 - lambda * g2 = 0.25 - 0.125.
+    # One grid point with g_s = g1 - lambda * g2 = 0.25 - 0.125; the
+    # assembly never reads the TLS data Gram.
     f = fp.spectral.RmtFunctionals(
         lam=np.array([1.0]), q1=np.array([0.5]), q2=np.array([0.25]), theta1=np.array([1.0]),
-        theta2=np.array([0.0]), g1=np.array([[[0.25]]]), g_s=np.array([[[0.125]]]),
-        stability=np.array([1.0]),
+        theta2=np.array([0.0]), gram=np.full((1, 2, 2), np.nan), g1=np.array([[[0.25]]]),
+        g_s=np.array([[[0.125]]]), stability=np.array([1.0]),
     )
     checks["delta1"] = abs(fp.delta1_hat(f, [0.1])[0, 0, 0] - 0.15) < 1e-15
     checks["delta2"] = abs(fp.delta2_hat(f, [0.1], 4, 4)[0, 0, 0] - 0.5) < 1e-15

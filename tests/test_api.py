@@ -99,3 +99,20 @@ def test_imports_are_module_level_and_acyclic():
     graph = {name: runtime_dependencies(tree, trees) for name, tree in trees.items()}
     assert graph["simulate"] >= {"io"} and "simulate" not in graph["io"]
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A module's underscore names are its own; a private module (_symmetric)
+    # may be imported, and its public names used, by any other module.
+    files = sorted(Path(fp.__file__).parent.glob("*.py"))
+    modules = {f.stem for f in files}
+    private = []
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("finprint")):
+                private += [
+                    f"{f.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__") and alias.name not in modules
+                ]
+    assert private == []

@@ -333,6 +333,12 @@ class TestLambdaCurveCommand:
 
 # A separable_ar1 sigma model for the 12-point scenario_file.
 SEPARABLE = {"kind": "separable_ar1", "spatial_dim": 3, "temporal_dim": 4, "rho_spatial": 0.1, "rho_temporal": 0.1}
+# Models that load but cannot be built, and the line each ends in.
+UNBUILDABLE = {
+    "not_psd": "sigma_model 'user_matrix' ({path}): matrix has eigenvalue -1.000e+00 below tolerance",
+    "wrong_shape": "sigma_model 'user_matrix' ({path}): covariance file is (11, 11), expected (12, 12)",
+    "correlation": "true_x 'synthetic': column_correlation -0.9 not positive definite for p=3",
+}
 
 
 class TestSimulateCommand:
@@ -467,15 +473,28 @@ class TestSimulateCommand:
 
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_not_psd_sigma_exit_2(self, scenario_file, jobs, capsys):
+    @pytest.mark.parametrize("model", list(UNBUILDABLE))
+    def test_unbuildable_model_exit_2_before_any_worker(self, scenario_file, model, jobs, capsys, monkeypatch):
+        # Sigma's root and the fingerprints are built once per run, before
+        # the replicates are split over processes; the line names the model.
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(fp.simulate, "ProcessPoolExecutor", no_workers)
         sigma = np.eye(12)
         sigma[0, 1] = sigma[1, 0] = 2.0  # eigenvalue -1
-        write_matrix(scenario_file.parent / "sigma.txt", sigma)
+        write_matrix(scenario_file.parent / "not_psd.txt", sigma)
+        write_matrix(scenario_file.parent / "wrong_shape.txt", np.eye(11))
         doc = json.loads(scenario_file.read_text())
-        doc["sigma_model"] = {"kind": "user_matrix", "path": "sigma.txt"}
+        if model == "correlation":
+            doc.update(true_beta=[1.0] * 3, ensemble_sizes=[3, 5, 4])
+            doc["true_x"] = {"kind": "synthetic", "seed": 3, "column_correlation": -0.9}
+        else:
+            doc["sigma_model"] = {"kind": "user_matrix", "path": f"{model}.txt"}
         scenario_file.write_text(json.dumps(doc))
         assert main(["simulate", str(scenario_file), "--jobs", jobs]) == 2
-        assert "below tolerance" in assert_one_error_line(capsys)
+        path = scenario_file.parent / f"{model}.txt"
+        assert assert_one_error_line(capsys) == "error: " + UNBUILDABLE[model].format(path=path)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(

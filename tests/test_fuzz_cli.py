@@ -2,9 +2,10 @@
 
 Whatever the input, ``main`` returns a documented exit code, reports a
 failure as exactly one stderr line (besides ``warning:`` lines) and raises
-nothing; a count that holds a float never succeeds, and a non-finite model
+nothing; a count that holds a float never succeeds, a non-finite model
 number or a scenario count past int64 ends neither in success nor in a
-numeric failure. Generated values are
+numeric failure, and a real number given as a string exits 2. Generated
+values are
 kept small, so no field can ask for real work, and file names never contain
 a path separator, so every referenced file resolves inside the test's
 directory.
@@ -54,6 +55,9 @@ MANIFEST_KEYS = [*MANIFEST, "forcing_runs", "sample_cov", "m_runs"]
 # The integer-valued keys of a scenario document and of its models.
 SCENARIO_COUNTS = ("n_dim", "m_runs", "replicates", "base_seed", "ensemble_sizes")
 MODEL_COUNTS = ("seed", "spatial_dim", "temporal_dim")
+# The real-valued keys of a scenario document and of its models.
+SCENARIO_REALS = ("gamma", "alpha", "true_beta")
+MODEL_REALS = ("rho_spatial", "rho_temporal", "variances", "condition_number", "column_correlation")
 
 SCENARIO = {
     "n_dim": 6,
@@ -119,6 +123,10 @@ def is_float(value):
 
 def is_nonfinite(value):
     return isinstance(value, float) and not math.isfinite(value)
+
+
+def is_text(value):
+    return isinstance(value, str)
 
 
 def is_huge(value):
@@ -230,6 +238,9 @@ def test_matrix_files(folder, capsys, target, content):
 @example(changes={"sigma_model": [{**MODELS[2], "condition_number": float("inf")}]}, raw=None)
 @example(changes={"sigma_model": [{**MODELS[2], "condition_number": float("nan")}]}, raw=None)
 @example(changes={"m_runs": [10**30]}, raw=None)
+@example(changes={"true_x": [{**MODELS[4], "column_correlation": "0.3"}]}, raw=None)
+@example(changes={"sigma_model": [{**MODELS[1], "rho_spatial": "0.3"}]}, raw=None)
+@example(changes={"gamma": ["1.0"]}, raw=None)
 def test_scenario_files(folder, capsys, changes, raw):
     path = folder / "scenario.json"
     doc = apply(SCENARIO, changes)
@@ -244,3 +255,6 @@ def test_scenario_files(folder, capsys, changes, raw):
     # A non-finite model number or a count past int64 is an input error, found at load.
     if raw is None and (any(holds(m, list(m), is_nonfinite) for m in models) or holds(doc, SCENARIO_COUNTS, is_huge)):
         assert code not in (0, 4)
+    # A real number given as a string is rejected at load, in any field.
+    if raw is None and (holds(doc, SCENARIO_REALS, is_text) or any(holds(m, MODEL_REALS, is_text) for m in models)):
+        assert code == 2

@@ -5,7 +5,9 @@ The grid's small symmetric algebra runs on closed forms for p = 2
 against the same grid on LAPACK's kernels.
 """
 
+import sys
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 import finprint as fp
 from conftest import random_cache
-from finprint import _symmetric, tls, variance
-from finprint.spectral import rmt_grid
+from finprint import _symmetric, spectral, tls, variance
+from finprint.spectral import rmt_grid, stack_caches
 from reference import reference_curve, reference_point
 
 CRITERIA = ("trace", "determinant", "max_eigenvalue")
@@ -186,11 +188,36 @@ class TestAgainstReference:
             np.array([[np.sqrt((1.0 + lam) / lam)], [0.0]]),
             np.array([0.0, 1.0]),
         )
-        near_tied = fp.tls.tls_grid(cache, [1], [lam])[2]
+        near_tied = tls.tls_grid(rmt_grid(cache, [lam]).gram, [1])[2]
         assert near_tied[0]
         curve = assert_matches_reference(cache, [1], np.array([lam]))
         assert list(curve.reason) == ["degenerate_denominator"]
         assert curve.n_near_degenerate == 0
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_one_weight_matrix_and_two_weighted_sums(self, monkeypatch, replicates):
+        # One pass forms the weights 1/(d_i + lambda) once, the data Gram
+        # (which the TLS problem and g1 share) and g_s's weighted sum.
+        calls = Counter()
+        for name in ("weights", "weighted_gram"):
+            original = getattr(spectral, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            # Every package module that binds the function counts its calls.
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("finprint") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        caches = [random_cache(seed=seed) for seed in range(replicates)]
+        cache = caches[0] if replicates == 1 else stack_caches(caches)
+        grid = np.geomspace(*variance.default_bounds(cache.tau_bar), 40, axis=-1)
+        curve = variance.evaluate_grid(cache, [3, 5], grid)
+        assert curve.grid.shape == grid.shape
+        assert calls == {"weights": 1, "weighted_gram": 2}
 
 
 class TestOnePointCase:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -351,7 +353,28 @@ MODEL_NUMBERS = {
 }
 
 
+# Each real field of a scenario or a model, built from a value that replaces one valid entry.
+REAL_FIELDS = {
+    **MODEL_NUMBERS,
+    "gamma": lambda v: small_scenario(gamma=v),
+    "alpha": lambda v: small_scenario(alpha=v),
+    "true_beta": lambda v: small_scenario(true_beta=(1.0, v)),
+}
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("value", ["0.3", None, True, 10**400])
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_non_number_real_raises_on_construction(self, field, value):
+        # One number rule for every real: an int or float becomes a float;
+        # a string, None, a bool or an int past float range never does.
+        REAL_FIELDS[field](0.5 if field != "condition_number" else 10)
+        entry = " entry" if field in ("variances", "true_beta") else ""
+        holds = " a float holds" if value == 10**400 else ""
+        message = rf"^{field}{entry} must be a number{holds}, got {re.escape(repr(value))}$"
+        with pytest.raises(fp.OutOfDomain, match=message):
+            REAL_FIELDS[field](value)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", MODEL_NUMBERS)
     def test_nonfinite_model_number_raises_on_construction(self, field, value):

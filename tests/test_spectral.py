@@ -28,7 +28,9 @@ class TestBuildCache:
         z = rng.standard_normal((6, 9))
         s = z @ z.T / 9
         cache = cache_from_matrix(s, rng.standard_normal((6, 2)), rng.standard_normal(6), m=9)
-        rebuilt = (cache.eigvecs * cache.eigvals) @ cache.eigvecs.T
+        # The cache keeps no eigenvectors; eigh of the same S gives the ones it used.
+        eigvecs = np.linalg.eigh(fp.SampleCovariance(s=s, m=9).s)[1]
+        rebuilt = (eigvecs * cache.eigvals) @ eigvecs.T
         np.testing.assert_allclose(rebuilt, s, atol=1e-10)
 
     @given(st.integers(0, 500))
@@ -240,18 +242,19 @@ class TestWhiten:
         cache = fp.build_cache(cov, rng.standard_normal((7, 1)), rng.standard_normal(7))
         lam = cache.tau_bar
         a = rng.standard_normal(7)
-        via_cache = cache.eigvecs @ ((cache.eigvecs.T @ a) / np.sqrt(cache.eigvals + lam))
+        eigvecs = np.linalg.eigh(cov.s)[1]  # the eigenvectors the cache was built on
+        via_cache = eigvecs @ ((eigvecs.T @ a) / np.sqrt(cache.eigvals + lam))
         np.testing.assert_allclose(oracles.whiten(cov.s, lam, a), via_cache, atol=1e-9)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_norm_matches_inverse_quadratic_form(self, seed):
-        cov, x, y = random_problem(seed=seed)
-        cache = fp.build_cache(cov, x, y)
+        cov, x, _ = random_problem(seed=seed)
         rng = np.random.default_rng(seed + 1)
-        a = rng.standard_normal(cache.n_dim)
+        a = rng.standard_normal(cov.n_dim)
+        cache = fp.build_cache(cov, x, a)  # a's projections onto the eigenbasis are proj_y
         lam = 0.5 * max(cache.tau_bar, 1e-3)
-        quad = np.sum((cache.eigvecs.T @ a) ** 2 / (cache.eigvals + lam))
+        quad = np.sum(cache.proj_y**2 / (cache.eigvals + lam))
         assert np.linalg.norm(oracles.whiten(cov.s, lam, a)) ** 2 == pytest.approx(quad, abs=1e-10)
 
 

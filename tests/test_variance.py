@@ -10,14 +10,20 @@ from finprint.spectral import RmtFunctionals, rmt_grid
 
 
 def make_functionals(lam=1.0, q1=0.5, q2=0.25, theta1=1.0, theta2=0.0, g1=0.25, g_s=0.125):
-    """A one-point grid of functionals with the given values."""
+    """A one-point grid of functionals with the given values.
+
+    The assembly never reads the TLS data Gram, so it is NaN.
+    """
+    g1 = np.atleast_2d(g1)
+    k = g1.shape[-1] + 1
     return RmtFunctionals(
         lam=np.array([lam]),
         q1=np.array([q1]),
         q2=np.array([q2]),
         theta1=np.array([theta1]),
         theta2=np.array([theta2]),
-        g1=np.atleast_2d(g1)[None],
+        gram=np.full((1, k, k), np.nan),
+        g1=g1[None],
         g_s=np.atleast_2d(g_s)[None],
         stability=np.array([1.0]),
     )
