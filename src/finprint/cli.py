@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import validate_dataset
+from .dataset import as_count, validate_dataset
 from .errors import FinprintError, InputError, NoFeasiblePoint
 from .inference import FitResult
 from .io import load_dataset, manifest_input_paths
@@ -208,7 +208,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scn = replace(scn, replicates=args.replicates)
     if args.seed is not None:
         scn = replace(scn, base_seed=args.seed)
-    report = run_scenario(scn, jobs=args.jobs)
+    jobs = as_count(args.jobs, "jobs")  # a flag's error is not the document's
+    try:
+        report = run_scenario(scn, jobs=jobs)
+    except InputError as exc:
+        # A model that loads but cannot be built (Sigma not PSD, a matrix file
+        # of the wrong shape) is an error of the document, named like one.
+        raise type(exc)(f"{args.input}: {exc}") from exc
     _write(_json(_simulate_doc(report, scn, args.input)), args.output)
     if args.output is not None:
         table_path = Path(args.output).with_suffix(".replicates.tsv")

@@ -6,13 +6,15 @@ A forcing is *detected* when its interval lies strictly above zero and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.stats import chi2, norm
 
 from ._symmetric import ill_conditioned
+from .dataset import as_count
 from .errors import OutOfDomain
 
 if TYPE_CHECKING:
@@ -62,16 +64,64 @@ def quantile_normal(q: float) -> float:
     """Standard-normal quantile; q must lie strictly inside (0, 1)."""
     if not 0.0 < q < 1.0:
         raise OutOfDomain(f"normal quantile needs q in (0, 1), got {q}")
-    return float(norm.ppf(q))
+    return NormalDist().inv_cdf(q)
+
+
+def _chisq_below(df: int, x: float, q: float) -> bool:
+    """Whether the chi-square CDF with integer df at x > 0 is below q.
+
+    With a = df/2 and h = x/2 the CDF is the regularized gamma P(a, h).
+    Below h = a + 1 it is summed as the series
+    e^{-h} h^a / Gamma(a+1) * sum_n h^n / ((a+1)...(a+n)); above, the
+    survival Q(a, h) = 1 - P is summed in closed form: for even df
+    e^{-h} sum_{j<a} h^j / j!, for odd df erfc(sqrt h) plus
+    e^{-h} sum_{j<a-1/2} h^{j+1/2} / Gamma(j+3/2). Each side sums only
+    positive terms, so each is accurate to a few ulps where it is used.
+    """
+    a, h = 0.5 * df, 0.5 * x
+    if h < a + 1.0:
+        term = total = 1.0
+        n = 1
+        while term > total * 1e-17:
+            term *= h / (a + n)
+            total += term
+            n += 1
+        # h^a from log(x): x is a positive double, h may round to zero.
+        return math.exp(a * (math.log(x) - math.log(2.0)) - h - math.lgamma(a + 1.0)) * total < q
+    # Terms h^d / Gamma(d + 1) for d = 0, 1, ... (even df) or 1/2, 3/2, ... (odd df) below a.
+    d = 0.5 * (df % 2)
+    term = 2.0 * math.sqrt(h / math.pi) if d else 1.0
+    total = 0.0
+    while d < a:
+        total += term
+        d += 1.0
+        term *= h / d
+    tail = math.exp(-h) * total
+    if df % 2:
+        tail += math.erfc(math.sqrt(h))
+    return tail > 1.0 - q
 
 
 def quantile_chisq(df: int, q: float) -> float:
-    """Chi-square quantile with df >= 1 degrees of freedom."""
-    if df < 1:
-        raise OutOfDomain(f"chi-square quantile needs df >= 1, got {df}")
+    """Chi-square quantile with df >= 1 degrees of freedom.
+
+    df must be an integer; the CDF is inverted by bisection down to
+    adjacent doubles.
+    """
+    df = as_count(df, "chi-square quantile df")
     if not 0.0 < q < 1.0:
         raise OutOfDomain(f"chi-square quantile needs q in (0, 1), got {q}")
-    return float(chi2.ppf(q, df))
+    lo, hi = 0.0, float(df)
+    while _chisq_below(df, hi, q):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _chisq_below(df, mid, q):
+            lo = mid
+        else:
+            hi = mid
 
 
 def _normal_intervals(beta, variances, n_dim: int, z: float) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import get_args
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .dataset import DetectionDataset, as_count, as_real
 from .errors import DimensionMismatch, FinprintError, NonFinite, NotPSD, OutOfDomain, SchemaError
@@ -65,7 +64,9 @@ STACK_ELEMENTS = 2**16
 
 
 def _ar1_correlation(dim: int, rho: float) -> np.ndarray:
-    return toeplitz(rho ** np.arange(dim))
+    """The dim x dim Toeplitz matrix rho^|i - j|, indexed from one vector of powers."""
+    lags = np.arange(dim)
+    return (rho ** lags)[np.abs(lags[:, None] - lags[None, :])]
 
 
 def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ import ast
 import graphlib
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import finprint as fp
@@ -99,6 +102,32 @@ def test_imports_are_module_level_and_acyclic():
     graph = {name: runtime_dependencies(tree, trees) for name, tree in trees.items()}
     assert graph["simulate"] >= {"io"} and "simulate" not in graph["io"]
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_runtime_imports_are_stdlib_numpy_or_the_package():
+    # SciPy and pytest are test-only: importing finprint costs the standard
+    # library and NumPy, nothing more.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "finprint"}
+    outside = []
+    for f in sorted(Path(fp.__file__).parent.glob("*.py")):
+        for node in module_level_imports(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif node.level:
+                continue
+            else:
+                roots = [node.module.split(".")[0]]
+            outside += [f"{f.name}:{node.lineno} imports {root}" for root in roots if root not in allowed]
+    assert outside == []
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(fp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, finprint, finprint.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -441,8 +441,9 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("flag", ["--jobs", "--replicates"])
     def test_count_below_one_exit_2(self, flag, scenario_file, capsys):
+        # A flag's error does not name the scenario document.
         assert main(["simulate", str(scenario_file), flag, "0"]) == 2
-        assert "must be >= 1" in assert_one_error_line(capsys)
+        assert assert_one_error_line(capsys) == f"error: {flag[2:]} must be >= 1, got 0"
 
     def test_missing_scenario_exit_2(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 2
@@ -476,7 +477,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("model", list(UNBUILDABLE))
     def test_unbuildable_model_exit_2_before_any_worker(self, scenario_file, model, jobs, capsys, monkeypatch):
         # Sigma's root and the fingerprints are built once per run, before
-        # the replicates are split over processes; the line names the model.
+        # the replicates are split over processes; the line names the
+        # scenario document, like every load-time error, then the model.
         def no_workers(*args, **kwargs):
             raise AssertionError("a worker started")
 
@@ -494,7 +496,7 @@ class TestSimulateCommand:
         scenario_file.write_text(json.dumps(doc))
         assert main(["simulate", str(scenario_file), "--jobs", jobs]) == 2
         path = scenario_file.parent / f"{model}.txt"
-        assert assert_one_error_line(capsys) == "error: " + UNBUILDABLE[model].format(path=path)
+        assert assert_one_error_line(capsys) == f"error: {scenario_file}: " + UNBUILDABLE[model].format(path=path)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(

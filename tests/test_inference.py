@@ -30,10 +30,30 @@ class TestQuantiles:
         for q in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(fp.OutOfDomain):
                 fp.inference.quantile_normal(q)
-        with pytest.raises(fp.OutOfDomain):
-            fp.inference.quantile_chisq(0, 0.5)
+        for df in (0, 2.5, 2.0):
+            with pytest.raises(fp.OutOfDomain):
+                fp.inference.quantile_chisq(df, 0.5)
         with pytest.raises(fp.OutOfDomain):
             fp.inference.quantile_chisq(2, 1.0)
+
+
+class TestQuantilesAgainstScipy:
+    """The stdlib quantiles against SciPy's, the reference the package no longer imports."""
+
+    def test_normal_within_8_ulps(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        qs = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 20001), [1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12]])
+        ours = np.array([fp.inference.quantile_normal(float(q)) for q in qs])
+        theirs = norm.ppf(qs)
+        ulps = np.abs(ours - theirs) / np.spacing(np.abs(theirs))
+        assert ulps.max() <= 8
+
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_chisq_relative_1e12(self, df):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        qs = np.concatenate([np.linspace(0.01, 0.999, 200), [1e-9, 1e-4, 0.95, 1.0 - 1e-9]])
+        ours = np.array([fp.inference.quantile_chisq(df, float(q)) for q in qs])
+        np.testing.assert_allclose(ours, chi2.ppf(qs, df), rtol=1e-12, atol=0.0)
 
 
 class TestMarginalCi:

@@ -42,6 +42,25 @@ class TestSeparableAr1Sigma:
         sigma = fp.SeparableAr1Sigma(8, 6, 0.1, 0.1).build(48)
         assert np.linalg.eigvalsh(sigma).min() > 0
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            fp.SeparableAr1Sigma(8, 6, 0.1, 0.1),
+            fp.SeparableAr1Sigma(1, 1, 0.5, -0.5),
+            fp.SeparableAr1Sigma(7, 3, -0.83, 0.999, tuple(np.linspace(0.5, 3.0, 21))),
+            fp.SeparableAr1Sigma(13, 1, 0.0, 0.3),
+        ],
+    )
+    def test_equals_scipy_toeplitz_kronecker(self, model):
+        toeplitz = pytest.importorskip("scipy.linalg").toeplitz
+        spatial = toeplitz(model.rho_spatial ** np.arange(model.spatial_dim))
+        temporal = toeplitz(model.rho_temporal ** np.arange(model.temporal_dim))
+        expected = np.kron(spatial, temporal)
+        if model.variances is not None:
+            root_v = np.sqrt(np.asarray(model.variances))
+            expected = expected * np.outer(root_v, root_v)
+        assert np.array_equal(model.build(model.spatial_dim * model.temporal_dim), expected)
+
 
 class TestUnstructuredSigma:
     def test_seeded_and_spd(self):
