@@ -541,8 +541,7 @@ def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationRepor
     and records are reduced in index order. Sigma's root and the
     fingerprints are built once, before any process starts.
     """
-    if jobs < 1:
-        raise OutOfDomain(f"jobs must be >= 1, got {jobs}")
+    jobs = as_count(jobs, "jobs")
     options = scenario.fit_options
     start = time.perf_counter()
     gen = ReplicateGenerator(scenario)

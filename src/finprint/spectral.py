@@ -32,8 +32,8 @@ __all__ = [
     "rmt_grid",
 ]
 
-# Denominators b = 1 - (N/m)(1 - lambda*Q1) smaller than this are treated as
-# degenerate; b -> 0 as lambda -> 0 whenever m < N.
+# Denominators b = 1 - (N/m) u, u = (1/N) sum d_i/(d_i + lambda), smaller
+# than this are treated as degenerate; b -> 0 as lambda -> 0 whenever m < N.
 DEGENERATE_TOL = 1e-12
 
 
@@ -76,8 +76,8 @@ class RmtFunctionals:
     Stacked over a grid by ``rmt_grid``: G-vectors, with g1 and g_s of shape
     (G, p, p) and the data Gram ``gram`` (G, p+1, p+1), and (R, G, ...) from
     a stack of R caches. See ``rmt_grid`` for the forms.
-    ``stability`` is the denominator b; theta1 and theta2 are NaN where
-    |b| <= DEGENERATE_TOL.
+    ``stability`` is the denominator b = 1 - (N/m) u (see DEGENERATE_TOL);
+    theta1 and theta2 are NaN where |b| <= DEGENERATE_TOL.
     """
 
     lam: np.ndarray
@@ -233,8 +233,8 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     """Every functional the covariance assembly needs, at each lambda of a grid.
 
     Q1 = (1/N) sum 1/(d_i + lambda), Q2 = (1/N) sum 1/(d_i + lambda)^2,
-    b = 1 - (N/m)(1 - lambda*Q1), theta1 = (1 - lambda*Q1)/b,
-    theta2 = (1 - lambda*Q1)/b^3 - lambda*(Q1 - lambda*Q2)/b^4, and the
+    u = (1/N) sum d_i/(d_i + lambda) = tr(S W^-1)/N, b = 1 - (N/m) u,
+    theta1 = u/b, theta2 = u/b^3 - lambda*(Q1 - lambda*Q2)/b^4, and the
     symmetric PSD forms gram = A^T W^-1 A of the data A = [X~, y], its block
     g1 = X~^T W^-1 X~ / N and g_s = X~^T W^-1 S W^-1 X~ / N, W = S + lambda*I.
     The sums run over all N eigenvalues: the null block adds (N - r)/lambda
@@ -246,21 +246,20 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     lams = _check_lambda(cache, lams)
     w = weights(cache, lams)
     p = cache.proj_x.shape[-1]
-    q1v = _normalized_trace(cache, w)
-    q2v = _normalized_trace(cache, w * w)
-    u = 1.0 - lams * q1v
-    b = 1.0 - (cache.n_dim / cache.m_runs) * u
-    # theta2 = (u b - lambda (Q1 - lambda Q2)) / b^4. With a_i = d_i/(d_i +
-    # lambda), which is 0 on zero eigenvalues and the null block, its
-    # numerator is (1/N) [sum a_i^2 - (sum a_i)^2 / m]. As written with Q1
-    # and Q2 it is a difference of terms of size u/b^3 that cancel exactly
-    # when m = 1; summed instead as the spread of the r nonzero a_i about
-    # their mean plus (1/r - 1/m)(sum a_i)^2, nothing cancels when r <= m.
+    # With a_i = d_i/(d_i + lambda), 0 on zero eigenvalues and the null
+    # block, u is a sum of nonnegative terms that keeps its digits far above
+    # tau_bar, and theta2 = (u b - lambda (Q1 - lambda Q2)) / b^4 has the
+    # numerator (1/N) [sum a_i^2 - (sum a_i)^2 / m]. With Q1 and Q2 that is a
+    # difference of terms of size u/b^3 that cancel exactly when m = 1; as
+    # the spread of the r nonzero a_i about their mean plus
+    # (1/r - 1/m)(sum a_i)^2, nothing cancels when r <= m.
     d = _spectrum(cache)[..., None, :]
     a = d * w
     nonzero = d > 0.0
     r = np.maximum(np.count_nonzero(nonzero, axis=-1), 1)
     total = a.sum(axis=-1)
+    u = total / cache.n_dim
+    b = 1.0 - (cache.n_dim / cache.m_runs) * u
     spread = (((a - (total / r)[..., None]) * nonzero) ** 2).sum(axis=-1)
     theta2_num = (spread + (1.0 / r - 1.0 / cache.m_runs) * total**2) / cache.n_dim
     usable_b = np.where(np.abs(b) > DEGENERATE_TOL, b, np.nan)
@@ -268,8 +267,8 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     gram = weighted_gram(w, data, cache.null_gram)
     return RmtFunctionals(
         lam=lams,
-        q1=q1v,
-        q2=q2v,
+        q1=_normalized_trace(cache, w),
+        q2=_normalized_trace(cache, w * w),
         theta1=u / usable_b,
         theta2=theta2_num / usable_b**4,
         gram=gram,

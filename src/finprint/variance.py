@@ -58,12 +58,12 @@ _CRITERIA = {
 OBJECTIVES = tuple(_CRITERIA)
 
 # Reason codes for infeasible grid points; a point carries the first code, in
-# this order, whose check it fails: the denominator 1 - (N/m)(1 - lambda*Q1)
-# vanished, TLS has no finite solution (fingerprints orthogonal to Y), the
-# corrected Gram matrix Delta1 is numerically singular, or a diagonal entry
-# of the covariance estimate is <= 0 (under the "determinant" criterion, also
-# its determinant, relative to its scale: a product of two negative
-# eigenvalues must not win the minimum).
+# this order, whose check it fails: the denominator b = 1 - (N/m) u vanished
+# (spectral.DEGENERATE_TOL), TLS has no finite solution (fingerprints
+# orthogonal to Y), the corrected Gram matrix Delta1 is numerically
+# singular, or a diagonal entry of the covariance estimate is <= 0 (under
+# the "determinant" criterion, also its determinant, relative to its scale:
+# a product of two negative eigenvalues must not win the minimum).
 REASONS = ("degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
 
 NO_FEASIBLE = "every grid point was infeasible"
@@ -90,12 +90,12 @@ class LambdaCurve:
     Row g of every array belongs to ``grid[g]``: ``beta_hat`` is (G, p),
     ``delta1_hat``, ``delta2_hat`` and ``xi_hat`` are (G, p, p), ``k_hat``
     (the plug-in residual-interaction trace, theta2) and ``stability`` (the
-    denominator b = 1 - (N/m)(1 - lambda*Q1), which drifts to zero at small
-    lambda when m < N) are G-vectors, and ``reason`` holds None at a usable
-    point and a REASONS code otherwise; points that fail before the
-    covariance is assembled carry NaN payloads. ``n_near_degenerate`` counts
-    points with a usable denominator whose smallest TLS eigenvalue is nearly
-    tied.
+    denominator b = 1 - (N/m) u, u = (1/N) sum d_i/(d_i + lambda), which
+    drifts to zero at small lambda when m < N) are G-vectors, and ``reason``
+    holds None at a usable point and a REASONS code otherwise; points that
+    fail before the covariance is assembled carry NaN payloads.
+    ``n_near_degenerate`` counts points with a usable denominator whose
+    smallest TLS eigenvalue is nearly tied.
     ``objective`` is the ``criterion`` at feasible points and +inf elsewhere;
     ``chosen_index`` is its first minimum, so ties go to the smallest lambda.
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import finprint as fp
+
+# Every hypothesis failure prints the @reproduce_failure blob that replays
+# its draw. The profile inherits the active one (hypothesis's "ci" profile
+# under CI), so example counts, deadlines and randomization are unchanged.
+settings.register_profile("finprint", parent=settings.default, print_blob=True)
+settings.load_profile("finprint")
 
 
 def random_problem(seed=0, n=8, p=2, m=12):

@@ -21,11 +21,22 @@ class _Infeasible(Exception):
         self.reason = reason
 
 
+def _denominator(cache, lam):
+    """u = tr(S W^-1)/N and b = 1 - (N/m) u, u the mean of theta2's a = d * 1/(d + lam).
+
+    Summed over the a, u keeps its digits at lam far above the eigenvalues,
+    where one minus lam times the mean of 1/(d + lam) is a difference of two
+    numbers near 1. At m < N, b is a cancellation that Delta1 and
+    theta2 ~ 1/b^4 amplify: an a formed as d/(d + lam), one ulp off, moved
+    Xi by 3e-10 on a drawn case, so the a are formed as the grid forms them.
+    """
+    u = float(np.mean(cache.eigvals * (1.0 / (cache.eigvals + lam))))
+    return u, 1.0 - (cache.n_dim / cache.m_runs) * u
+
+
 def _functionals(cache, lam):
     w = 1.0 / (cache.eigvals + lam)
-    q1 = float(np.mean(w))
-    u = 1.0 - lam * q1
-    b = 1.0 - (cache.n_dim / cache.m_runs) * u
+    u, b = _denominator(cache, lam)
     if abs(b) <= DEGENERATE_TOL:
         raise _Infeasible("degenerate_denominator")
     v = cache.proj_x
@@ -82,9 +93,8 @@ def reference_point(cache, ensemble_sizes, lam: float, kind: str = "trace") -> d
     sizes = np.asarray(ensemble_sizes, dtype=float)
     p = cache.proj_x.shape[1]
     d = 1.0 / sizes
-    q1 = float(np.mean(1.0 / (cache.eigvals + lam)))
     out = {
-        "stability": 1.0 - (cache.n_dim / cache.m_runs) * (1.0 - lam * q1),
+        "stability": _denominator(cache, lam)[1],
         "beta_hat": np.full(p, np.nan),
         "xi_hat": np.full((p, p), np.nan),
         "k_hat": np.nan,

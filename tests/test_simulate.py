@@ -234,6 +234,12 @@ class TestRunScenario:
         with pytest.raises(fp.OutOfDomain, match="jobs must be >= 1"):
             fp.run_scenario(small_scenario(replicates=2), jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, "2", True])
+    def test_jobs_not_an_integer_rejected(self, jobs):
+        # The one integer rule (dataset.as_count) for every count.
+        with pytest.raises(fp.OutOfDomain, match="jobs must be an integer"):
+            fp.run_scenario(small_scenario(replicates=2), jobs=jobs)
+
     def test_unstructured_sigma_smoke(self):
         scn = small_scenario(
             n_dim=16,

@@ -170,6 +170,25 @@ class TestTheta:
         expected = (1.0 + ratio * t1) ** 2 * (t1 + lam * dtheta1)
         assert f.theta2[0] == pytest.approx(expected, abs=1e-5)
 
+    @pytest.mark.parametrize("n, m", [(12, 5), (8, 12)], ids=["m<N", "m>=N"])
+    @pytest.mark.parametrize("route", ["sample_cov", "control_runs"])
+    def test_denominator_against_dense_trace(self, n, m, route):
+        # u = tr(S (S + lambda I)^-1)/N from a dense solve, up to far above
+        # tau_bar, where u ~ tau_bar/lambda. theta1 = u/b, so theta1 * b is u.
+        # At the floor with m < N, b = 1 - (N/m) u ~ 1e-2 cancels, and the
+        # dense u's own round-off (~1e-14) reaches b: b is compared on the
+        # scale of its two terms there.
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((n, m))
+        x, y = rng.standard_normal((n, 2)), rng.standard_normal(n)
+        cov = fp.compute_sample_covariance(z)
+        cache = fp.build_cache(cov if route == "sample_cov" else z, x, y)
+        grid = np.array([1e-2, 1.0, 1e2, 1e8, 1e40]) * cache.tau_bar
+        u = np.array([np.trace(np.linalg.solve(cov.s + lam * np.eye(n), cov.s)) / n for lam in grid])
+        f = rmt_grid(cache, grid)
+        np.testing.assert_allclose(f.theta1 * f.stability, u, rtol=1e-12)
+        assert (np.abs(f.stability - (1.0 - (n / m) * u)) <= 1e-12 * (1.0 + (n / m) * u)).all()
+
     def test_degenerate_denominator(self):
         # rank-1 S with m=1 < N=4: b = lambda / (d_max + lambda) -> 0 as
         # lambda -> 0, tripping the degeneracy guard: the thetas are NaN there.

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finprint as fp
 from conftest import random_cache
@@ -295,6 +297,48 @@ class TestFitOptimal:
         assert fit_scaled.curve.chosen_index == fit.curve.chosen_index
         assert fit_scaled.lambda_opt == pytest.approx(c**2 * fit.lambda_opt, rel=1e-10)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 2),
+        st.integers(4, 12),
+        st.booleans(),
+        st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rotation_and_scale_invariance(self, seed, p, n, low_rank, log_c):
+        # Z -> cQZ, X~ -> cQX~, y -> cQy with Q orthogonal: S -> c^2 Q S Q^T,
+        # so the default grid scales by c^2, every data Gram W^-1 form is
+        # unchanged, and so are beta and Xi. m < N fits from the SVD of Z.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, n)) if low_rank else int(rng.integers(n, 2 * n + 1))
+        x = rng.standard_normal((n, p))
+        ds = fp.DetectionDataset(
+            y=x.sum(axis=1) + rng.standard_normal(n),
+            x_tilde=x,
+            ensemble_sizes=rng.integers(1, 50, size=p),
+            control_runs=rng.standard_normal((n, m)),
+        )
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0] * 10.0**log_c
+        moved = fp.DetectionDataset(
+            y=q @ ds.y, x_tilde=q @ ds.x_tilde, ensemble_sizes=ds.ensemble_sizes, control_runs=q @ ds.control_runs
+        )
+        try:
+            fit = fp.fit_optimal(ds)
+        except fp.NoFeasiblePoint:
+            with pytest.raises(fp.NoFeasiblePoint):
+                fp.fit_optimal(moved)
+            return
+        curve = fp.fit_optimal(moved).curve
+        # Points whose objectives tie to round-off may trade places; values
+        # are compared at the original's choice. Scaling factors are read
+        # against 0 and 1, so beta's tolerance is relative to max(1, |beta|).
+        i, j = fit.curve.chosen_index, curve.chosen_index
+        assert i == j or np.isclose(fit.curve.objective[i], curve.objective[j], rtol=1e-9, atol=0.0)
+        beta_scale = max(1.0, np.abs(fit.beta_hat).max())
+        np.testing.assert_allclose(curve.beta_hat[i], fit.beta_hat, rtol=0.0, atol=1e-12 * beta_scale)
+        np.testing.assert_allclose(curve.xi_hat[i], fit.xi_hat, rtol=0.0, atol=1e-10 * np.abs(fit.xi_hat).max())
+        assert curve.grid[i] == pytest.approx(10.0 ** (2 * log_c) * fit.lambda_opt, rel=1e-12)
+
     def test_forcing_permutation_equivariance(self, dataset_factory):
         ds = dataset_factory(seed=4, ensemble_sizes=(3, 7))
         fit = fp.fit_optimal(ds)
@@ -345,6 +389,33 @@ class TestFitOptimal:
         assert fit.lambda_opt == pytest.approx(9.03820983597447, abs=1e-10)
         for i, (lower, upper) in enumerate(fit.intervals):
             assert lower <= fit.beta_hat[i] <= upper
+
+    @pytest.mark.parametrize("m_runs", [100, 40], ids=["sample_cov", "control_runs"])
+    def test_far_end_is_the_identity_weight_plateau(self, m_runs):
+        # Far above tau_bar, W = S + lambda*I is lambda*I to within a double and
+        # every point estimates the W ~ I fit: one objective value. A u formed
+        # as one minus lambda*Q1 is round-off there, which swings the objective
+        # by decades and wins the minimum. m = 40 < N = 48 fits from the
+        # control runs' SVD.
+        scn = fp.SimulationScenario(
+            n_dim=48,
+            true_beta=(1.0, 1.0),
+            gamma=1.0,
+            ensemble_sizes=(35, 46),
+            m_runs=m_runs,
+            sigma_model=fp.SeparableAr1Sigma(8, 6, 0.1, 0.1),
+            true_x=fp.SyntheticFingerprints(seed=7),
+            replicates=1,
+            base_seed=20260810,
+        )
+        ds = fp.generate_replicate(scn, 0)
+        tau_bar = variance.prepare_cache(ds).tau_bar
+        fit = fp.fit_optimal(ds, fp.FitOptions(lambda_min=0.1 * tau_bar, lambda_max=1e40, grid_size=21))
+        assert fit.lambda_opt < 1e4 * tau_bar
+        far = fit.curve.feasible & (fit.curve.grid > 1e9 * tau_bar)
+        assert far.sum() >= 10
+        plateau = fit.curve.objective[far]
+        np.testing.assert_allclose(plateau, plateau[0], rtol=1e-9)
 
     def test_validation_failure_raises(self):
         rng = np.random.default_rng(0)
