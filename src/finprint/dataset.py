@@ -180,12 +180,6 @@ class DetectionDataset:
             return self.sample_cov.tau_bar
         return runs_tau_bar(self.control_runs)
 
-    def sample_covariance(self) -> SampleCovariance:
-        """Return the supplied covariance, or compute it from the control runs."""
-        if self.sample_cov is not None:
-            return self.sample_cov
-        return compute_sample_covariance(self.control_runs)
-
 
 def compute_sample_covariance(control_runs) -> SampleCovariance:
     """Sample covariance S = (1/m) * sum_j Z_j Z_j^T of centered control runs.

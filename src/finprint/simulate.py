@@ -449,7 +449,7 @@ def _record(index: int, fit, true_beta) -> ReplicateRecord:
 
 
 def stack_size(rank: int, grid_size: int) -> int:
-    """Replicates per stacked grid pass for caches of ``rank`` kept eigenvalues.
+    """Replicates per stacked grid pass for caches of ``rank`` eigenvalues.
 
     As many as fit STACK_ELEMENTS weights of grid_size x (rank+1) each, and
     at least one.
@@ -458,15 +458,14 @@ def stack_size(rank: int, grid_size: int) -> int:
 
 
 def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[ReplicateRecord]:
-    """Records of the replicates ``indices``, fitted in stacks of equal-shape caches.
+    """Records of the replicates ``indices``, fitted in stacks of ``stack_size`` caches.
 
-    A full-rank cache keeps min(N, m) eigenvalues (all N on the dense route);
-    full-rank replicates share a stack, and any other one is a stack of one.
+    Every replicate's cache holds min(N, m) eigenvalues, whatever the rank
+    of its control runs, so any of them stack together.
     """
     scenario = gen.scenario
     sizes = np.asarray(scenario.ensemble_sizes)
-    full_rank = min(scenario.n_dim, scenario.m_runs)
-    cap = stack_size(full_rank, options.grid_size)
+    cap = stack_size(min(scenario.n_dim, scenario.m_runs), options.grid_size)
     records: list[ReplicateRecord] = []
     stack: list = []
 
@@ -479,9 +478,6 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[Re
             cache = prepare_cache(gen.make(i))
         except FinprintError as exc:
             records.append(_record(i, exc, scenario.true_beta))
-            continue
-        if cache.eigvals.shape[-1] != full_rank:
-            fit([(i, cache)])
             continue
         stack.append((i, cache))
         if len(stack) == cap:
@@ -497,7 +493,7 @@ def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> Si
 
     Failed replicates are excluded from every aggregate but counted in
     ``n_failed`` and, by error type, in ``failure_counts``; the sample SD
-    uses divisor R-1.
+    uses divisor R-1, so it is NaN from a single successful replicate.
     """
     records = tuple(sorted(records, key=lambda r: r.index))
     good = [r for r in records if r.ok]
@@ -510,7 +506,7 @@ def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> Si
         per_forcing = tuple(
             ForcingMetrics(
                 bias=float(beta[:, i].mean() - true_beta[i]),
-                sd=float(beta[:, i].std(ddof=1)) if len(good) > 1 else 0.0,
+                sd=float(beta[:, i].std(ddof=1)) if len(good) > 1 else np.nan,
                 mean_ci_length=float(lengths[:, i].mean()),
                 coverage_rate=float(covered[:, i].mean()),
             )

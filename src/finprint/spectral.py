@@ -3,16 +3,16 @@
 All quantities the estimator needs at a given regularization level are
 functions of the eigendecomposition of the sample covariance S and of the
 data projected onto its eigenbasis. The decomposition is done once: an eigh
-of S when S is supplied, or the thin SVD of the N x m control runs Z, whose
-left singular vectors span the range of S = Z Z^T/m. The eigenvalue-0
-remainder of the space is kept as a null block: its dimension and the Gram
-matrix of the data's residual off the retained eigenvectors. A grid of G
-lambdas is then evaluated in one pass of stacked array operations on the
-G x (r+1) weight matrix 1/(d_i + lambda), whose last column is the null
-block's 1/lambda, at O(G r p^2); one lambda is a grid of one. Neither
-S + lambda*I nor, from control runs, S itself is ever formed. Caches of
-equal shape stack along a leading replicate axis (``stack_caches``); the
-grid functions broadcast over it, with an (R, G) lambda grid.
+of S, or for N x m control runs Z with m < N the thin SVD of Z, whose m left
+singular vectors span the range of S = Z Z^T/m; the N - m directions it does
+not compute have eigenvalue 0 and form a null block (its dimension and the
+Gram matrix of the data's residual). A grid of G lambdas is then evaluated
+in one pass of stacked array operations on the G x (k+1) weight matrix
+1/(d_i + lambda) of the k computed eigenvalues and the null block, at
+O(G k p^2); one lambda is a grid of one. S + lambda*I is never formed.
+Caches of equal shape stack along a leading replicate axis
+(``stack_caches``); the grid functions broadcast over it, with an (R, G)
+lambda grid.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Called as dataset.compute_sample_covariance, so perfbench's tracer sees it.
+from . import dataset
 from .dataset import SampleCovariance, runs_tau_bar
 from .errors import DimensionMismatch, EigenFailure, NotPSD, OutOfDomain
 
@@ -41,13 +43,13 @@ DEGENERATE_TOL = 1e-12
 class SpectralCache:
     """Eigendecomposition of S plus the data expressed in its eigenbasis.
 
-    ``eigvals`` (r of them) are ascending and clamped to >= 0. ``proj_x``
-    and ``proj_y`` are the fingerprints and observations rotated onto their
-    eigenvectors U, which are not kept. The other N - r = ``null_dim``
-    directions have eigenvalue 0; the data enter there only through
+    ``eigvals`` (k of them) are ascending and clamped to >= 0: all N from
+    an eigh of S, min(N, m) from control runs. ``proj_x`` and ``proj_y``
+    are the data rotated onto their eigenvectors U, which are not kept. The
+    other N - k = ``null_dim`` directions, which the thin SVD does not
+    compute, have eigenvalue 0; the data enter there only through
     ``null_gram``, the (p+1) x (p+1) Gram matrix R^T R of the residual
-    R = A - U U^T A of A = [x_tilde, y]. A cache built from S keeps all N
-    eigenpairs, so its null block is empty and ``null_gram`` zero.
+    R = A - U U^T A of A = [x_tilde, y]; zero after an eigh of S.
 
     A stack of R caches (``stack_caches``) carries a leading replicate axis
     on ``eigvals``, ``proj_x``, ``proj_y``, ``null_gram`` and ``tau_bar``.
@@ -81,8 +83,6 @@ class RmtFunctionals:
     """
 
     lam: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
     theta1: np.ndarray
     theta2: np.ndarray
     gram: np.ndarray
@@ -94,22 +94,23 @@ class RmtFunctionals:
 def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache:
     """Decompose S once and project the data onto its eigenbasis.
 
-    ``cov`` is either a SampleCovariance, which is eigendecomposed (O(N^3)
-    time, O(N^2) memory), or the N x m control runs Z themselves, whose thin
-    SVD gives the eigenpairs of S = Z Z^T/m without forming it (O(N m^2)
+    ``cov`` is a SampleCovariance or the N x m control runs Z, and the
+    route is chosen here: S, supplied or formed from Z with m >= N, is
+    eigendecomposed (O(N^3) time, O(N^2) memory); Z with m < N gives the
+    eigenpairs of S = Z Z^T/m by its thin SVD without forming S (O(N m^2)
     time, O(N m) memory). Eigenvalues below 1e-10 * tau_bar are clamped to
-    zero; from Z they join the null block. Raises NotPSD when a supplied S
-    has an eigenvalue below -1e-10 * tau_bar, EigenFailure if the
-    decomposition does not converge and DimensionMismatch on inconsistent
-    shapes.
+    zero. Raises NotPSD when S has an eigenvalue below -1e-10 * tau_bar,
+    EigenFailure if the decomposition does not converge and
+    DimensionMismatch on inconsistent shapes.
     """
-    if isinstance(cov, SampleCovariance):
-        z, n, m = None, cov.n_dim, cov.m
-    else:
+    if not isinstance(cov, SampleCovariance):
         z = np.asarray(cov, dtype=float)
         if z.ndim != 2 or z.shape[1] < 1:
             raise DimensionMismatch(f"control runs must be N x m with m >= 1, got {z.shape}")
-        n, m = z.shape
+        if z.shape[1] >= z.shape[0]:
+            cov = dataset.compute_sample_covariance(z)
+    dense = isinstance(cov, SampleCovariance)
+    n, m = (cov.n_dim, cov.m) if dense else z.shape
     x_tilde = np.asarray(x_tilde, dtype=float)
     y = np.asarray(y, dtype=float)
     if x_tilde.ndim != 2 or x_tilde.shape[0] != n:
@@ -118,7 +119,7 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         raise DimensionMismatch(f"y must have shape ({n},), got {y.shape}")
 
     try:
-        if z is None:
+        if dense:
             tau_bar = cov.tau_bar
             eigvals, eigvecs = np.linalg.eigh(cov.s)
         else:
@@ -128,26 +129,21 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"spectral decomposition failed: {exc}") from exc
     # Round-off eigenvalues (either sign) below 1e-10 * tau_bar are exact
-    # zeros of the rank-deficient S; a supplied S with an eigenvalue further
-    # below zero is not a covariance. Singular values cannot go negative.
+    # zeros of the rank-deficient S; an S with an eigenvalue further below
+    # zero is not a covariance. Singular values cannot go negative.
     floor = 1e-10 * max(tau_bar, 0.0)
     lowest = eigvals.min(initial=0.0)
-    if z is None and lowest < -floor:
+    if lowest < -floor:
         raise NotPSD(
             f"sample covariance is not positive semidefinite: eigenvalue {lowest:.3g} below -1e-10 * tau_bar"
         )
     eigvals = np.where(eigvals < floor, 0.0, eigvals)
     data = np.column_stack([x_tilde, y])
-    if z is None:
-        proj, null_gram = eigvecs.T @ data, np.zeros((data.shape[1],) * 2)
-    else:
-        # From Z the zero eigenvalues join the null block, which the data
-        # enter only through their residual off the kept eigenvectors.
-        kept = eigvals > 0.0
-        eigvals, eigvecs = eigvals[kept], eigvecs[:, kept]
-        proj = eigvecs.T @ data
-        resid = data - eigvecs @ proj
-        null_gram = resid.T @ resid
+    proj = eigvecs.T @ data
+    # The data enter the directions the SVD does not compute only through
+    # their residual off the computed eigenvectors; an eigh computes all N.
+    resid = data - eigvecs @ proj if eigvals.shape[0] < n else data[:0]
+    null_gram = resid.T @ resid
     return SpectralCache(
         eigvals=eigvals,
         proj_x=proj[:, :-1],
@@ -166,7 +162,8 @@ def stack_caches(caches) -> SpectralCache:
     The grid functions evaluate the stack in one pass, each replicate on its
     own (R, G) row of lambdas, with the same per-replicate results as its
     own cache gives. Raises DimensionMismatch unless every cache has the
-    same N, m, kept rank and forcing count.
+    same N, m, eigenvalue count and forcing count; caches from the same
+    route and shape always do.
     """
     caches = list(caches)
     shapes = {(c.n_dim, c.m_runs, c.proj_x.shape) for c in caches}
@@ -198,28 +195,23 @@ def _check_lambda(cache: SpectralCache, lam) -> np.ndarray:
 
 
 def _spectrum(cache: SpectralCache) -> np.ndarray:
-    """The r kept eigenvalues followed by the null block's 0, as (..., r+1)."""
+    """The k computed eigenvalues followed by the null block's 0, as (..., k+1)."""
     d = cache.eigvals
     return np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
 
 
 def weights(cache: SpectralCache, lams: np.ndarray) -> np.ndarray:
-    """(..., G, r+1) stack of shrunk inverse eigenvalues 1/(d_i + lambda_g).
+    """(..., G, k+1) stack of shrunk inverse eigenvalues 1/(d_i + lambda_g).
 
     The last column is the null block's weight 1/lambda_g (eigenvalue 0).
     """
     return 1.0 / (_spectrum(cache)[..., None, :] + lams[..., :, None])
 
 
-def _normalized_trace(cache: SpectralCache, w: np.ndarray) -> np.ndarray:
-    """(1/N) sum over all N eigenvalues of the weights ``w`` (a ``weights`` stack)."""
-    return (w[..., :-1].sum(axis=-1) + cache.null_dim * w[..., -1]) / cache.n_dim
-
-
 def weighted_gram(w: np.ndarray, a: np.ndarray, null_gram: np.ndarray) -> np.ndarray:
     """Symmetric sum_i w[..., g, i] a_i a_i^T + w[..., g, -1] * null_gram for every row g, as (..., G, k, k).
 
-    ``a`` has one row per retained eigenpair (..., r, k); the null block
+    ``a`` has one row per computed eigenpair (..., n, k); the null block
     enters through its residual Gram matrix (..., k, k).
     """
     *lead, n, k = a.shape
@@ -232,27 +224,27 @@ def weighted_gram(w: np.ndarray, a: np.ndarray, null_gram: np.ndarray) -> np.nda
 def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     """Every functional the covariance assembly needs, at each lambda of a grid.
 
-    Q1 = (1/N) sum 1/(d_i + lambda), Q2 = (1/N) sum 1/(d_i + lambda)^2,
-    u = (1/N) sum d_i/(d_i + lambda) = tr(S W^-1)/N, b = 1 - (N/m) u,
-    theta1 = u/b, theta2 = u/b^3 - lambda*(Q1 - lambda*Q2)/b^4, and the
-    symmetric PSD forms gram = A^T W^-1 A of the data A = [X~, y], its block
+    With a_i = d_i/(d_i + lambda): u = (1/N) sum a_i = tr(S W^-1)/N,
+    b = 1 - (N/m) u, theta1 = u/b, theta2 = (1/N) [sum a_i^2 - (sum a_i)^2/m]
+    / b^4 (the u/b^3 - lambda*(Q1 - lambda*Q2)/b^4 of Q1 = tr(W^-1)/N and
+    Q2 = tr(W^-2)/N, which are not formed), and the symmetric PSD forms
+    gram = A^T W^-1 A of the data A = [X~, y], its block
     g1 = X~^T W^-1 X~ / N and g_s = X~^T W^-1 S W^-1 X~ / N, W = S + lambda*I.
-    The sums run over all N eigenvalues: the null block adds (N - r)/lambda
-    to N*Q1 (lambda^2 for Q2) and its residual Gram matrix over lambda to
-    gram; it has weight 0 in g_s. A degenerate denominator gives NaN
-    thetas, not an exception. A stacked cache takes an (R, G) grid and
-    gives every functional a leading replicate axis.
+    The sums run over all N eigenvalues: the null block adds its residual
+    Gram matrix over lambda to gram and nothing to the sums of a_i or to
+    g_s. A degenerate denominator gives NaN thetas, not an exception. A
+    stacked cache takes an (R, G) grid and gives every functional a leading
+    replicate axis.
     """
     lams = _check_lambda(cache, lams)
     w = weights(cache, lams)
     p = cache.proj_x.shape[-1]
-    # With a_i = d_i/(d_i + lambda), 0 on zero eigenvalues and the null
-    # block, u is a sum of nonnegative terms that keeps its digits far above
-    # tau_bar, and theta2 = (u b - lambda (Q1 - lambda Q2)) / b^4 has the
-    # numerator (1/N) [sum a_i^2 - (sum a_i)^2 / m]. With Q1 and Q2 that is a
-    # difference of terms of size u/b^3 that cancel exactly when m = 1; as
-    # the spread of the r nonzero a_i about their mean plus
-    # (1/r - 1/m)(sum a_i)^2, nothing cancels when r <= m.
+    # The a_i are 0 on zero eigenvalues and the null block, so u is a sum of
+    # nonnegative terms that keeps its digits far above tau_bar. theta2's
+    # numerator, written with Q1 and Q2, is a difference of terms of size
+    # u/b^3 that cancel exactly when m = 1; as the spread of the r nonzero
+    # a_i about their mean plus (1/r - 1/m)(sum a_i)^2, nothing cancels
+    # when r <= m.
     d = _spectrum(cache)[..., None, :]
     a = d * w
     nonzero = d > 0.0
@@ -267,8 +259,6 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     gram = weighted_gram(w, data, cache.null_gram)
     return RmtFunctionals(
         lam=lams,
-        q1=_normalized_trace(cache, w),
-        q2=_normalized_trace(cache, w * w),
         theta1=u / usable_b,
         theta2=theta2_num / usable_b**4,
         gram=gram,

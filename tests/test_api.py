@@ -1,6 +1,7 @@
 """The package's error surface, its top-level export list and its import structure."""
 
 import ast
+import dataclasses
 import graphlib
 import importlib
 import inspect
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 import finprint as fp
-from finprint import errors
+from finprint import errors, spectral, variance
 
 
 def submodules():
@@ -145,3 +146,16 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_") and not alias.name.endswith("__") and alias.name not in modules
                 ]
     assert private == []
+
+
+def test_every_grid_output_is_read():
+    # The lambda grid fills every field of these on every pass; a field no
+    # module reads as ``.name`` is computed and stored for nothing.
+    read = {
+        node.attr
+        for f in sorted(Path(fp.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(f.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    outputs = {f.name for cls in (spectral.RmtFunctionals, variance.LambdaCurve) for f in dataclasses.fields(cls)}
+    assert sorted(outputs - read) == []

@@ -217,6 +217,23 @@ class TestFitCommand:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "lambda_min" in lines[0]
 
+    @pytest.mark.parametrize("m_runs", [100, 40])
+    def test_lambda_max_too_large_exit_2(self, m_runs, tmp_path, capsys):
+        # On the example data (tau_bar ~ 0.99) the grid weights of g_s and
+        # theta2 underflow above ~6.6e153 * tau_bar; 1e300 is rejected
+        # before the grid reports digit-losing points as feasible.
+        data = tmp_path / "example"
+        subprocess.run(
+            [sys.executable, str(SRC.parent / "scripts" / "make_example_data.py"), str(data), "--m-runs", str(m_runs)],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        args = ["fit", str(data / "manifest.json"), "--lambda-min", "1e-3", "--lambda-max", "1e300"]
+        assert main(args) == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith("error: ") and "lambda_max" in errors[0]
+
     def test_dimension_mismatch_exit_2(self, tmp_path):
         rng = np.random.default_rng(3)
         write_matrix(tmp_path / "y.txt", rng.standard_normal((10, 1)))
@@ -358,6 +375,13 @@ class TestSimulateCommand:
         out = tmp_path / "sim.json"
         assert main(["simulate", str(scenario_file), "--replicates", "4", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["metrics"]["n_replicates"] == 4
+
+    def test_one_replicate_reports_no_spread(self, scenario_file, tmp_path):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", str(scenario_file), "--replicates", "1", "--output", str(out)]) == 0
+        per_forcing = json.loads(out.read_text())["metrics"]["per_forcing"]
+        assert [m["sd"] for m in per_forcing] == [None, None]
+        assert all(m["bias"] is not None for m in per_forcing)
 
     def test_provenance_reports_scenario_options(self, scenario_file, tmp_path):
         doc = json.loads(scenario_file.read_text())

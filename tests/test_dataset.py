@@ -149,7 +149,7 @@ class TestDetectionDataset:
             y=np.zeros(3), x_tilde=np.ones((3, 1)), ensemble_sizes=[1], sample_cov=cov
         )
         assert ds.m_runs == 7
-        assert ds.sample_covariance() is cov
+        assert ds.sample_cov is cov
 
     def test_rejects_nonpositive_ensemble_sizes(self):
         with pytest.raises(ValueError):

@@ -141,7 +141,7 @@ class TestDatasetManifest:
         ds = load_dataset(manifest)
         assert ds.control_runs is None
         assert ds.m_runs == 42
-        np.testing.assert_array_equal(ds.sample_covariance().s, np.eye(10))
+        np.testing.assert_array_equal(ds.sample_cov.s, np.eye(10))
 
     def test_missing_keys(self, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -6,6 +6,7 @@ import pytest
 import finprint as fp
 import oracles
 from finprint import dataset, variance
+from reference import trace_functionals
 
 RTOL = 1e-8
 
@@ -90,7 +91,9 @@ class TestAgainstDense:
         assert_matches_dense(ds)
         low, dense = caches(ds)
         assert low.s_rank == dense.s_rank == 4
-        assert low.eigvals.shape == (4,) and low.null_dim == 26
+        # Every computed eigenpair is kept, its zeros clamped: min(N, m) of them.
+        m = len(columns)
+        assert low.eigvals.shape == (m,) and low.null_dim == 30 - m
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_zero_runs(self, p):
@@ -106,10 +109,13 @@ class TestAgainstDense:
             fp.validate_dataset(ds)
         with pytest.raises(fp.DimensionMismatch):
             fp.fit_optimal(ds)
-        assert low.eigvals.shape == (0,) and low.null_dim == 20
+        assert low.eigvals.shape == (5,) and low.null_dim == 15
+        np.testing.assert_array_equal(low.eigvals, 0.0)
         grid = np.geomspace(0.01, 10.0, 30)
+        for got, want in zip(trace_functionals(low, grid), trace_functionals(dense, grid)):
+            assert_close(got, want)
         got, want = fp.spectral.rmt_grid(low, grid), fp.spectral.rmt_grid(dense, grid)
-        for name in ("q1", "q2", "stability", "g1", "g_s"):
+        for name in ("stability", "g1", "g_s"):
             assert_close(getattr(got, name), getattr(want, name))
         for f in (got, want):
             np.testing.assert_allclose(f.theta1, 0.0, atol=1e-14)
@@ -138,8 +144,10 @@ class TestAgainstDense:
         assert low.eigvals.shape == (12,) and low.null_dim == 38
         assert dense.null_dim == 0 and not dense.null_gram.any()
         grid = np.geomspace(0.01, 10.0, 25) * dense.tau_bar
+        for got, want in zip(trace_functionals(low, grid), trace_functionals(dense, grid)):
+            assert_close(got, want)
         got, want = fp.spectral.rmt_grid(low, grid), fp.spectral.rmt_grid(dense, grid)
-        for name in ("q1", "q2", "theta1", "theta2", "stability", "g1", "g_s"):
+        for name in ("theta1", "theta2", "stability", "g1", "g_s"):
             assert_close(getattr(got, name), getattr(want, name))
 
     def test_against_dense_oracles(self):
@@ -155,17 +163,20 @@ class TestAgainstDense:
             objective = oracles.tls_objective(s, ds.x_tilde, ds.y, ds.ensemble_sizes, lam, sol.beta_hat)
             assert objective == pytest.approx(sol.min_eigenvalue, rel=RTOL)
 
-    @pytest.mark.parametrize("m", [30, 45])
-    def test_svd_cache_at_m_at_least_n(self, m):
-        # build_cache takes the thin SVD of any Z it is handed; the fit only
-        # routes m < N there.
+    @pytest.mark.parametrize("m", [12, 30, 45])
+    def test_build_cache_of_z_is_the_fit_cache(self, m):
+        # build_cache picks the route: from Z with m >= N it forms S and
+        # takes its eigh, from Z with m < N the thin SVD. Either way it is
+        # the cache prepare_cache builds, to the bit.
         ds = problem(9, 30, m, 2)
         low, dense = caches(ds)
-        grid = np.geomspace(0.01, 10.0, 20) * dense.tau_bar
-        got = variance.evaluate_grid(low, ds.ensemble_sizes, grid)
-        want = variance.evaluate_grid(dense, ds.ensemble_sizes, grid)
-        assert got.chosen_index == want.chosen_index
-        np.testing.assert_allclose(got.objective, want.objective, rtol=RTOL)
+        fit = variance.prepare_cache(ds)
+        for name in ("eigvals", "proj_x", "proj_y", "null_gram"):
+            np.testing.assert_array_equal(getattr(low, name), getattr(fit, name))
+            if m >= 30:
+                np.testing.assert_array_equal(getattr(low, name), getattr(dense, name))
+        assert (low.null_dim, low.n_dim, low.m_runs, low.tau_bar) == (fit.null_dim, 30, m, fit.tau_bar)
+        assert low.eigvals.shape == (min(30, m),) and low.null_dim == max(30 - m, 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(fp.DimensionMismatch):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ class TestSummaries:
         metrics = report.per_forcing[0]
         assert metrics.bias == pytest.approx(0.0, abs=1e-15)
         assert metrics.sd == pytest.approx(0.1)
+
+    def test_single_replicate_has_no_sd(self):
+        # The divisor R-1 is 0: the SD is undefined, not 0, and NumPy's
+        # degrees-of-freedom warning must not fire.
+        records = [self._record(0, (1.2, 0.7)), self._record(1, None, error="NoFeasiblePoint: x")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fp.simulate.summarize_replicates(records, (1.0, 1.0))
+        assert all(np.isnan(m.sd) for m in report.per_forcing)
+        assert [m.bias for m in report.per_forcing] == pytest.approx([0.2, -0.3])
 
     def test_coverage_two_of_three(self):
         cis = [((0.5, 1.5),), ((0.8, 1.2),), ((2.0, 3.0),)]

@@ -7,6 +7,7 @@ import finprint as fp
 import oracles
 from conftest import random_cache, random_problem
 from finprint.spectral import rmt_grid
+from reference import trace_functionals
 
 
 def cache_from_matrix(s, x, y, m=10):
@@ -72,41 +73,59 @@ class TestBuildCache:
 
 
 class TestTraceFunctionals:
+    """The Q1/Q2 trace oracle of reference.py, which C5-C8 read."""
+
     def test_q1_flat_spectrum(self):
         cache = cache_from_matrix(np.eye(4), np.ones((4, 1)), np.zeros(4))
-        assert rmt_grid(cache, [1.0]).q1[0] == pytest.approx(0.5)
+        assert trace_functionals(cache, [1.0])[0][0] == pytest.approx(0.5)
 
     def test_q1_mixed_spectrum(self):
         cache = cache_from_matrix(np.diag([0.0, 2.0]), np.ones((2, 1)), np.zeros(2))
-        assert rmt_grid(cache, [1.0]).q1[0] == pytest.approx(2.0 / 3.0)
+        assert trace_functionals(cache, [1.0])[0][0] == pytest.approx(2.0 / 3.0)
 
     def test_q1_scalar(self):
         cache = cache_from_matrix(np.array([[3.0]]), np.ones((1, 1)), np.zeros(1))
-        assert rmt_grid(cache, [0.5]).q1[0] == pytest.approx(1.0 / 3.5)
+        assert trace_functionals(cache, [0.5])[0][0] == pytest.approx(1.0 / 3.5)
 
     def test_q2_flat_spectrum(self):
         cache = cache_from_matrix(np.eye(4), np.ones((4, 1)), np.zeros(4))
-        assert rmt_grid(cache, [1.0]).q2[0] == pytest.approx(0.25)
+        assert trace_functionals(cache, [1.0])[1][0] == pytest.approx(0.25)
 
     def test_q2_mixed_spectrum(self):
         cache = cache_from_matrix(np.diag([0.0, 2.0]), np.ones((2, 1)), np.zeros(2))
-        assert rmt_grid(cache, [1.0]).q2[0] == pytest.approx((1.0 + 1.0 / 9.0) / 2.0)
+        assert trace_functionals(cache, [1.0])[1][0] == pytest.approx((1.0 + 1.0 / 9.0) / 2.0)
+
+    @pytest.mark.parametrize("n, m", [(12, 5), (8, 12)], ids=["m<N", "m>=N"])
+    @pytest.mark.parametrize("route", ["sample_cov", "control_runs"])
+    def test_against_dense_traces(self, n, m, route):
+        # tr((S + lambda I)^-1)/N and tr((S + lambda I)^-2)/N from a dense
+        # inverse; from control runs with m < N the cache holds m eigenvalues
+        # and the null block the other N - m.
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((n, m))
+        cov = fp.compute_sample_covariance(z)
+        cache = fp.build_cache(cov if route == "sample_cov" else z, np.ones((n, 1)), np.zeros(n))
+        assert cache.null_dim == (n - m if route == "control_runs" and m < n else 0)
+        grid = np.array([1e-2, 1.0, 1e2]) * cache.tau_bar
+        inverses = [np.linalg.inv(cov.s + lam * np.eye(n)) for lam in grid]
+        q1, q2 = trace_functionals(cache, grid)
+        np.testing.assert_allclose(q1, [np.trace(w) / n for w in inverses], rtol=1e-12)
+        np.testing.assert_allclose(q2, [np.trace(w @ w) / n for w in inverses], rtol=1e-12)
 
     @given(st.integers(0, 500), st.floats(0.05, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_q2_is_negative_derivative_of_q1(self, seed, lam):
         cache = random_cache(seed=seed)
         h = 1e-5 * lam
-        up, down = rmt_grid(cache, [lam + h, lam - h]).q1
-        assert rmt_grid(cache, [lam]).q2[0] == pytest.approx(-(up - down) / (2 * h), abs=1e-6)
+        up, down = trace_functionals(cache, [lam + h, lam - h])[0]
+        assert trace_functionals(cache, [lam])[1][0] == pytest.approx(-(up - down) / (2 * h), abs=1e-6)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_q_schwarz_and_monotone(self, seed):
         cache = random_cache(seed=seed)
         grid = np.geomspace(0.1, 10.0, 12) * max(cache.tau_bar, 1e-3)
-        f = rmt_grid(cache, grid)
-        q1s, q2s = f.q1, f.q2
+        q1s, q2s = trace_functionals(cache, grid)
         assert (q1s > 0).all() and (q2s > 0).all()
         assert (q2s >= q1s**2 - 1e-15).all()
         assert (np.diff(q1s) < 0).all()
@@ -286,6 +305,6 @@ class TestMarchenkoPasturConsistency:
             z = rng.standard_normal((400, 400))
             cov = fp.compute_sample_covariance(z)
             cache = fp.build_cache(cov, np.ones((400, 1)), np.zeros(400))
-            if abs(rmt_grid(cache, [1.0]).q1[0] - 0.618034) < 0.02:
+            if abs(trace_functionals(cache, [1.0])[0][0] - 0.618034) < 0.02:
                 hits += 1
         assert hits >= 9

@@ -78,7 +78,7 @@ def set_stack_size(monkeypatch, size, rank, grid_size=variance.DEFAULT_GRID_SIZE
 
 class TestBatchIndependence:
     # m >= N takes the eigh of S (a cache of N eigenvalues, cap 13 at N=48);
-    # m < N the thin SVD of Z (m eigenvalues when Z has full rank, cap 26 at
+    # m < N the thin SVD of Z (m eigenvalues, whatever its rank, cap 26 at
     # m=24). 30 replicates are two full stacks and a partial one at N=48.
     # The grid's small-matrix kernels differ by size: closed forms for the
     # 2x2 Delta1 and 3x3 TLS Gram matrix at p = 2, LAPACK at p = 1 and 3.
@@ -102,7 +102,9 @@ class TestBatchIndependence:
         assert 0 < report.failure_counts.get("NoFeasiblePoint", 0) < scn.replicates
         assert report.replicates == expected_records(scn)
 
-    def test_rank_deficient_replicate_is_its_own_stack(self, monkeypatch, stack_sizes):
+    def test_rank_deficient_replicate_shares_the_full_stack(self, monkeypatch, stack_sizes):
+        # Replicate 4's runs have rank 23; its cache still holds all 24
+        # eigenvalues, one of them a clamped 0, so it stacks with the rest.
         original = simulate.ReplicateGenerator.make
 
         def make(self, rep_index):
@@ -115,11 +117,12 @@ class TestBatchIndependence:
 
         monkeypatch.setattr(simulate.ReplicateGenerator, "make", make)
         scn = scenario(24)
+        assert variance.prepare_cache(fp.generate_replicate(scn, 4)).s_rank == 23
         report = fp.run_scenario(scn)
         assert report.n_failed == 0
         assert report.replicates == expected_records(scn)
-        assert [23] in stack_sizes
-        assert sum(len(s) for s in stack_sizes) == scn.replicates
+        cap = simulate.stack_size(24, variance.DEFAULT_GRID_SIZE)
+        assert stack_sizes == [[24] * cap] * (scn.replicates // cap) + [[24] * (scn.replicates % cap)]
 
     def test_bounds_checked_per_replicate(self):
         # A fixed lambda_min above some replicates' default upper bound

@@ -9,9 +9,10 @@ import finprint as fp
 from conftest import random_cache
 from finprint import variance
 from finprint.spectral import RmtFunctionals, rmt_grid
+from reference import trace_functionals
 
 
-def make_functionals(lam=1.0, q1=0.5, q2=0.25, theta1=1.0, theta2=0.0, g1=0.25, g_s=0.125):
+def make_functionals(lam=1.0, theta1=1.0, theta2=0.0, g1=0.25, g_s=0.125):
     """A one-point grid of functionals with the given values.
 
     The assembly never reads the TLS data Gram, so it is NaN.
@@ -20,8 +21,6 @@ def make_functionals(lam=1.0, q1=0.5, q2=0.25, theta1=1.0, theta2=0.0, g1=0.25, 
     k = g1.shape[-1] + 1
     return RmtFunctionals(
         lam=np.array([lam]),
-        q1=np.array([q1]),
-        q2=np.array([q2]),
         theta1=np.array([theta1]),
         theta2=np.array([theta2]),
         gram=np.full((1, k, k), np.nan),
@@ -97,9 +96,8 @@ class TestAssemblyPieces:
             cov = fp.compute_sample_covariance(rng.standard_normal((n, m)))
             cache = fp.build_cache(cov, dummy_x, dummy_y)
             lam = cache.tau_bar
-            f = rmt_grid(cache, [lam])
-            total_k += f.theta2[0]
-            total_oracle += f.q2[0]
+            total_k += rmt_grid(cache, [lam]).theta2[0]
+            total_oracle += trace_functionals(cache, [lam])[1][0]
         assert abs(total_k - total_oracle) / reps < 0.02
 
     def test_xi_symmetric(self):
@@ -126,7 +124,7 @@ class TestEvaluateLambda:
             ensemble_sizes=[4, 9],
             control_runs=rng.standard_normal((10, 14)),
         )
-        cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
+        cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
         est = fp.evaluate_lambda(cache, ds.ensemble_sizes, cache.tau_bar)
         np.testing.assert_allclose(est.beta_hat[0], beta, atol=1e-8)
         assert np.isfinite(est.xi_hat).all()
@@ -192,8 +190,6 @@ class TestSelectLambda:
         return variance.LambdaCurve(
             grid=grid,
             beta_hat=np.zeros((g, 2)),
-            delta1_hat=np.tile(np.eye(2), (g, 1, 1)),
-            delta2_hat=np.tile(np.eye(2), (g, 1, 1)),
             k_hat=np.zeros(g),
             xi_hat=np.stack([np.diag([t / 2, t / 2]) for t in traces]),
             stability=np.ones(g),
@@ -250,16 +246,28 @@ class TestSelectLambda:
             fp.select_lambda(cache_factory(), [3, 5], grid_size=1)
 
     @pytest.mark.parametrize("m", [5, 20], ids=["null_block", "dense"])
-    def test_lambda_min_floor(self, dataset_factory, m):
-        # Q2 sums the weight 1/lambda^2 over up to N = 12 zero-eigenvalue
-        # directions: 12/1e-154^2 overflows float64, 12/1e-153^2 does not.
+    def test_lambda_max_ceiling(self, dataset_factory, m):
+        # (tau_bar/lambda)^2 is subnormal above tau_bar/sqrt(tiny); with
+        # tau_bar near 1, tau_bar/lambda^2 is still normal at half that.
         ds = dataset_factory(n=12, m=m)
-        cache = fp.build_cache(ds.control_runs if m < 12 else ds.sample_covariance(), ds.x_tilde, ds.y)
+        cache = fp.build_cache(ds.control_runs, ds.x_tilde, ds.y)
+        limit = cache.tau_bar / np.sqrt(np.finfo(float).tiny)
+        with pytest.raises(fp.OutOfDomain, match="lambda_max"):
+            fp.select_lambda(cache, [3, 5], bounds=(cache.tau_bar, 2.0 * limit))
+        fp.select_lambda(cache, [3, 5], bounds=(cache.tau_bar, 0.5 * limit))
+
+    @pytest.mark.parametrize("m", [5, 20], ids=["null_block", "dense"])
+    def test_lambda_min_floor(self, dataset_factory, m):
+        # N/lambda_min^2 must stay finite at N = 12: 12/1e-154^2 overflows
+        # float64, 12/1e-153^2 does not. The upper bound 1e150 is below the
+        # lambda_max rule's limit on this data (tau_bar ~ 1).
+        ds = dataset_factory(n=12, m=m)
+        cache = fp.build_cache(ds.control_runs, ds.x_tilde, ds.y)
         with pytest.raises(fp.OutOfDomain, match="lambda_min"):
-            fp.select_lambda(cache, [3, 5], bounds=(1e-154, 1e300))
+            fp.select_lambda(cache, [3, 5], bounds=(1e-154, 1e150))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fp.select_lambda(cache, [3, 5], bounds=(1e-153, 1e300))
+            fp.select_lambda(cache, [3, 5], bounds=(1e-153, 1e150))
 
 
 class TestFitOptimal:
@@ -276,7 +284,7 @@ class TestFitOptimal:
         fit = fp.fit_optimal(ds)
         np.testing.assert_allclose(fit.beta_hat, beta, atol=1e-8)
         # with an exact fit every lambda recovers the same coefficients
-        cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
+        cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
         for lam in fit.curve.grid[::25]:
             np.testing.assert_allclose(
                 fp.tls_fit(cache, ds.ensemble_sizes, lam).beta_hat, beta, atol=1e-8
@@ -359,7 +367,7 @@ class TestFitOptimal:
     def test_default_bounds_and_grid(self, dataset_factory):
         ds = dataset_factory(seed=5)
         fit = fp.fit_optimal(ds)
-        cache = fp.build_cache(ds.sample_covariance(), ds.x_tilde, ds.y)
+        cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
         assert len(fit.curve.grid) == 100
         assert fit.curve.grid[0] == pytest.approx(0.01 * cache.tau_bar)
         assert fit.curve.grid[-1] == pytest.approx(10.0 * cache.tau_bar)
@@ -435,6 +443,18 @@ class TestFitOptimal:
             fp.FitOptions(grid_size=1)
         with pytest.raises(ValueError):
             fp.FitOptions(objective="volume")
+
+    @pytest.mark.parametrize(
+        "name, value", [("lambda_min", "0.5"), ("lambda_min", True), ("lambda_max", "10"), ("alpha", "0.05")]
+    )
+    def test_options_numbers_follow_as_real(self, name, value):
+        # A string or a bool is not converted: "0.5" was a grid from 0.5,
+        # True one from 1.0, and alpha "0.05" a bare TypeError.
+        with pytest.raises(fp.OutOfDomain, match=name):
+            fp.FitOptions(**{name: value})
+        options = fp.FitOptions(alpha=np.float32(0.25), lambda_min=np.int64(2), lambda_max=np.float64(3.0))
+        assert (options.alpha, options.lambda_min, options.lambda_max) == (0.25, 2.0, 3.0)
+        assert all(type(v) is float for v in (options.alpha, options.lambda_min, options.lambda_max))
 
     def test_alternate_objective_runs(self, dataset_factory):
         ds = dataset_factory(seed=9)
