@@ -19,13 +19,11 @@ from .errors import (
     EigenFailure,
     FinprintError,
     InputError,
-    NearDegenerateWarning,
     NoFeasiblePoint,
     NonFinite,
     NotPSD,
     OutOfDomain,
     SchemaError,
-    VerticalSolution,
 )
 from .inference import FitResult, Verdict, da_verdict, joint_region_test, marginal_ci
 from .spectral import build_cache
@@ -100,6 +98,4 @@ __all__ = [
     "NotPSD",
     "EigenFailure",
     "NoFeasiblePoint",
-    "VerticalSolution",
-    "NearDegenerateWarning",
 ]

@@ -181,6 +181,7 @@ def _replicate_table(report: SimulationReport, p: int) -> str:
 
 
 def _simulate_doc(report: SimulationReport, scn: SimulationScenario, scenario_path: str) -> dict:
+    matrix_files = [m.path for m in (scn.sigma_model, scn.true_x) if m.kind == "user_matrix"]
     return {
         "scenario": scenario_to_dict(scn),
         "metrics": {
@@ -198,7 +199,7 @@ def _simulate_doc(report: SimulationReport, scn: SimulationScenario, scenario_pa
                 report.n_replicates / report.elapsed_seconds if report.elapsed_seconds > 0 else None
             ),
         },
-        "provenance": _provenance(scn.fit_options, [scenario_path]),
+        "provenance": _provenance(scn.fit_options, [scenario_path, *matrix_files]),
     }
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types: every one the package raises or warns with."""
+"""Exception types: every one the package raises."""
 
 __all__ = [
     "FinprintError",
@@ -10,8 +10,6 @@ __all__ = [
     "NotPSD",
     "EigenFailure",
     "NoFeasiblePoint",
-    "VerticalSolution",
-    "NearDegenerateWarning",
 ]
 
 
@@ -50,12 +48,3 @@ class EigenFailure(FinprintError):
 class NoFeasiblePoint(FinprintError):
     """Every grid point in the regularization search was infeasible."""
 
-
-class VerticalSolution(FinprintError):
-    """No finite scaling-factor solution: the minimizing eigenvector has a
-    (numerically) zero last component."""
-
-
-class NearDegenerateWarning(UserWarning):
-    """Smallest eigenvalue of the augmented Gram matrix is nearly tied;
-    the reported solution is numerically non-unique."""

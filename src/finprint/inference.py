@@ -103,12 +103,15 @@ def _chisq_below(df: int, x: float, q: float) -> bool:
 
 
 def quantile_chisq(df: int, q: float) -> float:
-    """Chi-square quantile with df >= 1 degrees of freedom.
+    """Chi-square quantile with df from 1 to 1000 degrees of freedom.
 
     df must be an integer; the CDF is inverted by bisection down to
-    adjacent doubles.
+    adjacent doubles. Above df = 1000 the survival sum overflows before
+    e^{-h} underflows, so larger df is rejected.
     """
     df = as_count(df, "chi-square quantile df")
+    if df > 1000:
+        raise OutOfDomain(f"chi-square quantile needs df <= 1000, got {df}")
     if not 0.0 < q < 1.0:
         raise OutOfDomain(f"chi-square quantile needs q in (0, 1), got {q}")
     lo, hi = 0.0, float(df)

@@ -14,16 +14,13 @@ keep LAPACK's eigh.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._symmetric import smallest_eigenpair
-from .errors import EigenFailure, NearDegenerateWarning, OutOfDomain, VerticalSolution
+from .errors import EigenFailure, OutOfDomain
 from .spectral import SpectralCache, rmt_grid
 
-__all__ = ["TlsSolution", "tls_grid", "tls_fit"]
+__all__ = ["tls_grid", "tls_fit"]
 
 # |last eigenvector component| below this (relative to the vector norm) means
 # the fit has no finite solution in the whitened metric.
@@ -40,25 +37,7 @@ NEAR_DEGENERATE_TOL = 1e-8
 LAPACK_GAP_FACTOR = 1e5
 
 
-@dataclass(frozen=True)
-class TlsSolution:
-    """Fitted scaling factors plus eigenstructure diagnostics.
-
-    ``beta_star`` is the solution in the rescaled parameterization
-    (beta_star = D^{1/2} beta_hat); ``min_eigenvalue`` equals the attained
-    objective value and ``gap`` (second smallest minus smallest eigenvalue)
-    measures how well-separated the minimizer is. From ``tls_fit`` the
-    fields describe one lambda; from ``tls_grid`` each is stacked over the
-    grid (``beta_hat`` is (..., G, p)).
-    """
-
-    beta_hat: np.ndarray
-    beta_star: np.ndarray
-    min_eigenvalue: float | np.ndarray
-    gap: float | np.ndarray
-
-
-def tls_grid(gram, ensemble_sizes) -> tuple[TlsSolution, np.ndarray, np.ndarray]:
+def tls_grid(gram, ensemble_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the prewhitened total-least-squares problem at every lambda of a grid.
 
     ``gram`` is ``rmt_grid``'s (..., G, p+1, p+1) stack of data Gram
@@ -66,11 +45,11 @@ def tls_grid(gram, ensemble_sizes) -> tuple[TlsSolution, np.ndarray, np.ndarray]
     ``_symmetric.smallest_eigenpair``: in closed form for p = 2, from
     LAPACK's eigh at points whose two smallest eigenvalues are within
     LAPACK_GAP_FACTOR * NEAR_DEGENERATE_TOL of each other (relative to the
-    mean diagonal) and for every other p. Returns
-    the solution with every field stacked over the grid, a mask of vertical
-    points (the minimizing eigenvector is orthogonal to the response
-    direction, so no finite estimate exists; their coefficients are NaN) and
-    a mask of points whose smallest eigenvalue is nearly tied.
+    mean diagonal) and for every other p. Returns the (..., G, p) scaling
+    factors, a mask of vertical points (the minimizing eigenvector is
+    orthogonal to the response direction, so no finite estimate exists;
+    their coefficients are NaN) and a mask of points whose smallest
+    eigenvalue is nearly tied (the minimizer is numerically non-unique).
     """
     sizes = np.asarray(ensemble_sizes, dtype=float)
     p = gram.shape[-1] - 1
@@ -89,40 +68,13 @@ def tls_grid(gram, ensemble_sizes) -> tuple[TlsSolution, np.ndarray, np.ndarray]
     near_tied = gap < NEAR_DEGENERATE_TOL * np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
     last = v[..., -1]
     vertical = np.abs(last) < VERTICAL_TOL * np.linalg.norm(v, axis=-1)
-    beta_star = -v[..., :-1] / np.where(vertical, np.nan, last)[..., None]
-    solution = TlsSolution(
-        beta_hat=np.sqrt(sizes) * beta_star,
-        beta_star=beta_star,
-        min_eigenvalue=np.maximum(eigvals[..., 0], 0.0),
-        gap=np.maximum(gap, 0.0),
-    )
-    return solution, vertical, near_tied
+    beta_hat = np.sqrt(sizes) * (-v[..., :-1] / np.where(vertical, np.nan, last)[..., None])
+    return beta_hat, vertical, near_tied
 
 
-def tls_fit(cache: SpectralCache, ensemble_sizes, lam: float) -> TlsSolution:
-    """Solve the prewhitened total-least-squares problem at one lambda.
+def tls_fit(cache: SpectralCache, ensemble_sizes, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tls_grid`` at one lambda: the same triple with a grid axis of length one.
 
-    Raises VerticalSolution when the minimizing eigenvector is orthogonal to
-    the response direction (no finite estimate exists), and emits a
-    NearDegenerateWarning when the smallest eigenvalue is nearly tied.
-    ``tls_grid`` on a one-point ``rmt_grid``.
+    A vertical point has NaN coefficients and ``vertical[0]`` set.
     """
-    solution, vertical, near_tied = tls_grid(rmt_grid(cache, [float(lam)]).gram, ensemble_sizes)
-    if near_tied[0]:
-        warnings.warn(
-            f"smallest Gram eigenvalue nearly tied (gap {solution.gap[0]:.3e}); "
-            "solution numerically non-unique",
-            NearDegenerateWarning,
-            stacklevel=2,
-        )
-    if vertical[0]:
-        raise VerticalSolution(
-            "minimizing eigenvector has zero response component; "
-            "fingerprints are orthogonal to Y in the whitened metric"
-        )
-    return TlsSolution(
-        beta_hat=solution.beta_hat[0],
-        beta_star=solution.beta_star[0],
-        min_eigenvalue=float(solution.min_eigenvalue[0]),
-        gap=float(solution.gap[0]),
-    )
+    return tls_grid(rmt_grid(cache, [float(lam)]).gram, ensemble_sizes)

@@ -227,9 +227,9 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
         raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
     d = 1.0 / np.asarray(ensemble_sizes, dtype=float)
     f = rmt_grid(cache, grid)
-    sol, vertical, near_tied = tls_grid(f.gram, ensemble_sizes)
+    beta_hat, vertical, near_tied = tls_grid(f.gram, ensemble_sizes)
     degenerate = np.isnan(f.theta1)
-    p = sol.beta_hat.shape[-1]
+    p = beta_hat.shape[-1]
     eye = np.eye(p)
 
     d1 = delta1_hat(f, d)
@@ -247,7 +247,7 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     # Far above tau_bar, Delta1 can be small enough that Xi overflows; such a
     # point has a non-finite objective (or diagonal) and is infeasible.
     with np.errstate(over="ignore", invalid="ignore"):
-        xi = xi_hat(sol.beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
+        xi = xi_hat(beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
     nonpositive = ~(np.diagonal(xi, axis1=-2, axis2=-1) > 0.0).all(axis=-1)
     if criterion == "determinant":
         # det <= 0 gives a combination of the scaling factors a variance <= 0;
@@ -262,7 +262,7 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(REASONS))
     return LambdaCurve(
         grid=f.lam,
-        beta_hat=np.where(unusable[..., None], np.nan, sol.beta_hat),
+        beta_hat=np.where(unusable[..., None], np.nan, beta_hat),
         k_hat=np.where(unusable, np.nan, f.theta2),
         xi_hat=np.where(blank, np.nan, xi),
         stability=f.stability,

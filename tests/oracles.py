@@ -135,3 +135,13 @@ def tls_objective(s, x_tilde, y, ensemble_sizes, lam: float, beta) -> float:
     resid = np.asarray(y, dtype=float) - np.asarray(x_tilde, dtype=float) @ beta
     quad = resid @ np.linalg.solve(s + lam * np.eye(s.shape[0]), resid)
     return float(quad / (1.0 + np.sum(beta**2 / np.asarray(ensemble_sizes, dtype=float))))
+
+
+def tls_min_eigenvalue(s, x_tilde, y, ensemble_sizes, lam: float) -> float:
+    """Smallest eigenvalue of the dense augmented Gram matrix, the TLS objective's minimum.
+
+    The Gram matrix is A^T (S + lambda I)^{-1} A with A = [X~ diag(sqrt(n_i)), y].
+    """
+    s = np.asarray(s, dtype=float)
+    a = np.column_stack([np.asarray(x_tilde, dtype=float) * np.sqrt(ensemble_sizes), y])
+    return float(np.linalg.eigvalsh(a.T @ np.linalg.solve(s + lam * np.eye(s.shape[0]), a))[0])

@@ -48,8 +48,6 @@ def test_errors_defines_exactly_the_documented_classes():
         "NotPSD",
         "EigenFailure",
         "NoFeasiblePoint",
-        "VerticalSolution",
-        "NearDegenerateWarning",
     }
 
 
@@ -58,8 +56,21 @@ def test_star_import_binds_exactly_all():
     exec("from finprint import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(fp.__all__)
-    assert len(fp.__all__) == len(set(fp.__all__)) == 40
+    assert len(fp.__all__) == len(set(fp.__all__)) == 38
     assert all(namespace[name] is getattr(fp, name) for name in fp.__all__)
+
+
+def test_errors_are_the_only_failure_channel():
+    # A failure is raised or returned as data, never warned: no module
+    # imports ``warnings``, and every concrete error class is raised (called)
+    # somewhere in the package.
+    trees = [ast.parse(f.read_text()) for f in sorted(Path(fp.__file__).parent.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    imported = {alias.name.split(".")[0] for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    assert "warnings" not in imported
+    called = {node.func.id for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert sorted(set(errors.__all__) - {"FinprintError", "InputError"} - called) == []
 
 
 def module_level_imports(tree):

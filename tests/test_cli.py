@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -398,6 +399,21 @@ class TestSimulateCommand:
             "lambda_max": options.lambda_max,
             "objective": options.objective,
         }
+
+    def test_provenance_hashes_matrix_files(self, scenario_file, tmp_path):
+        # Every file the scenario reads is hashed, as fit hashes its manifest's.
+        rng = np.random.default_rng(5)
+        write_matrix(tmp_path / "sigma.txt", np.eye(12))
+        write_matrix(tmp_path / "x.txt", rng.standard_normal((12, 2)))
+        doc = json.loads(scenario_file.read_text())
+        doc["sigma_model"] = {"kind": "user_matrix", "path": "sigma.txt"}
+        doc["true_x"] = {"kind": "user_matrix", "path": "x.txt"}
+        scenario_file.write_text(json.dumps(doc))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", str(scenario_file), "--output", str(out)]) == 0
+        inputs = json.loads(out.read_text())["provenance"]["inputs"]
+        files = [scenario_file, tmp_path / "sigma.txt", tmp_path / "x.txt"]
+        assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
 
     def test_invalid_correlation_exit_2(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -36,6 +36,13 @@ class TestQuantiles:
         with pytest.raises(fp.OutOfDomain):
             fp.inference.quantile_chisq(2, 1.0)
 
+    @pytest.mark.parametrize("df", [1001, 1170])
+    def test_chisq_df_above_1000_rejected(self, df):
+        # Past df = 1000 the survival sum can overflow while e^{-h} is still
+        # subnormal, so the CDF it gives is not the chi-square's.
+        with pytest.raises(fp.OutOfDomain, match="df <= 1000"):
+            fp.inference.quantile_chisq(df, 0.95)
+
 
 class TestQuantilesAgainstScipy:
     """The stdlib quantiles against SciPy's, the reference the package no longer imports."""
@@ -48,7 +55,7 @@ class TestQuantilesAgainstScipy:
         ulps = np.abs(ours - theirs) / np.spacing(np.abs(theirs))
         assert ulps.max() <= 8
 
-    @pytest.mark.parametrize("df", range(1, 13))
+    @pytest.mark.parametrize("df", [*range(1, 13), 50, 200, 1000])
     def test_chisq_relative_1e12(self, df):
         chi2 = pytest.importorskip("scipy.stats").chi2
         qs = np.concatenate([np.linspace(0.01, 0.999, 200), [1e-9, 1e-4, 0.95, 1.0 - 1e-9]])

@@ -287,7 +287,7 @@ class TestFitOptimal:
         cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
         for lam in fit.curve.grid[::25]:
             np.testing.assert_allclose(
-                fp.tls_fit(cache, ds.ensemble_sizes, lam).beta_hat, beta, atol=1e-8
+                fp.tls_fit(cache, ds.ensemble_sizes, lam)[0][0], beta, atol=1e-8
             )
 
     def test_rescaling_data_leaves_beta_unchanged(self, dataset_factory):
