@@ -24,7 +24,7 @@ from .errors import FinprintError, InputError, NoFeasiblePoint
 from .inference import FitResult
 from .io import load_dataset, manifest_input_paths
 from .simulate import SimulationReport, SimulationScenario, load_scenario, run_scenario, scenario_to_dict
-from .variance import DEFAULT_BOUNDS, OBJECTIVES, FitOptions, fit_optimal
+from .variance import DEFAULT_BOUNDS, FitOptions, fit_optimal
 
 __all__ = ["main", "entry_point"]
 
@@ -52,15 +52,10 @@ def _provenance(options: FitOptions, input_files) -> dict:
             "size": options.grid_size,
             "lambda_min": options.lambda_min,
             "lambda_max": options.lambda_max,
-            "objective": options.objective,
+            "objective": "trace",
         },
         "alpha": options.alpha,
     }
-
-
-def _objective_label(objective: str) -> str:
-    """Name of the criterion values in the fit report and the lambda-curve header."""
-    return "trace_xi" if objective == "trace" else objective
 
 
 def _number(value) -> float | None:
@@ -68,11 +63,11 @@ def _number(value) -> float | None:
     return float(value) if np.isfinite(value) else None
 
 
-def _curve_doc(result: FitResult, objective: str) -> dict:
+def _curve_doc(result: FitResult) -> dict:
     curve = result.curve
     return {
         "lambda": [float(v) for v in curve.grid],
-        _objective_label(objective): [_number(v) for v in curve.objective],
+        "trace_xi": [_number(v) for v in curve.objective],
         "feasible": [bool(f) for f in curve.feasible],
         "reason": list(curve.reason),
         "chosen_index": int(curve.chosen_index),
@@ -104,7 +99,7 @@ def _fit_doc(result: FitResult, ds, warnings: tuple[str, ...], options: FitOptio
         "m_runs": ds.m_runs,
         "tau_bar": ds.tau_bar,
         "forcings": forcings,
-        "lambda_curve": _curve_doc(result, options.objective),
+        "lambda_curve": _curve_doc(result),
         "diagnostics": {
             "k_hat": float(curve.k_hat[curve.chosen_index]),
             "stability_margin": float(curve.stability[curve.chosen_index]),
@@ -149,7 +144,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_lambda_curve(args: argparse.Namespace) -> int:
     options = _fit_options(args)
     curve = fit_optimal(load_dataset(args.input), options).curve
-    lines = [f"# lambda\t{_objective_label(options.objective)}  (inf marks infeasible grid points)"]
+    lines = ["# lambda\ttrace_xi  (inf marks infeasible grid points)"]
     for lam, value in zip(curve.grid, curve.objective):
         lines.append(f"{float(lam)!r}\t{float(value)!r}")
     lines.append(f"# chosen\t{float(curve.chosen_lambda)!r}\t{float(curve.objective[curve.chosen_index])!r}")
@@ -242,10 +237,6 @@ def _add_common_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-size", type=int, help=f"regularization grid points (default {FitOptions.grid_size})")
     sub.add_argument("--lambda-min", type=float, help=f"lower search bound (default {DEFAULT_BOUNDS[0]:g}*tau_bar)")
     sub.add_argument("--lambda-max", type=float, help=f"upper search bound (default {DEFAULT_BOUNDS[1]:g}*tau_bar)")
-    sub.add_argument(
-        "--objective",
-        help=f"selection objective, one of {', '.join(OBJECTIVES)} (default {FitOptions.objective})",
-    )
     sub.add_argument("--output", default=None, help="output path (default stdout)")
 
 

@@ -14,9 +14,9 @@ fields under a ``kind`` key, with paths relative to the document.
 
 from __future__ import annotations
 
+import concurrent.futures
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args
@@ -544,7 +544,7 @@ def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationRepor
     indices = list(range(scenario.replicates))
     if jobs > 1 and scenario.replicates > 1:
         chunks = [indices[k::jobs] for k in range(jobs) if indices[k::jobs]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_run_chunk, gen, chunk, options) for chunk in chunks]
             records = [rec for fut in futures for rec in fut.result()]
     else:

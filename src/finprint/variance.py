@@ -33,7 +33,6 @@ __all__ = [
     "LambdaCurve",
     "FitOptions",
     "REASONS",
-    "OBJECTIVES",
     "delta1_hat",
     "delta2_hat",
     "xi_hat",
@@ -49,21 +48,11 @@ DEFAULT_GRID_SIZE = 100
 # Search bounds as multiples of tau_bar = tr(S)/N.
 DEFAULT_BOUNDS = (0.01, 10.0)
 
-# Selection criteria on a stack of covariance estimates.
-_CRITERIA = {
-    "trace": lambda xi: np.trace(xi, axis1=-2, axis2=-1),
-    "determinant": np.linalg.det,
-    "max_eigenvalue": lambda xi: _symmetric.eigvalsh(xi)[..., -1],
-}
-OBJECTIVES = tuple(_CRITERIA)
-
 # Reason codes for infeasible grid points; a point carries the first code, in
 # this order, whose check it fails: the denominator b = 1 - (N/m) u vanished
 # (spectral.DEGENERATE_TOL), TLS has no finite solution (fingerprints
 # orthogonal to Y), the corrected Gram matrix Delta1 is numerically
-# singular, or a diagonal entry of the covariance estimate is <= 0 (under
-# the "determinant" criterion, also its determinant, relative to its scale:
-# a product of two negative eigenvalues must not win the minimum).
+# singular, or a diagonal entry of the covariance estimate is <= 0.
 REASONS = ("degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
 
 NO_FEASIBLE = "every grid point was infeasible"
@@ -97,8 +86,9 @@ class LambdaCurve:
     Delta2 are not kept; ``delta1_hat``/``delta2_hat`` form them.
     ``n_near_degenerate`` counts points with a usable denominator whose
     smallest TLS eigenvalue is nearly tied.
-    ``objective`` is the ``criterion`` at feasible points and +inf elsewhere;
-    ``chosen_index`` is its first minimum, so ties go to the smallest lambda.
+    ``objective`` is the trace of ``xi_hat`` at feasible points and +inf
+    elsewhere; ``chosen_index`` is its first minimum, so ties go to the
+    smallest lambda.
 
     From a stacked cache every field gains a leading replicate axis (``grid``
     is (R, G), ``n_near_degenerate`` an R-vector), ``chosen_index`` and
@@ -113,14 +103,13 @@ class LambdaCurve:
     stability: np.ndarray
     reason: np.ndarray
     n_near_degenerate: int | np.ndarray = 0
-    criterion: str = "trace"
 
     @cached_property
     def objective(self) -> np.ndarray:
         usable = np.equal(self.reason, None)
         values = np.full(self.grid.shape, np.inf)
         if usable.any():
-            values[usable] = _CRITERIA[self.criterion](self.xi_hat[usable])
+            values[usable] = np.trace(self.xi_hat[usable], axis1=-2, axis2=-1)
         return np.where(np.isfinite(values), values, np.inf)
 
     @property
@@ -145,9 +134,9 @@ class LambdaCurve:
 
     def replicate(self, i) -> "LambdaCurve":
         """Row ``i`` (an index or index array) of a curve stacked over replicates."""
-        rows = {f.name: getattr(self, f.name)[i] for f in fields(self) if f.name != "criterion"}
+        rows = {f.name: getattr(self, f.name)[i] for f in fields(self)}
         rows["n_near_degenerate"] = _count(rows["n_near_degenerate"])
-        return LambdaCurve(**rows, criterion=self.criterion)
+        return LambdaCurve(**rows)
 
 
 @dataclass(frozen=True)
@@ -158,7 +147,6 @@ class FitOptions:
     lambda_min: float | None = None
     lambda_max: float | None = None
     grid_size: int = DEFAULT_GRID_SIZE
-    objective: str = "trace"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_real(self.alpha, "alpha"))
@@ -168,8 +156,6 @@ class FitOptions:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, as_real(getattr(self, name), name))
         object.__setattr__(self, "grid_size", as_count(self.grid_size, "grid_size", 2))
-        if self.objective not in OBJECTIVES:
-            raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
 
 
 def delta1_hat(f: RmtFunctionals, d) -> np.ndarray:
@@ -207,7 +193,7 @@ def xi_hat(beta_hat, d, d1, d2, k) -> np.ndarray:
     return _sym(factor * d1_inv @ (np.asarray(d2, dtype=float) + _mat(k) * core_inv) @ d1_inv)
 
 
-def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "trace") -> LambdaCurve:
+def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid) -> LambdaCurve:
     """Fit the scaling factors and assemble their covariance at every lambda.
 
     Costs O(G N p^2) given the cache, as stacked array operations. The small
@@ -215,16 +201,12 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     singular values of Delta1 and g1 for the Delta1 checks (as sorted
     |eigenvalues|, both being symmetric) and the inverse of Delta1 are
     closed forms for p = 2, on each matrix divided by its largest |entry|
-    where that guards the determinant, and LAPACK for every other p and for
-    nearly tied TLS minima. Infeasible points do not raise; each carries its
-    REASONS code and, unless only its variance is nonpositive, NaN
-    payloads. Under the "determinant" criterion a covariance estimate whose
-    determinant, taken on it divided by its largest |entry|, is at most
-    RCOND_TOL is nonpositive too. A stacked cache with an (R, G) grid is
-    one such pass for all R replicates.
+    where that keeps their products from under- or overflowing, and LAPACK
+    for every other p and for nearly tied TLS minima. Infeasible points do not raise; each
+    carries its REASONS code and, unless only its variance is nonpositive,
+    NaN payloads. A stacked cache with an (R, G) grid is one such pass for
+    all R replicates.
     """
-    if criterion not in OBJECTIVES:
-        raise OutOfDomain(f"objective must be one of {OBJECTIVES}")
     d = 1.0 / np.asarray(ensemble_sizes, dtype=float)
     f = rmt_grid(cache, grid)
     beta_hat, vertical, near_tied = tls_grid(f.gram, ensemble_sizes)
@@ -249,14 +231,6 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
     with np.errstate(over="ignore", invalid="ignore"):
         xi = xi_hat(beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
     nonpositive = ~(np.diagonal(xi, axis1=-2, axis2=-1) > 0.0).all(axis=-1)
-    if criterion == "determinant":
-        # det <= 0 gives a combination of the scaling factors a variance <= 0;
-        # on Xi divided by its largest |entry|, a determinant below RCOND_TOL
-        # is one whose sign is round-off.
-        rows = np.where(nonpositive[..., None, None], eye, xi)
-        with np.errstate(invalid="ignore"):
-            det = np.linalg.det(rows / np.abs(rows).max(axis=(-2, -1))[..., None, None])
-        nonpositive |= ~(det > RCOND_TOL)
 
     failed = np.stack([degenerate, vertical, singular, nonpositive])
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(REASONS))
@@ -268,7 +242,6 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid, criterion: str = "
         stability=f.stability,
         reason=np.array([*REASONS, None], dtype=object)[first],
         n_near_degenerate=_count(np.count_nonzero(near_tied & ~degenerate, axis=-1)),
-        criterion=criterion,
     )
 
 
@@ -290,9 +263,10 @@ def default_bounds(tau_bar):
 def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int, tau_bar: np.ndarray) -> None:
     """Require 0 < lo < hi < inf elementwise over R-vectors of bounds.
 
-    lo must keep N/lo^2 finite in float64: along zero eigenvalues (the null
-    block among them) Delta1 grows like 1/lo, so Xi_hat, which applies its
-    inverse twice, shrinks like lo^2. hi must keep tau_bar/hi^2 and
+    lo must keep N/lo and N*(tau_bar/lo)^2 finite in float64: along zero
+    eigenvalues (the null block among them) the weights 1/(d_i + lambda)
+    reach 1/lo, Delta1 grows like tau_bar/lo and Xi_hat, which applies its
+    inverse twice, shrinks like (lo/tau_bar)^2. hi must keep tau_bar/hi^2 and
     (tau_bar/hi)^2 normal floats, or the bulk of g_s's weights
     d_i/(d_i + lambda)^2 and of theta2's (d_i/(d_i + lambda))^2 underflows;
     S = 0 (tau_bar = 0) has no such weights. The message names the first
@@ -303,10 +277,12 @@ def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int, tau_bar: np.ndarra
         i = np.argmax(bad)
         raise OutOfDomain(f"need 0 < lambda_min < lambda_max < inf, got ({float(lo[i])}, {float(hi[i])})")
     with np.errstate(over="ignore"):
-        bad = ~np.isfinite(n_dim / lo / lo)
+        bad = ~(np.isfinite(n_dim / lo) & np.isfinite(n_dim * (tau_bar / lo) ** 2))
     if bad.any():
+        i = np.argmax(bad)
         raise OutOfDomain(
-            f"lambda_min = {float(lo[np.argmax(bad)])} is too small: N/lambda_min^2 overflows float64 at N = {n_dim}"
+            f"lambda_min = {float(lo[i])} is too small: N/lambda_min or N*(tau_bar/lambda_min)^2 overflows "
+            f"float64 at N = {n_dim}, tau_bar = {float(tau_bar[i]):.6g}"
         )
     tiny = np.finfo(float).tiny
     with np.errstate(under="ignore"):
@@ -324,9 +300,8 @@ def select_lambda(
     ensemble_sizes,
     bounds: tuple[float, float] | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
-    objective: str = "trace",
 ) -> LambdaCurve:
-    """Grid-search the regularization level minimizing the covariance objective.
+    """Grid-search the regularization level minimizing the trace of Xi_hat.
 
     The curve of ``fit_stack`` on a stack of one, with the search ``bounds``
     (default ``default_bounds(cache.tau_bar)``) on a log grid inclusive of
@@ -334,7 +309,7 @@ def select_lambda(
     NoFeasiblePoint when nothing on the grid is usable.
     """
     lo, hi = (None, None) if bounds is None else bounds
-    opts = FitOptions(lambda_min=lo, lambda_max=hi, grid_size=grid_size, objective=objective)
+    opts = FitOptions(lambda_min=lo, lambda_max=hi, grid_size=grid_size)
     return _fit_one(cache, ensemble_sizes, opts).curve
 
 
@@ -389,7 +364,7 @@ def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list
             hi = np.full_like(stack.tau_bar, opts.lambda_max)
         _check_bounds(lo, hi, stack.n_dim, stack.tau_bar)
         grid = np.geomspace(lo, hi, opts.grid_size, axis=-1)
-        curve = evaluate_grid(stack, ensemble_sizes, grid, opts.objective)
+        curve = evaluate_grid(stack, ensemble_sizes, grid)
         feasible = curve.feasible.any(axis=-1)
         usable = curve if feasible.all() else curve.replicate(feasible)
         fits = iter(inference.build_fit_result(usable, stack.n_dim, opts.alpha))

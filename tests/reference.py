@@ -97,13 +97,8 @@ def _tls(cache, sizes, lam):
     return np.sqrt(sizes) * (-v[:-1] / v[-1]), near_tied
 
 
-def reference_point(cache, ensemble_sizes, lam: float, kind: str = "trace") -> dict:
-    """Everything the grid reports at one lambda, computed the slow way.
-
-    Under the "determinant" criterion ``kind``, a covariance estimate whose
-    determinant is at most RCOND_TOL, taken on the estimate divided by its
-    largest |entry|, is nonpositive even when its diagonal is positive.
-    """
+def reference_point(cache, ensemble_sizes, lam: float) -> dict:
+    """Everything the grid reports at one lambda, computed the slow way."""
     sizes = np.asarray(ensemble_sizes, dtype=float)
     p = cache.proj_x.shape[1]
     d = 1.0 / sizes
@@ -142,27 +137,19 @@ def reference_point(cache, ensemble_sizes, lam: float, kind: str = "trace") -> d
         out["reason"] = exc.reason
         return out
     out.update(beta_hat=beta, xi_hat=xi, k_hat=k)
-    positive = (np.diag(xi) > 0.0).all()
-    if kind == "determinant":
-        positive = positive and np.linalg.det(xi / np.abs(xi).max()) > RCOND_TOL
-    out["reason"] = None if positive else "nonpositive_variance"
+    out["reason"] = None if (np.diag(xi) > 0.0).all() else "nonpositive_variance"
     return out
 
 
-def reference_objective(point: dict, kind: str) -> float:
+def reference_objective(point: dict) -> float:
     if point["reason"] is not None:
         return np.inf
-    xi = point["xi_hat"]
-    if kind == "trace":
-        return float(np.trace(xi))
-    if kind == "determinant":
-        return float(np.linalg.det(xi))
-    return float(np.linalg.eigvalsh(xi)[-1])
+    return float(np.trace(point["xi_hat"]))
 
 
-def reference_curve(cache, ensemble_sizes, grid, kind: str = "trace"):
+def reference_curve(cache, ensemble_sizes, grid):
     """Per-point results, objective values and first-minimum index over a grid."""
-    points = [reference_point(cache, ensemble_sizes, lam, kind) for lam in grid]
-    values = np.array([reference_objective(pt, kind) for pt in points])
+    points = [reference_point(cache, ensemble_sizes, lam) for lam in grid]
+    values = np.array([reference_objective(pt) for pt in points])
     chosen = int(np.argmin(values)) if np.isfinite(values).any() else None
     return points, values, chosen

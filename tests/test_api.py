@@ -11,8 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import finprint as fp
 from finprint import errors, spectral, variance
+from finprint.cli import build_parser
 
 
 def submodules():
@@ -134,12 +137,24 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
 
 
 def test_import_loads_no_scipy():
+    # Nor the process pool: run_scenario loads it only when jobs > 1.
     src = str(Path(fp.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, finprint, finprint.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    heavy = "m.split('.')[0] in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'"
+    code = f"import sys, finprint, finprint.cli; print(sorted(m for m in sys.modules if {heavy}))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["fit", "lambda-curve"])
+def test_fit_flags_are_the_fit_options(command):
+    # cli._fit_options reads only FitOptions fields, so a flag with no field
+    # behind it would be parsed and then silently ignored.
+    flags = vars(build_parser().parse_args([command, "m.json"]))
+    for name in ("command", "input", "output"):
+        del flags[name]
+    assert set(flags) == {f.name for f in dataclasses.fields(fp.FitOptions)}
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -66,6 +67,13 @@ def assert_one_error_line(capsys):
     return err[0]
 
 
+def scale_inputs(folder, c):
+    """Multiply the manifest fixture's three matrix files by ``c``."""
+    for name in ("y.txt", "x_tilde.txt", "control.txt"):
+        path = folder / name
+        write_matrix(path, c * np.loadtxt(path, ndmin=2))
+
+
 class TestFitCommand:
     def test_report_written(self, manifest, tmp_path):
         out = tmp_path / "report.json"
@@ -109,10 +117,34 @@ class TestFitCommand:
         assert main(["fit", str(manifest), "--alpha", "1.5"]) == 2
 
     @pytest.mark.parametrize("command", ["fit", "lambda-curve"])
-    def test_unknown_objective_exit_2(self, command, manifest, capsys):
-        # FitOptions, not the argument parser, names the valid objectives.
-        assert main([command, str(manifest), "--objective", "bogus"]) == 2
-        assert "objective must be one of" in assert_one_error_line(capsys)
+    def test_objective_flag_is_gone(self, command, manifest, capsys):
+        # The search has one criterion, tr Xi_hat; the parser knows no other.
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(manifest), "--objective", "trace"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --objective" in capsys.readouterr().err
+
+    def test_tiny_data_scale_fits(self, manifest, tmp_path):
+        # tau_bar ~ 1e-200: the default bounds are relative to it, so the
+        # report is the unit-scale one with lambda scaled by c^2.
+        unit, tiny = tmp_path / "unit.json", tmp_path / "tiny.json"
+        assert main(["fit", str(manifest), "--output", str(unit)]) == 0
+        c = 1e-100
+        scale_inputs(tmp_path, c)
+        assert main(["fit", str(manifest), "--output", str(tiny)]) == 0
+        want, got = json.loads(unit.read_text()), json.loads(tiny.read_text())
+        assert got["lambda_curve"]["chosen_index"] == want["lambda_curve"]["chosen_index"]
+        np.testing.assert_allclose(got["beta_hat"], want["beta_hat"], rtol=0.0, atol=1e-12)
+        assert got["lambda_opt"] == pytest.approx(c**2 * want["lambda_opt"], rel=1e-12)
+
+    def test_subnormal_tau_bar_exit_2(self, manifest, tmp_path, capsys):
+        # Validation warns of the (near-)zero fingerprints first; the fit
+        # then fails on the default lambda_min, with no traceback.
+        scale_inputs(tmp_path, 1e-160)
+        assert main(["fit", str(manifest)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: ") for line in err[:-1])
+        assert err[-1].startswith("error: lambda_min = ") and "too small" in err[-1]
 
     def test_no_feasible_point_exit_3(self, tmp_path, capsys):
         # zero fingerprints leave every grid point vertical
@@ -335,18 +367,19 @@ class TestLambdaCurveCommand:
         fit_lambda = json.loads(fit_out.read_text())["lambda_opt"]
         assert chosen_lambda == pytest.approx(fit_lambda, rel=1e-12)
 
-    def test_curve_keyed_by_objective(self, manifest, tmp_path):
+    def test_curve_keyed_by_trace(self, manifest, tmp_path):
         curve_out = tmp_path / "curve.tsv"
         fit_out = tmp_path / "report.json"
-        flags = ["--objective", "determinant"]
-        assert main(["lambda-curve", str(manifest), *flags, "--output", str(curve_out)]) == 0
-        assert main(["fit", str(manifest), *flags, "--output", str(fit_out)]) == 0
-        assert curve_out.read_text().startswith("# lambda\tdeterminant ")
+        assert main(["lambda-curve", str(manifest), "--output", str(curve_out)]) == 0
+        assert main(["fit", str(manifest), "--output", str(fit_out)]) == 0
+        assert curve_out.read_text().startswith("# lambda\ttrace_xi ")
+        rows = [ln.split("\t") for ln in curve_out.read_text().splitlines() if not ln.startswith("#")]
         doc = json.loads(fit_out.read_text())
         curve = doc["lambda_curve"]
-        assert "determinant" in curve and "trace_xi" not in curve
-        chosen = curve["determinant"][curve["chosen_index"]]
-        assert chosen == pytest.approx(np.linalg.det(doc["xi_hat"]), rel=1e-12)
+        assert doc["provenance"]["grid"]["objective"] == "trace"
+        assert [float(v) for _, v in rows] == [np.inf if v is None else v for v in curve["trace_xi"]]
+        chosen = curve["trace_xi"][curve["chosen_index"]]
+        assert chosen == pytest.approx(np.trace(doc["xi_hat"]), rel=1e-12)
 
 
 # A separable_ar1 sigma model for the 12-point scenario_file.
@@ -397,7 +430,7 @@ class TestSimulateCommand:
             "size": options.grid_size,
             "lambda_min": options.lambda_min,
             "lambda_max": options.lambda_max,
-            "objective": options.objective,
+            "objective": "trace",
         }
 
     def test_provenance_hashes_matrix_files(self, scenario_file, tmp_path):
@@ -522,7 +555,7 @@ class TestSimulateCommand:
         def no_workers(*args, **kwargs):
             raise AssertionError("a worker started")
 
-        monkeypatch.setattr(fp.simulate, "ProcessPoolExecutor", no_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_workers)
         sigma = np.eye(12)
         sigma[0, 1] = sigma[1, 0] = 2.0  # eigenvalue -1
         write_matrix(scenario_file.parent / "not_psd.txt", sigma)

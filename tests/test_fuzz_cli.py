@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from finprint.cli import main
 from finprint.io import write_matrix
-from finprint.variance import OBJECTIVES
 
 FUZZ = settings(
     max_examples=40,
@@ -95,7 +94,6 @@ fit_flags = st.fixed_dictionaries(
         "--grid-size": st.integers(max_value=200),
         "--lambda-min": st.floats(),
         "--lambda-max": st.floats(),
-        "--objective": st.sampled_from(OBJECTIVES) | names,
     },
 )
 
@@ -191,7 +189,6 @@ def test_manifest_fields(folder, capsys, changes):
 @example(command="fit", flags={"--lambda-min": float("-inf"), "--lambda-max": float("inf")})
 @example(command="fit", flags={"--lambda-min": 0.0, "--lambda-max": -1.0})
 @example(command="fit", flags={"--lambda-min": 5e-324})
-@example(command="lambda-curve", flags={"--objective": "bogus"})
 def test_fit_flags(folder, capsys, command, flags):
     path = folder / "manifest.json"
     path.write_text(json.dumps(MANIFEST))

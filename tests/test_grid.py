@@ -21,7 +21,6 @@ from finprint import _symmetric, spectral, tls, variance
 from finprint.spectral import rmt_grid, stack_caches
 from reference import reference_curve, reference_point
 
-CRITERIA = ("trace", "determinant", "max_eigenvalue")
 TRACE_RTOL = 1e-10
 # Two backward-stable inverses of a Delta1 with condition number c differ by
 # ~c * 1e-16, so values are compared with LAPACK's where c <= 1e5; above it
@@ -45,11 +44,11 @@ def default_grid(cache, size=40):
     return np.geomspace(*variance.default_bounds(cache.tau_bar), size)
 
 
-def assert_matches_reference(cache, sizes, grid, criterion="trace"):
-    points, values, chosen = reference_curve(cache, sizes, grid, criterion)
+def assert_matches_reference(cache, sizes, grid):
+    points, values, chosen = reference_curve(cache, sizes, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the grid counts near ties instead of warning
-        curve = variance.evaluate_grid(cache, sizes, grid, criterion)
+        curve = variance.evaluate_grid(cache, sizes, grid)
 
     degenerate = np.array([pt["reason"] == "degenerate_denominator" for pt in points])
     near_tied = np.array([pt["near_tied"] for pt in points])
@@ -108,14 +107,13 @@ def assert_same_curve(curve, sizes, reason, feasible, chosen, n_near_degenerate,
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("criterion", CRITERIA)
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("n, m", [(24, 12), (24, 48)], ids=["m<N", "m>=N"])
-    def test_random_problems(self, n, m, p, criterion):
+    def test_random_problems(self, n, m, p):
         for seed in range(4):
             cache = signal_cache(seed, n, m, p)
             sizes = np.arange(3, 3 + 2 * p, 2)
-            assert_matches_reference(cache, sizes, default_grid(cache), criterion)
+            assert_matches_reference(cache, sizes, default_grid(cache))
 
     @pytest.mark.parametrize("m_runs", [30, 100], ids=["m<N", "m>=N"])
     def test_paper_scale_replicates(self, m_runs):
@@ -137,19 +135,19 @@ class TestAgainstReference:
             curve = assert_matches_reference(cache, ds.ensemble_sizes, default_grid(cache, 100))
             assert curve.feasible.all()
 
-    @pytest.mark.parametrize("criterion", CRITERIA)
-    def test_nonpositive_variance_points(self, criterion):
+    def test_nonpositive_variance_points(self):
         # Observations unrelated to the fingerprints: a stretch of the grid
         # yields covariance estimates with a nonpositive diagonal.
         cache = random_cache(seed=16, n=23, p=3, m=34)
         grid = np.geomspace(1e-3, 10.0, 30) * cache.tau_bar
-        curve = assert_matches_reference(cache, [4, 7, 1], grid, criterion)
+        curve = assert_matches_reference(cache, [4, 7, 1], grid)
         assert "nonpositive_variance" in list(curve.reason)
         assert None in list(curve.reason)
 
-    def test_determinant_marks_indefinite_xi(self):
+    def test_indefinite_xi_is_feasible(self):
         # At two points of this grid Xi_hat has positive variances and a
-        # negative determinant; the determinant criterion must not pick one.
+        # negative determinant. Feasibility asks only for positive variances,
+        # whose sum tr Xi_hat the search minimizes.
         rng = np.random.default_rng(2107100304)
         ds = fp.DetectionDataset(
             y=rng.standard_normal(6),
@@ -158,15 +156,27 @@ class TestAgainstReference:
             control_runs=rng.standard_normal((6, 8)),
         )
         cache = variance.prepare_cache(ds)
-        grid = default_grid(cache, 100)
-        by_trace = variance.evaluate_grid(cache, ds.ensemble_sizes, grid)
-        usable = np.equal(by_trace.reason, None)
-        indefinite = usable & (np.linalg.det(np.where(usable[:, None, None], by_trace.xi_hat, np.eye(2))) <= 0.0)
+        curve = assert_matches_reference(cache, ds.ensemble_sizes, default_grid(cache, 100))
+        usable = curve.feasible
+        indefinite = usable & (np.linalg.det(np.where(usable[:, None, None], curve.xi_hat, np.eye(2))) <= 0.0)
         assert indefinite.any()
-        curve = assert_matches_reference(cache, ds.ensemble_sizes, grid, "determinant")
-        assert set(curve.reason[indefinite]) == {"nonpositive_variance"}
-        fit = fp.fit_optimal(ds, fp.FitOptions(objective="determinant"))
-        assert np.linalg.det(fit.xi_hat) > 0.0
+
+    @pytest.mark.parametrize("route", ["dense", "svd"])
+    def test_objective_is_trace_or_inf(self, route):
+        # The problem of test_nonpositive_variance_points, whose curve has
+        # both feasible and infeasible points, on either cache route.
+        rng = np.random.default_rng(16)
+        z = rng.standard_normal((23, 34))
+        x = rng.standard_normal((23, 3))
+        y = rng.standard_normal(23)
+        cache = fp.build_cache(fp.compute_sample_covariance(z) if route == "dense" else z, x, y)
+        curve = variance.evaluate_grid(cache, [4, 7, 1], np.geomspace(1e-3, 10.0, 30) * cache.tau_bar)
+        feasible = np.equal(curve.reason, None)
+        assert feasible.any() and not feasible.all()
+        np.testing.assert_array_equal(curve.feasible, feasible)
+        np.testing.assert_array_equal(curve.objective[~feasible], np.inf)
+        np.testing.assert_array_equal(curve.objective[feasible], np.trace(curve.xi_hat[feasible], axis1=1, axis2=2))
+        assert curve.chosen_index == np.argmin(curve.objective)
 
     def test_degenerate_before_vertical(self):
         # Rank-1 S with m = 1 < N: b -> 0 as lambda -> 0. A zero fingerprint
@@ -357,17 +367,17 @@ def grid_problems(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     dense, caches, grid = grid_problem(p, n, m, data, tie, axes, sizes, bounds, seed)
     reference = bounds == "default" and (data != "tie" or axes)
-    return dense, caches, sizes, grid, draw(st.sampled_from(CRITERIA)), reference
+    return dense, caches, sizes, grid, reference
 
 
-def assert_matches_lapack(cache, sizes, grid, criterion):
+def assert_matches_lapack(cache, sizes, grid):
     """The grid equals itself on LAPACK's kernels: reason codes, near ties and choice; values to tolerance."""
     with lapack_kernels():
-        want = variance.evaluate_grid(cache, sizes, grid, criterion)
+        want = variance.evaluate_grid(cache, sizes, grid)
         objective = want.objective
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        curve = variance.evaluate_grid(cache, sizes, grid, criterion)
+        curve = variance.evaluate_grid(cache, sizes, grid)
     # Values are compared where Delta1 is well conditioned (or NaN: degenerate).
     d1 = variance.delta1_hat(rmt_grid(cache, grid), 1.0 / np.asarray(sizes, dtype=float))
     svals = np.linalg.svd(np.nan_to_num(d1), compute_uv=False)
@@ -414,7 +424,7 @@ class TestClosedFormKernels:
         assert vertical_amplification(curve.beta_hat[10], sizes) > 1.0
         assert (vertical_amplification(np.delete(curve.beta_hat, 10, axis=0), sizes) == 1.0).all()
         for cache in (dense, fp.build_cache(z, x, y)):
-            assert_matches_lapack(cache, sizes, grid, "trace")
+            assert_matches_lapack(cache, sizes, grid)
 
     def test_cancelling_trace_not_compared(self):
         # A drawn grid_problems() case: at the fifth point the infeasible Xi's
@@ -436,8 +446,8 @@ class TestClosedFormKernels:
         # spectrum Xi's middle term D2 + theta2 * core nearly cancels (say
         # -5.5529 + 5.5533), which lifts the reference's other summation of
         # theta2 past 1e-10 in Xi at a few points in a thousand draws.
-        dense, caches, sizes, grid, criterion, reference = problem
+        dense, caches, sizes, grid, reference = problem
         if reference:
-            assert_matches_reference(dense, sizes, grid, criterion)
+            assert_matches_reference(dense, sizes, grid)
         for cache in caches:
-            assert_matches_lapack(cache, sizes, grid, criterion)
+            assert_matches_lapack(cache, sizes, grid)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finprint as fp
@@ -313,6 +313,10 @@ class TestFitOptimal:
         st.floats(-3.0, 3.0),
     )
     @settings(max_examples=100, deadline=None)
+    # tau_bar near c^2 = 1e-152 and 1e-200: N/lambda_min^2 overflows at the
+    # default lambda_min, yet the grid relative to tau_bar is unchanged.
+    @example(seed=0, p=2, n=8, low_rank=False, log_c=-76.0)
+    @example(seed=0, p=2, n=8, low_rank=True, log_c=-100.0)
     def test_rotation_and_scale_invariance(self, seed, p, n, low_rank, log_c):
         # Z -> cQZ, X~ -> cQX~, y -> cQy with Q orthogonal: S -> c^2 Q S Q^T,
         # so the default grid scales by c^2, every data Gram W^-1 form is
@@ -346,6 +350,35 @@ class TestFitOptimal:
         np.testing.assert_allclose(curve.beta_hat[i], fit.beta_hat, rtol=0.0, atol=1e-12 * beta_scale)
         np.testing.assert_allclose(curve.xi_hat[i], fit.xi_hat, rtol=0.0, atol=1e-10 * np.abs(fit.xi_hat).max())
         assert curve.grid[i] == pytest.approx(10.0 ** (2 * log_c) * fit.lambda_opt, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [20, 6], ids=["m>=N", "m<N"])
+    @pytest.mark.parametrize("c", [1e-76, 1e-100, 1e-152])
+    def test_tiny_scale_fits_like_unit_scale(self, dataset_factory, c, m):
+        # tau_bar ~ c^2 reaches 1e-304 here. The default bounds are relative
+        # to it, so the fit is the unit-scale fit with lambda scaled by c^2.
+        ds = dataset_factory(seed=3, m=m)
+        fit = fp.fit_optimal(ds)
+        scaled = fp.DetectionDataset(
+            y=c * ds.y, x_tilde=c * ds.x_tilde, ensemble_sizes=ds.ensemble_sizes, control_runs=c * ds.control_runs
+        )
+        fit_scaled = fp.fit_optimal(scaled)
+        assert fit_scaled.curve.chosen_index == fit.curve.chosen_index
+        np.testing.assert_allclose(fit_scaled.beta_hat, fit.beta_hat, rtol=0.0, atol=1e-12)
+        assert fit_scaled.lambda_opt == pytest.approx(c**2 * fit.lambda_opt, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e-154, 1e-156, 1e-158, 1e-160])
+    def test_subnormal_tau_bar_out_of_domain(self, dataset_factory, c):
+        # These c put tau_bar among the subnormals, where 1/lambda_min or
+        # (tau_bar/lambda_min)^2 overflows: the bound check rejects the
+        # default lambda_min before any weight is formed.
+        ds = dataset_factory(seed=3)
+        scaled = fp.DetectionDataset(
+            y=c * ds.y, x_tilde=c * ds.x_tilde, ensemble_sizes=ds.ensemble_sizes, control_runs=c * ds.control_runs
+        )
+        assert 0.0 < scaled.tau_bar < np.finfo(float).tiny
+        with pytest.raises(fp.OutOfDomain, match="lambda_min"):
+            fp.fit_optimal(scaled)
 
     def test_forcing_permutation_equivariance(self, dataset_factory):
         ds = dataset_factory(seed=4, ensemble_sizes=(3, 7))
@@ -441,8 +474,6 @@ class TestFitOptimal:
             fp.FitOptions(alpha=1.5)
         with pytest.raises(ValueError):
             fp.FitOptions(grid_size=1)
-        with pytest.raises(ValueError):
-            fp.FitOptions(objective="volume")
 
     @pytest.mark.parametrize(
         "name, value", [("lambda_min", "0.5"), ("lambda_min", True), ("lambda_max", "10"), ("alpha", "0.05")]
@@ -455,8 +486,3 @@ class TestFitOptimal:
         options = fp.FitOptions(alpha=np.float32(0.25), lambda_min=np.int64(2), lambda_max=np.float64(3.0))
         assert (options.alpha, options.lambda_min, options.lambda_max) == (0.25, 2.0, 3.0)
         assert all(type(v) is float for v in (options.alpha, options.lambda_min, options.lambda_max))
-
-    def test_alternate_objective_runs(self, dataset_factory):
-        ds = dataset_factory(seed=9)
-        fit = fp.fit_optimal(ds, fp.FitOptions(objective="max_eigenvalue"))
-        assert np.isfinite(fit.lambda_opt)
