@@ -113,10 +113,10 @@ class DetectionDataset:
     ensemble_sizes : (p,) int array
         Number of simulation runs averaged into each fingerprint.
     control_runs : (N, m) array, optional
-        Centered control runs realizing internal variability. May be
-        omitted when ``sample_cov`` is supplied directly.
+        Centered control runs realizing internal variability.
     sample_cov : SampleCovariance, optional
-        Precomputed sample covariance of the control runs.
+        Precomputed sample covariance of the control runs. Exactly one of
+        the two is supplied (OutOfDomain otherwise).
     """
 
     y: np.ndarray
@@ -139,8 +139,8 @@ class DetectionDataset:
             if runs.shape[1] < 1:
                 raise OutOfDomain("need at least one control run")
             object.__setattr__(self, "control_runs", runs)
-        if self.control_runs is None and self.sample_cov is None:
-            raise OutOfDomain("either control_runs or sample_cov must be supplied")
+        if (self.control_runs is None) == (self.sample_cov is None):
+            raise OutOfDomain("exactly one of control_runs and sample_cov must be supplied")
         n, p = self.y.shape[0], self.x_tilde.shape[1]
         if self.x_tilde.shape[0] != n:
             raise DimensionMismatch(f"y has length {n} but x_tilde has {self.x_tilde.shape[0]} rows")
@@ -169,9 +169,7 @@ class DetectionDataset:
 
     @property
     def m_runs(self) -> int:
-        if self.control_runs is not None:
-            return self.control_runs.shape[1]
-        return self.sample_cov.m
+        return self.control_runs.shape[1] if self.sample_cov is None else self.sample_cov.m
 
     @property
     def tau_bar(self) -> float:
@@ -210,22 +208,12 @@ def ensemble_mean(runs) -> np.ndarray:
 
 
 def validate_dataset(ds: DetectionDataset) -> tuple[str, ...]:
-    """Check that a dataset can be fitted and collect its warnings.
+    """The warnings of a dataset (m < N, a near-zero fingerprint column).
 
-    Its shapes were checked when it was built. Returns the warnings, which
-    do not stop a fit.
-
-    Raises
-    ------
-    DimensionMismatch
-        If tr(S)/N <= 0: the control runs vanish, so lambda has no scale.
-
-    Notes
-    -----
-    m < N is expected in practice and merely flags a singular sample
-    covariance; the shrinkage weight matrix handles it. Nothing here
-    decomposes or forms S: every check costs O(N m) from the control runs
-    (O(N) given S). The rank of S is ``SpectralCache.s_rank``.
+    They do not stop a fit: m < N is expected in practice and merely flags
+    a singular S, which the shrinkage weight matrix handles. The shapes were
+    checked when the dataset was built, and tr(S)/N > 0 is checked where
+    the lambda search builds its grid. Costs O(N p).
     """
     n, m = ds.n_dim, ds.m_runs
     warnings: list[str] = []
@@ -238,7 +226,4 @@ def validate_dataset(ds: DetectionDataset) -> tuple[str, ...]:
     for i, nrm in enumerate(col_norms):
         if nrm <= ZERO_FINGERPRINT_TOL:
             warnings.append(f"fingerprint column {i} has (near-)zero norm {nrm:.3e}")
-    tau_bar = ds.tau_bar
-    if not tau_bar > 0.0:
-        raise DimensionMismatch(f"tr(S)/N = {tau_bar:.3g} <= 0: the control runs vanish, so lambda has no scale")
     return tuple(warnings)

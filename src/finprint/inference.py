@@ -29,6 +29,7 @@ __all__ = [
     "da_verdict",
     "quantile_normal",
     "quantile_chisq",
+    "check_alpha",
     "build_fit_result",
 ]
 
@@ -139,11 +140,21 @@ def _normal_intervals(beta, variances, n_dim: int, z: float) -> tuple[np.ndarray
     return beta - half_width, beta + half_width
 
 
-def _two_sided_z(alpha: float) -> float:
-    """z_{1-alpha/2}; alpha must lie in (0, 1)."""
+def check_alpha(alpha: float) -> float:
+    """``alpha`` if z_{1-alpha/2} can be formed: in (0, 1), with 1 - alpha/2 < 1 in float64.
+
+    The second rule rejects alpha below about 1.1e-16. OutOfDomain otherwise.
+    """
     if not 0.0 < alpha < 1.0:
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
-    return quantile_normal(1.0 - alpha / 2.0)
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise OutOfDomain(f"alpha = {alpha} is too small: 1 - alpha/2 rounds to 1 in float64")
+    return alpha
+
+
+def _two_sided_z(alpha: float) -> float:
+    """z_{1-alpha/2}; alpha must pass ``check_alpha``."""
+    return quantile_normal(1.0 - check_alpha(alpha) / 2.0)
 
 
 def marginal_ci(beta_i: float, xi_ii: float, n_dim: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -163,9 +174,7 @@ def joint_region_test(beta0, beta_hat, xi, n_dim: int, alpha: float = 0.05) -> J
     beta0 = np.asarray(beta0, dtype=float)
     beta_hat = np.asarray(beta_hat, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if not 0.0 < alpha < 1.0:
-        raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
-
+    check_alpha(alpha)
     if ill_conditioned(np.linalg.svd(xi, compute_uv=False)):
         raise OutOfDomain("covariance estimate is numerically singular")
     diff = beta_hat - beta0

@@ -70,11 +70,11 @@ def _ar1_correlation(dim: int, rho: float) -> np.ndarray:
 
 
 def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric square root; NotPSD for a genuinely negative eigenvalue
-    (round-off negatives are clamped to zero)."""
+    """Symmetric square root; NotPSD for an eigenvalue below -PSD_TOL times
+    the largest one, at any scale (negatives above that are clamped to zero)."""
     sigma = np.asarray(sigma, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    floor = -PSD_TOL * max(float(eigvals[-1]), 1.0)
+    floor = -PSD_TOL * max(float(eigvals[-1]), 0.0)
     if eigvals[0] < floor:
         raise NotPSD(f"matrix has eigenvalue {eigvals[0]:.3e} below tolerance")
     return (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T

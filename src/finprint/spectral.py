@@ -98,15 +98,20 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     route is chosen here: S, supplied or formed from Z with m >= N, is
     eigendecomposed (O(N^3) time, O(N^2) memory); Z with m < N gives the
     eigenpairs of S = Z Z^T/m by its thin SVD without forming S (O(N m^2)
-    time, O(N m) memory). Eigenvalues below 1e-10 * tau_bar are clamped to
-    zero. Raises NotPSD when S has an eigenvalue below -1e-10 * tau_bar,
-    EigenFailure if the decomposition does not converge and
-    DimensionMismatch on inconsistent shapes.
+    time, O(N m) memory). tau_bar is tr(S)/N of a supplied S, else
+    ``runs_tau_bar(Z)`` on both routes: the dataset's ``tau_bar`` bit for
+    bit. Eigenvalues below 1e-10 * tau_bar are clamped to zero. Raises
+    NotPSD when S has an eigenvalue below -1e-10 * tau_bar (below 0 when
+    tau_bar <= 0, which the lambda search rejects), EigenFailure if the
+    decomposition does not converge and DimensionMismatch on bad shapes.
     """
-    if not isinstance(cov, SampleCovariance):
+    if isinstance(cov, SampleCovariance):
+        tau_bar = cov.tau_bar
+    else:
         z = np.asarray(cov, dtype=float)
         if z.ndim != 2 or z.shape[1] < 1:
             raise DimensionMismatch(f"control runs must be N x m with m >= 1, got {z.shape}")
+        tau_bar = runs_tau_bar(z)
         if z.shape[1] >= z.shape[0]:
             cov = dataset.compute_sample_covariance(z)
     dense = isinstance(cov, SampleCovariance)
@@ -120,10 +125,8 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
 
     try:
         if dense:
-            tau_bar = cov.tau_bar
             eigvals, eigvecs = np.linalg.eigh(cov.s)
         else:
-            tau_bar = runs_tau_bar(z)
             left, svals, _ = np.linalg.svd(z, full_matrices=False)
             eigvals, eigvecs = svals[::-1] ** 2 / m, left[:, ::-1]
     except np.linalg.LinAlgError as exc:

@@ -22,11 +22,11 @@ import numpy as np
 # the inference module (perfbench's layer tracer) sees every fit.
 from . import _symmetric, inference
 from ._symmetric import RCOND_TOL, ill_conditioned
-from .dataset import DetectionDataset, as_count, as_real, validate_dataset
-from .errors import FinprintError, NoFeasiblePoint, OutOfDomain
+# validate_dataset and tls_fit are unused here but stay importable from this
+# module: perfbench's layer tracer wraps both by name in finprint.variance.
+from .dataset import DetectionDataset, as_count, as_real, validate_dataset  # noqa: F401
+from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, OutOfDomain
 from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid, stack_caches
-# tls_fit is unused here but stays importable from this module: perfbench's
-# layer tracer wraps finprint.variance.tls_fit by name.
 from .tls import tls_fit, tls_grid  # noqa: F401
 
 __all__ = [
@@ -149,9 +149,7 @@ class FitOptions:
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_real(self.alpha, "alpha"))
-        if not 0.0 < self.alpha < 1.0:
-            raise OutOfDomain(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", inference.check_alpha(as_real(self.alpha, "alpha")))
         for name in ("lambda_min", "lambda_max"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, as_real(getattr(self, name), name))
@@ -261,17 +259,22 @@ def default_bounds(tau_bar):
 
 
 def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int, tau_bar: np.ndarray) -> None:
-    """Require 0 < lo < hi < inf elementwise over R-vectors of bounds.
+    """Require tau_bar > 0 and 0 < lo < hi < inf elementwise over R-vectors.
 
+    tau_bar = tr(S)/N <= 0, with or without given bounds, raises
+    DimensionMismatch: the control runs vanish, so lambda has no scale.
     lo must keep N/lo and N*(tau_bar/lo)^2 finite in float64: along zero
     eigenvalues (the null block among them) the weights 1/(d_i + lambda)
     reach 1/lo, Delta1 grows like tau_bar/lo and Xi_hat, which applies its
     inverse twice, shrinks like (lo/tau_bar)^2. hi must keep tau_bar/hi^2 and
     (tau_bar/hi)^2 normal floats, or the bulk of g_s's weights
-    d_i/(d_i + lambda)^2 and of theta2's (d_i/(d_i + lambda))^2 underflows;
-    S = 0 (tau_bar = 0) has no such weights. The message names the first
-    offending bound.
+    d_i/(d_i + lambda)^2 and of theta2's (d_i/(d_i + lambda))^2 underflows.
+    The message names the first offending replicate.
     """
+    bad = ~(tau_bar > 0.0)
+    if bad.any():
+        t = float(tau_bar[np.argmax(bad)])
+        raise DimensionMismatch(f"tr(S)/N = {t:.3g} <= 0: the control runs vanish, so lambda has no scale")
     bad = ~((0.0 < lo) & (lo < hi) & (hi < np.inf))
     if bad.any():
         i = np.argmax(bad)
@@ -286,7 +289,7 @@ def _check_bounds(lo: np.ndarray, hi: np.ndarray, n_dim: int, tau_bar: np.ndarra
         )
     tiny = np.finfo(float).tiny
     with np.errstate(under="ignore"):
-        bad = (tau_bar > 0.0) & ((tau_bar / hi / hi < tiny) | ((tau_bar / hi) ** 2 < tiny))
+        bad = (tau_bar / hi / hi < tiny) | ((tau_bar / hi) ** 2 < tiny)
     if bad.any():
         i = np.argmax(bad)
         raise OutOfDomain(
@@ -314,12 +317,12 @@ def select_lambda(
 
 
 def prepare_cache(ds: DetectionDataset) -> SpectralCache:
-    """Validate a dataset and decompose it once for the lambda search.
+    """Decompose a dataset once for the lambda search.
 
-    Raises DimensionMismatch when tr(S)/N <= 0. The supplied S, else the
-    control runs, go to ``build_cache``, which picks the decomposition.
+    Its S, else its control runs, go to ``build_cache``, which picks the
+    decomposition; the cache's tau_bar equals ``ds.tau_bar``. Nothing is
+    validated here: the search rejects tr(S)/N <= 0 (``_check_bounds``).
     """
-    validate_dataset(ds)
     return build_cache(ds.sample_cov or ds.control_runs, ds.x_tilde, ds.y)
 
 
@@ -350,9 +353,9 @@ def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list
     ``default_bounds`` at its tau_bar) give its own row of the (R, G) grid;
     ``evaluate_grid``, the first minima and the intervals then run once on
     the stack, and a replicate with no feasible point gets NoFeasiblePoint.
-    When that pass raises, as it does on a bad bound, the stack is refitted
-    one replicate at a time, so the error stays with the replicate that
-    caused it.
+    When that pass raises, as it does on a bad bound or tr(S)/N <= 0, the
+    stack is refitted one replicate at a time, so the error stays with the
+    replicate that caused it.
     """
     opts = options or FitOptions()
     try:

@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import finprint as fp
+from finprint import dataset
 
 # Every hypothesis failure prints the @reproduce_failure blob that replays
 # its draw. The profile inherits the active one (hypothesis's "ci" profile
@@ -43,3 +47,20 @@ def cache_factory():
 @pytest.fixture
 def dataset_factory():
     return random_dataset
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The datasets validate_dataset is called on, through whichever module binds it."""
+    calls = []
+    original = dataset.validate_dataset
+
+    def counted(ds):
+        calls.append(ds)
+        return original(ds)
+
+    names = [m.name for m in pkgutil.iter_modules(fp.__path__) if m.name != "__main__"]
+    for module in [fp, *(importlib.import_module(f"finprint.{name}") for name in names)]:
+        if getattr(module, "validate_dataset", None) is original:
+            monkeypatch.setattr(module, "validate_dataset", counted)
+    return calls

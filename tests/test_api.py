@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import graphlib
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -117,6 +118,44 @@ def test_imports_are_module_level_and_acyclic():
     graph = {name: runtime_dependencies(tree, trees) for name, tree in trees.items()}
     assert graph["simulate"] >= {"io"} and "simulate" not in graph["io"]
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def traced_names():
+    """(module, attribute) pairs that perfbench/tracer.py wraps by name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(module, attr) for module, attr, _ in tracer.TARGETS}
+
+
+def declared_all(tree) -> set:
+    """The names of a module's literal ``__all__``; empty without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_module_level_import_is_used():
+    # A name a module imports is read in it, exported in its __all__, or
+    # wrapped there by the benchmark's tracer (variance.tls_fit and
+    # variance.validate_dataset); TYPE_CHECKING imports serve annotations.
+    traced = traced_names()
+    unused = []
+    for f in sorted(Path(fp.__file__).parent.glob("*.py")):
+        module = "finprint" if f.stem == "__init__" else f"finprint.{f.stem}"
+        tree = ast.parse(f.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= declared_all(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and (module, name) not in traced:
+                    unused.append(f"{f.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_runtime_imports_are_stdlib_numpy_or_the_package():

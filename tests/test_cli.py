@@ -200,6 +200,30 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "positive semidefinite" in err and err.count("\n") == 1
 
+    def test_negative_trace_sample_cov_exit_2(self, manifest, tmp_path, capsys):
+        # tr(S) < 0 means an eigenvalue below zero: the cache rejects S
+        # before the search could find lambda without a scale.
+        doc = json.loads(manifest.read_text())
+        del doc["control_runs"]
+        write_matrix(tmp_path / "s.txt", -np.eye(16))
+        manifest.write_text(json.dumps({**doc, "sample_cov": "s.txt", "m_runs": 30}))
+        assert main(["fit", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive semidefinite" in err and err.count("\n") == 1
+
+    def test_fit_validates_once(self, manifest, tmp_path, validate_calls):
+        assert main(["fit", str(manifest), "--output", str(tmp_path / "fit.json")]) == 0
+        assert len(validate_calls) == 1
+
+    def test_alpha_without_quantile_exit_2(self, manifest, tmp_path, capsys):
+        # Below about 1.1e-16, 1 - alpha/2 rounds to 1: rejected before any fit.
+        assert main(["fit", str(manifest), "--alpha", "1e-17"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha = 1e-17 is too small") and err.count("\n") == 1
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(manifest), "--alpha", "1e-15", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["alpha"] == 1e-15
+
     def test_non_numeric_matrix_exit_2(self, manifest, tmp_path, capsys):
         (tmp_path / "x_tilde.txt").write_text("1.0 2.0\n3.0 abc\n")
         assert main(["fit", str(manifest)]) == 2

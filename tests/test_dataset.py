@@ -143,6 +143,17 @@ class TestDetectionDataset:
                 y=np.zeros(3), x_tilde=np.ones((3, 1)), ensemble_sizes=[1]
             )
 
+    def test_rejects_both_control_runs_and_covariance(self):
+        # m_runs and the m < N warning would come from Z while the fit used S's m.
+        with pytest.raises(fp.OutOfDomain, match="exactly one of control_runs and sample_cov"):
+            fp.DetectionDataset(
+                y=np.zeros(3),
+                x_tilde=np.ones((3, 1)),
+                ensemble_sizes=[1],
+                control_runs=np.ones((3, 20)),
+                sample_cov=fp.SampleCovariance(s=np.eye(3), m=7),
+            )
+
     def test_accepts_precomputed_covariance(self):
         cov = fp.SampleCovariance(s=np.eye(3), m=7)
         ds = fp.DetectionDataset(

@@ -308,8 +308,9 @@ def grid_problem(p, n, m, data, tie, axes, sizes, bounds, seed):
     theta2 is exactly 0 and the comparison's atol (relative to the largest
     value) would be 0 as well, so tie problems take m = N + 1 there.
     ``bounds`` are the defaults, or
-    reach the lambda floor 1e-153 (N/lambda^2 is finite for N <= 179) or
-    1e300 ("floor", "top", "both").
+    reach the lambda floor 1e-153 or 1e300 ("floor", "top", "both"). At
+    tau_bar ~ 1 the floor keeps N*(tau_bar/lambda_min)^2, the lambda_min
+    rule's limit, finite for N <= 179 (N = 16 at most here).
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, m))

@@ -97,18 +97,23 @@ class TestAgainstDense:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_zero_runs(self, p):
-        # S = 0: tau_bar = 0, so validation rejects the dataset (there is no
-        # scale for a default grid) and the low-rank cache is all null block.
+        # S = 0: tau_bar = 0, so the lambda search rejects the dataset, with
+        # or without given bounds (lambda has no scale), while validation
+        # only warns; the low-rank cache is all null block.
         # On an explicit grid, theta1, theta2, g_s and Xi_hat are exactly
         # zero, so which points would pass a positive-variance check is
         # decided by the sign of round-off on either path; compare the rest.
         ds = problem(3, 20, 5, p, runs=np.zeros((20, 5)))
         low, dense = caches(ds)
         assert ds.tau_bar == low.tau_bar == dense.tau_bar == 0.0
+        assert fp.validate_dataset(ds) == (
+            "m=5 < N=20: singular sample covariance (rank <= 5); regularization is required",
+        )
         with pytest.raises(fp.DimensionMismatch, match=r"tr\(S\)/N"):
-            fp.validate_dataset(ds)
-        with pytest.raises(fp.DimensionMismatch):
             fp.fit_optimal(ds)
+        for cache in (low, dense):
+            with pytest.raises(fp.DimensionMismatch, match=r"tr\(S\)/N"):
+                fp.select_lambda(cache, ds.ensemble_sizes, bounds=(0.01, 10.0))
         assert low.eigvals.shape == (5,) and low.null_dim == 15
         np.testing.assert_array_equal(low.eigvals, 0.0)
         grid = np.geomspace(0.01, 10.0, 30)

@@ -6,6 +6,7 @@ import pytest
 
 import finprint as fp
 import oracles
+from finprint import simulate
 from finprint.spectral import rmt_grid
 
 
@@ -152,6 +153,21 @@ class TestGenerateReplicate:
         with pytest.raises(fp.NotPSD, match="below tolerance"):
             fp.generate_replicate(scn, 0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+    def test_not_psd_at_any_scale(self, scale):
+        # An eigenvalue of -0.77 beside 0.5 ... 1.5 is not round-off at any
+        # scale; the floor is relative to the largest eigenvalue.
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        eigvals = np.linspace(0.5, 1.5, 12)
+        eigvals[0] = -0.77
+        with pytest.raises(fp.NotPSD, match="below tolerance"):
+            simulate._psd_sqrt(scale * (q * eigvals) @ q.T)
+        eigvals[0] = -1e-11
+        root = simulate._psd_sqrt(scale * (q * eigvals) @ q.T)
+        eigvals[0] = 0.0
+        np.testing.assert_allclose(root @ root, scale * (q * eigvals) @ q.T, atol=1e-12 * scale)
+
     def test_measurement_noise_scales_with_ensemble_size(self):
         big = small_scenario(ensemble_sizes=(10_000, 10_000), replicates=1)
         x = big.true_x.build(12, 2)
@@ -250,6 +266,12 @@ class TestRunScenario:
         # The one integer rule (dataset.as_count) for every count.
         with pytest.raises(fp.OutOfDomain, match="jobs must be an integer"):
             fp.run_scenario(small_scenario(replicates=2), jobs=jobs)
+
+    def test_replicates_are_not_validated(self, validate_calls):
+        # validate_dataset only collects warnings, which a replicate record
+        # does not keep; a dataset with tr(S)/N <= 0 fails in the search.
+        report = fp.run_scenario(small_scenario(replicates=3))
+        assert report.n_failed == 0 and validate_calls == []
 
     def test_unstructured_sigma_smoke(self):
         scn = small_scenario(
@@ -456,6 +478,11 @@ class TestScenarioValidation:
     def test_alpha_checked_by_fit_options(self, alpha):
         with pytest.raises(fp.OutOfDomain, match=rf"^alpha must be in \(0, 1\), got {alpha}$"):
             small_scenario(alpha=alpha)
+
+    def test_alpha_too_small_for_its_quantile_rejected(self):
+        with pytest.raises(fp.OutOfDomain, match=r"^alpha = 1e-17 is too small"):
+            small_scenario(alpha=1e-17)
+        assert small_scenario(alpha=1e-15).alpha == 1e-15
 
     def test_model_fields_checked_on_construction(self):
         for bad in (dict(seed=-1), dict(seed=1.5), dict(seed=3, column_correlation=1.0)):

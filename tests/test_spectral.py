@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 import finprint as fp
 import oracles
 from conftest import random_cache, random_problem
+from finprint.simulate import ReplicateGenerator
 from finprint.spectral import rmt_grid
+from finprint.variance import prepare_cache
 from reference import trace_functionals
 
 
@@ -19,6 +23,31 @@ class TestBuildCache:
         cache = cache_from_matrix(np.eye(2), np.eye(2), np.array([1.0, 2.0]))
         np.testing.assert_allclose(cache.eigvals, [1.0, 1.0])
         assert cache.tau_bar == 1.0
+
+    @pytest.mark.parametrize("m_runs", [100, 20])
+    def test_tau_bar_is_the_datasets(self, m_runs):
+        # One tau_bar per input: the grid's (the cache's) is the dataset's,
+        # which the fit report quotes, bit for bit, on the eigh route of the
+        # paper-scale design (m = 100 >= N = 48), the thin SVD (m = 20) and
+        # a supplied S. tr(S)/N and ||Z||^2/(mN) differ in the last digits.
+        scn = fp.SimulationScenario(
+            n_dim=48,
+            true_beta=(1.0, 1.0),
+            gamma=1.0,
+            ensemble_sizes=(35, 46),
+            m_runs=m_runs,
+            sigma_model=fp.SeparableAr1Sigma(8, 6, 0.1, 0.1),
+            true_x=fp.SyntheticFingerprints(seed=1),
+            replicates=200,
+            base_seed=20261019,
+        )
+        gen = ReplicateGenerator(scn)
+        for i in range(scn.replicates):
+            ds = gen.make(i)
+            assert prepare_cache(ds).tau_bar == ds.tau_bar
+            if i < 20:
+                given = replace(ds, control_runs=None, sample_cov=fp.compute_sample_covariance(ds.control_runs))
+                assert prepare_cache(given).tau_bar == given.tau_bar
 
     def test_eigenvalues_ascending(self):
         cache = cache_from_matrix(np.diag([0.0, 2.0]), np.ones((2, 1)), np.zeros(2))

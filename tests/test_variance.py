@@ -475,6 +475,15 @@ class TestFitOptimal:
         with pytest.raises(ValueError):
             fp.FitOptions(grid_size=1)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-16, 5e-324])
+    def test_alpha_whose_quantile_rounds_to_one_rejected(self, alpha):
+        # 1 - alpha/2 rounds to 1, so z_{1-alpha/2} cannot be formed; every
+        # fit would fail after its whole grid.
+        with pytest.raises(fp.OutOfDomain, match=r"^alpha = .* is too small"):
+            fp.FitOptions(alpha=alpha)
+        with pytest.raises(fp.OutOfDomain, match=r"^alpha = .* is too small"):
+            fp.marginal_ci(1.0, 1.0, 10, alpha)
+
     @pytest.mark.parametrize(
         "name, value", [("lambda_min", "0.5"), ("lambda_min", True), ("lambda_max", "10"), ("alpha", "0.05")]
     )
