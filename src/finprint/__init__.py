@@ -25,7 +25,7 @@ from .errors import (
     OutOfDomain,
     SchemaError,
 )
-from .inference import FitResult, Verdict, da_verdict, joint_region_test, marginal_ci
+from .inference import FitResult, Verdict, da_verdict
 from .spectral import build_cache
 from .simulate import (
     IdentitySigma,
@@ -75,8 +75,6 @@ __all__ = [
     # inference
     "FitResult",
     "Verdict",
-    "marginal_ci",
-    "joint_region_test",
     "da_verdict",
     # simulate
     "SimulationScenario",

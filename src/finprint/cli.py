@@ -134,10 +134,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     options = _fit_options(args)
     ds = load_dataset(args.input)
     warnings = validate_dataset(ds)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
     result = fit_optimal(ds, options)
     _write(_json(_fit_doc(result, ds, warnings, options, args.input)), args.output)
+    # Only a fit that succeeds warns, so a failed one ends in its one error line.
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -64,12 +64,6 @@ class SpectralCache:
     m_runs: int
     tau_bar: float
 
-    @property
-    def s_rank(self) -> int:
-        """Numerical rank of S: eigenvalues above N * eps * the largest one."""
-        tol = self.n_dim * np.finfo(float).eps * self.eigvals.max(initial=0.0)
-        return int(np.count_nonzero(self.eigvals > tol))
-
 
 @dataclass(frozen=True)
 class RmtFunctionals:

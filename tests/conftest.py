@@ -39,6 +39,22 @@ def random_dataset(seed=0, n=12, p=2, m=20, ensemble_sizes=(3, 5)):
     )
 
 
+def reported_interval(beta, xi, n_dim, alpha=0.05):
+    """The interval ``build_fit_result`` reports for one forcing with estimate
+    ``beta`` and variance ``xi``: a one-replicate curve on a one-point grid."""
+    curve = fp.LambdaCurve(
+        grid=np.ones((1, 1)),
+        beta_hat=np.full((1, 1, 1), beta),
+        k_hat=np.zeros((1, 1)),
+        xi_hat=np.full((1, 1, 1, 1), xi),
+        stability=np.ones((1, 1)),
+        reason=np.full((1, 1), None),
+        n_near_degenerate=np.zeros(1, dtype=int),
+    )
+    (fit,) = fp.inference.build_fit_result(curve, n_dim, alpha)
+    return fit.intervals[0]
+
+
 @pytest.fixture
 def cache_factory():
     return random_cache

@@ -138,13 +138,27 @@ class TestFitCommand:
         assert got["lambda_opt"] == pytest.approx(c**2 * want["lambda_opt"], rel=1e-12)
 
     def test_subnormal_tau_bar_exit_2(self, manifest, tmp_path, capsys):
-        # Validation warns of the (near-)zero fingerprints first; the fit
-        # then fails on the default lambda_min, with no traceback.
+        # Validation finds (near-)zero fingerprints, but the fit fails on the
+        # default lambda_min, so only its error is printed, with no traceback.
         scale_inputs(tmp_path, 1e-160)
         assert main(["fit", str(manifest)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert all(line.startswith("warning: ") for line in err[:-1])
-        assert err[-1].startswith("error: lambda_min = ") and "too small" in err[-1]
+        err = assert_one_error_line(capsys)
+        assert err.startswith("error: lambda_min = ") and "too small" in err
+
+    @pytest.mark.parametrize("scale, code", [(1.0, 0), (0.0, 2)])
+    def test_few_runs_warn_only_when_the_fit_succeeds(self, manifest, tmp_path, capsys, scale, code):
+        # m = 5 < N = 16 warns. All-zero runs leave tau_bar = 0, which the
+        # search rejects: that fit ends in its one error line.
+        runs = tmp_path / "control.txt"
+        write_matrix(runs, scale * np.loadtxt(runs, ndmin=2)[:, :5])
+        assert main(["fit", str(manifest), "--output", str(tmp_path / "report.json")]) == code
+        if code:
+            assert "tr(S)/N = 0" in assert_one_error_line(capsys)
+        else:
+            warning = "m=5 < N=16: singular sample covariance (rank <= 5); regularization is required"
+            assert capsys.readouterr().err.splitlines() == [f"warning: {warning}"]
+            doc = json.loads((tmp_path / "report.json").read_text())
+            assert doc["diagnostics"]["validation_warnings"] == [warning]
 
     def test_no_feasible_point_exit_3(self, tmp_path, capsys):
         # zero fingerprints leave every grid point vertical
@@ -288,8 +302,7 @@ class TestFitCommand:
         )
         args = ["fit", str(data / "manifest.json"), "--lambda-min", "1e-3", "--lambda-max", "1e300"]
         assert main(args) == 2
-        errors = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("warning: ")]
-        assert len(errors) == 1 and errors[0].startswith("error: ") and "lambda_max" in errors[0]
+        assert "lambda_max" in assert_one_error_line(capsys)
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -104,13 +104,14 @@ class TestValidateDataset:
         ds = dataset_factory(n=12, m=5)
         warnings = fp.validate_dataset(ds)
         assert any("singular sample covariance" in w for w in warnings)
-        # The rank comes from the fit's one decomposition, on either path.
+        # The rank is the grid's: the eigenvalues of the fit's one decomposition
+        # left nonzero by build_cache's 1e-10 * tau_bar clamp, on either path.
         duplicated = ds.control_runs[:, [0, 1, 2, 0, 1]]
         for runs, rank in ((ds.control_runs, 5), (duplicated, 3)):
             low_rank = fp.build_cache(runs, ds.x_tilde, ds.y)
             dense = fp.build_cache(fp.compute_sample_covariance(runs), ds.x_tilde, ds.y)
-            assert low_rank.s_rank == rank
-            assert dense.s_rank == rank
+            assert np.count_nonzero(low_rank.eigvals) == rank
+            assert np.count_nonzero(dense.eigvals) == rank
 
     def test_zero_fingerprint_column_warns(self):
         rng = np.random.default_rng(1)

@@ -90,7 +90,7 @@ class TestAgainstDense:
         ds = problem(7, 30, len(columns), p, runs=runs)
         assert_matches_dense(ds)
         low, dense = caches(ds)
-        assert low.s_rank == dense.s_rank == 4
+        assert np.count_nonzero(low.eigvals) == np.count_nonzero(dense.eigvals) == 4
         # Every computed eigenpair is kept, its zeros clamped: min(N, m) of them.
         m = len(columns)
         assert low.eigvals.shape == (m,) and low.null_dim == 30 - m

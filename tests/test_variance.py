@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finprint as fp
-from conftest import random_cache
+from conftest import random_cache, reported_interval
 from finprint import variance
 from finprint.spectral import RmtFunctionals, rmt_grid
 from reference import trace_functionals
@@ -482,7 +482,7 @@ class TestFitOptimal:
         with pytest.raises(fp.OutOfDomain, match=r"^alpha = .* is too small"):
             fp.FitOptions(alpha=alpha)
         with pytest.raises(fp.OutOfDomain, match=r"^alpha = .* is too small"):
-            fp.marginal_ci(1.0, 1.0, 10, alpha)
+            reported_interval(1.0, 1.0, 10, alpha)
 
     @pytest.mark.parametrize(
         "name, value", [("lambda_min", "0.5"), ("lambda_min", True), ("lambda_max", "10"), ("alpha", "0.05")]
