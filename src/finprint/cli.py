@@ -116,7 +116,7 @@ def _write(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
 
 
 def _json(doc: dict) -> str:
@@ -215,7 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write(_json(_simulate_doc(report, scn, args.input)), args.output)
     if args.output is not None:
         table_path = Path(args.output).with_suffix(".replicates.tsv")
-        table_path.write_text(_replicate_table(report, scn.n_forcings))
+        table_path.write_text(_replicate_table(report, scn.n_forcings), encoding="utf-8")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "as_real",
     "compute_sample_covariance",
     "ensemble_mean",
+    "runs_product",
     "runs_tau_bar",
     "validate_dataset",
 ]
@@ -189,8 +190,14 @@ def compute_sample_covariance(control_runs) -> SampleCovariance:
     m = z.shape[1]
     if m < 1:
         raise OutOfDomain("need at least one control run")
-    s = (z @ z.T) / m
-    return SampleCovariance(s=s, m=m)
+    return SampleCovariance(s=runs_product(z), m=m)
+
+
+def runs_product(z: np.ndarray) -> np.ndarray:
+    """Z Z^T / m of N x m control runs, or of each of a stack of them (..., N, m)."""
+    s = z @ z.swapaxes(-1, -2)
+    s /= z.shape[-1]
+    return s
 
 
 def runs_tau_bar(control_runs) -> float:

@@ -50,7 +50,7 @@ def read_matrix(path) -> np.ndarray:
     if Path(path).suffix == ".npy":
         return _read_npy(Path(path))
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         data_lines = [ln for ln in lines if ln.split("#", 1)[0].strip()]
         if not data_lines:
             raise SchemaError("no data rows")
@@ -69,14 +69,15 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_matrix(path, a, header: str | None = None) -> None:
+    """Write ``a`` as a UTF-8 text matrix file, with ``header`` as a comment line."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    np.savetxt(path, a, header=header or "", comments="# ")
+    np.savetxt(path, a, header=header or "", comments="# ", encoding="utf-8")
 
 
 def read_json(path: Path) -> dict:
     """A JSON document whose top level is an object; SchemaError otherwise."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):

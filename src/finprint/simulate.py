@@ -3,9 +3,10 @@
 Replicates a desk-scale version of the method's coverage/interval-length
 study: draw control runs, noisy fingerprints, and observations from a known
 covariance, fit with the optimally regularized weight matrix, and aggregate
-bias, spread, interval length, and empirical coverage. Replicates are drawn
-and decomposed one at a time and fitted in stacks (``variance.fit_stack``)
-of at most ``stack_size`` replicates.
+bias, spread, interval length, and empirical coverage. Replicates go
+through in blocks of at most ``stack_size``: each block is drawn into stacked
+arrays (``ReplicateGenerator.draw``), decomposed in one batched call
+(``spectral.build_cache``) and fitted in one pass (``variance.fit_stack``).
 
 A scenario document is the JSON form of a ``SimulationScenario``: its keys
 are the dataclass's fields, and each model is an object of its class's
@@ -26,7 +27,8 @@ import numpy as np
 from .dataset import DetectionDataset, as_count, as_real
 from .errors import DimensionMismatch, FinprintError, NonFinite, NotPSD, OutOfDomain, SchemaError
 from .io import read_json, read_matrix, resolve
-from .variance import FitOptions, fit_stack, prepare_cache
+from .spectral import build_cache
+from .variance import FitOptions, fit_optimal, fit_stack
 
 __all__ = [
     "IdentitySigma",
@@ -352,27 +354,40 @@ class ReplicateGenerator:
         self.root = _built("sigma_model", sigma, lambda: _psd_sqrt(sigma.build(n)))
         self.x_true = _built("true_x", x, lambda: x.build(n, scenario.n_forcings))
 
-    def make(self, rep_index: int) -> DetectionDataset:
+    def draw(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The replicates ``indices`` as stacked arrays y (R, N), x_tilde (R, N, p), Z (R, N, m).
+
+        Row r is replicate indices[r], drawn from its own seed-derived
+        streams: the regression error and each fingerprint's noise are
+        Sigma^(1/2) times a vector, and the control runs Sigma^(1/2) times an
+        N x m block of normals written straight into row r of Z. Nothing is
+        validated here; ``make`` builds a checked DetectionDataset.
+        """
         scn = self.scenario
-        n, p = scn.n_dim, scn.n_forcings
+        n, p, count = scn.n_dim, scn.n_forcings, len(indices)
         signal = scn.gamma * self.x_true
-        beta = np.asarray(scn.true_beta)
+        mean_y = signal @ np.asarray(scn.true_beta)
+        y = np.empty((count, n))
+        x_tilde = np.empty((count, n, p))
+        z = np.empty((count, n, scn.m_runs))
+        normals = np.empty((n, scn.m_runs))
+        for r, rep_index in enumerate(indices):
+            eps = self.root @ _stream_rng(scn.base_seed, rep_index, _STREAM_EPS).standard_normal(n)
+            y[r] = mean_y + eps
+            for i, n_i in enumerate(scn.ensemble_sizes):
+                noise = self.root @ _stream_rng(scn.base_seed, rep_index, 1 + i).standard_normal(n)
+                x_tilde[r, :, i] = signal[:, i] + noise / np.sqrt(n_i)
+            _stream_rng(scn.base_seed, rep_index, _STREAM_CONTROL_OFFSET + p).standard_normal(out=normals)
+            np.matmul(self.root, normals, out=z[r])
+        return y, x_tilde, z
 
-        eps = self.root @ _stream_rng(scn.base_seed, rep_index, _STREAM_EPS).standard_normal(n)
-        y = signal @ beta + eps
-
-        x_tilde = np.empty((n, p))
-        for i, n_i in enumerate(scn.ensemble_sizes):
-            noise = self.root @ _stream_rng(scn.base_seed, rep_index, 1 + i).standard_normal(n)
-            x_tilde[:, i] = signal[:, i] + noise / np.sqrt(n_i)
-
-        z = self.root @ _stream_rng(
-            scn.base_seed, rep_index, _STREAM_CONTROL_OFFSET + p
-        ).standard_normal((n, scn.m_runs))
+    def make(self, rep_index: int) -> DetectionDataset:
+        """Replicate ``rep_index`` as a DetectionDataset: ``draw`` of one, checked."""
+        (y,), (x_tilde,), (z,) = self.draw([rep_index])
         return DetectionDataset(
             y=y,
             x_tilde=x_tilde,
-            ensemble_sizes=np.asarray(scn.ensemble_sizes),
+            ensemble_sizes=np.asarray(self.scenario.ensemble_sizes),
             control_runs=z,
         )
 
@@ -457,34 +472,49 @@ def stack_size(rank: int, grid_size: int) -> int:
     return max(1, STACK_ELEMENTS // (grid_size * (rank + 1)))
 
 
+def _fit_block(gen: ReplicateGenerator, block, options: FitOptions) -> list | None:
+    """``fit_stack`` on the stacked cache of the replicates ``block``.
+
+    None when a replicate of the block must be fitted on its own: when
+    building its DetectionDataset would raise (N < p + 1, a non-finite
+    array) or the stacked cache does.
+    """
+    y, x_tilde, z = gen.draw(block)
+    if y.shape[-1] < x_tilde.shape[-1] + 1 or not all(np.isfinite(a).all() for a in (y, x_tilde, z)):
+        return None
+    try:
+        cache = build_cache(z, x_tilde, y)
+    except FinprintError:
+        return None
+    return fit_stack(cache, gen.scenario.ensemble_sizes, options)
+
+
+def _fit_alone(gen: ReplicateGenerator, rep_index: int, options: FitOptions):
+    """Replicate ``rep_index``'s FitResult, or the FinprintError its dataset or fit raises."""
+    try:
+        return fit_optimal(gen.make(rep_index), options)
+    except FinprintError as exc:
+        return exc
+
+
 def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[ReplicateRecord]:
-    """Records of the replicates ``indices``, fitted in stacks of ``stack_size`` caches.
+    """Records of the replicates ``indices``, drawn, decomposed and fitted in stacks of ``stack_size``.
 
     Every replicate's cache holds min(N, m) eigenvalues, whatever the rank
-    of its control runs, so any of them stack together.
+    of its control runs, so any of them stack together. A block that cannot
+    be stacked (``_fit_block``) is fitted one replicate at a time, so each
+    error stays with its replicate.
     """
     scenario = gen.scenario
-    sizes = np.asarray(scenario.ensemble_sizes)
+    indices = list(indices)
     cap = stack_size(min(scenario.n_dim, scenario.m_runs), options.grid_size)
     records: list[ReplicateRecord] = []
-    stack: list = []
-
-    def fit(entries) -> None:
-        fits = fit_stack([cache for _, cache in entries], sizes, options)
-        records.extend(_record(i, f, scenario.true_beta) for (i, _), f in zip(entries, fits))
-
-    for i in indices:
-        try:
-            cache = prepare_cache(gen.make(i))
-        except FinprintError as exc:
-            records.append(_record(i, exc, scenario.true_beta))
-            continue
-        stack.append((i, cache))
-        if len(stack) == cap:
-            fit(stack)
-            stack = []
-    if stack:
-        fit(stack)
+    for start in range(0, len(indices), cap):
+        block = indices[start : start + cap]
+        fits = _fit_block(gen, block, options)
+        if fits is None:
+            fits = [_fit_alone(gen, i, options) for i in block]
+        records.extend(_record(i, fit, scenario.true_beta) for i, fit in zip(block, fits))
     return records
 
 

@@ -10,21 +10,22 @@ Gram matrix of the data's residual). A grid of G lambdas is then evaluated
 in one pass of stacked array operations on the G x (k+1) weight matrix
 1/(d_i + lambda) of the k computed eigenvalues and the null block, at
 O(G k p^2); one lambda is a grid of one. S + lambda*I is never formed.
-Caches of equal shape stack along a leading replicate axis
-(``stack_caches``); the grid functions broadcast over it, with an (R, G)
-lambda grid.
+Caches of equal shape stack along a leading replicate axis: ``build_cache``
+decomposes a stack of replicates in one batched call, and ``stack_caches``
+stacks caches built one at a time. The grid functions broadcast over that
+axis, with an (R, G) lambda grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # Called as dataset.compute_sample_covariance, so perfbench's tracer sees it.
 from . import dataset
 from .dataset import SampleCovariance, runs_tau_bar
-from .errors import DimensionMismatch, EigenFailure, NotPSD, OutOfDomain
+from .errors import DimensionMismatch, EigenFailure, NonFinite, NotPSD, OutOfDomain
 
 __all__ = [
     "SpectralCache",
@@ -51,8 +52,8 @@ class SpectralCache:
     ``null_gram``, the (p+1) x (p+1) Gram matrix R^T R of the residual
     R = A - U U^T A of A = [x_tilde, y]; zero after an eigh of S.
 
-    A stack of R caches (``stack_caches``) carries a leading replicate axis
-    on ``eigvals``, ``proj_x``, ``proj_y``, ``null_gram`` and ``tau_bar``.
+    A stack of R caches carries a leading replicate axis on ``eigvals``,
+    ``proj_x``, ``proj_y``, ``null_gram`` and ``tau_bar`` (``STACKED``).
     """
 
     eigvals: np.ndarray
@@ -63,6 +64,14 @@ class SpectralCache:
     n_dim: int
     m_runs: int
     tau_bar: float
+
+    def replicate(self, i) -> "SpectralCache":
+        """Row ``i`` of a stack; a slice or an index array keeps the stack axis."""
+        return replace(self, **{name: getattr(self, name)[i] for name in STACKED})
+
+
+# The fields of a SpectralCache that carry a stack's leading replicate axis.
+STACKED = ("eigvals", "proj_x", "proj_y", "null_gram", "tau_bar")
 
 
 @dataclass(frozen=True)
@@ -98,55 +107,77 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     NotPSD when S has an eigenvalue below -1e-10 * tau_bar (below 0 when
     tau_bar <= 0, which the lambda search rejects), EigenFailure if the
     decomposition does not converge and DimensionMismatch on bad shapes.
+
+    A stack of R replicates, Z of shape (R, N, m) with x_tilde (R, N, p)
+    and y (R, N), is decomposed in one batched call and gives the stacked
+    cache: row r equals the cache of replicate r on its own, bit for bit,
+    and tau_bar is an R-vector. The stack raises when any replicate would,
+    NonFinite among them for an S with a non-finite entry.
     """
     if isinstance(cov, SampleCovariance):
         tau_bar = cov.tau_bar
+        s, (n, m) = cov.s, (cov.n_dim, cov.m)
     else:
         z = np.asarray(cov, dtype=float)
-        if z.ndim != 2 or z.shape[1] < 1:
-            raise DimensionMismatch(f"control runs must be N x m with m >= 1, got {z.shape}")
-        tau_bar = runs_tau_bar(z)
-        if z.shape[1] >= z.shape[0]:
-            cov = dataset.compute_sample_covariance(z)
-    dense = isinstance(cov, SampleCovariance)
-    n, m = (cov.n_dim, cov.m) if dense else z.shape
+        if z.ndim not in (2, 3) or z.shape[-1] < 1:
+            raise DimensionMismatch(f"control runs must be N x m with m >= 1, or a stack of them, got {z.shape}")
+        n, m = z.shape[-2:]
+        s = None
+        if z.ndim == 2:
+            tau_bar = runs_tau_bar(z)
+            if m >= n:
+                s = dataset.compute_sample_covariance(z).s
+        else:
+            tau_bar = np.array([runs_tau_bar(runs) for runs in z])
+            if m >= n:
+                # compute_sample_covariance for each replicate, in one pass.
+                s = dataset.runs_product(z)
+                if not np.isfinite(s).all():
+                    raise NonFinite("s contains NaN or infinite entries")
+                s = s + s.swapaxes(-1, -2)
+                s *= 0.5
+    lead = np.shape(tau_bar)
     x_tilde = np.asarray(x_tilde, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x_tilde.ndim != 2 or x_tilde.shape[0] != n:
-        raise DimensionMismatch(f"x_tilde must be {n} x p, got {x_tilde.shape}")
-    if y.shape != (n,):
-        raise DimensionMismatch(f"y must have shape ({n},), got {y.shape}")
+    if x_tilde.ndim != len(lead) + 2 or x_tilde.shape[:-1] != (*lead, n):
+        rows = " x ".join(str(size) for size in (*lead, n))
+        raise DimensionMismatch(f"x_tilde must be {rows} x p, got {x_tilde.shape}")
+    if y.shape != (*lead, n):
+        raise DimensionMismatch(f"y must have shape {(*lead, n)}, got {y.shape}")
 
     try:
-        if dense:
-            eigvals, eigvecs = np.linalg.eigh(cov.s)
+        if s is not None:
+            eigvals, eigvecs = np.linalg.eigh(s)
         else:
             left, svals, _ = np.linalg.svd(z, full_matrices=False)
-            eigvals, eigvecs = svals[::-1] ** 2 / m, left[:, ::-1]
+            eigvals, eigvecs = svals[..., ::-1] ** 2 / m, left[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"spectral decomposition failed: {exc}") from exc
     # Round-off eigenvalues (either sign) below 1e-10 * tau_bar are exact
     # zeros of the rank-deficient S; an S with an eigenvalue further below
     # zero is not a covariance. Singular values cannot go negative.
-    floor = 1e-10 * max(tau_bar, 0.0)
-    lowest = eigvals.min(initial=0.0)
-    if lowest < -floor:
+    floor = 1e-10 * np.maximum(tau_bar, 0.0)
+    lowest = eigvals.min(axis=-1, initial=0.0)
+    below = lowest < -floor
+    if below.any():
         raise NotPSD(
-            f"sample covariance is not positive semidefinite: eigenvalue {lowest:.3g} below -1e-10 * tau_bar"
+            f"sample covariance is not positive semidefinite: eigenvalue {lowest[below].min():.3g} "
+            "below -1e-10 * tau_bar"
         )
-    eigvals = np.where(eigvals < floor, 0.0, eigvals)
-    data = np.column_stack([x_tilde, y])
-    proj = eigvecs.T @ data
+    eigvals = np.where(eigvals < floor[..., None], 0.0, eigvals)
+    data = np.concatenate([x_tilde, y[..., None]], axis=-1)
+    proj = eigvecs.swapaxes(-1, -2) @ data
     # The data enter the directions the SVD does not compute only through
     # their residual off the computed eigenvectors; an eigh computes all N.
-    resid = data - eigvecs @ proj if eigvals.shape[0] < n else data[:0]
-    null_gram = resid.T @ resid
+    k = eigvals.shape[-1]
+    resid = data - eigvecs @ proj if k < n else data[..., :0, :]
+    null_gram = resid.swapaxes(-1, -2) @ resid
     return SpectralCache(
         eigvals=eigvals,
-        proj_x=proj[:, :-1],
-        proj_y=proj[:, -1],
-        null_dim=n - eigvals.shape[0],
-        null_gram=0.5 * (null_gram + null_gram.T),
+        proj_x=proj[..., :-1],
+        proj_y=proj[..., -1],
+        null_dim=n - k,
+        null_gram=0.5 * (null_gram + null_gram.swapaxes(-1, -2)),
         n_dim=n,
         m_runs=m,
         tau_bar=tau_bar,
@@ -166,17 +197,7 @@ def stack_caches(caches) -> SpectralCache:
     shapes = {(c.n_dim, c.m_runs, c.proj_x.shape) for c in caches}
     if len(shapes) != 1:
         raise DimensionMismatch(f"only caches of one shape stack, got {sorted(shapes)}")
-    first = caches[0]
-    return SpectralCache(
-        eigvals=np.stack([c.eigvals for c in caches]),
-        proj_x=np.stack([c.proj_x for c in caches]),
-        proj_y=np.stack([c.proj_y for c in caches]),
-        null_dim=first.null_dim,
-        null_gram=np.stack([c.null_gram for c in caches]),
-        n_dim=first.n_dim,
-        m_runs=first.m_runs,
-        tau_bar=np.array([c.tau_bar for c in caches]),
-    )
+    return replace(caches[0], **{name: np.stack([getattr(c, name) for c in caches]) for name in STACKED})
 
 
 def _check_lambda(cache: SpectralCache, lam) -> np.ndarray:
@@ -202,7 +223,8 @@ def weights(cache: SpectralCache, lams: np.ndarray) -> np.ndarray:
 
     The last column is the null block's weight 1/lambda_g (eigenvalue 0).
     """
-    return 1.0 / (_spectrum(cache)[..., None, :] + lams[..., :, None])
+    w = _spectrum(cache)[..., None, :] + lams[..., :, None]
+    return np.divide(1.0, w, out=w)
 
 
 def weighted_gram(w: np.ndarray, a: np.ndarray, null_gram: np.ndarray) -> np.ndarray:
@@ -234,8 +256,12 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     replicate axis.
     """
     lams = _check_lambda(cache, lams)
+    # Two (..., G, k+1) buffers: w, which then holds the g_s weights, and
+    # the a_i, which then hold the terms of their spread.
     w = weights(cache, lams)
     p = cache.proj_x.shape[-1]
+    data = np.concatenate([cache.proj_x, cache.proj_y[..., None]], axis=-1)
+    gram = weighted_gram(w, data, cache.null_gram)
     # The a_i are 0 on zero eigenvalues and the null block, so u is a sum of
     # nonnegative terms that keeps its digits far above tau_bar. theta2's
     # numerator, written with Q1 and Q2, is a difference of terms of size
@@ -249,19 +275,20 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     total = a.sum(axis=-1)
     u = total / cache.n_dim
     b = 1.0 - (cache.n_dim / cache.m_runs) * u
-    spread = (((a - (total / r)[..., None]) * nonzero) ** 2).sum(axis=-1)
+    # Weights d_i/(d_i + lambda)^2: W^-1 - lambda*W^-2 without the
+    # cancellation of its two terms on the zero eigenvalues.
+    g_s = weighted_gram(np.multiply(a, w, out=w), cache.proj_x, cache.null_gram[..., :p, :p]) / cache.n_dim
+    a -= (total / r)[..., None]
+    a *= nonzero
+    spread = np.square(a, out=a).sum(axis=-1)
     theta2_num = (spread + (1.0 / r - 1.0 / cache.m_runs) * total**2) / cache.n_dim
     usable_b = np.where(np.abs(b) > DEGENERATE_TOL, b, np.nan)
-    data = np.concatenate([cache.proj_x, cache.proj_y[..., None]], axis=-1)
-    gram = weighted_gram(w, data, cache.null_gram)
     return RmtFunctionals(
         lam=lams,
         theta1=u / usable_b,
         theta2=theta2_num / usable_b**4,
         gram=gram,
         g1=gram[..., :p, :p] / cache.n_dim,
-        # Weights d_i/(d_i + lambda)^2: W^-1 - lambda*W^-2 without the
-        # cancellation of its two terms on the zero eigenvalues.
-        g_s=weighted_gram(a * w, cache.proj_x, cache.null_gram[..., :p, :p]) / cache.n_dim,
+        g_s=g_s,
         stability=b,
     )

@@ -7,7 +7,7 @@ with the trace functionals of the shrunk covariance. Minimizing the trace of
 that estimate over lambda on a log grid picks the weight matrix with the
 smallest total asymptotic uncertainty. The whole grid is evaluated at once
 as stacked array operations; ``evaluate_lambda`` is its one-point case.
-``fit_stack`` is the one fit path: it runs that pass over a stack of
+``fit_stack`` is the one fit path: it runs that pass over a stacked cache of
 replicates, and a single fit (``fit_optimal``) is a stack of one.
 """
 
@@ -337,17 +337,18 @@ def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> infe
 
 def _fit_one(cache: SpectralCache, ensemble_sizes, options: FitOptions | None) -> inference.FitResult:
     """``fit_stack`` on a stack of one, raising its error."""
-    (fit,) = fit_stack([cache], ensemble_sizes, options)
+    (fit,) = fit_stack(stack_caches([cache]), ensemble_sizes, options)
     if isinstance(fit, FinprintError):
         raise fit
     return fit
 
 
-def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list:
-    """Fit replicates whose caches share one shape in a single stacked pass.
+def fit_stack(stack: SpectralCache, ensemble_sizes, options: FitOptions | None = None) -> list:
+    """Fit the replicates of a stacked cache in a single stacked pass.
 
     This is the only fit path: ``fit_optimal`` and ``select_lambda`` are its
-    stack of one. Entry i is the FitResult for ``caches[i]``, or the
+    stack of one. ``stack`` comes from ``build_cache`` on stacked inputs or
+    from ``stack_caches``. Entry i is the FitResult for replicate i, or the
     FinprintError its fit raises, whatever else is in the stack. Each
     replicate's search bounds (the options' where given, else
     ``default_bounds`` at its tau_bar) give its own row of the (R, G) grid;
@@ -359,7 +360,6 @@ def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list
     """
     opts = options or FitOptions()
     try:
-        stack = stack_caches(caches)
         lo, hi = default_bounds(stack.tau_bar)
         if opts.lambda_min is not None:
             lo = np.full_like(stack.tau_bar, opts.lambda_min)
@@ -372,7 +372,8 @@ def fit_stack(caches, ensemble_sizes, options: FitOptions | None = None) -> list
         usable = curve if feasible.all() else curve.replicate(feasible)
         fits = iter(inference.build_fit_result(usable, stack.n_dim, opts.alpha))
     except FinprintError as exc:
-        if len(caches) == 1:
+        count = len(stack.tau_bar)
+        if count == 1:
             return [exc]
-        return [fit_stack([cache], ensemble_sizes, opts)[0] for cache in caches]
+        return [fit_stack(stack.replicate(slice(i, i + 1)), ensemble_sizes, opts)[0] for i in range(count)]
     return [next(fits) if ok else NoFeasiblePoint(NO_FEASIBLE) for ok in feasible]

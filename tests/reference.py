@@ -39,12 +39,13 @@ def trace_functionals(cache, lams):
 
     Summed over the cache's eigenvalues and its ``null_dim`` zero
     eigenvalues, whose weights are 1/lambda and 1/lambda^2. The grid itself
-    forms neither: they are the trace oracles of the Sigma = I checks.
+    forms neither: they are the trace oracles of the Sigma = I checks. A
+    stacked cache takes an (R, G) grid and gives (R, G) arrays.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    w = 1.0 / (cache.eigvals + lams[:, None])
-    q1 = (w.sum(axis=1) + cache.null_dim / lams) / cache.n_dim
-    q2 = ((w * w).sum(axis=1) + cache.null_dim / lams**2) / cache.n_dim
+    w = 1.0 / (cache.eigvals[..., None, :] + lams[..., :, None])
+    q1 = (w.sum(axis=-1) + cache.null_dim / lams) / cache.n_dim
+    q2 = ((w * w).sum(axis=-1) + cache.null_dim / lams**2) / cache.n_dim
     return q1, q2
 
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 import finprint as fp
 from finprint.io import SchemaError, load_dataset, read_matrix, read_vector, write_matrix
 from finprint.simulate import load_scenario, scenario_from_dict, scenario_to_dict
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestMatrixFiles:
@@ -279,3 +285,50 @@ class TestScenarioDocuments:
         path.write_text(json.dumps(doc))
         scn = load_scenario(path)
         np.testing.assert_allclose(scn.sigma_model.build(12), sigma)
+
+
+class TestUtf8WhateverTheLocale:
+    """Matrix and JSON files are UTF-8 text, read and written as such under any locale."""
+
+    def test_utf8_files_load_under_the_c_locale(self, tmp_path):
+        # LC_ALL=C without UTF-8 mode makes the locale's encoding ASCII.
+        (tmp_path / "m.txt").write_bytes("# café\n1 2\n3 4\n".encode("utf-8"))
+        (tmp_path / "doc.json").write_bytes('{"note": "café"}'.encode("utf-8"))
+        # The child's command line and output stay ASCII: its argv and stdout use the locale too.
+        code = (
+            "import json, sys; from pathlib import Path; from finprint.io import read_json, read_matrix, write_matrix\n"
+            "d = Path(sys.argv[1]); write_matrix(d / 'w.txt', [[5.0]], header='caf\\u00e9')\n"
+            "print(json.dumps([read_matrix(d / 'm.txt').tolist(), read_json(d / 'doc.json'), read_matrix(d / 'w.txt').tolist()]))"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[[1.0, 2.0], [3.0, 4.0]], {"note": "café"}, [[5.0]]]
+        assert (tmp_path / "w.txt").read_bytes().startswith("# café\n".encode("utf-8"))
+
+    def test_fit_names_every_encoding(self, tmp_path):
+        # Under -X warn_default_encoding, a text file opened without an
+        # encoding raises EncodingWarning, made an error here.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        data = tmp_path / "example"
+        subprocess.run(
+            [sys.executable, str(SRC.parent / "scripts" / "make_example_data.py"), str(data)],
+            check=True,
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "finprint", "fit", str(data / "manifest.json"), "--output", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(out.read_text(encoding="utf-8"))["beta_hat"]

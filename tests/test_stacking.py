@@ -1,14 +1,17 @@
 """Replicate-stacked fits against stacks of one, and a stack of one against the reference.
 
-run_scenario draws and decomposes every replicate on its own, then fits the
-replicates whose caches share a shape in stacks (variance.fit_stack).
-fit_optimal is fit_stack on a stack of one. A replicate's record must
-equal, with ==, the record of fit_optimal on its own dataset, whatever else
-its stack holds and however large the stack is. fit_optimal itself is
+run_scenario draws each block of replicates into stacked arrays
+(ReplicateGenerator.draw), decomposes the block in one batched call
+(spectral.build_cache) and fits it in one pass (variance.fit_stack); a block
+that cannot be stacked goes one replicate at a time. fit_optimal is
+fit_stack on a stack of one. A replicate's record must equal, with ==, the
+record of fit_optimal on its own dataset, whatever else its stack holds and
+however large the stack is. The stacked draw and cache must equal, bit for
+bit, the draw and cache of each replicate on its own. fit_optimal itself is
 checked against the slow per-lambda reference in reference.py.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from scipy.stats import norm
 
 import finprint as fp
 from finprint import simulate, tls, variance
-from finprint.spectral import stack_caches
+from finprint.spectral import SpectralCache, stack_caches
 from reference import reference_curve
 
 
@@ -59,16 +62,37 @@ def expected_records(scn, options=None):
 
 @pytest.fixture
 def stack_sizes(monkeypatch):
-    """Sizes of the caches passed to each fit_stack call of run_scenario."""
+    """Eigenvalue counts of the replicates of each stacked cache run_scenario fits."""
     seen = []
     original = simulate.fit_stack
 
-    def spy(caches, *args, **kwargs):
-        seen.append([c.eigvals.shape[-1] for c in caches])
-        return original(caches, *args, **kwargs)
+    def spy(stack, *args, **kwargs):
+        seen.append([stack.eigvals.shape[-1]] * stack.eigvals.shape[0])
+        return original(stack, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "fit_stack", spy)
     return seen
+
+
+def edited_draw(rep_index, edit):
+    """ReplicateGenerator.draw with ``edit(y, x_tilde, z)`` applied to replicate ``rep_index``'s rows.
+
+    make draws through draw, so generate_replicate sees the same edit.
+    """
+    original = simulate.ReplicateGenerator.draw
+
+    def draw(self, indices):
+        y, x_tilde, z = original(self, indices)
+        for r, i in enumerate(indices):
+            if i == rep_index:
+                edit(y[r], x_tilde[r], z[r])
+        return y, x_tilde, z
+
+    return draw
+
+
+def rank_deficient_runs(y, x_tilde, z):
+    z[:, -1] = z[:, 0]
 
 
 def set_stack_size(monkeypatch, size, rank, grid_size=variance.DEFAULT_GRID_SIZE):
@@ -105,17 +129,7 @@ class TestBatchIndependence:
     def test_rank_deficient_replicate_shares_the_full_stack(self, monkeypatch, stack_sizes):
         # Replicate 4's runs have rank 23; its cache still holds all 24
         # eigenvalues, one of them a clamped 0, so it stacks with the rest.
-        original = simulate.ReplicateGenerator.make
-
-        def make(self, rep_index):
-            ds = original(self, rep_index)
-            if rep_index == 4:
-                z = ds.control_runs.copy()
-                z[:, -1] = z[:, 0]
-                return replace(ds, control_runs=z)
-            return ds
-
-        monkeypatch.setattr(simulate.ReplicateGenerator, "make", make)
+        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(4, rank_deficient_runs))
         scn = scenario(24)
         assert np.count_nonzero(variance.prepare_cache(fp.generate_replicate(scn, 4)).eigvals) == 23
         report = fp.run_scenario(scn)
@@ -145,7 +159,7 @@ class TestBatchIndependence:
     def test_fit_stack_matches_fit_optimal(self):
         scn = scenario(24, replicates=5)
         datasets = [fp.generate_replicate(scn, i) for i in range(scn.replicates)]
-        fits = variance.fit_stack([variance.prepare_cache(ds) for ds in datasets], scn.ensemble_sizes)
+        fits = variance.fit_stack(stack_caches([variance.prepare_cache(ds) for ds in datasets]), scn.ensemble_sizes)
         for ds, fit in zip(datasets, fits):
             want = fp.fit_optimal(ds)
             assert fit.lambda_opt == want.lambda_opt
@@ -156,6 +170,74 @@ class TestBatchIndependence:
             np.testing.assert_array_equal(fit.curve.objective, want.curve.objective)
             np.testing.assert_array_equal(fit.curve.reason, want.curve.reason)
             assert fit.curve.n_near_degenerate == want.curve.n_near_degenerate
+
+
+def drawn_alone(gen, i):
+    """Replicate i drawn on its own, as y, x_tilde, Z: each stream's normals times Sigma^(1/2)."""
+    scn = gen.scenario
+    n, p = scn.n_dim, scn.n_forcings
+
+    def normals(stream, shape):
+        return simulate._stream_rng(scn.base_seed, i, stream).standard_normal(shape)
+
+    signal = scn.gamma * gen.x_true
+    y = signal @ np.asarray(scn.true_beta) + gen.root @ normals(0, n)
+    x_tilde = np.column_stack(
+        [signal[:, j] + gen.root @ normals(1 + j, n) / np.sqrt(n_j) for j, n_j in enumerate(scn.ensemble_sizes)]
+    )
+    return y, x_tilde, gen.root @ normals(1 + p, (n, scn.m_runs))
+
+
+def halve_rank(y, x_tilde, z):
+    """Repeat the first half of the control runs: rank ceil(m/2), below N on both routes here."""
+    m = z.shape[-1]
+    z[:, m // 2 :] = z[:, : m - m // 2]
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
+    def test_rows_equal_the_replicates_drawn_alone(self, m_runs, p):
+        gen = simulate.ReplicateGenerator(scenario(m_runs, gamma=0.7, p=p))
+        block = [5, 0, 12, 3]
+        stacked = gen.draw(block)
+        for r, i in enumerate(block):
+            ds = gen.make(i)
+            for got, alone, built in zip(stacked, drawn_alone(gen, i), (ds.y, ds.x_tilde, ds.control_runs)):
+                assert got[r].tobytes() == alone.tobytes() == built.tobytes()
+
+
+class TestStackedCache:
+    # m >= N: one batched eigh of the stacked S; m < N: one batched thin SVD.
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
+    def test_equals_the_caches_built_one_at_a_time(self, m_runs, p):
+        gen = simulate.ReplicateGenerator(scenario(m_runs, p=p))
+        y, x_tilde, z = gen.draw(range(5))
+        halve_rank(y[2], x_tilde[2], z[2])
+        stack = fp.build_cache(z, x_tilde, y)
+        alone = [fp.build_cache(z[r], x_tilde[r], y[r]) for r in range(5)]
+        assert np.count_nonzero(stack.eigvals[2]) == (m_runs + 1) // 2 < np.count_nonzero(stack.eigvals[0])
+        stacked_alone = stack_caches(alone)
+        for f in fields(SpectralCache):
+            np.testing.assert_array_equal(getattr(stack, f.name), getattr(stacked_alone, f.name), strict=True)
+        for r in range(5):
+            for f in fields(SpectralCache):
+                np.testing.assert_array_equal(getattr(stack.replicate(r), f.name), getattr(alone[r], f.name))
+
+    def test_a_two_dimensional_cache_keeps_scalar_tau_bar(self):
+        gen = simulate.ReplicateGenerator(scenario(60))
+        y, x_tilde, z = gen.draw([0])
+        assert isinstance(fp.build_cache(z[0], x_tilde[0], y[0]).tau_bar, float)
+
+    @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
+    def test_data_must_stack_like_the_runs(self, m_runs):
+        gen = simulate.ReplicateGenerator(scenario(m_runs))
+        y, x_tilde, z = gen.draw(range(3))
+        with pytest.raises(fp.DimensionMismatch, match=r"x_tilde must be 3 x 48 x p, got \(2, 48, 2\)"):
+            fp.build_cache(z, x_tilde[:2], y)
+        with pytest.raises(fp.DimensionMismatch, match=r"y must have shape \(3, 48\), got \(48,\)"):
+            fp.build_cache(z, x_tilde, y[0])
 
 
 class TestStackOfOne:
@@ -210,19 +292,68 @@ class TestStackSize:
 
 
 class TestFailureIsolation:
+    def test_stacked_build_failure_refits_the_block_one_at_a_time(self, monkeypatch, stack_sizes):
+        # Replicate 2's control runs are finite, so its dataset builds, but
+        # Z Z^T/m overflows: its own cache and the stacked cache of its block
+        # raise NonFinite, and the block (replicates 0-12) is fitted one
+        # replicate at a time. The next block stacks.
+        def overflow(y, x_tilde, z):
+            z *= 1e160
+
+        raised = []
+        original = simulate.build_cache
+
+        def build_cache(*args):
+            try:
+                return original(*args)
+            except fp.FinprintError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(2, overflow))
+        monkeypatch.setattr(simulate, "build_cache", build_cache)
+        scn = scenario(60, replicates=20)
+        with np.errstate(over="ignore"):
+            report = fp.run_scenario(scn)
+            expected = expected_records(scn)
+        assert [type(exc) for exc in raised] == [fp.NonFinite]
+        assert report.failure_counts == {"NonFinite": 1}
+        assert report.replicates[2].error == "NonFinite: s contains NaN or infinite entries"
+        assert report.replicates == expected
+        assert stack_sizes == [[48] * 7]
+
+    @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
+    def test_dataset_errors_stay_with_their_replicate(self, monkeypatch, m_runs, stack_sizes):
+        # A NaN in replicate 1's y fails its DetectionDataset; nothing of its
+        # block is stacked.
+        def nan_y(y, x_tilde, z):
+            y[4] = np.nan
+
+        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(1, nan_y))
+        scn = scenario(m_runs, replicates=4)
+        report = fp.run_scenario(scn)
+        assert report.replicates[1].error == "NonFinite: y contains NaN or infinite entries"
+        assert report.failure_counts == {"NonFinite": 1}
+        assert report.replicates == expected_records(scn)
+        assert stack_sizes == []
+
+    def test_too_few_coordinates_fail_every_replicate(self, stack_sizes):
+        scn = replace(scenario(24, replicates=3, p=3), n_dim=3, sigma_model=fp.IdentitySigma())
+        report = fp.run_scenario(scn)
+        assert report.failure_counts == {"DimensionMismatch": 3}
+        assert report.replicates[0].error == "DimensionMismatch: N=3 too small for p=3 forcings (need N >= p+1)"
+        assert report.replicates == expected_records(scn)
+        assert stack_sizes == []
+
     def test_eigen_failure_refits_one_at_a_time(self, monkeypatch, stack_sizes):
         # Replicate 3 has y = 0, so the last row of every augmented Gram
         # matrix it contributes is zero; the TLS eigenpair kernel below fails
         # on any stack that holds one, as LAPACK does on a matrix it cannot
         # handle, and tls_grid turns that into EigenFailure.
         bad = 3
-        original_make = simulate.ReplicateGenerator.make
 
-        def make(self, rep_index):
-            ds = original_make(self, rep_index)
-            if rep_index == bad:
-                return replace(ds, y=np.zeros_like(ds.y))
-            return ds
+        def zero_y(y, x_tilde, z):
+            y[:] = 0.0
 
         original_pair = tls.smallest_eigenpair
 
@@ -231,7 +362,7 @@ class TestFailureIsolation:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original_pair(m, *args, **kwargs)
 
-        monkeypatch.setattr(simulate.ReplicateGenerator, "make", make)
+        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(bad, zero_y))
         monkeypatch.setattr(tls, "smallest_eigenpair", smallest_eigenpair)
         scn = scenario(60, replicates=20)
         report = fp.run_scenario(scn)
