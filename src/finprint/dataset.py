@@ -194,9 +194,18 @@ def compute_sample_covariance(control_runs) -> SampleCovariance:
 
 
 def runs_product(z: np.ndarray) -> np.ndarray:
-    """Z Z^T / m of N x m control runs, or of each of a stack of them (..., N, m)."""
-    s = z @ z.swapaxes(-1, -2)
-    s /= z.shape[-1]
+    """Symmetrized Z Z^T / m of N x m control runs, or of each of a stack of them (..., N, m).
+
+    The one formula for S. An entry that overflows float64 raises NonFinite
+    instead of a NumPy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z @ z.swapaxes(-1, -2)
+        s /= z.shape[-1]
+        s = s + s.swapaxes(-1, -2)
+    if not np.isfinite(s).all():
+        raise NonFinite("s contains NaN or infinite entries")
+    s *= 0.5
     return s
 
 

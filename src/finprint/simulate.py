@@ -7,6 +7,7 @@ bias, spread, interval length, and empirical coverage. Replicates go
 through in blocks of at most ``stack_size``: each block is drawn into stacked
 arrays (``ReplicateGenerator.draw``), decomposed in one batched call
 (``spectral.build_cache``) and fitted in one pass (``variance.fit_stack``).
+A block in which any of these raises is fitted one replicate at a time.
 
 A scenario document is the JSON form of a ``SimulationScenario``: its keys
 are the dataclass's fields, and each model is an object of its class's
@@ -472,21 +473,17 @@ def stack_size(rank: int, grid_size: int) -> int:
     return max(1, STACK_ELEMENTS // (grid_size * (rank + 1)))
 
 
-def _fit_block(gen: ReplicateGenerator, block, options: FitOptions) -> list | None:
+def _fit_block(gen: ReplicateGenerator, block, options: FitOptions) -> list:
     """``fit_stack`` on the stacked cache of the replicates ``block``.
 
-    None when a replicate of the block must be fitted on its own: when
-    building its DetectionDataset would raise (N < p + 1, a non-finite
-    array) or the stacked cache does.
+    Raises FinprintError when a replicate's DetectionDataset would not build
+    (N < p + 1, a non-finite array), and whatever the stacked cache or fit
+    raises.
     """
     y, x_tilde, z = gen.draw(block)
     if y.shape[-1] < x_tilde.shape[-1] + 1 or not all(np.isfinite(a).all() for a in (y, x_tilde, z)):
-        return None
-    try:
-        cache = build_cache(z, x_tilde, y)
-    except FinprintError:
-        return None
-    return fit_stack(cache, gen.scenario.ensemble_sizes, options)
+        raise FinprintError("a replicate of the block has no valid dataset")
+    return fit_stack(build_cache(z, x_tilde, y), gen.scenario.ensemble_sizes, options)
 
 
 def _fit_alone(gen: ReplicateGenerator, rep_index: int, options: FitOptions):
@@ -501,9 +498,11 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[Re
     """Records of the replicates ``indices``, drawn, decomposed and fitted in stacks of ``stack_size``.
 
     Every replicate's cache holds min(N, m) eigenvalues, whatever the rank
-    of its control runs, so any of them stack together. A block that cannot
-    be stacked (``_fit_block``) is fitted one replicate at a time, so each
-    error stays with its replicate.
+    of its control runs, so any of them stack together. This is the one
+    place a failure is isolated: a block whose draw, stacked cache or
+    stacked fit raises is refitted one replicate at a time through
+    ``fit_optimal`` (``_fit_alone``), so each error stays with its
+    replicate and every record is the one ``fit_optimal`` gives.
     """
     scenario = gen.scenario
     indices = list(indices)
@@ -511,8 +510,9 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[Re
     records: list[ReplicateRecord] = []
     for start in range(0, len(indices), cap):
         block = indices[start : start + cap]
-        fits = _fit_block(gen, block, options)
-        if fits is None:
+        try:
+            fits = _fit_block(gen, block, options)
+        except FinprintError:
             fits = [_fit_alone(gen, i, options) for i in block]
         records.extend(_record(i, fit, scenario.true_beta) for i, fit in zip(block, fits))
     return records

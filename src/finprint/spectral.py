@@ -11,14 +11,13 @@ in one pass of stacked array operations on the G x (k+1) weight matrix
 1/(d_i + lambda) of the k computed eigenvalues and the null block, at
 O(G k p^2); one lambda is a grid of one. S + lambda*I is never formed.
 Caches of equal shape stack along a leading replicate axis: ``build_cache``
-decomposes a stack of replicates in one batched call, and ``stack_caches``
-stacks caches built one at a time. The grid functions broadcast over that
-axis, with an (R, G) lambda grid.
+decomposes a stack of replicates in one batched call, and the grid
+functions broadcast over that axis, with an (R, G) lambda grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "SpectralCache",
     "RmtFunctionals",
     "build_cache",
-    "stack_caches",
     "rmt_grid",
 ]
 
@@ -64,10 +62,6 @@ class SpectralCache:
     n_dim: int
     m_runs: int
     tau_bar: float
-
-    def replicate(self, i) -> "SpectralCache":
-        """Row ``i`` of a stack; a slice or an index array keeps the stack axis."""
-        return replace(self, **{name: getattr(self, name)[i] for name in STACKED})
 
 
 # The fields of a SpectralCache that carry a stack's leading replicate axis.
@@ -104,15 +98,16 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     time, O(N m) memory). tau_bar is tr(S)/N of a supplied S, else
     ``runs_tau_bar(Z)`` on both routes: the dataset's ``tau_bar`` bit for
     bit. Eigenvalues below 1e-10 * tau_bar are clamped to zero. Raises
-    NotPSD when S has an eigenvalue below -1e-10 * tau_bar (below 0 when
-    tau_bar <= 0, which the lambda search rejects), EigenFailure if the
-    decomposition does not converge and DimensionMismatch on bad shapes.
+    NonFinite when an entry of S or tau_bar is not finite (an overflow of
+    float64, checked before any decomposition), NotPSD when S has an
+    eigenvalue below -1e-10 * tau_bar (below 0 when tau_bar <= 0, which the
+    lambda search rejects), EigenFailure if the decomposition does not
+    converge and DimensionMismatch on bad shapes.
 
     A stack of R replicates, Z of shape (R, N, m) with x_tilde (R, N, p)
     and y (R, N), is decomposed in one batched call and gives the stacked
     cache: row r equals the cache of replicate r on its own, bit for bit,
-    and tau_bar is an R-vector. The stack raises when any replicate would,
-    NonFinite among them for an S with a non-finite entry.
+    and tau_bar is an R-vector. The stack raises when any replicate would.
     """
     if isinstance(cov, SampleCovariance):
         tau_bar = cov.tau_bar
@@ -122,20 +117,13 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         if z.ndim not in (2, 3) or z.shape[-1] < 1:
             raise DimensionMismatch(f"control runs must be N x m with m >= 1, or a stack of them, got {z.shape}")
         n, m = z.shape[-2:]
+        tau_bar = runs_tau_bar(z) if z.ndim == 2 else np.array([runs_tau_bar(runs) for runs in z])
         s = None
-        if z.ndim == 2:
-            tau_bar = runs_tau_bar(z)
-            if m >= n:
-                s = dataset.compute_sample_covariance(z).s
-        else:
-            tau_bar = np.array([runs_tau_bar(runs) for runs in z])
-            if m >= n:
-                # compute_sample_covariance for each replicate, in one pass.
-                s = dataset.runs_product(z)
-                if not np.isfinite(s).all():
-                    raise NonFinite("s contains NaN or infinite entries")
-                s = s + s.swapaxes(-1, -2)
-                s *= 0.5
+        if m >= n:
+            # A stack goes through the same formula as one replicate, in one pass.
+            s = dataset.compute_sample_covariance(z).s if z.ndim == 2 else dataset.runs_product(z)
+    if not np.isfinite(tau_bar).all():
+        raise NonFinite(f"tr(S)/N = {np.max(tau_bar)} is not finite: the runs' sum of squares is NaN or overflows")
     lead = np.shape(tau_bar)
     x_tilde = np.asarray(x_tilde, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -182,22 +170,6 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         m_runs=m,
         tau_bar=tau_bar,
     )
-
-
-def stack_caches(caches) -> SpectralCache:
-    """Caches of one shape stacked along a new leading replicate axis.
-
-    The grid functions evaluate the stack in one pass, each replicate on its
-    own (R, G) row of lambdas, with the same per-replicate results as its
-    own cache gives. Raises DimensionMismatch unless every cache has the
-    same N, m, eigenvalue count and forcing count; caches from the same
-    route and shape always do.
-    """
-    caches = list(caches)
-    shapes = {(c.n_dim, c.m_runs, c.proj_x.shape) for c in caches}
-    if len(shapes) != 1:
-        raise DimensionMismatch(f"only caches of one shape stack, got {sorted(shapes)}")
-    return replace(caches[0], **{name: np.stack([getattr(c, name) for c in caches]) for name in STACKED})
 
 
 def _check_lambda(cache: SpectralCache, lam) -> np.ndarray:

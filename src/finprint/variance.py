@@ -8,12 +8,13 @@ that estimate over lambda on a log grid picks the weight matrix with the
 smallest total asymptotic uncertainty. The whole grid is evaluated at once
 as stacked array operations; ``evaluate_lambda`` is its one-point case.
 ``fit_stack`` is the one fit path: it runs that pass over a stacked cache of
-replicates, and a single fit (``fit_optimal``) is a stack of one.
+replicates and fits every one of them or raises, and a single fit
+(``fit_optimal``) is a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,8 +26,8 @@ from ._symmetric import RCOND_TOL, ill_conditioned
 # validate_dataset and tls_fit are unused here but stay importable from this
 # module: perfbench's layer tracer wraps both by name in finprint.variance.
 from .dataset import DetectionDataset, as_count, as_real, validate_dataset  # noqa: F401
-from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, OutOfDomain
-from .spectral import RmtFunctionals, SpectralCache, build_cache, rmt_grid, stack_caches
+from .errors import DimensionMismatch, NoFeasiblePoint, OutOfDomain
+from .spectral import STACKED, RmtFunctionals, SpectralCache, build_cache, rmt_grid
 from .tls import tls_fit, tls_grid  # noqa: F401
 
 __all__ = [
@@ -336,9 +337,10 @@ def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> infe
 
 
 def _fit_one(cache: SpectralCache, ensemble_sizes, options: FitOptions | None) -> inference.FitResult:
-    """``fit_stack`` on a stack of one, raising its error."""
-    (fit,) = fit_stack(stack_caches([cache]), ensemble_sizes, options)
-    if isinstance(fit, FinprintError):
+    """``fit_stack`` on ``cache`` as a stack of one, raising NoFeasiblePoint too."""
+    stack = replace(cache, **{name: np.asarray(getattr(cache, name))[None] for name in STACKED})
+    (fit,) = fit_stack(stack, ensemble_sizes, options)
+    if isinstance(fit, NoFeasiblePoint):
         raise fit
     return fit
 
@@ -347,33 +349,26 @@ def fit_stack(stack: SpectralCache, ensemble_sizes, options: FitOptions | None =
     """Fit the replicates of a stacked cache in a single stacked pass.
 
     This is the only fit path: ``fit_optimal`` and ``select_lambda`` are its
-    stack of one. ``stack`` comes from ``build_cache`` on stacked inputs or
-    from ``stack_caches``. Entry i is the FitResult for replicate i, or the
-    FinprintError its fit raises, whatever else is in the stack. Each
-    replicate's search bounds (the options' where given, else
-    ``default_bounds`` at its tau_bar) give its own row of the (R, G) grid;
-    ``evaluate_grid``, the first minima and the intervals then run once on
-    the stack, and a replicate with no feasible point gets NoFeasiblePoint.
-    When that pass raises, as it does on a bad bound or tr(S)/N <= 0, the
-    stack is refitted one replicate at a time, so the error stays with the
-    replicate that caused it.
+    stack of one. ``stack`` comes from ``build_cache`` on stacked inputs.
+    Entry i is the FitResult for replicate i, or NoFeasiblePoint when none
+    of its grid points is usable. Each replicate's search bounds (the
+    options' where given, else ``default_bounds`` at its tau_bar) give its
+    own row of the (R, G) grid; ``evaluate_grid``, the first minima and the
+    intervals then run once on the stack. Any other error raises for the
+    whole stack, as a bad bound or tr(S)/N <= 0 of one replicate does;
+    which replicate caused it is the caller's to find out
+    (``simulate.run_scenario`` fits such a block one replicate at a time).
     """
     opts = options or FitOptions()
-    try:
-        lo, hi = default_bounds(stack.tau_bar)
-        if opts.lambda_min is not None:
-            lo = np.full_like(stack.tau_bar, opts.lambda_min)
-        if opts.lambda_max is not None:
-            hi = np.full_like(stack.tau_bar, opts.lambda_max)
-        _check_bounds(lo, hi, stack.n_dim, stack.tau_bar)
-        grid = np.geomspace(lo, hi, opts.grid_size, axis=-1)
-        curve = evaluate_grid(stack, ensemble_sizes, grid)
-        feasible = curve.feasible.any(axis=-1)
-        usable = curve if feasible.all() else curve.replicate(feasible)
-        fits = iter(inference.build_fit_result(usable, stack.n_dim, opts.alpha))
-    except FinprintError as exc:
-        count = len(stack.tau_bar)
-        if count == 1:
-            return [exc]
-        return [fit_stack(stack.replicate(slice(i, i + 1)), ensemble_sizes, opts)[0] for i in range(count)]
+    lo, hi = default_bounds(stack.tau_bar)
+    if opts.lambda_min is not None:
+        lo = np.full_like(stack.tau_bar, opts.lambda_min)
+    if opts.lambda_max is not None:
+        hi = np.full_like(stack.tau_bar, opts.lambda_max)
+    _check_bounds(lo, hi, stack.n_dim, stack.tau_bar)
+    grid = np.geomspace(lo, hi, opts.grid_size, axis=-1)
+    curve = evaluate_grid(stack, ensemble_sizes, grid)
+    feasible = curve.feasible.any(axis=-1)
+    usable = curve if feasible.all() else curve.replicate(feasible)
+    fits = iter(inference.build_fit_result(usable, stack.n_dim, opts.alpha))
     return [next(fits) if ok else NoFeasiblePoint(NO_FEASIBLE) for ok in feasible]

@@ -15,12 +15,18 @@ settings.register_profile("finprint", parent=settings.default, print_blob=True)
 settings.load_profile("finprint")
 
 
-def random_problem(seed=0, n=8, p=2, m=12):
-    """Seeded random ``(sample covariance, x_tilde, y)``."""
+def random_arrays(seed=0, n=8, p=2, m=12):
+    """Seeded random ``(control runs, x_tilde, y)``."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, m))
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
+    return z, x, y
+
+
+def random_problem(seed=0, n=8, p=2, m=12):
+    """Seeded random ``(sample covariance, x_tilde, y)``."""
+    z, x, y = random_arrays(seed, n, p, m)
     return fp.compute_sample_covariance(z), x, y
 
 

@@ -288,6 +288,27 @@ class TestFitCommand:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "lambda_min" in lines[0]
 
+    @pytest.mark.parametrize(
+        "m_runs, message",
+        [(30, "error: s contains NaN or infinite entries"), (8, "error: tr(S)/N = inf is not finite")],
+        ids=["dense", "low_rank"],
+    )
+    def test_overflowing_control_runs_exit_2(self, m_runs, message, manifest, tmp_path):
+        # The runs are finite, but Z Z^T/m (m >= N) or, where S is not
+        # formed (m < N), tr(S)/N overflows float64: NonFinite's one line,
+        # with no NumPy warning before it.
+        runs = tmp_path / "control.txt"
+        write_matrix(runs, 1e160 * np.loadtxt(runs, ndmin=2)[:, :m_runs])
+        proc = subprocess.run(
+            [sys.executable, "-m", "finprint", "fit", str(manifest)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+
     @pytest.mark.parametrize("m_runs", [100, 40])
     def test_lambda_max_too_large_exit_2(self, m_runs, tmp_path, capsys):
         # On the example data (tau_bar ~ 0.99) the grid weights of g_s and

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finprint as fp
-from conftest import random_cache
+from conftest import random_arrays, random_cache
 from finprint import _symmetric, spectral, tls, variance
-from finprint.spectral import rmt_grid, stack_caches
+from finprint.spectral import rmt_grid
 from reference import reference_curve, reference_point
 
 TRACE_RTOL = 1e-10
@@ -249,8 +249,11 @@ class TestOnePass:
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("finprint") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, spy)
-        caches = [random_cache(seed=seed) for seed in range(replicates)]
-        cache = caches[0] if replicates == 1 else stack_caches(caches)
+        if replicates == 1:
+            cache = random_cache()
+        else:
+            # The stacked runs take the route of random_cache's S (m >= N).
+            cache = fp.build_cache(*(np.stack(a) for a in zip(*map(random_arrays, range(replicates)))))
         grid = np.geomspace(*variance.default_bounds(cache.tau_bar), 40, axis=-1)
         curve = variance.evaluate_grid(cache, [3, 5], grid)
         assert curve.grid.shape == grid.shape

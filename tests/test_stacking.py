@@ -2,11 +2,12 @@
 
 run_scenario draws each block of replicates into stacked arrays
 (ReplicateGenerator.draw), decomposes the block in one batched call
-(spectral.build_cache) and fits it in one pass (variance.fit_stack); a block
-that cannot be stacked goes one replicate at a time. fit_optimal is
-fit_stack on a stack of one. A replicate's record must equal, with ==, the
-record of fit_optimal on its own dataset, whatever else its stack holds and
-however large the stack is. The stacked draw and cache must equal, bit for
+(spectral.build_cache) and fits it in one pass (variance.fit_stack), which
+fits every replicate of its stack or raises; a block in which any of the
+three raises is refitted one replicate at a time through fit_optimal.
+fit_optimal is fit_stack on a stack of one. A replicate's record must
+equal, with ==, the record of fit_optimal on its own dataset, whatever else
+its stack holds and however large the stack is. The stacked draw and cache must equal, bit for
 bit, the draw and cache of each replicate on its own. fit_optimal itself is
 checked against the slow per-lambda reference in reference.py.
 """
@@ -19,7 +20,7 @@ from scipy.stats import norm
 
 import finprint as fp
 from finprint import simulate, tls, variance
-from finprint.spectral import SpectralCache, stack_caches
+from finprint.spectral import STACKED, SpectralCache
 from reference import reference_curve
 
 
@@ -159,7 +160,8 @@ class TestBatchIndependence:
     def test_fit_stack_matches_fit_optimal(self):
         scn = scenario(24, replicates=5)
         datasets = [fp.generate_replicate(scn, i) for i in range(scn.replicates)]
-        fits = variance.fit_stack(stack_caches([variance.prepare_cache(ds) for ds in datasets]), scn.ensemble_sizes)
+        y, x_tilde, z = simulate.ReplicateGenerator(scn).draw(range(scn.replicates))
+        fits = variance.fit_stack(fp.build_cache(z, x_tilde, y), scn.ensemble_sizes)
         for ds, fit in zip(datasets, fits):
             want = fp.fit_optimal(ds)
             assert fit.lambda_opt == want.lambda_opt
@@ -170,6 +172,15 @@ class TestBatchIndependence:
             np.testing.assert_array_equal(fit.curve.objective, want.curve.objective)
             np.testing.assert_array_equal(fit.curve.reason, want.curve.reason)
             assert fit.curve.n_near_degenerate == want.curve.n_near_degenerate
+
+    @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
+    def test_fit_stack_raises_for_the_whole_stack(self, m_runs):
+        # Replicate 1 has no control-run variance; its error is the stack's.
+        scn = scenario(m_runs)
+        y, x_tilde, z = simulate.ReplicateGenerator(scn).draw(range(3))
+        z[1] = 0.0
+        with pytest.raises(fp.DimensionMismatch, match=r"tr\(S\)/N = 0 <= 0"):
+            variance.fit_stack(fp.build_cache(z, x_tilde, y), scn.ensemble_sizes)
 
 
 def drawn_alone(gen, i):
@@ -218,12 +229,12 @@ class TestStackedCache:
         stack = fp.build_cache(z, x_tilde, y)
         alone = [fp.build_cache(z[r], x_tilde[r], y[r]) for r in range(5)]
         assert np.count_nonzero(stack.eigvals[2]) == (m_runs + 1) // 2 < np.count_nonzero(stack.eigvals[0])
-        stacked_alone = stack_caches(alone)
-        for f in fields(SpectralCache):
-            np.testing.assert_array_equal(getattr(stack, f.name), getattr(stacked_alone, f.name), strict=True)
+        assert stack.tau_bar.shape == (5,)
         for r in range(5):
             for f in fields(SpectralCache):
-                np.testing.assert_array_equal(getattr(stack.replicate(r), f.name), getattr(alone[r], f.name))
+                got = getattr(stack, f.name)
+                row = got[r] if f.name in STACKED else got
+                np.testing.assert_array_equal(row, getattr(alone[r], f.name), strict=True)
 
     def test_a_two_dimensional_cache_keeps_scalar_tau_bar(self):
         gen = simulate.ReplicateGenerator(scenario(60))
@@ -283,44 +294,57 @@ class TestStackSize:
         # N=4000 on the dense route: one replicate already exceeds the cap.
         assert simulate.stack_size(4000, 100) == 1
 
-    def test_mismatched_caches_do_not_stack(self):
-        scn = scenario(24, replicates=2)
-        caches = [variance.prepare_cache(fp.generate_replicate(scn, i)) for i in range(2)]
-        other = variance.prepare_cache(fp.generate_replicate(scenario(20, replicates=1), 0))
-        with pytest.raises(fp.DimensionMismatch):
-            stack_caches([*caches, other])
+
+def overflow(y, x_tilde, z):
+    z *= 1e160
+
+
+def run_with_overflowing_replicate(monkeypatch, m_runs, replicates):
+    """run_scenario with replicate 2's Z scaled by 1e160, and the errors the stacked build_cache raised.
+
+    The runs stay finite, so the replicate's dataset builds, but Z Z^T/m and
+    tr(S)/N overflow float64. No warning may escape: pytest turns every
+    RuntimeWarning into an error.
+    """
+    raised = []
+    original = simulate.build_cache
+
+    def build_cache(*args):
+        try:
+            return original(*args)
+        except fp.FinprintError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(2, overflow))
+    monkeypatch.setattr(simulate, "build_cache", build_cache)
+    scn = scenario(m_runs, replicates=replicates)
+    report = fp.run_scenario(scn)
+    assert report.replicates == expected_records(scn)
+    return report, raised
 
 
 class TestFailureIsolation:
     def test_stacked_build_failure_refits_the_block_one_at_a_time(self, monkeypatch, stack_sizes):
-        # Replicate 2's control runs are finite, so its dataset builds, but
-        # Z Z^T/m overflows: its own cache and the stacked cache of its block
-        # raise NonFinite, and the block (replicates 0-12) is fitted one
-        # replicate at a time. The next block stacks.
-        def overflow(y, x_tilde, z):
-            z *= 1e160
-
-        raised = []
-        original = simulate.build_cache
-
-        def build_cache(*args):
-            try:
-                return original(*args)
-            except fp.FinprintError as exc:
-                raised.append(exc)
-                raise
-
-        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(2, overflow))
-        monkeypatch.setattr(simulate, "build_cache", build_cache)
-        scn = scenario(60, replicates=20)
-        with np.errstate(over="ignore"):
-            report = fp.run_scenario(scn)
-            expected = expected_records(scn)
+        # The overflowing S of replicate 2 fails its own cache and the
+        # stacked cache of its block with NonFinite, and the block
+        # (replicates 0-12) is fitted one replicate at a time. The next
+        # block stacks.
+        report, raised = run_with_overflowing_replicate(monkeypatch, 60, replicates=20)
         assert [type(exc) for exc in raised] == [fp.NonFinite]
         assert report.failure_counts == {"NonFinite": 1}
         assert report.replicates[2].error == "NonFinite: s contains NaN or infinite entries"
-        assert report.replicates == expected
         assert stack_sizes == [[48] * 7]
+
+    def test_low_rank_stacked_build_failure_refits_the_block_one_at_a_time(self, monkeypatch, stack_sizes):
+        # m < N never forms S; replicate 2's tr(S)/N overflows, which fails
+        # the stacked thin SVD's cache (replicates 0-25) before it is
+        # decomposed, and that replicate's own cache. The next block stacks.
+        report, raised = run_with_overflowing_replicate(monkeypatch, 24, replicates=30)
+        assert [type(exc) for exc in raised] == [fp.NonFinite]
+        assert report.failure_counts == {"NonFinite": 1}
+        assert report.replicates[2].error.startswith("NonFinite: tr(S)/N = inf is not finite")
+        assert stack_sizes == [[24] * 4]
 
     @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
     def test_dataset_errors_stay_with_their_replicate(self, monkeypatch, m_runs, stack_sizes):
