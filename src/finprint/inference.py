@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FitResult",
+    "StackedFit",
     "Verdict",
     "da_verdict",
     "quantile_normal",
@@ -45,6 +46,42 @@ class FitResult:
     intervals: tuple[tuple[float, float], ...]
     verdicts: tuple[Verdict, ...]
     curve: "LambdaCurve"
+
+
+@dataclass(frozen=True)
+class StackedFit:
+    """The fits of a replicate stack as arrays, row r for replicate r.
+
+    ``lambda_opt`` is (R,), ``beta_hat``, ``ci_lower`` and ``ci_upper`` are
+    (R, p) and ``xi_hat`` is (R, p, p), all at each replicate's chosen point
+    of the stacked ``curve``. ``feasible`` marks the replicates with a usable
+    grid point; the other rows hold NaN. ``row(r)`` is replicate r's
+    FitResult, with its verdicts and its own curve.
+    """
+
+    lambda_opt: np.ndarray
+    beta_hat: np.ndarray
+    xi_hat: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+    feasible: np.ndarray
+    curve: "LambdaCurve"
+    n_dim: int
+    alpha: float
+
+    def row(self, r: int) -> FitResult:
+        """Replicate r's FitResult; r must be a feasible row."""
+        intervals = tuple(zip(self.ci_lower[r].tolist(), self.ci_upper[r].tolist()))
+        return FitResult(
+            beta_hat=self.beta_hat[r],
+            lambda_opt=float(self.lambda_opt[r]),
+            xi_hat=self.xi_hat[r],
+            n_dim=self.n_dim,
+            alpha=self.alpha,
+            intervals=intervals,
+            verdicts=tuple(da_verdict(ci) for ci in intervals),
+            curve=self.curve.replicate(r),
+        )
 
 
 def quantile_normal(q: float) -> float:
@@ -92,32 +129,31 @@ def da_verdict(ci: tuple[float, float]) -> Verdict:
     return Verdict(detected=detected, attributed=detected and lower <= 1.0 <= upper)
 
 
-def build_fit_result(curve: "LambdaCurve", n_dim: int, alpha: float) -> list[FitResult]:
-    """One FitResult per replicate of a replicate-stacked curve, at its chosen point.
+def build_fit_result(curve: "LambdaCurve", n_dim: int, alpha: float) -> StackedFit:
+    """The StackedFit of a replicate-stacked curve: every replicate at its chosen point.
 
     The chosen points and their intervals are taken in one pass over the
-    stack; each FitResult carries its replicate's own curve. Every replicate
-    must have a feasible point.
+    stack, with no per-replicate object; a replicate with no feasible point
+    gets a NaN row and ``feasible`` False. Raises OutOfDomain when a
+    feasible replicate's chosen variance is not positive.
     """
+    feasible = curve.feasible.any(axis=-1)
     at = curve.chosen_at
-    lams = curve.grid[at]
-    beta_hat = curve.beta_hat[at]
-    xi_hat = curve.xi_hat[at]
+    beta_hat = np.where(feasible[:, None], curve.beta_hat[at], np.nan)
+    xi_hat = np.where(feasible[:, None, None], curve.xi_hat[at], np.nan)
     variances = np.diagonal(xi_hat, axis1=-2, axis2=-1)
-    lower, upper = _normal_intervals(beta_hat, variances, n_dim, _two_sided_z(alpha))
-    fits = []
-    for r in range(lams.shape[0]):
-        intervals = tuple(zip(lower[r].tolist(), upper[r].tolist()))
-        fits.append(
-            FitResult(
-                beta_hat=beta_hat[r],
-                lambda_opt=float(lams[r]),
-                xi_hat=xi_hat[r],
-                n_dim=n_dim,
-                alpha=alpha,
-                intervals=intervals,
-                verdicts=tuple(da_verdict(ci) for ci in intervals),
-                curve=curve.replicate(r),
-            )
-        )
-    return fits
+    ci_lower, ci_upper = np.full_like(beta_hat, np.nan), np.full_like(beta_hat, np.nan)
+    ci_lower[feasible], ci_upper[feasible] = _normal_intervals(
+        beta_hat[feasible], variances[feasible], n_dim, _two_sided_z(alpha)
+    )
+    return StackedFit(
+        lambda_opt=np.where(feasible, curve.grid[at], np.nan),
+        beta_hat=beta_hat,
+        xi_hat=xi_hat,
+        ci_lower=ci_lower,
+        ci_upper=ci_upper,
+        feasible=feasible,
+        curve=curve,
+        n_dim=n_dim,
+        alpha=alpha,
+    )

@@ -4,10 +4,13 @@ Replicates a desk-scale version of the method's coverage/interval-length
 study: draw control runs, noisy fingerprints, and observations from a known
 covariance, fit with the optimally regularized weight matrix, and aggregate
 bias, spread, interval length, and empirical coverage. Replicates go
-through in blocks of at most ``stack_size``: each block is drawn into stacked
-arrays (``ReplicateGenerator.draw``), decomposed in one batched call
-(``spectral.build_cache``) and fitted in one pass (``variance.fit_stack``).
-A block in which any of these raises is fitted one replicate at a time.
+through in blocks of at most ``stack_size``: each block is seeded in one
+vectorized pass and drawn into stacked arrays (``ReplicateGenerator.draw``),
+decomposed in one batched call (``spectral.build_cache``) and fitted in one
+pass (``variance.fit_stack``), whose ``inference.StackedFit`` columns become
+the block's records. A block in which any of these raises is fitted one
+replicate at a time. ``jobs > 1`` spreads the replicates over spawned
+processes with one BLAS thread each.
 
 A scenario document is the JSON form of a ``SimulationScenario``: its keys
 are the dataclass's fields, and each model is an object of its class's
@@ -17,6 +20,8 @@ fields under a ``kind`` key, with paths relative to the document.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import os
 import time
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -24,12 +29,14 @@ from pathlib import Path
 from typing import get_args
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .dataset import DetectionDataset, as_count, as_real
-from .errors import DimensionMismatch, FinprintError, NonFinite, NotPSD, OutOfDomain, SchemaError
+from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, NonFinite, NotPSD, OutOfDomain, SchemaError
+from .inference import StackedFit
 from .io import read_json, read_matrix, resolve
 from .spectral import build_cache
-from .variance import FitOptions, fit_optimal, fit_stack
+from .variance import NO_FEASIBLE, FitOptions, fit_optimal, fit_stack
 
 __all__ = [
     "IdentitySigma",
@@ -326,12 +333,89 @@ def scenario_to_dict(scn: SimulationScenario) -> dict:
     return doc
 
 
-def _stream_rng(base_seed: int, rep_index: int, stream: int) -> np.random.Generator:
-    # Independent, reproducible streams per (replicate, source); parallel and
-    # serial execution draw identical numbers.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=base_seed, spawn_key=(rep_index, stream))
-    )
+def _hash_constants(first: int, multiplier: int, count: int) -> np.ndarray:
+    """SeedSequence's chain of ``count + 1`` uint32 hash constants: ``first`` times ``multiplier``^k mod 2^32."""
+    chain = [first]
+    for _ in range(count):
+        chain.append(chain[-1] * multiplier & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, consecutive hashes along axis 0: hash k xors its word with constant k,
+    multiplies by constant k + 1 and xors in the product's high half; words broadcast against constants."""
+    mixed = (words ^ constants[:-1]) * constants[1:]
+    return mixed ^ (mixed >> 16)
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a hashed word into pool words, as uint32 arithmetic."""
+    mixed = pool * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
+    return mixed ^ (mixed >> 16)
+
+
+class _StateWords(ISeedSequence):
+    """A seed whose ``generate_state`` returns PCG64's four uint64 words, derived beforehand."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+class _SpawnedSeeds:
+    """The streams ``default_rng(SeedSequence(entropy=base_seed, spawn_key=(i, s)))``, a block at a time.
+
+    NumPy's SeedSequence (NEP 19, after O'Neill's seed_seq) hashes its
+    entropy words, the base seed's (padded to four) and then the spawn key's,
+    into a pool of four uint32 words, and hashes the pool into the state
+    words PCG64 takes. The k-th hash of either step uses fixed constants. So
+    the pool the base seed leaves is mixed once here, ``words`` mixes in
+    only each (replicate, stream) key's words, for a whole block as uint32
+    array operations, and ``streams`` hands each stream's PCG64 its words:
+    the same bits as SeedSequence, without its per-stream Python work.
+    """
+
+    def __init__(self, base_seed: int):
+        # The base seed's uint32 words, least significant first, padded with
+        # zeros to four; a scenario's base seed is below 2^63.
+        entropy = np.array([(base_seed >> 32 * k) & 0xFFFFFFFF for k in range(4)], dtype=np.uint32)
+        # 4 hashes of the entropy and 12 of the all-pairs mix, then 4 per key
+        # word, at most 3 key words (two for an index at or past 2^32, one for
+        # the stream).
+        chain = _hash_constants(0x43B0D7E5, 0x931E8875, 28)
+        pool = _hash(entropy, chain[:5])
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hash(pool[[src] * 3], chain[4 + 3 * src : 8 + 3 * src]))
+        self.pool = pool[:, None]
+        self.key_constants = chain[16:, None]
+        self.state_constants = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)[:, None]
+
+    def words(self, indices, n_streams: int) -> np.ndarray:
+        """``SeedSequence(entropy=base_seed, spawn_key=(i, s)).generate_state(4, np.uint64)`` for
+        every index i of ``indices`` and stream s below ``n_streams``, as an (R, n_streams, 4) array."""
+        index = np.repeat(np.asarray(indices, dtype=np.uint64), n_streams)
+        stream = np.tile(np.arange(n_streams, dtype=np.uint32), len(indices))
+        low, high = (index & 0xFFFFFFFF).astype(np.uint32), (index >> 32).astype(np.uint32)
+        two = high > 0  # an index of two words
+        pool = _mix(self.pool, _hash(low, self.key_constants[:5]))
+        pool = _mix(pool, _hash(np.where(two, high, stream), self.key_constants[4:9]))
+        if two.any():
+            pool = np.where(two, _mix(pool, _hash(stream, self.key_constants[8:13])), pool)
+        state = _hash(np.concatenate([pool, pool]), self.state_constants).astype(np.uint64)
+        words = state[0::2] | (state[1::2] << np.uint64(32))
+        return np.ascontiguousarray(words.T).reshape(len(indices), n_streams, 4)
+
+    def streams(self, indices, n_streams: int) -> list[list[np.random.Generator]]:
+        """Row r holds the ``n_streams`` generators of replicate indices[r]."""
+        return [
+            [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in row]
+            for row in self.words(indices, n_streams)
+        ]
 
 
 def _built(label: str, model, build):
@@ -344,7 +428,7 @@ def _built(label: str, model, build):
 
 
 class ReplicateGenerator:
-    """Precomputes the covariance root and fingerprints for repeated draws.
+    """Precomputes the covariance root, the fingerprints and the base seed's pool for repeated draws.
 
     A model that cannot be built raises here, its message naming the model.
     """
@@ -354,15 +438,20 @@ class ReplicateGenerator:
         n, sigma, x = scenario.n_dim, scenario.sigma_model, scenario.true_x
         self.root = _built("sigma_model", sigma, lambda: _psd_sqrt(sigma.build(n)))
         self.x_true = _built("true_x", x, lambda: x.build(n, scenario.n_forcings))
+        self.seeds = _SpawnedSeeds(scenario.base_seed)
 
     def draw(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The replicates ``indices`` as stacked arrays y (R, N), x_tilde (R, N, p), Z (R, N, m).
 
-        Row r is replicate indices[r], drawn from its own seed-derived
-        streams: the regression error and each fingerprint's noise are
-        Sigma^(1/2) times a vector, and the control runs Sigma^(1/2) times an
-        N x m block of normals written straight into row r of Z. Nothing is
-        validated here; ``make`` builds a checked DetectionDataset.
+        Row r is replicate indices[r], drawn from its own streams, those of
+        ``default_rng(SeedSequence(entropy=base_seed, spawn_key=(indices[r], s)))``
+        for s = 0 (the regression error), 1..p (each fingerprint's noise) and
+        p + 1 (the control runs); the streams of the whole block are seeded
+        in one vectorized pass (``_SpawnedSeeds``). The regression error and
+        each fingerprint's noise are Sigma^(1/2) times a vector, and the
+        control runs Sigma^(1/2) times an N x m block of normals written
+        straight into row r of Z. Nothing is validated here; ``make`` builds
+        a checked DetectionDataset.
         """
         scn = self.scenario
         n, p, count = scn.n_dim, scn.n_forcings, len(indices)
@@ -372,18 +461,21 @@ class ReplicateGenerator:
         x_tilde = np.empty((count, n, p))
         z = np.empty((count, n, scn.m_runs))
         normals = np.empty((n, scn.m_runs))
-        for r, rep_index in enumerate(indices):
-            eps = self.root @ _stream_rng(scn.base_seed, rep_index, _STREAM_EPS).standard_normal(n)
-            y[r] = mean_y + eps
+        for r, streams in enumerate(self.seeds.streams(indices, p + 2)):
+            y[r] = mean_y + self.root @ streams[_STREAM_EPS].standard_normal(n)
             for i, n_i in enumerate(scn.ensemble_sizes):
-                noise = self.root @ _stream_rng(scn.base_seed, rep_index, 1 + i).standard_normal(n)
+                noise = self.root @ streams[1 + i].standard_normal(n)
                 x_tilde[r, :, i] = signal[:, i] + noise / np.sqrt(n_i)
-            _stream_rng(scn.base_seed, rep_index, _STREAM_CONTROL_OFFSET + p).standard_normal(out=normals)
+            streams[_STREAM_CONTROL_OFFSET + p].standard_normal(out=normals)
             np.matmul(self.root, normals, out=z[r])
         return y, x_tilde, z
 
     def make(self, rep_index: int) -> DetectionDataset:
-        """Replicate ``rep_index`` as a DetectionDataset: ``draw`` of one, checked."""
+        """Replicate ``rep_index`` as a DetectionDataset: ``draw`` of one, checked.
+
+        A lone replicate pays the block's fixed seeding cost alone; only the
+        fault refit and ``generate_replicate`` take this path.
+        """
         (y,), (x_tilde,), (z,) = self.draw([rep_index])
         return DetectionDataset(
             y=y,
@@ -473,7 +565,32 @@ def stack_size(rank: int, grid_size: int) -> int:
     return max(1, STACK_ELEMENTS // (grid_size * (rank + 1)))
 
 
-def _fit_block(gen: ReplicateGenerator, block, options: FitOptions) -> list:
+def _block_records(block, fit, true_beta) -> list[ReplicateRecord]:
+    """The records of the replicates ``block`` from their StackedFit, read column by column.
+
+    Each record holds the same numbers ``_record`` takes from the row's
+    FitResult; a row with no feasible point records NoFeasiblePoint.
+    """
+    truth = np.asarray(true_beta)
+    covered = (fit.ci_lower <= truth) & (truth <= fit.ci_upper)
+    columns = zip(
+        block,
+        fit.feasible.tolist(),
+        fit.beta_hat.tolist(),
+        fit.lambda_opt.tolist(),
+        fit.ci_lower.tolist(),
+        fit.ci_upper.tolist(),
+        covered.tolist(),
+    )
+    return [
+        ReplicateRecord(i, tuple(beta), lam, tuple(lower), tuple(upper), tuple(cov))
+        if ok
+        else _record(i, NoFeasiblePoint(NO_FEASIBLE), true_beta)
+        for i, ok, beta, lam, lower, upper, cov in columns
+    ]
+
+
+def _fit_block(gen: ReplicateGenerator, block, options: FitOptions) -> StackedFit:
     """``fit_stack`` on the stacked cache of the replicates ``block``.
 
     Raises FinprintError when a replicate's DetectionDataset would not build
@@ -511,10 +628,11 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[Re
     for start in range(0, len(indices), cap):
         block = indices[start : start + cap]
         try:
-            fits = _fit_block(gen, block, options)
+            fit = _fit_block(gen, block, options)
         except FinprintError:
-            fits = [_fit_alone(gen, i, options) for i in block]
-        records.extend(_record(i, fit, scenario.true_beta) for i, fit in zip(block, fits))
+            records.extend(_record(i, _fit_alone(gen, i, options), scenario.true_beta) for i in block)
+        else:
+            records.extend(_block_records(block, fit, scenario.true_beta))
     return records
 
 
@@ -557,11 +675,40 @@ def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> Si
     )
 
 
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A process pool of ``workers`` spawned processes, each with one BLAS thread.
+
+    A forked worker would keep the parent's BLAS thread pool, and J such
+    pools oversubscribe the cores. A spawned worker imports NumPy afresh and
+    sizes its pool from the thread variables, which are 1 while the pool
+    runs and are restored, set or unset as they were, afterwards; the
+    parent's own BLAS pool, set up at its import, does not change.
+    """
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ.update(dict.fromkeys(names, "1"))
+    try:
+        # The pool class loads concurrent.futures.process, and multiprocessing
+        # (its ``mp``) with it, only here.
+        executor = concurrent.futures.ProcessPoolExecutor
+        spawn = concurrent.futures.process.mp.get_context("spawn")
+        with executor(max_workers=workers, mp_context=spawn) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationReport:
     """Run the full Monte Carlo loop: generate, fit, interval, aggregate.
 
-    Replicates are independent; ``jobs > 1`` fans them out over processes,
-    each of which fits its share in stacks. Records and aggregates are
+    Replicates are independent; ``jobs > 1`` fans them out over spawned
+    processes with one BLAS thread each (``_worker_pool``), each of which
+    fits its share in stacks. Records and aggregates are
     identical for any jobs value and stack size because every replicate owns
     its seed-derived streams, its record is the one ``fit_optimal`` gives,
     and records are reduced in index order. Sigma's root and the
@@ -574,7 +721,7 @@ def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationRepor
     indices = list(range(scenario.replicates))
     if jobs > 1 and scenario.replicates > 1:
         chunks = [indices[k::jobs] for k in range(jobs) if indices[k::jobs]]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with _worker_pool(len(chunks)) as pool:
             futures = [pool.submit(_run_chunk, gen, chunk, options) for chunk in chunks]
             records = [rec for fut in futures for rec in fut.result()]
     else:

@@ -314,7 +314,7 @@ def select_lambda(
     """
     lo, hi = (None, None) if bounds is None else bounds
     opts = FitOptions(lambda_min=lo, lambda_max=hi, grid_size=grid_size)
-    return _fit_one(cache, ensemble_sizes, opts).curve
+    return _fit_one(cache, ensemble_sizes, opts).curve.replicate(0)
 
 
 def prepare_cache(ds: DetectionDataset) -> SpectralCache:
@@ -330,33 +330,36 @@ def prepare_cache(ds: DetectionDataset) -> SpectralCache:
 def fit_optimal(ds: DetectionDataset, options: FitOptions | None = None) -> inference.FitResult:
     """End-to-end fit: cache, lambda search, covariance, intervals, verdicts.
 
-    ``fit_stack`` on a stack of one. Raises DimensionMismatch when
-    tr(S)/N <= 0 and NoFeasiblePoint when the search fails everywhere.
+    ``fit_stack`` on a stack of one; the FitResult and its verdicts are
+    formed from row 0. Raises DimensionMismatch when tr(S)/N <= 0 and
+    NoFeasiblePoint when the search fails everywhere.
     """
-    return _fit_one(prepare_cache(ds), ds.ensemble_sizes, options)
+    return _fit_one(prepare_cache(ds), ds.ensemble_sizes, options).row(0)
 
 
-def _fit_one(cache: SpectralCache, ensemble_sizes, options: FitOptions | None) -> inference.FitResult:
-    """``fit_stack`` on ``cache`` as a stack of one, raising NoFeasiblePoint too."""
+def _fit_one(cache: SpectralCache, ensemble_sizes, options: FitOptions | None) -> inference.StackedFit:
+    """``fit_stack`` on ``cache`` as a stack of one; NoFeasiblePoint when its row is not feasible."""
     stack = replace(cache, **{name: np.asarray(getattr(cache, name))[None] for name in STACKED})
-    (fit,) = fit_stack(stack, ensemble_sizes, options)
-    if isinstance(fit, NoFeasiblePoint):
-        raise fit
+    fit = fit_stack(stack, ensemble_sizes, options)
+    if not fit.feasible[0]:
+        raise NoFeasiblePoint(NO_FEASIBLE)
     return fit
 
 
-def fit_stack(stack: SpectralCache, ensemble_sizes, options: FitOptions | None = None) -> list:
+def fit_stack(stack: SpectralCache, ensemble_sizes, options: FitOptions | None = None) -> inference.StackedFit:
     """Fit the replicates of a stacked cache in a single stacked pass.
 
     This is the only fit path: ``fit_optimal`` and ``select_lambda`` are its
     stack of one. ``stack`` comes from ``build_cache`` on stacked inputs.
-    Entry i is the FitResult for replicate i, or NoFeasiblePoint when none
-    of its grid points is usable. Each replicate's search bounds (the
-    options' where given, else ``default_bounds`` at its tau_bar) give its
-    own row of the (R, G) grid; ``evaluate_grid``, the first minima and the
-    intervals then run once on the stack. Any other error raises for the
-    whole stack, as a bad bound or tr(S)/N <= 0 of one replicate does;
-    which replicate caused it is the caller's to find out
+    The result is one ``inference.StackedFit``: arrays over the R
+    replicates of lambda_opt, beta_hat, Xi_hat and the intervals, a
+    ``feasible`` mask (False, with a NaN row, where none of a replicate's
+    grid points is usable) and the stacked curve. Each replicate's search
+    bounds (the options' where given, else ``default_bounds`` at its
+    tau_bar) give its own row of the (R, G) grid; ``evaluate_grid``, the
+    first minima and the intervals then run once on the stack. Any other
+    error raises for the whole stack, as a bad bound or tr(S)/N <= 0 of one
+    replicate does; which replicate caused it is the caller's to find out
     (``simulate.run_scenario`` fits such a block one replicate at a time).
     """
     opts = options or FitOptions()
@@ -367,8 +370,4 @@ def fit_stack(stack: SpectralCache, ensemble_sizes, options: FitOptions | None =
         hi = np.full_like(stack.tau_bar, opts.lambda_max)
     _check_bounds(lo, hi, stack.n_dim, stack.tau_bar)
     grid = np.geomspace(lo, hi, opts.grid_size, axis=-1)
-    curve = evaluate_grid(stack, ensemble_sizes, grid)
-    feasible = curve.feasible.any(axis=-1)
-    usable = curve if feasible.all() else curve.replicate(feasible)
-    fits = iter(inference.build_fit_result(usable, stack.n_dim, opts.alpha))
-    return [next(fits) if ok else NoFeasiblePoint(NO_FEASIBLE) for ok in feasible]
+    return inference.build_fit_result(evaluate_grid(stack, ensemble_sizes, grid), stack.n_dim, opts.alpha)

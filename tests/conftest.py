@@ -57,8 +57,8 @@ def reported_interval(beta, xi, n_dim, alpha=0.05):
         reason=np.full((1, 1), None),
         n_near_degenerate=np.zeros(1, dtype=int),
     )
-    (fit,) = fp.inference.build_fit_result(curve, n_dim, alpha)
-    return fit.intervals[0]
+    fit = fp.inference.build_fit_result(curve, n_dim, alpha)
+    return float(fit.ci_lower[0, 0]), float(fit.ci_upper[0, 0])
 
 
 @pytest.fixture

@@ -103,6 +103,19 @@ def test_star_import_binds_exactly_all():
     assert all(namespace[name] is getattr(fp, name) for name in fp.__all__)
 
 
+def test_inference_exports():
+    # The stacked fit result is the public face of fit_stack; a FitResult is one of its rows.
+    assert set(fp.inference.__all__) == {
+        "FitResult",
+        "StackedFit",
+        "Verdict",
+        "da_verdict",
+        "quantile_normal",
+        "check_alpha",
+        "build_fit_result",
+    }
+
+
 def test_errors_are_the_only_failure_channel():
     # A failure is raised or returned as data, never warned: no module
     # imports ``warnings``, and every concrete error class is raised (called)

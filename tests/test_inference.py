@@ -92,52 +92,73 @@ class TestBuildFitResult:
 
     def test_each_replicate_reports_its_chosen_point(self):
         curve = stacked_curve(self.TRACES)
-        fits = fp.inference.build_fit_result(curve, 40, 0.1)
-        assert len(fits) == 3
-        for r, (fit, g) in enumerate(zip(fits, [1, 3, 0])):
-            assert fit.lambda_opt == curve.grid[r, g]
-            np.testing.assert_array_equal(fit.beta_hat, curve.beta_hat[r, g])
-            np.testing.assert_array_equal(fit.xi_hat, curve.xi_hat[r, g])
+        fit = fp.inference.build_fit_result(curve, 40, 0.1)
+        assert fit.lambda_opt.shape == (3,) and fit.ci_lower.shape == fit.ci_upper.shape == (3, 2)
+        for r, g in enumerate([1, 3, 0]):
+            assert fit.lambda_opt[r] == curve.grid[r, g]
+            np.testing.assert_array_equal(fit.beta_hat[r], curve.beta_hat[r, g])
+            np.testing.assert_array_equal(fit.xi_hat[r], curve.xi_hat[r, g])
             z = fp.inference.quantile_normal(0.95)
             for k in range(2):
                 half = z * np.sqrt(curve.xi_hat[r, g, k, k] / 40)
-                assert fit.intervals[k] == pytest.approx((fit.beta_hat[k] - half, fit.beta_hat[k] + half), rel=1e-15)
+                interval = (fit.ci_lower[r, k], fit.ci_upper[r, k])
+                assert interval == pytest.approx((fit.beta_hat[r, k] - half, fit.beta_hat[r, k] + half), rel=1e-15)
 
     def test_records_alpha_and_dimension(self):
-        fits = fp.inference.build_fit_result(stacked_curve(self.TRACES), 40, 0.1)
-        assert all(fit.alpha == 0.1 and fit.n_dim == 40 for fit in fits)
+        fit = fp.inference.build_fit_result(stacked_curve(self.TRACES), 40, 0.1)
+        assert fit.alpha == 0.1 and fit.n_dim == 40
+        assert all(fit.row(r).alpha == 0.1 and fit.row(r).n_dim == 40 for r in range(3))
 
     @pytest.mark.parametrize("off_diagonal", [-0.4, 0.0, 0.3])
     def test_off_diagonal_leaves_marginal_intervals(self, off_diagonal):
         base = fp.inference.build_fit_result(stacked_curve(self.TRACES), 40, 0.05)
-        fits = fp.inference.build_fit_result(stacked_curve(self.TRACES, off_diagonal), 40, 0.05)
-        assert [f.intervals for f in fits] == [f.intervals for f in base]
+        fit = fp.inference.build_fit_result(stacked_curve(self.TRACES, off_diagonal), 40, 0.05)
+        assert fit.ci_lower.tolist() == base.ci_lower.tolist()
+        assert fit.ci_upper.tolist() == base.ci_upper.tolist()
 
     def test_verdicts_follow_intervals(self):
-        for fit in fp.inference.build_fit_result(stacked_curve(self.TRACES), 40, 0.05):
-            assert fit.verdicts == tuple(fp.da_verdict(ci) for ci in fit.intervals)
+        fit = fp.inference.build_fit_result(stacked_curve(self.TRACES), 40, 0.05)
+        for r in range(3):
+            intervals = tuple(zip(fit.ci_lower[r].tolist(), fit.ci_upper[r].tolist()))
+            assert fit.row(r).intervals == intervals
+            assert fit.row(r).verdicts == tuple(fp.da_verdict(ci) for ci in intervals)
 
     def test_each_fit_carries_its_replicate_curve(self):
         curve = stacked_curve(self.TRACES)
-        for r, fit in enumerate(fp.inference.build_fit_result(curve, 40, 0.05)):
-            np.testing.assert_array_equal(fit.curve.grid, curve.grid[r])
-            np.testing.assert_array_equal(fit.curve.xi_hat, curve.xi_hat[r])
-            assert fit.curve.chosen_index == curve.chosen_index[r]
+        fit = fp.inference.build_fit_result(curve, 40, 0.05)
+        assert fit.curve is curve
+        for r in range(3):
+            row = fit.row(r)
+            np.testing.assert_array_equal(row.curve.grid, curve.grid[r])
+            np.testing.assert_array_equal(row.curve.xi_hat, curve.xi_hat[r])
+            assert row.curve.chosen_index == curve.chosen_index[r]
 
     def test_stacked_matches_one_replicate_at_a_time(self):
         curve = stacked_curve(self.TRACES)
         stacked = fp.inference.build_fit_result(curve, 40, 0.05)
-        for r, fit in enumerate(stacked):
-            (alone,) = fp.inference.build_fit_result(curve.replicate(np.array([r])), 40, 0.05)
-            assert alone.intervals == fit.intervals
-            assert alone.lambda_opt == fit.lambda_opt
+        for r in range(3):
+            alone = fp.inference.build_fit_result(curve.replicate(np.array([r])), 40, 0.05)
+            assert alone.ci_lower.tolist() == stacked.ci_lower[[r]].tolist()
+            assert alone.ci_upper.tolist() == stacked.ci_upper[[r]].tolist()
+            assert alone.lambda_opt.tolist() == stacked.lambda_opt[[r]].tolist()
 
     def test_unusable_points_are_never_reported(self):
         reason = np.full((3, 4), None)
         reason[0, 1] = "degenerate_denominator"
         reason[2, 0] = "nonpositive_variance"
-        fits = fp.inference.build_fit_result(stacked_curve(self.TRACES, reason=reason), 40, 0.05)
-        assert [fit.lambda_opt for fit in fits] == [0.5, 2.0, 1.0]
+        fit = fp.inference.build_fit_result(stacked_curve(self.TRACES, reason=reason), 40, 0.05)
+        assert fit.lambda_opt.tolist() == [0.5, 2.0, 1.0]
+        assert fit.feasible.tolist() == [True, True, True]
+
+    def test_replicate_without_a_usable_point_is_a_nan_row(self):
+        reason = np.full((3, 4), None)
+        reason[1] = "singular_delta1"
+        fit = fp.inference.build_fit_result(stacked_curve(self.TRACES, reason=reason), 40, 0.05)
+        assert fit.feasible.tolist() == [True, False, True]
+        for name in ("lambda_opt", "beta_hat", "xi_hat", "ci_lower", "ci_upper"):
+            values = getattr(fit, name)
+            assert np.isnan(values[1]).all() and np.isfinite(values[[0, 2]]).all()
+        assert fit.lambda_opt[[0, 2]].tolist() == [1.0, 0.5]
 
     def test_nonpositive_variance_of_second_forcing_rejected(self):
         curve = stacked_curve(self.TRACES)

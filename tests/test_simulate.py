@@ -1,3 +1,4 @@
+import os
 import re
 import warnings
 
@@ -255,6 +256,29 @@ class TestRunScenario:
         parallel = fp.run_scenario(scn, jobs=4)
         assert serial.per_forcing == parallel.per_forcing
         assert serial.replicates == parallel.replicates
+
+    def test_workers_get_one_blas_thread_and_the_parent_env_comes_back(self, monkeypatch):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        pools = []
+        original = simulate._worker_pool
+
+        def worker_pool(workers):
+            pools.append(workers)
+            return original(workers)
+
+        monkeypatch.setattr(simulate, "_worker_pool", worker_pool)
+        scn = small_scenario(replicates=3)
+        assert fp.run_scenario(scn, jobs=2).replicates == fp.run_scenario(scn).replicates
+        assert pools == [2]
+        assert dict(os.environ) == before
+        with original(2) as pool:
+            seen = [pool.submit(os.getenv, name).result() for name in names]
+        assert seen == ["1", "1", "1"]
+        assert dict(os.environ) == before
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):

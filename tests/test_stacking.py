@@ -161,17 +161,38 @@ class TestBatchIndependence:
         scn = scenario(24, replicates=5)
         datasets = [fp.generate_replicate(scn, i) for i in range(scn.replicates)]
         y, x_tilde, z = simulate.ReplicateGenerator(scn).draw(range(scn.replicates))
-        fits = variance.fit_stack(fp.build_cache(z, x_tilde, y), scn.ensemble_sizes)
-        for ds, fit in zip(datasets, fits):
+        fit = variance.fit_stack(fp.build_cache(z, x_tilde, y), scn.ensemble_sizes)
+        assert fit.feasible.tolist() == [True] * scn.replicates
+        for r, ds in enumerate(datasets):
             want = fp.fit_optimal(ds)
-            assert fit.lambda_opt == want.lambda_opt
-            assert fit.intervals == want.intervals
-            assert fit.verdicts == want.verdicts
-            np.testing.assert_array_equal(fit.beta_hat, want.beta_hat)
-            np.testing.assert_array_equal(fit.xi_hat, want.xi_hat)
-            np.testing.assert_array_equal(fit.curve.objective, want.curve.objective)
-            np.testing.assert_array_equal(fit.curve.reason, want.curve.reason)
-            assert fit.curve.n_near_degenerate == want.curve.n_near_degenerate
+            row = fit.row(r)
+            assert fit.lambda_opt[r] == want.lambda_opt
+            assert tuple(zip(fit.ci_lower[r].tolist(), fit.ci_upper[r].tolist())) == want.intervals
+            assert row.verdicts == want.verdicts
+            np.testing.assert_array_equal(fit.beta_hat[r], want.beta_hat)
+            np.testing.assert_array_equal(fit.xi_hat[r], want.xi_hat)
+            np.testing.assert_array_equal(fit.curve.objective[r], want.curve.objective)
+            np.testing.assert_array_equal(fit.curve.reason[r], want.curve.reason)
+            assert fit.curve.n_near_degenerate[r] == want.curve.n_near_degenerate
+            np.testing.assert_array_equal(row.curve.objective, want.curve.objective)
+
+    @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
+    def test_infeasible_rows_are_nan_and_fit_optimal_raises(self, m_runs):
+        # Without signal some replicates have no usable grid point: their
+        # rows are NaN and not feasible, where fit_optimal raises.
+        scn = scenario(m_runs, gamma=0.0, replicates=12)
+        y, x_tilde, z = simulate.ReplicateGenerator(scn).draw(range(scn.replicates))
+        fit = variance.fit_stack(fp.build_cache(z, x_tilde, y), scn.ensemble_sizes)
+        assert 0 < np.count_nonzero(~fit.feasible) < scn.replicates
+        for r in range(scn.replicates):
+            ds = fp.generate_replicate(scn, r)
+            if fit.feasible[r]:
+                assert fit.lambda_opt[r] == fp.fit_optimal(ds).lambda_opt
+                continue
+            with pytest.raises(fp.NoFeasiblePoint, match="every grid point was infeasible"):
+                fp.fit_optimal(ds)
+            for name in ("lambda_opt", "beta_hat", "xi_hat", "ci_lower", "ci_upper"):
+                assert np.isnan(getattr(fit, name)[r]).all()
 
     @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
     def test_fit_stack_raises_for_the_whole_stack(self, m_runs):
@@ -183,13 +204,18 @@ class TestBatchIndependence:
             variance.fit_stack(fp.build_cache(z, x_tilde, y), scn.ensemble_sizes)
 
 
+def spawned_rng(base_seed, i, stream):
+    """Stream ``stream`` of replicate i, seeded by NumPy's own SeedSequence, not the block seeding."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(i, stream)))
+
+
 def drawn_alone(gen, i):
     """Replicate i drawn on its own, as y, x_tilde, Z: each stream's normals times Sigma^(1/2)."""
     scn = gen.scenario
     n, p = scn.n_dim, scn.n_forcings
 
     def normals(stream, shape):
-        return simulate._stream_rng(scn.base_seed, i, stream).standard_normal(shape)
+        return spawned_rng(scn.base_seed, i, stream).standard_normal(shape)
 
     signal = scn.gamma * gen.x_true
     y = signal @ np.asarray(scn.true_beta) + gen.root @ normals(0, n)
@@ -216,6 +242,39 @@ class TestStackedDraw:
             ds = gen.make(i)
             for got, alone, built in zip(stacked, drawn_alone(gen, i), (ds.y, ds.x_tilde, ds.control_runs)):
                 assert got[r].tobytes() == alone.tobytes() == built.tobytes()
+
+
+class TestBlockSeeding:
+    # Indices at and past 2^32 have two-word spawn keys, so one block mixes
+    # keys of two lengths; base seeds past 2^32 have two entropy words,
+    # still padded to four.
+    BASE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    INDICES = [0, 2**32 - 1, 2**32 + 7, 2**63 - 1]
+
+    @pytest.mark.parametrize("base_seed", BASE_SEEDS)
+    def test_words_equal_seed_sequence(self, base_seed):
+        seeds = simulate._SpawnedSeeds(base_seed)
+        words = seeds.words(self.INDICES, 4)
+        assert words.shape == (len(self.INDICES), 4, 4) and words.dtype == np.uint64
+        for r, i in enumerate(self.INDICES):
+            for stream in range(4):
+                want = np.random.SeedSequence(entropy=base_seed, spawn_key=(i, stream)).generate_state(4, np.uint64)
+                assert words[r, stream].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("base_seed", BASE_SEEDS)
+    def test_streams_draw_the_seed_sequence_normals(self, base_seed):
+        streams = simulate._SpawnedSeeds(base_seed).streams(self.INDICES, 3)
+        for r, i in enumerate(self.INDICES):
+            for stream, rng in enumerate(streams[r]):
+                want = spawned_rng(base_seed, i, stream).standard_normal(7)
+                assert rng.standard_normal(7).tobytes() == want.tobytes()
+
+    def test_draw_of_large_indices_equals_the_replicates_drawn_alone(self):
+        gen = simulate.ReplicateGenerator(replace(scenario(24, p=1), base_seed=2**63 - 1))
+        stacked = gen.draw(self.INDICES)
+        for r, i in enumerate(self.INDICES):
+            for got, alone in zip(stacked, drawn_alone(gen, i)):
+                assert got[r].tobytes() == alone.tobytes()
 
 
 class TestStackedCache:
