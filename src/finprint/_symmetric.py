@@ -52,8 +52,12 @@ def eigvalsh(a) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Descending singular values of a stack of symmetric matrices: the sorted |eigenvalues|."""
-    return np.sort(np.abs(eigvalsh(a)), axis=-1)[..., ::-1]
+    """Descending singular values of a stack of symmetric matrices: the sorted |eigenvalues|, NaN first."""
+    s = np.abs(eigvalsh(a))
+    if s.shape[-1] != 2:
+        return np.sort(s, axis=-1)[..., ::-1]
+    # The sort's order without the sort: maximum keeps a NaN, fmin skips it.
+    return np.stack([np.maximum(s[..., 0], s[..., 1]), np.fmin(s[..., 0], s[..., 1])], axis=-1)
 
 
 def ill_conditioned(svals: np.ndarray) -> np.ndarray:

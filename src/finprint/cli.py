@@ -268,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(label: str, exc: Exception, code: int) -> int:
-    """Report ``exc`` as one stderr line and return the exit code."""
-    print(f"{label}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+    """Report ``exc`` as one stderr line, its type name when it has no text, and return the exit code."""
+    print(f"{label}: {' '.join(str(exc).splitlines()) or type(exc).__name__}", file=sys.stderr)
     return code
 
 

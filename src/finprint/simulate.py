@@ -3,14 +3,14 @@
 Replicates a desk-scale version of the method's coverage/interval-length
 study: draw control runs, noisy fingerprints, and observations from a known
 covariance, fit with the optimally regularized weight matrix, and aggregate
-bias, spread, interval length, and empirical coverage. Replicates go
-through in blocks of at most ``stack_size``: each block is seeded in one
-vectorized pass and drawn into stacked arrays (``ReplicateGenerator.draw``),
-decomposed in one batched call (``spectral.build_cache``) and fitted in one
-pass (``variance.fit_stack``), whose ``inference.StackedFit`` columns become
-the block's records. A block in which any of these raises is fitted one
-replicate at a time. ``jobs > 1`` spreads the replicates over spawned
-processes with one BLAS thread each.
+bias, spread, interval length, and empirical coverage. Each block of at
+most ``stack_size`` replicates is seeded in one vectorized pass, drawn into
+stacked arrays (``ReplicateGenerator.draw``) and decomposed in one batched
+call (``spectral.build_cache``); a pass of several blocks is fitted at once
+(``variance.fit_stack``), whose ``inference.StackedFit`` columns become the
+pass's records. A block whose draw or cache raises, and a pass whose fit
+raises, is fitted one replicate at a time. ``jobs > 1`` spreads the
+replicates over spawned processes with one BLAS thread each.
 
 A scenario document is the JSON form of a ``SimulationScenario``: its keys
 are the dataclass's fields, and each model is an object of its class's
@@ -24,7 +24,7 @@ import contextlib
 import os
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args
 
@@ -33,9 +33,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .dataset import DetectionDataset, as_count, as_real
 from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, NonFinite, NotPSD, OutOfDomain, SchemaError
-from .inference import StackedFit
 from .io import read_json, read_matrix, resolve
-from .spectral import build_cache
+from .spectral import STACKED, SpectralCache, build_cache, stack_size
 from .variance import NO_FEASIBLE, FitOptions, fit_optimal, fit_stack
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "SimulationReport",
     "generate_replicate",
     "run_scenario",
-    "stack_size",
     "summarize_replicates",
     "load_scenario",
     "scenario_from_dict",
@@ -65,12 +63,6 @@ PSD_TOL = 1e-10
 # fingerprint noise per forcing, p+1 = control runs.
 _STREAM_EPS = 0
 _STREAM_CONTROL_OFFSET = 1
-
-# Doubles in the R x G x (r+1) weight stack of one stacked grid pass (512 KB);
-# the pass keeps a few arrays of that size alive. It caps R, the replicates
-# per stack: more would grow the peak memory without making a replicate
-# cheaper.
-STACK_ELEMENTS = 2**16
 
 
 def _ar1_correlation(dim: int, rho: float) -> np.ndarray:
@@ -556,17 +548,8 @@ def _record(index: int, fit, true_beta) -> ReplicateRecord:
     )
 
 
-def stack_size(rank: int, grid_size: int) -> int:
-    """Replicates per stacked grid pass for caches of ``rank`` eigenvalues.
-
-    As many as fit STACK_ELEMENTS weights of grid_size x (rank+1) each, and
-    at least one.
-    """
-    return max(1, STACK_ELEMENTS // (grid_size * (rank + 1)))
-
-
-def _block_records(block, fit, true_beta) -> list[ReplicateRecord]:
-    """The records of the replicates ``block`` from their StackedFit, read column by column.
+def _stack_records(indices, fit, true_beta) -> list[ReplicateRecord]:
+    """The records of the replicates ``indices`` from their StackedFit, read column by column.
 
     Each record holds the same numbers ``_record`` takes from the row's
     FitResult; a row with no feasible point records NoFeasiblePoint.
@@ -574,7 +557,7 @@ def _block_records(block, fit, true_beta) -> list[ReplicateRecord]:
     truth = np.asarray(true_beta)
     covered = (fit.ci_lower <= truth) & (truth <= fit.ci_upper)
     columns = zip(
-        block,
+        indices,
         fit.feasible.tolist(),
         fit.beta_hat.tolist(),
         fit.lambda_opt.tolist(),
@@ -590,17 +573,16 @@ def _block_records(block, fit, true_beta) -> list[ReplicateRecord]:
     ]
 
 
-def _fit_block(gen: ReplicateGenerator, block, options: FitOptions) -> StackedFit:
-    """``fit_stack`` on the stacked cache of the replicates ``block``.
+def _block_cache(gen: ReplicateGenerator, block) -> SpectralCache:
+    """The stacked cache of the replicates ``block``, drawn in one call.
 
     Raises FinprintError when a replicate's DetectionDataset would not build
-    (N < p + 1, a non-finite array), and whatever the stacked cache or fit
-    raises.
+    (N < p + 1, a non-finite array), and whatever the stacked cache raises.
     """
     y, x_tilde, z = gen.draw(block)
     if y.shape[-1] < x_tilde.shape[-1] + 1 or not all(np.isfinite(a).all() for a in (y, x_tilde, z)):
         raise FinprintError("a replicate of the block has no valid dataset")
-    return fit_stack(build_cache(z, x_tilde, y), gen.scenario.ensemble_sizes, options)
+    return build_cache(z, x_tilde, y)
 
 
 def _fit_alone(gen: ReplicateGenerator, rep_index: int, options: FitOptions):
@@ -612,27 +594,54 @@ def _fit_alone(gen: ReplicateGenerator, rep_index: int, options: FitOptions):
 
 
 def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[ReplicateRecord]:
-    """Records of the replicates ``indices``, drawn, decomposed and fitted in stacks of ``stack_size``.
+    """Records of the replicates ``indices``: drawn and decomposed in blocks, fitted in passes.
 
-    Every replicate's cache holds min(N, m) eigenvalues, whatever the rank
-    of its control runs, so any of them stack together. This is the one
-    place a failure is isolated: a block whose draw, stacked cache or
-    stacked fit raises is refitted one replicate at a time through
-    ``fit_optimal`` (``_fit_alone``), so each error stays with its
+    A block is ``stack_size`` replicates, whose weight stack fits
+    STACK_ELEMENTS doubles; Z and S exist a block at a time. A pass holds
+    whole blocks, at most as many as keep its (P, G, p+1, p+1) Gram stack,
+    the largest array of the grid's per-point stage, within STACK_ELEMENTS
+    too; ``indices`` take the fewest passes that fit, their blocks spread
+    evenly (two passes of four blocks of 13 for 100 replicates at N = 48,
+    p = 2, G = 100, where five would fit). One ``fit_stack`` fits a pass's
+    blocks' caches, concatenated. Every cache holds min(N, m) eigenvalues,
+    whatever the rank of its control runs, so any of them stack. This is
+    the one place a failure is isolated: a block whose draw check or
+    stacked cache raises is left out of its pass, and a pass whose fit
+    raises is left whole; their replicates are refitted one at a time
+    through ``fit_optimal`` (``_fit_alone``), so each error stays with its
     replicate and every record is the one ``fit_optimal`` gives.
     """
-    scenario = gen.scenario
+    scenario, p = gen.scenario, gen.scenario.n_forcings
     indices = list(indices)
-    cap = stack_size(min(scenario.n_dim, scenario.m_runs), options.grid_size)
+    block = stack_size(min(scenario.n_dim, scenario.m_runs), options.grid_size)
+    # (p+1)^2 Gram entries per grid point: the weight row of (p+1)^2 - 1 eigenvalues.
+    most = block * max(1, stack_size(p * (p + 2), options.grid_size) // block)
+    passes = max(1, -(-len(indices) // most))
+    per_pass = block * max(1, -(-len(indices) // (block * passes)))
     records: list[ReplicateRecord] = []
-    for start in range(0, len(indices), cap):
-        block = indices[start : start + cap]
+
+    def fit_alone(batch):
+        records.extend(_record(i, _fit_alone(gen, i, options), scenario.true_beta) for i in batch)
+
+    for start in range(0, len(indices), per_pass):
+        fitted, caches = [], []
+        for first in range(start, min(start + per_pass, len(indices)), block):
+            batch = indices[first : first + block]
+            try:
+                caches.append(_block_cache(gen, batch))
+            except FinprintError:
+                fit_alone(batch)
+            else:
+                fitted += batch
+        if not caches:
+            continue
+        stack = replace(caches[0], **{f: np.concatenate([getattr(c, f) for c in caches]) for f in STACKED})
         try:
-            fit = _fit_block(gen, block, options)
+            fit = fit_stack(stack, scenario.ensemble_sizes, options)
         except FinprintError:
-            records.extend(_record(i, _fit_alone(gen, i, options), scenario.true_beta) for i in block)
+            fit_alone(fitted)
         else:
-            records.extend(_block_records(block, fit, scenario.true_beta))
+            records.extend(_stack_records(fitted, fit, scenario.true_beta))
     return records
 
 

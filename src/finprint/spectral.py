@@ -17,7 +17,7 @@ functions broadcast over that axis, with an (R, G) lambda grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,11 +31,18 @@ __all__ = [
     "RmtFunctionals",
     "build_cache",
     "rmt_grid",
+    "stack_size",
 ]
 
 # Denominators b = 1 - (N/m) u, u = (1/N) sum d_i/(d_i + lambda), smaller
 # than this are treated as degenerate; b -> 0 as lambda -> 0 whenever m < N.
 DEGENERATE_TOL = 1e-12
+
+# Doubles in the R x G x (k+1) weight stack of one grid slice (512 KB). A
+# slice keeps a few arrays of that size alive, so this caps the replicates
+# per slice (``stack_size``), and simulate sizes its blocks and passes from
+# it: more would grow the peak memory without making a replicate cheaper.
+STACK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,12 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     )
 
 
+def stack_size(rank: int, grid_size: int) -> int:
+    """Replicates per stack of caches of ``rank`` eigenvalues: as many as fit STACK_ELEMENTS
+    weights of grid_size x (rank+1) each, and at least one."""
+    return max(1, STACK_ELEMENTS // (grid_size * (rank + 1)))
+
+
 def _check_lambda(cache: SpectralCache, lam) -> np.ndarray:
     """Regularization levels as a float array of the cache's stack shape + (G,); each must be positive."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -225,9 +238,18 @@ def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:
     Gram matrix over lambda to gram and nothing to the sums of a_i or to
     g_s. A degenerate denominator gives NaN thetas, not an exception. A
     stacked cache takes an (R, G) grid and gives every functional a leading
-    replicate axis.
+    replicate axis; it is evaluated ``stack_size`` replicates at a time, so
+    no weight stack exceeds STACK_ELEMENTS doubles however large it is.
     """
     lams = _check_lambda(cache, lams)
+    rows = stack_size(cache.eigvals.shape[-1], lams.shape[-1])
+    if lams.ndim > 1 and len(lams) > rows:
+        parts = [
+            rmt_grid(replace(cache, **{f: getattr(cache, f)[i : i + rows] for f in STACKED}), lams[i : i + rows])
+            for i in range(0, len(lams), rows)
+        ]
+        names = [f.name for f in fields(RmtFunctionals)]
+        return RmtFunctionals(**{name: np.concatenate([getattr(part, name) for part in parts]) for name in names})
     # Two (..., G, k+1) buffers: w, which then holds the g_s weights, and
     # the a_i, which then hold the terms of their spread.
     w = weights(cache, lams)

@@ -360,7 +360,8 @@ def fit_stack(stack: SpectralCache, ensemble_sizes, options: FitOptions | None =
     first minima and the intervals then run once on the stack. Any other
     error raises for the whole stack, as a bad bound or tr(S)/N <= 0 of one
     replicate does; which replicate caused it is the caller's to find out
-    (``simulate.run_scenario`` fits such a block one replicate at a time).
+    (``simulate.run_scenario``, which fits a pass of several decomposed
+    blocks per call, refits such a pass one replicate at a time).
     """
     opts = options or FitOptions()
     lo, hi = default_bounds(stack.tau_bar)

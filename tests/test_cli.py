@@ -451,6 +451,18 @@ UNBUILDABLE = {
 
 
 class TestSimulateCommand:
+    def test_failure_without_text_names_its_type(self, scenario_file, monkeypatch, capsys):
+        # A replicate count too large to index raises a bare MemoryError,
+        # whose text is empty.
+        import finprint.cli as cli_mod
+
+        def out_of_memory(scn, jobs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli_mod, "run_scenario", out_of_memory)
+        assert main(["simulate", str(scenario_file)]) == 4
+        assert capsys.readouterr().err.splitlines() == ["numeric failure: MemoryError"]
+
     def test_smoke(self, scenario_file, tmp_path):
         out = tmp_path / "sim.json"
         assert main(["simulate", str(scenario_file), "--output", str(out)]) == 0

@@ -1,6 +1,9 @@
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,3 +519,25 @@ class TestScenarioValidation:
             fp.UnstructuredSigma(seed="a")
         with pytest.raises(ValueError):
             fp.SeparableAr1Sigma(2, 3, "a", 0.1)
+
+
+def test_coverage_study_script_prints_a_row_per_forcing():
+    # The one script that drives run_scenario: m = 60 takes the dense route
+    # at N = 48, m = 24 the low-rank one.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "coverage_study.py"), "--replicates", "20", "--m-grid", "60", "24",
+         "--gammas", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = proc.stdout.splitlines()
+    assert header.split()[:7] == ["gamma", "m", "forcing", "bias", "sd", "cil", "cr"]
+    assert total.startswith("total ")
+    cells = [row.split() for row in rows]
+    assert sorted((float(c[0]), int(c[1]), int(c[2])) for c in cells) == [
+        (1.0, 24, 0), (1.0, 24, 1), (1.0, 60, 0), (1.0, 60, 1)
+    ]
+    assert all(0.0 <= float(c[6]) <= 1.0 for c in cells)

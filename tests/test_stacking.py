@@ -1,14 +1,16 @@
 """Replicate-stacked fits against stacks of one, and a stack of one against the reference.
 
 run_scenario draws each block of replicates into stacked arrays
-(ReplicateGenerator.draw), decomposes the block in one batched call
-(spectral.build_cache) and fits it in one pass (variance.fit_stack), which
-fits every replicate of its stack or raises; a block in which any of the
-three raises is refitted one replicate at a time through fit_optimal.
-fit_optimal is fit_stack on a stack of one. A replicate's record must
-equal, with ==, the record of fit_optimal on its own dataset, whatever else
-its stack holds and however large the stack is. The stacked draw and cache must equal, bit for
-bit, the draw and cache of each replicate on its own. fit_optimal itself is
+(ReplicateGenerator.draw) and decomposes the block in one batched call
+(spectral.build_cache); the caches of a pass of several blocks are fitted
+together (variance.fit_stack), which fits every replicate of its stack or
+raises. A block whose draw or cache raises is refitted one replicate at a
+time through fit_optimal and left out of its pass; a pass whose fit raises
+is refitted one replicate at a time. fit_optimal is fit_stack on a stack of
+one. A replicate's record must equal, with ==, the record of fit_optimal on
+its own dataset, whatever else its block or pass holds and however large
+they are. The stacked draw and cache must equal, bit for bit, the draw and
+cache of each replicate on its own. fit_optimal itself is
 checked against the slow per-lambda reference in reference.py.
 """
 
@@ -19,7 +21,7 @@ import pytest
 from scipy.stats import norm
 
 import finprint as fp
-from finprint import simulate, tls, variance
+from finprint import simulate, spectral, tls, variance
 from finprint.spectral import STACKED, SpectralCache
 from reference import reference_curve
 
@@ -62,8 +64,22 @@ def expected_records(scn, options=None):
 
 
 @pytest.fixture
+def block_sizes(monkeypatch):
+    """Replicates of each block run_scenario decomposes, one stacked build_cache each."""
+    seen = []
+    original = simulate.build_cache
+
+    def spy(z, *args):
+        seen.append(len(z))
+        return original(z, *args)
+
+    monkeypatch.setattr(simulate, "build_cache", spy)
+    return seen
+
+
+@pytest.fixture
 def stack_sizes(monkeypatch):
-    """Eigenvalue counts of the replicates of each stacked cache run_scenario fits."""
+    """Eigenvalue counts of the replicates of each pass run_scenario fits, one fit_stack each."""
     seen = []
     original = simulate.fit_stack
 
@@ -97,26 +113,44 @@ def rank_deficient_runs(y, x_tilde, z):
 
 
 def set_stack_size(monkeypatch, size, rank, grid_size=variance.DEFAULT_GRID_SIZE):
-    monkeypatch.setattr(simulate, "STACK_ELEMENTS", size * grid_size * (rank + 1))
-    assert simulate.stack_size(rank, grid_size) == size
+    monkeypatch.setattr(spectral, "STACK_ELEMENTS", size * grid_size * (rank + 1))
+    assert spectral.stack_size(rank, grid_size) == size
 
 
 class TestBatchIndependence:
-    # m >= N takes the eigh of S (a cache of N eigenvalues, cap 13 at N=48);
-    # m < N the thin SVD of Z (m eigenvalues, whatever its rank, cap 26 at
-    # m=24). 30 replicates are two full stacks and a partial one at N=48.
-    # The grid's small-matrix kernels differ by size: closed forms for the
-    # 2x2 Delta1 and 3x3 TLS Gram matrix at p = 2, LAPACK at p = 1 and 3.
+    # m >= N takes the eigh of S (a cache of N eigenvalues, blocks of 13 at
+    # N=48); m < N the thin SVD of Z (m eigenvalues, whatever its rank,
+    # blocks of 26 at m=24). 30 replicates are two full blocks and a partial
+    # one at N=48. A pass holds as many whole blocks as keep its
+    # (P, G, p+1, p+1) Gram stack within 2^16 doubles, up to 2^16 // (100 *
+    # (p+1)^2) = 163, 72 and 40 replicates for p = 1, 2, 3: all 30 here,
+    # except at m=24 and p = 3, where that is one block of 26. The grid's
+    # small-matrix kernels differ by size: closed forms for the 2x2 Delta1
+    # and 3x3 TLS Gram matrix at p = 2, LAPACK at p = 1 and 3.
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
-    def test_records_match_fit_optimal(self, m_runs, p, stack_sizes):
+    def test_records_match_fit_optimal(self, m_runs, p, block_sizes, stack_sizes):
         scn = scenario(m_runs, p=p)
         report = fp.run_scenario(scn)
         assert report.replicates == expected_records(scn)
-        rank = min(48, m_runs)
-        cap = simulate.stack_size(rank, variance.DEFAULT_GRID_SIZE)
-        assert scn.replicates % cap != 0
-        assert [len(s) for s in stack_sizes] == [cap] * (scn.replicates // cap) + [scn.replicates % cap]
+        block = spectral.stack_size(min(48, m_runs), variance.DEFAULT_GRID_SIZE)
+        assert scn.replicates % block != 0
+        assert block_sizes == [block] * (scn.replicates // block) + [scn.replicates % block]
+        assert [len(s) for s in stack_sizes] == ([26, 4] if (m_runs, p) == (24, 3) else [30])
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("m_runs", [120, 80], ids=["dense", "low_rank"])
+    def test_records_of_a_pass_of_several_blocks(self, monkeypatch, m_runs, p, block_sizes, stack_sizes):
+        # At N=96 a cache holds 96 (dense) or 80 (low rank) eigenvalues, so
+        # a budget of two replicates' weights per block leaves room for at
+        # least five blocks in a pass at p <= 3: the 7 replicates are three
+        # full blocks and a partial one, fitted in one pass.
+        scn = replace(scenario(m_runs, replicates=7, p=p), n_dim=96, sigma_model=fp.SeparableAr1Sigma(12, 8, 0.3, 0.3))
+        set_stack_size(monkeypatch, 2, rank=min(96, m_runs))
+        report = fp.run_scenario(scn)
+        assert report.replicates == expected_records(scn)
+        assert block_sizes == [2, 2, 2, 1]
+        assert [len(s) for s in stack_sizes] == [7]
 
     @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
     def test_no_feasible_point_replicates(self, m_runs):
@@ -136,8 +170,7 @@ class TestBatchIndependence:
         report = fp.run_scenario(scn)
         assert report.n_failed == 0
         assert report.replicates == expected_records(scn)
-        cap = simulate.stack_size(24, variance.DEFAULT_GRID_SIZE)
-        assert stack_sizes == [[24] * cap] * (scn.replicates // cap) + [[24] * (scn.replicates % cap)]
+        assert stack_sizes == [[24] * scn.replicates]
 
     def test_bounds_checked_per_replicate(self):
         # A fixed lambda_min above some replicates' default upper bound
@@ -349,17 +382,46 @@ class TestStackOfOne:
 class TestStackSize:
     def test_cap(self):
         # mc_paper: N=48 <= m=100, a cache of 48 eigenvalues on a 100-point grid.
-        assert simulate.stack_size(48, 100) == 13
+        assert spectral.stack_size(48, 100) == 13
         # N=4000 on the dense route: one replicate already exceeds the cap.
-        assert simulate.stack_size(4000, 100) == 1
+        assert spectral.stack_size(4000, 100) == 1
+
+    def test_passes_share_the_blocks_evenly(self, block_sizes, stack_sizes):
+        # mc_paper's 100 replicates are eight blocks; a pass may hold five,
+        # so they take two passes of four rather than five and three.
+        scn = replace(scenario(100, replicates=100), sigma_model=fp.SeparableAr1Sigma(8, 6, 0.1, 0.1))
+        fp.run_scenario(scn)
+        assert block_sizes == [13] * 7 + [9]
+        assert [len(s) for s in stack_sizes] == [52, 48]
+
+    def test_no_weight_stack_exceeds_the_budget(self, monkeypatch, block_sizes, stack_sizes):
+        # A pass of 40 replicates holds 40 x 100 x 49 weights, three times
+        # the budget; rmt_grid walks it in slices of one block's worth.
+        sizes = []
+        original = spectral.weights
+
+        def weights(cache, lams):
+            w = original(cache, lams)
+            sizes.append(w.shape[0])
+            assert w.size <= spectral.STACK_ELEMENTS
+            return w
+
+        monkeypatch.setattr(spectral, "weights", weights)
+        scn = scenario(60, replicates=40)
+        report = fp.run_scenario(scn)
+        assert report.replicates == expected_records(scn)
+        assert block_sizes == [13, 13, 13, 1]
+        assert [len(s) for s in stack_sizes] == [40]
+        assert 40 * 100 * 49 > spectral.STACK_ELEMENTS
+        assert sizes[:4] == [13, 13, 13, 1]
 
 
 def overflow(y, x_tilde, z):
     z *= 1e160
 
 
-def run_with_overflowing_replicate(monkeypatch, m_runs, replicates):
-    """run_scenario with replicate 2's Z scaled by 1e160, and the errors the stacked build_cache raised.
+def run_with_overflowing_replicate(monkeypatch, m_runs, replicates, bad=2):
+    """run_scenario with replicate ``bad``'s Z scaled by 1e160, and the errors the stacked build_cache raised.
 
     The runs stay finite, so the replicate's dataset builds, but Z Z^T/m and
     tr(S)/N overflow float64. No warning may escape: pytest turns every
@@ -375,7 +437,7 @@ def run_with_overflowing_replicate(monkeypatch, m_runs, replicates):
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(2, overflow))
+    monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(bad, overflow))
     monkeypatch.setattr(simulate, "build_cache", build_cache)
     scn = scenario(m_runs, replicates=replicates)
     report = fp.run_scenario(scn)
@@ -384,6 +446,17 @@ def run_with_overflowing_replicate(monkeypatch, m_runs, replicates):
 
 
 class TestFailureIsolation:
+    def test_failed_block_leaves_its_pass(self, monkeypatch, block_sizes, stack_sizes):
+        # Replicate 20 fails the cache of the second of four blocks in a
+        # pass; that block alone is fitted one replicate at a time, and the
+        # other 27 replicates still go through one fit_stack.
+        report, raised = run_with_overflowing_replicate(monkeypatch, 60, replicates=40, bad=20)
+        assert [type(exc) for exc in raised] == [fp.NonFinite]
+        assert report.failure_counts == {"NonFinite": 1}
+        assert report.replicates[20].error == "NonFinite: s contains NaN or infinite entries"
+        assert block_sizes == [13, 13, 13, 1]
+        assert stack_sizes == [[48] * 27]
+
     def test_stacked_build_failure_refits_the_block_one_at_a_time(self, monkeypatch, stack_sizes):
         # The overflowing S of replicate 2 fails its own cache and the
         # stacked cache of its block with NonFinite, and the block

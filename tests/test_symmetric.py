@@ -41,6 +41,26 @@ def test_eigvalsh_matches_lapack(k):
     assert (np.abs(_symmetric.singular_values(a) - svals) <= 8 * EPS * scale).all()
 
 
+def test_singular_values_of_2x2_equal_the_sorted_form():
+    # The max/min pair of a 2x2 must give the descending sort's bits,
+    # NaN first included, on every mix of special entries and on random,
+    # tied and zero rows.
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 1.0, -2.0, np.inf, -np.inf, np.nan]
+    entries = np.array([(a, b, c) for a in special for b in special for c in special])
+    entries = np.concatenate([entries, rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(-150, 150, (300, 1))])
+    entries = np.concatenate([entries, [[3.0, 0.0, 3.0], [3.0, 0.0, -3.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]])
+    a = np.stack([entries[:, [0, 1]], entries[:, [1, 2]]], axis=1)
+    want = np.sort(np.abs(_symmetric.eigvalsh(a)), axis=-1)[..., ::-1]
+    got = _symmetric.singular_values(a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(got[:, 0]).any() and (np.isnan(got[:, 0]) & ~np.isnan(got[:, 1])).any()
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    lapack = np.sort(np.abs(np.linalg.eigvalsh(a[finite])), axis=-1)[..., ::-1]
+    scale = lapack[:, :1]
+    assert (np.abs(got[finite] - lapack) <= 8 * EPS * scale).all()
+
+
 def test_eigvalsh_of_nonfinite_matrix_is_quiet():
     # LAPACK gives a 2x2 with a non-finite entry NaN eigenvalues silently.
     a = np.full((2, 2, 2), 1.0)
