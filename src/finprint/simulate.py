@@ -7,10 +7,13 @@ bias, spread, interval length, and empirical coverage. Each block of at
 most ``stack_size`` replicates is seeded in one vectorized pass, drawn into
 stacked arrays (``ReplicateGenerator.draw``) and decomposed in one batched
 call (``spectral.build_cache``); a pass of several blocks is fitted at once
-(``variance.fit_stack``), whose ``inference.StackedFit`` columns become the
-pass's records. A block whose draw or cache raises, and a pass whose fit
-raises, is fitted one replicate at a time. ``jobs > 1`` spreads the
-replicates over spawned processes with one BLAS thread each.
+(``variance.fit_stack``), whose ``inference.StackedFit`` columns are the
+pass's rows of the study's per-replicate columns. A block whose draw or
+cache raises, and a pass whose fit raises, is fitted one replicate at a
+time. ``jobs > 1`` spreads the replicates over spawned processes with one
+BLAS thread each. The columns stay arrays, in index order, up to the
+aggregates; ``ReplicateRecord``s are formed from them only on reading
+``SimulationReport.replicates``.
 
 A scenario document is the JSON form of a ``SimulationScenario``: its keys
 are the dataclass's fields, and each model is an object of its class's
@@ -509,68 +512,38 @@ class ReplicateRecord:
         return self.error is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """Aggregates of one study; ``failure_counts`` maps error type -> failed replicates."""
+    """Aggregates of one study and its per-replicate columns, row r for replicate r.
+
+    The columns are those given to ``summarize_replicates``, plus
+    ``covered`` (R, p), False on a failed row. ``failure_counts`` maps
+    error type -> failed replicates. The report holds arrays, so it has no
+    ``==``.
+    """
 
     per_forcing: tuple[ForcingMetrics, ...]
-    replicates: tuple[ReplicateRecord, ...]
+    lambda_opt: np.ndarray
+    beta_hat: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+    covered: np.ndarray
+    error: np.ndarray
     n_replicates: int
     n_failed: int
     elapsed_seconds: float
     failure_counts: dict[str, int]
 
-
-def _record(index: int, fit, true_beta) -> ReplicateRecord:
-    """A replicate's record from its FitResult, or from the FinprintError its fit raised."""
-    if isinstance(fit, FinprintError):
-        return ReplicateRecord(
-            index=index,
-            beta_hat=None,
-            lambda_opt=None,
-            ci_lower=None,
-            ci_upper=None,
-            covered=None,
-            error=f"{type(fit).__name__}: {fit}",
+    @property
+    def replicates(self) -> tuple[ReplicateRecord, ...]:
+        """One ReplicateRecord per row, in index order, formed from the columns on each read."""
+        columns = (self.lambda_opt, self.beta_hat, self.ci_lower, self.ci_upper, self.covered, self.error)
+        return tuple(
+            ReplicateRecord(i, tuple(beta), lam, tuple(lower), tuple(upper), tuple(cov))
+            if error is None
+            else ReplicateRecord(i, None, None, None, None, None, error)
+            for i, (lam, beta, lower, upper, cov, error) in enumerate(zip(*(c.tolist() for c in columns)))
         )
-    lower = tuple(ci[0] for ci in fit.intervals)
-    upper = tuple(ci[1] for ci in fit.intervals)
-    covered = tuple(
-        bool(lo <= b <= hi) for lo, hi, b in zip(lower, upper, true_beta)
-    )
-    return ReplicateRecord(
-        index=index,
-        beta_hat=tuple(float(b) for b in fit.beta_hat),
-        lambda_opt=float(fit.lambda_opt),
-        ci_lower=lower,
-        ci_upper=upper,
-        covered=covered,
-    )
-
-
-def _stack_records(indices, fit, true_beta) -> list[ReplicateRecord]:
-    """The records of the replicates ``indices`` from their StackedFit, read column by column.
-
-    Each record holds the same numbers ``_record`` takes from the row's
-    FitResult; a row with no feasible point records NoFeasiblePoint.
-    """
-    truth = np.asarray(true_beta)
-    covered = (fit.ci_lower <= truth) & (truth <= fit.ci_upper)
-    columns = zip(
-        indices,
-        fit.feasible.tolist(),
-        fit.beta_hat.tolist(),
-        fit.lambda_opt.tolist(),
-        fit.ci_lower.tolist(),
-        fit.ci_upper.tolist(),
-        covered.tolist(),
-    )
-    return [
-        ReplicateRecord(i, tuple(beta), lam, tuple(lower), tuple(upper), tuple(cov))
-        if ok
-        else _record(i, NoFeasiblePoint(NO_FEASIBLE), true_beta)
-        for i, ok, beta, lam, lower, upper, cov in columns
-    ]
 
 
 def _block_cache(gen: ReplicateGenerator, block) -> SpectralCache:
@@ -585,16 +558,18 @@ def _block_cache(gen: ReplicateGenerator, block) -> SpectralCache:
     return build_cache(z, x_tilde, y)
 
 
-def _fit_alone(gen: ReplicateGenerator, rep_index: int, options: FitOptions):
-    """Replicate ``rep_index``'s FitResult, or the FinprintError its dataset or fit raises."""
-    try:
-        return fit_optimal(gen.make(rep_index), options)
-    except FinprintError as exc:
-        return exc
+def _error_text(exc: FinprintError) -> str:
+    """A failed replicate's error column: the exception's type name, a colon and its message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[ReplicateRecord]:
-    """Records of the replicates ``indices``: drawn and decomposed in blocks, fitted in passes.
+def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions):
+    """The columns of the replicates ``indices``: drawn and decomposed in blocks, fitted in passes.
+
+    Row r is replicate indices[r]: ``lambda_opt`` (R,); ``beta_hat``,
+    ``ci_lower`` and ``ci_upper`` (R, p), NaN on a failed row; ``error``
+    (R,), "Type: message", None on a fitted row. A pass's rows are its
+    ``StackedFit`` columns as they are.
 
     A block is ``stack_size`` replicates, whose weight stack fits
     STACK_ELEMENTS doubles; Z and S exist a block at a time. A pass holds
@@ -608,31 +583,40 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[Re
     the one place a failure is isolated: a block whose draw check or
     stacked cache raises is left out of its pass, and a pass whose fit
     raises is left whole; their replicates are refitted one at a time
-    through ``fit_optimal`` (``_fit_alone``), so each error stays with its
-    replicate and every record is the one ``fit_optimal`` gives.
+    through ``fit_optimal``, so each error stays with its replicate and
+    every row holds what ``fit_optimal`` gives.
     """
     scenario, p = gen.scenario, gen.scenario.n_forcings
-    indices = list(indices)
+    count = len(indices)
     block = stack_size(min(scenario.n_dim, scenario.m_runs), options.grid_size)
     # (p+1)^2 Gram entries per grid point: the weight row of (p+1)^2 - 1 eigenvalues.
     most = block * max(1, stack_size(p * (p + 2), options.grid_size) // block)
-    passes = max(1, -(-len(indices) // most))
-    per_pass = block * max(1, -(-len(indices) // (block * passes)))
-    records: list[ReplicateRecord] = []
+    passes = max(1, -(-count // most))
+    per_pass = block * max(1, -(-count // (block * passes)))
+    lambda_opt = np.full(count, np.nan)
+    beta_hat, ci_lower, ci_upper = (np.full((count, p), np.nan) for _ in range(3))
+    error = np.full(count, None, dtype=object)
 
-    def fit_alone(batch):
-        records.extend(_record(i, _fit_alone(gen, i, options), scenario.true_beta) for i in batch)
-
-    for start in range(0, len(indices), per_pass):
-        fitted, caches = [], []
-        for first in range(start, min(start + per_pass, len(indices)), block):
-            batch = indices[first : first + block]
+    def fit_alone(rows):
+        for r in rows:
             try:
-                caches.append(_block_cache(gen, batch))
-            except FinprintError:
-                fit_alone(batch)
+                fit = fit_optimal(gen.make(indices[r]), options)
+            except FinprintError as exc:
+                error[r] = _error_text(exc)
             else:
-                fitted += batch
+                lambda_opt[r], beta_hat[r] = fit.lambda_opt, fit.beta_hat
+                ci_lower[r], ci_upper[r] = zip(*fit.intervals)
+
+    for start in range(0, count, per_pass):
+        fitted, caches = [], []
+        for first in range(start, min(start + per_pass, count), block):
+            rows = range(first, min(first + block, count))
+            try:
+                caches.append(_block_cache(gen, indices[first : first + block]))
+            except FinprintError:
+                fit_alone(rows)
+            else:
+                fitted += rows
         if not caches:
             continue
         stack = replace(caches[0], **{f: np.concatenate([getattr(c, f) for c in caches]) for f in STACKED})
@@ -641,44 +625,54 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions) -> list[Re
         except FinprintError:
             fit_alone(fitted)
         else:
-            records.extend(_stack_records(fitted, fit, scenario.true_beta))
-    return records
+            lambda_opt[fitted], beta_hat[fitted] = fit.lambda_opt, fit.beta_hat
+            ci_lower[fitted], ci_upper[fitted] = fit.ci_lower, fit.ci_upper
+            error[np.array(fitted)[~fit.feasible]] = _error_text(NoFeasiblePoint(NO_FEASIBLE))
+    return lambda_opt, beta_hat, ci_lower, ci_upper, error
 
 
-def summarize_replicates(records, true_beta, elapsed_seconds: float = 0.0) -> SimulationReport:
-    """Aggregate per-replicate records into per-forcing metrics.
+def summarize_replicates(
+    lambda_opt, beta_hat, ci_lower, ci_upper, error, true_beta, elapsed_seconds: float = 0.0
+) -> SimulationReport:
+    """Aggregate per-replicate columns, row r for replicate r, into per-forcing metrics.
 
-    Failed replicates are excluded from every aggregate but counted in
-    ``n_failed`` and, by error type, in ``failure_counts``; the sample SD
-    uses divisor R-1, so it is NaN from a single successful replicate.
+    The columns are ``_run_chunk``'s, as arrays or lists: ``lambda_opt``
+    (R,); ``beta_hat``, ``ci_lower`` and ``ci_upper`` (R, p); ``error``
+    (R,), None on a fitted row. A fitted row covers forcing i when
+    ci_lower <= true_beta[i] <= ci_upper. Failed replicates are excluded
+    from every aggregate but counted in ``n_failed`` and, by error type, in
+    ``failure_counts``; the sample SD uses divisor R-1, so it is NaN from a
+    single successful replicate.
     """
-    records = tuple(sorted(records, key=lambda r: r.index))
-    good = [r for r in records if r.ok]
-    failures = Counter(r.error.split(":", 1)[0] for r in records if not r.ok)
-    p = len(true_beta)
-    if good:
-        beta = np.array([r.beta_hat for r in good])
-        lengths = np.array([r.ci_upper for r in good]) - np.array([r.ci_lower for r in good])
-        covered = np.array([r.covered for r in good], dtype=float)
-        per_forcing = tuple(
-            ForcingMetrics(
-                bias=float(beta[:, i].mean() - true_beta[i]),
-                sd=float(beta[:, i].std(ddof=1)) if len(good) > 1 else np.nan,
-                mean_ci_length=float(lengths[:, i].mean()),
-                coverage_rate=float(covered[:, i].mean()),
-            )
-            for i in range(p)
+    lambda_opt, beta_hat, ci_lower, ci_upper = map(np.asarray, (lambda_opt, beta_hat, ci_lower, ci_upper))
+    error = np.asarray(error, dtype=object)
+    truth = np.asarray(true_beta, dtype=float)
+    covered = (ci_lower <= truth) & (truth <= ci_upper)
+    good = np.equal(error, None)
+    n_good = int(np.count_nonzero(good))
+    beta, lengths, hits = beta_hat[good], (ci_upper - ci_lower)[good], covered[good].astype(float)
+    per_forcing = tuple(
+        ForcingMetrics(
+            bias=float(beta[:, i].mean() - true_beta[i]),
+            sd=float(beta[:, i].std(ddof=1)) if n_good > 1 else np.nan,
+            mean_ci_length=float(lengths[:, i].mean()),
+            coverage_rate=float(hits[:, i].mean()),
         )
-    else:
-        per_forcing = tuple(
-            ForcingMetrics(bias=np.nan, sd=np.nan, mean_ci_length=np.nan, coverage_rate=np.nan)
-            for _ in range(p)
-        )
+        if n_good
+        else ForcingMetrics(np.nan, np.nan, np.nan, np.nan)
+        for i in range(len(true_beta))
+    )
+    failures = Counter(e.split(":", 1)[0] for e in error[~good].tolist())
     return SimulationReport(
         per_forcing=per_forcing,
-        replicates=records,
-        n_replicates=len(records),
-        n_failed=len(records) - len(good),
+        lambda_opt=lambda_opt,
+        beta_hat=beta_hat,
+        ci_lower=ci_lower,
+        ci_upper=ci_upper,
+        covered=covered,
+        error=error,
+        n_replicates=len(error),
+        n_failed=len(error) - n_good,
         elapsed_seconds=elapsed_seconds,
         failure_counts=dict(sorted(failures.items())),
     )
@@ -715,25 +709,29 @@ def _worker_pool(workers: int):
 def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationReport:
     """Run the full Monte Carlo loop: generate, fit, interval, aggregate.
 
-    Replicates are independent; ``jobs > 1`` fans them out over spawned
-    processes with one BLAS thread each (``_worker_pool``), each of which
-    fits its share in stacks. Records and aggregates are
-    identical for any jobs value and stack size because every replicate owns
-    its seed-derived streams, its record is the one ``fit_optimal`` gives,
-    and records are reduced in index order. Sigma's root and the
-    fingerprints are built once, before any process starts.
+    Replicates are independent; ``jobs > 1`` fans them out over
+    min(jobs, replicates) spawned processes with one BLAS thread each
+    (``_worker_pool``), each of which fits its share in stacks and returns
+    its columns; the columns are concatenated and put in index order.
+    Columns and aggregates are identical for any jobs value and stack size
+    because every replicate owns its seed-derived streams, its row is what
+    ``fit_optimal`` gives, and rows are reduced in index order. Sigma's
+    root and the fingerprints are built once, before any process starts.
     """
     jobs = as_count(jobs, "jobs")
     options = scenario.fit_options
     start = time.perf_counter()
     gen = ReplicateGenerator(scenario)
-    indices = list(range(scenario.replicates))
-    if jobs > 1 and scenario.replicates > 1:
-        chunks = [indices[k::jobs] for k in range(jobs) if indices[k::jobs]]
-        with _worker_pool(len(chunks)) as pool:
+    indices = range(scenario.replicates)
+    workers = min(jobs, scenario.replicates)
+    if workers > 1:
+        chunks = [indices[k::workers] for k in range(workers)]
+        with _worker_pool(workers) as pool:
             futures = [pool.submit(_run_chunk, gen, chunk, options) for chunk in chunks]
-            records = [rec for fut in futures for rec in fut.result()]
+            parts = [fut.result() for fut in futures]
+        order = np.argsort(np.concatenate(chunks))
+        columns = [np.concatenate(column)[order] for column in zip(*parts)]
     else:
-        records = _run_chunk(gen, indices, options)
+        columns = _run_chunk(gen, indices, options)
     elapsed = time.perf_counter() - start
-    return summarize_replicates(records, scenario.true_beta, elapsed)
+    return summarize_replicates(*columns, scenario.true_beta, elapsed)

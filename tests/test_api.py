@@ -116,6 +116,30 @@ def test_inference_exports():
     }
 
 
+
+def test_simulate_exports():
+    # A study's report holds its per-replicate columns; ReplicateRecord is
+    # one row of them, formed on reading SimulationReport.replicates.
+    assert set(fp.simulate.__all__) == {
+        "IdentitySigma",
+        "SeparableAr1Sigma",
+        "UserMatrixSigma",
+        "UnstructuredSigma",
+        "SyntheticFingerprints",
+        "UserMatrixFingerprints",
+        "SimulationScenario",
+        "ForcingMetrics",
+        "ReplicateRecord",
+        "SimulationReport",
+        "generate_replicate",
+        "run_scenario",
+        "summarize_replicates",
+        "load_scenario",
+        "scenario_from_dict",
+        "scenario_to_dict",
+    }
+    assert all(hasattr(fp.simulate, name) for name in fp.simulate.__all__)
+
 def test_errors_are_the_only_failure_channel():
     # A failure is raised or returned as data, never warned: no module
     # imports ``warnings``, and every concrete error class is raised (called)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import finprint as fp
+from finprint import simulate
 from finprint.cli import main
 from finprint.io import write_matrix
 
@@ -550,6 +551,44 @@ class TestSimulateCommand:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("broken", [None, 1], ids=["stacked", "refit"])
+    def test_replicate_table_cells(self, scenario_file, tmp_path, monkeypatch, broken):
+        # Each fitted row holds the repr of fit_optimal's numbers on the
+        # replicate's own dataset, and each failed row the "Type: message" of
+        # the error that fit raised. Without signal, replicates 6 and 7 have
+        # no feasible point; a NaN y in replicate 1 sends its whole block
+        # through the one-at-a-time refit.
+        doc = json.loads(scenario_file.read_text())
+        doc.update(gamma=0.0, m_runs=40, base_seed=3, replicates=8)
+        scenario_file.write_text(json.dumps(doc))
+        original = simulate.ReplicateGenerator.draw
+
+        def draw(self, indices):
+            y, x_tilde, z = original(self, indices)
+            y[[r for r, i in enumerate(indices) if i == broken]] = np.nan
+            return y, x_tilde, z
+
+        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", draw)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", str(scenario_file), "--output", str(out)]) == 0
+        header, *rows = out.with_suffix(".replicates.tsv").read_text().splitlines()
+        assert header.split("\t")[:3] == ["# replicate", "lambda_opt", "beta_hat_0"]
+        scn = simulate.load_scenario(scenario_file)
+        errors = {}
+        for i, line in enumerate(rows):
+            try:
+                fit = fp.fit_optimal(fp.generate_replicate(scn, i), scn.fit_options)
+            except fp.FinprintError as exc:
+                errors[i] = type(exc).__name__
+                assert line.split("\t") == [str(i)] + [""] * 9 + [f"{type(exc).__name__}: {exc}"]
+                continue
+            cells = [str(i), repr(fit.lambda_opt)]
+            for (lower, upper), beta, truth in zip(fit.intervals, fit.beta_hat.tolist(), scn.true_beta):
+                cells += [repr(beta), repr(lower), repr(upper), str(int(lower <= truth <= upper))]
+            assert line.split("\t") == cells + [""]
+        assert len(rows) == 8
+        assert errors == {6: "NoFeasiblePoint", 7: "NoFeasiblePoint", **({1: "NonFinite"} if broken else {})}
 
     def test_jobs_do_not_change_aggregates(self, scenario_file, tmp_path):
         out1 = tmp_path / "s1.json"

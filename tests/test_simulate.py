@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -180,28 +181,24 @@ class TestGenerateReplicate:
 
 
 class TestSummaries:
-    def _record(self, index, beta, ci=None, covered=None, error=None):
-        if error:
-            return fp.simulate.ReplicateRecord(
-                index=index, beta_hat=None, lambda_opt=None,
-                ci_lower=None, ci_upper=None, covered=None, error=error,
-            )
-        ci = ci or ((0.0, 2.0),) * len(beta)
-        covered = covered if covered is not None else tuple(
-            lo <= 1.0 <= hi for lo, hi in ci
-        )
-        return fp.simulate.ReplicateRecord(
-            index=index,
-            beta_hat=tuple(beta),
-            lambda_opt=1.0,
-            ci_lower=tuple(lo for lo, _ in ci),
-            ci_upper=tuple(hi for _, hi in ci),
-            covered=covered,
-        )
+    @staticmethod
+    def _summary(rows, true_beta):
+        """summarize_replicates of rows (beta, ci) for fitted replicates and error text for failed ones."""
+        p = len(true_beta)
+        lambda_opt, beta_hat, ci_lower, ci_upper, error = [], [], [], [], []
+        for row in rows:
+            failed = isinstance(row, str)
+            beta, ci = (None, None) if failed else row
+            ci = ci or ((0.0, 2.0),) * p
+            lambda_opt.append(np.nan if failed else 1.0)
+            beta_hat.append([np.nan] * p if failed else list(beta))
+            ci_lower.append([np.nan] * p if failed else [lo for lo, _ in ci])
+            ci_upper.append([np.nan] * p if failed else [hi for _, hi in ci])
+            error.append(row if failed else None)
+        return fp.simulate.summarize_replicates(lambda_opt, beta_hat, ci_lower, ci_upper, error, true_beta)
 
     def test_bias_and_sd(self):
-        records = [self._record(i, (b,)) for i, b in enumerate((0.9, 1.1, 1.0))]
-        report = fp.simulate.summarize_replicates(records, (1.0,))
+        report = self._summary([((b,), None) for b in (0.9, 1.1, 1.0)], (1.0,))
         metrics = report.per_forcing[0]
         assert metrics.bias == pytest.approx(0.0, abs=1e-15)
         assert metrics.sd == pytest.approx(0.1)
@@ -209,26 +206,19 @@ class TestSummaries:
     def test_single_replicate_has_no_sd(self):
         # The divisor R-1 is 0: the SD is undefined, not 0, and NumPy's
         # degrees-of-freedom warning must not fire.
-        records = [self._record(0, (1.2, 0.7)), self._record(1, None, error="NoFeasiblePoint: x")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = fp.simulate.summarize_replicates(records, (1.0, 1.0))
+            report = self._summary([((1.2, 0.7), None), "NoFeasiblePoint: x"], (1.0, 1.0))
         assert all(np.isnan(m.sd) for m in report.per_forcing)
         assert [m.bias for m in report.per_forcing] == pytest.approx([0.2, -0.3])
 
     def test_coverage_two_of_three(self):
         cis = [((0.5, 1.5),), ((0.8, 1.2),), ((2.0, 3.0),)]
-        records = [self._record(i, (1.0,), ci=c) for i, c in enumerate(cis)]
-        report = fp.simulate.summarize_replicates(records, (1.0,))
+        report = self._summary([((1.0,), c) for c in cis], (1.0,))
         assert report.per_forcing[0].coverage_rate == pytest.approx(2.0 / 3.0)
 
     def test_failures_excluded_with_count(self):
-        records = [
-            self._record(0, (1.0,)),
-            self._record(1, None, error="NoFeasiblePoint: all infeasible"),
-            self._record(2, (3.0,)),
-        ]
-        report = fp.simulate.summarize_replicates(records, (1.0,))
+        report = self._summary([((1.0,), None), "NoFeasiblePoint: all infeasible", ((3.0,), None)], (1.0,))
         assert report.n_failed == 1
         assert report.failure_counts == {"NoFeasiblePoint": 1}
         assert report.n_replicates == 3
@@ -236,9 +226,27 @@ class TestSummaries:
 
     def test_mean_ci_length(self):
         cis = [((0.0, 1.0),), ((0.0, 3.0),)]
-        records = [self._record(i, (1.0,), ci=c) for i, c in enumerate(cis)]
-        report = fp.simulate.summarize_replicates(records, (1.0,))
+        report = self._summary([((1.0,), c) for c in cis], (1.0,))
         assert report.per_forcing[0].mean_ci_length == pytest.approx(2.0)
+
+    def test_no_fitted_replicate_gives_nan_metrics(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = self._summary(["OutOfDomain: a", "NonFinite: b", "OutOfDomain: c"], (1.0, 1.0))
+        assert report.n_failed == 3
+        assert report.failure_counts == {"NonFinite": 1, "OutOfDomain": 2}
+        assert all(np.isnan(v) for m in report.per_forcing for v in asdict(m).values())
+
+    def test_records_are_formed_from_the_columns(self):
+        report = self._summary([((1.5, 0.5), ((1.0, 2.0), (0.0, 2.0))), "NoFeasiblePoint: x"], (1.0, 1.0))
+        assert report.replicates == (
+            fp.simulate.ReplicateRecord(0, (1.5, 0.5), 1.0, (1.0, 0.0), (2.0, 2.0), (True, True)),
+            fp.simulate.ReplicateRecord(1, None, None, None, None, None, error="NoFeasiblePoint: x"),
+        )
+        assert report.covered.tolist() == [[True, True], [False, False]]
+        # Record values are Python scalars, whose repr is what .replicates.tsv writes.
+        assert [type(v) for v in (report.replicates[0].lambda_opt, *report.replicates[0].beta_hat)] == [float] * 3
+        assert [type(v) for v in report.replicates[0].covered] == [bool, bool]
 
 
 class TestRunScenario:
@@ -282,6 +290,22 @@ class TestRunScenario:
             seen = [pool.submit(os.getenv, name).result() for name in names]
         assert seen == ["1", "1", "1"]
         assert dict(os.environ) == before
+
+    def test_jobs_above_the_replicate_count_start_one_worker_per_replicate(self, monkeypatch):
+        # The split is over min(jobs, replicates) workers, so its cost does
+        # not grow with jobs; the spy refuses a pool larger than the run.
+        scn = small_scenario(replicates=3)
+        pools = []
+        original = simulate._worker_pool
+
+        def worker_pool(workers):
+            assert workers <= scn.replicates
+            pools.append(workers)
+            return original(workers)
+
+        monkeypatch.setattr(simulate, "_worker_pool", worker_pool)
+        assert fp.run_scenario(scn, jobs=2**62).replicates == fp.run_scenario(scn).replicates
+        assert pools == [3]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):

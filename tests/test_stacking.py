@@ -178,8 +178,8 @@ class TestBatchIndependence:
         scn = scenario(60, replicates=20)
         taus = [fp.generate_replicate(scn, i).tau_bar for i in range(scn.replicates)]
         options = fp.FitOptions(lambda_min=10.0 * float(np.median(taus)))
-        records = simulate._run_chunk(simulate.ReplicateGenerator(scn), range(scn.replicates), options)
-        report = simulate.summarize_replicates(records, scn.true_beta)
+        columns = simulate._run_chunk(simulate.ReplicateGenerator(scn), range(scn.replicates), options)
+        report = simulate.summarize_replicates(*columns, scn.true_beta)
         assert 0 < report.failure_counts.get("OutOfDomain", 0) < scn.replicates
         assert report.replicates == expected_records(scn, options)
 
