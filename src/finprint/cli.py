@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-Subcommands: ``fit`` (estimate scaling factors from a dataset manifest),
-``simulate`` (run a Monte Carlo scenario), ``lambda-curve`` (emit the
-regularization search profile), ``version``. Exit codes: 0 success,
-2 input/validation problem, 3 no feasible regularization level,
+Subcommands: ``fit`` (estimate scaling factors from a dataset manifest;
+its report holds the whole regularization search under ``lambda_curve``),
+``simulate`` (run a Monte Carlo scenario), ``version``. Exit codes:
+0 success, 2 input/validation problem, 3 no feasible regularization level,
 4 internal numeric failure.
 """
 
@@ -142,17 +142,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_lambda_curve(args: argparse.Namespace) -> int:
-    options = _fit_options(args)
-    curve = fit_optimal(load_dataset(args.input), options).curve
-    lines = ["# lambda\ttrace_xi  (inf marks infeasible grid points)"]
-    for lam, value in zip(curve.grid, curve.objective):
-        lines.append(f"{float(lam)!r}\t{float(value)!r}")
-    lines.append(f"# chosen\t{float(curve.chosen_lambda)!r}\t{float(curve.objective[curve.chosen_index])!r}")
-    _write("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
-
-
 def _replicate_table(report: SimulationReport, p: int) -> str:
     cols = ["replicate", "lambda_opt"]
     for i in range(p):
@@ -227,18 +216,8 @@ def cmd_version(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "fit": cmd_fit,
     "simulate": cmd_simulate,
-    "lambda-curve": cmd_lambda_curve,
     "version": cmd_version,
 }
-
-
-def _add_common_fit_flags(sub: argparse.ArgumentParser) -> None:
-    # Every fit flag defaults to None: FitOptions holds the defaults and checks the values.
-    sub.add_argument("--alpha", type=float, help=f"confidence level complement (default {FitOptions.alpha})")
-    sub.add_argument("--grid-size", type=int, help=f"regularization grid points (default {FitOptions.grid_size})")
-    sub.add_argument("--lambda-min", type=float, help=f"lower search bound (default {DEFAULT_BOUNDS[0]:g}*tau_bar)")
-    sub.add_argument("--lambda-max", type=float, help=f"upper search bound (default {DEFAULT_BOUNDS[1]:g}*tau_bar)")
-    sub.add_argument("--output", default=None, help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit scaling factors from a dataset manifest")
     fit.add_argument("input", help="dataset manifest (JSON)")
-    _add_common_fit_flags(fit)
+    # Every fit flag defaults to None: FitOptions holds the defaults and checks the values.
+    fit.add_argument("--alpha", type=float, help=f"confidence level complement (default {FitOptions.alpha})")
+    fit.add_argument("--grid-size", type=int, help=f"regularization grid points (default {FitOptions.grid_size})")
+    fit.add_argument("--lambda-min", type=float, help=f"lower search bound (default {DEFAULT_BOUNDS[0]:g}*tau_bar)")
+    fit.add_argument("--lambda-max", type=float, help=f"upper search bound (default {DEFAULT_BOUNDS[1]:g}*tau_bar)")
+    fit.add_argument("--output", default=None, help="output path (default stdout)")
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     sim.add_argument("input", help="scenario file (JSON)")
@@ -258,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="override base seed")
     sim.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     sim.add_argument("--output", default=None, help="report path; per-replicate table written alongside")
-
-    curve = sub.add_parser("lambda-curve", help="emit (lambda, trace) pairs from the grid search")
-    curve.add_argument("input", help="dataset manifest (JSON)")
-    _add_common_fit_flags(curve)
 
     sub.add_parser("version", help="print the package version")
     return parser

@@ -238,7 +238,8 @@ def validate_dataset(ds: DetectionDataset) -> tuple[str, ...]:
             f"m={m} < N={n}: singular sample covariance (rank <= {m}); "
             "regularization is required"
         )
-    col_norms = np.linalg.norm(ds.x_tilde, axis=0)
+    with np.errstate(over="ignore"):  # an overflowing norm is not near zero
+        col_norms = np.linalg.norm(ds.x_tilde, axis=0)
     for i, nrm in enumerate(col_norms):
         if nrm <= ZERO_FINGERPRINT_TOL:
             warnings.append(f"fingerprint column {i} has (near-)zero norm {nrm:.3e}")

@@ -161,12 +161,14 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         )
     eigvals = np.where(eigvals < floor[..., None], 0.0, eigvals)
     data = np.concatenate([x_tilde, y[..., None]], axis=-1)
-    proj = eigvecs.swapaxes(-1, -2) @ data
     # The data enter the directions the SVD does not compute only through
     # their residual off the computed eigenvectors; an eigh computes all N.
+    # Data near float64's largest value overflow here; the grid reads nonfinite_gram.
     k = eigvals.shape[-1]
-    resid = data - eigvecs @ proj if k < n else data[..., :0, :]
-    null_gram = resid.swapaxes(-1, -2) @ resid
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = eigvecs.swapaxes(-1, -2) @ data
+        resid = data - eigvecs @ proj if k < n else data[..., :0, :]
+        null_gram = resid.swapaxes(-1, -2) @ resid
     return SpectralCache(
         eigvals=eigvals,
         proj_x=proj[..., :-1],

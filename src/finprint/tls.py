@@ -37,7 +37,7 @@ NEAR_DEGENERATE_TOL = 1e-8
 LAPACK_GAP_FACTOR = 1e5
 
 
-def tls_grid(gram, ensemble_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tls_grid(gram, ensemble_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the prewhitened total-least-squares problem at every lambda of a grid.
 
     ``gram`` is ``rmt_grid``'s (..., G, p+1, p+1) stack of data Gram
@@ -48,8 +48,11 @@ def tls_grid(gram, ensemble_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean diagonal) and for every other p. Returns the (..., G, p) scaling
     factors, a mask of vertical points (the minimizing eigenvector is
     orthogonal to the response direction, so no finite estimate exists;
-    their coefficients are NaN) and a mask of points whose smallest
-    eigenvalue is nearly tied (the minimizer is numerically non-unique).
+    their coefficients are NaN), a mask of points whose smallest
+    eigenvalue is nearly tied (the minimizer is numerically non-unique) and
+    a mask of points whose augmented Gram matrix overflows float64: an
+    identity stands in for it, and the point has NaN coefficients and is
+    neither vertical nor nearly tied.
     """
     sizes = np.asarray(ensemble_sizes, dtype=float)
     p = gram.shape[-1] - 1
@@ -58,22 +61,31 @@ def tls_grid(gram, ensemble_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (sizes < 1).any():
         raise OutOfDomain("all ensemble sizes must be >= 1")
     scale = np.append(np.sqrt(sizes), 1.0)
-    m = gram * np.outer(scale, scale)
+    with np.errstate(over="ignore"):
+        m = gram * np.outer(scale, scale)
+        mean_diag = np.trace(m, axis1=-2, axis2=-1) / (p + 1)
+    nonfinite = np.zeros(mean_diag.shape, dtype=bool)
+    if not (np.isfinite(m).all() and np.isfinite(mean_diag).all()):
+        # The diagonal of a finite matrix may still sum past float64's
+        # largest value; its mean is then taken dividing before the sum.
+        nonfinite = ~np.isfinite(m).all(axis=(-2, -1))
+        m[nonfinite] = np.eye(p + 1)
+        mean_diag = np.where(np.isfinite(mean_diag), mean_diag, np.trace(m / (p + 1), axis1=-2, axis2=-1))
     try:
         eigvals, v = smallest_eigenpair(m, LAPACK_GAP_FACTOR * NEAR_DEGENERATE_TOL)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"augmented Gram eigenproblem failed: {exc}") from exc
 
     gap = eigvals[..., 1] - eigvals[..., 0]
-    near_tied = gap < NEAR_DEGENERATE_TOL * np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
+    near_tied = (gap < NEAR_DEGENERATE_TOL * mean_diag) & ~nonfinite
     last = v[..., -1]
-    vertical = np.abs(last) < VERTICAL_TOL * np.linalg.norm(v, axis=-1)
-    beta_hat = np.sqrt(sizes) * (-v[..., :-1] / np.where(vertical, np.nan, last)[..., None])
-    return beta_hat, vertical, near_tied
+    vertical = (np.abs(last) < VERTICAL_TOL * np.linalg.norm(v, axis=-1)) & ~nonfinite
+    beta_hat = np.sqrt(sizes) * (-v[..., :-1] / np.where(vertical | nonfinite, np.nan, last)[..., None])
+    return beta_hat, vertical, near_tied, nonfinite
 
 
-def tls_fit(cache: SpectralCache, ensemble_sizes, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``tls_grid`` at one lambda: the same triple with a grid axis of length one.
+def tls_fit(cache: SpectralCache, ensemble_sizes, lam: float) -> tuple[np.ndarray, ...]:
+    """``tls_grid`` at one lambda: the same four arrays with a grid axis of length one.
 
     A vertical point has NaN coefficients and ``vertical[0]`` set.
     """

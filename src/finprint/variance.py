@@ -50,11 +50,11 @@ DEFAULT_GRID_SIZE = 100
 DEFAULT_BOUNDS = (0.01, 10.0)
 
 # Reason codes for infeasible grid points; a point carries the first code, in
-# this order, whose check it fails: the denominator b = 1 - (N/m) u vanished
-# (spectral.DEGENERATE_TOL), TLS has no finite solution (fingerprints
-# orthogonal to Y), the corrected Gram matrix Delta1 is numerically
-# singular, or a diagonal entry of the covariance estimate is <= 0.
-REASONS = ("degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
+# this order, whose check it fails: the augmented TLS Gram matrix overflows,
+# the denominator b = 1 - (N/m) u vanished (spectral.DEGENERATE_TOL), TLS
+# has no finite solution (fingerprints orthogonal to Y), the corrected Gram
+# matrix Delta1 is numerically singular, or a diagonal entry of Xi_hat is <= 0.
+REASONS = ("nonfinite_gram", "degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
 
 NO_FEASIBLE = "every grid point was infeasible"
 
@@ -207,31 +207,35 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid) -> LambdaCurve:
     all R replicates.
     """
     d = 1.0 / np.asarray(ensemble_sizes, dtype=float)
-    f = rmt_grid(cache, grid)
-    beta_hat, vertical, near_tied = tls_grid(f.gram, ensemble_sizes)
+    # Data far above tau_bar can overflow the Gram forms; tls_grid marks such
+    # points (nonfinite_gram), and the masks below blank their payloads.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = rmt_grid(cache, grid)
+    beta_hat, vertical, near_tied, nonfinite = tls_grid(f.gram, ensemble_sizes)
     degenerate = np.isnan(f.theta1)
     p = beta_hat.shape[-1]
     eye = np.eye(p)
 
     d1 = delta1_hat(f, d)
-    # Identity in place of unusable rows keeps NaN out of the kernels.
-    d1_svals = _symmetric.singular_values(np.where(degenerate[..., None, None], eye, d1))
-    g1_svals = _symmetric.singular_values(f.g1)
+    # Identity in place of unusable rows keeps NaN and inf out of the kernels.
+    d1_svals = _symmetric.singular_values(np.where((nonfinite | degenerate)[..., None, None], eye, d1))
+    g1_svals = _symmetric.singular_values(np.where(nonfinite[..., None, None], eye, f.g1))
     # The correction is a difference of two terms; a smallest singular value
     # that is round-off relative to their size means the matrix is singular
     # even when its own condition number looks fine (p = 1).
     scale = g1_svals[..., 0] + np.abs(f.theta1) * d.max()
     singular = (d1_svals[..., -1] < RCOND_TOL * scale) | ill_conditioned(d1_svals)
-    unusable = degenerate | vertical | singular
+    unusable = nonfinite | degenerate | vertical | singular
     blank = unusable[..., None, None]
-    d2 = delta2_hat(f, d, cache.n_dim, cache.m_runs)
-    # Far above tau_bar, Delta1 can be small enough that Xi overflows; such a
-    # point has a non-finite objective (or diagonal) and is infeasible.
+    # Far above tau_bar Delta1 can be small enough that Xi overflows, and at
+    # small b Delta2 can overflow for huge data; such a point has a
+    # non-finite objective (or diagonal) and is infeasible.
     with np.errstate(over="ignore", invalid="ignore"):
+        d2 = delta2_hat(f, d, cache.n_dim, cache.m_runs)
         xi = xi_hat(beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
     nonpositive = ~(np.diagonal(xi, axis1=-2, axis2=-1) > 0.0).all(axis=-1)
 
-    failed = np.stack([degenerate, vertical, singular, nonpositive])
+    failed = np.stack([nonfinite, degenerate, vertical, singular, nonpositive])
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(REASONS))
     return LambdaCurve(
         grid=f.lam,

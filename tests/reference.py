@@ -79,20 +79,27 @@ def _functionals(cache, lam):
     }
 
 
-def _tls(cache, sizes, lam):
+def _augmented_gram(cache, sizes, lam):
+    """The data Gram sum_i w_i a_i a_i^T, symmetrized, then scaled by (sqrt(n), 1) on both sides.
+
+    Formed in the order the grid forms it: on exactly tied (diagonal) Gram
+    matrices both sides then hold the same doubles, and the tie breaks the
+    same way; near float64's largest value both overflow at the same points.
+    """
     w = 1.0 / (cache.eigvals + lam)
-    # The data Gram sum_i w_i a_i a_i^T, then scaled by (sqrt(n), 1) on both
-    # sides, in the order the grid forms it: on exactly tied (diagonal) Gram
-    # matrices both sides then hold the same doubles, and the tie breaks the
-    # same way.
     a = np.column_stack([cache.proj_x, cache.proj_y])
     scale = np.append(np.sqrt(sizes), 1.0)
-    m = np.tensordot(w, a[:, :, None] * a[:, None, :], axes=1) * np.outer(scale, scale)
-    m = 0.5 * (m + m.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.tensordot(w, a[:, :, None] * a[:, None, :], axes=1)
+        return 0.5 * (m + m.T) * np.outer(scale, scale)
+
+
+def _tls(m, sizes):
     eigvals, eigvecs = np.linalg.eigh(m)
     v = eigvecs[:, 0]
     gap = float(eigvals[1] - eigvals[0])
-    near_tied = gap < 1e-8 * np.trace(m) / m.shape[0]
+    # The mean diagonal, each term divided first: the trace itself may overflow.
+    near_tied = gap < 1e-8 * np.sum(np.diag(m) / m.shape[0])
     if abs(v[-1]) < VERTICAL_TOL * np.linalg.norm(v):
         return None, near_tied
     return np.sqrt(sizes) * (-v[:-1] / v[-1]), near_tied
@@ -111,9 +118,12 @@ def reference_point(cache, ensemble_sizes, lam: float) -> dict:
         "near_tied": False,
     }
     try:
+        m = _augmented_gram(cache, sizes, lam)
+        if not np.isfinite(m).all():
+            raise _Infeasible("nonfinite_gram")
         f = _functionals(cache, lam)
         # A vertical point still reports whether its minimum is nearly tied.
-        beta, out["near_tied"] = _tls(cache, sizes, lam)
+        beta, out["near_tied"] = _tls(m, sizes)
         if beta is None:
             raise _Infeasible("vertical_solution")
         d1 = f["g1"] - f["theta1"] * np.diag(d)

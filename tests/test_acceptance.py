@@ -13,7 +13,7 @@ import finprint as fp
 import oracles
 from finprint.spectral import rmt_grid
 from finprint.simulate import ReplicateGenerator
-from finprint.variance import delta1_hat, delta2_hat
+from finprint.variance import delta1_hat, delta2_hat, evaluate_grid, fit_stack
 from reference import trace_functionals
 
 R = 500
@@ -80,22 +80,29 @@ def test_c2_unbiasedness(coverage_reports):
     _report("C2 unbiasedness", ok, ", ".join(details))
 
 
-def test_c3_optimality_ordering():
-    scn = sigma_st_scenario(100)
+def stacked_caches(scn: fp.SimulationScenario, block: int = 100):
+    """The scenario's replicates as stacked caches, drawn and decomposed ``block`` at a time."""
     gen = ReplicateGenerator(scn)
+    for start in range(0, scn.replicates, block):
+        y, x_tilde, z = gen.draw(range(start, min(start + block, scn.replicates)))
+        yield fp.build_cache(z, x_tilde, y)
+
+
+def test_c3_optimality_ordering():
+    # Each block's chosen points and the three fixed multiples of its
+    # tau_bar are read off one stacked pass each.
+    scn = sigma_st_scenario(100)
     truth = np.asarray(scn.true_beta)
-    sq_err_opt = []
-    sq_err_fixed = {0.1: [], 1.0: [], 10.0: []}
-    for rep in range(R):
-        ds = gen.make(rep)
-        cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
-        curve = fp.select_lambda(cache, ds.ensemble_sizes)
-        sq_err_opt.append(np.sum((curve.beta_hat[curve.chosen_index] - truth) ** 2))
-        for mult in sq_err_fixed:
-            est = fp.evaluate_lambda(cache, ds.ensemble_sizes, mult * cache.tau_bar)
-            sq_err_fixed[mult].append(np.sum((est.beta_hat[0] - truth) ** 2))
-    mse_opt = float(np.mean(sq_err_opt))
-    mse_fixed = {mult: float(np.mean(v)) for mult, v in sq_err_fixed.items()}
+    mults = np.array([0.1, 1.0, 10.0])
+    sq_err_opt, sq_err_fixed = [], []
+    for stack in stacked_caches(scn):
+        fit = fit_stack(stack, scn.ensemble_sizes)
+        assert fit.feasible.all()
+        sq_err_opt.append(np.sum((fit.beta_hat - truth) ** 2, axis=-1))
+        est = evaluate_grid(stack, scn.ensemble_sizes, stack.tau_bar[:, None] * mults)
+        sq_err_fixed.append(np.sum((est.beta_hat - truth) ** 2, axis=-1))
+    mse_opt = float(np.mean(np.concatenate(sq_err_opt)))
+    mse_fixed = dict(zip(mults.tolist(), np.concatenate(sq_err_fixed).mean(axis=0).tolist()))
     best_fixed = min(mse_fixed.values())
     detail = (
         f"mse_opt={mse_opt:.5f}, fixed={{"
@@ -119,16 +126,12 @@ def test_c4_variance_estimator_consistency():
         base_seed=2,
         alpha=ALPHA,
     )
-    gen = ReplicateGenerator(scn)
-    betas, xis = [], []
-    for rep in range(R):
-        ds = gen.make(rep)
-        cache = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
-        est = fp.evaluate_lambda(cache, ds.ensemble_sizes, cache.tau_bar)
-        assert est.feasible[0]
-        betas.append(est.beta_hat[0])
-        xis.append(est.xi_hat[0])
-    scaled = np.sqrt(n_dim) * (np.array(betas) - np.asarray(scn.true_beta))
+    # Every replicate at lambda = its tau_bar: an (R, 1) grid per block.
+    curves = [evaluate_grid(stack, scn.ensemble_sizes, stack.tau_bar[:, None]) for stack in stacked_caches(scn)]
+    assert all(curve.feasible.all() for curve in curves)
+    betas = np.concatenate([curve.beta_hat[:, 0] for curve in curves])
+    xis = np.concatenate([curve.xi_hat[:, 0] for curve in curves])
+    scaled = np.sqrt(n_dim) * (betas - np.asarray(scn.true_beta))
     empirical = np.cov(scaled.T, ddof=1)
     mean_xi = np.mean(xis, axis=0)
     rel = np.abs(mean_xi - empirical) / np.abs(empirical)
@@ -328,7 +331,7 @@ def test_c8_small_instance_bruteforce():
         np.array([[1.0], [0.0]]),
         np.array([0.5, 0.5]),
     )
-    beta_hat, _, _ = fp.tls_fit(cache, [1], 1.0)
+    beta_hat, _, _, _ = fp.tls_fit(cache, [1], 1.0)
     checks["tls_2x2<=1e-8"] = abs(beta_hat[0, 0] - (np.sqrt(5.0) - 1.0) / 2.0) <= 1e-8
 
     # arithmetic examples, exact as stated

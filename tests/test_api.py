@@ -1,5 +1,6 @@
 """The package's error surface, its top-level export list and its import structure."""
 
+import argparse
 import ast
 import dataclasses
 import graphlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import finprint as fp
-from finprint import errors, spectral, variance
+from finprint import cli, errors, spectral, variance
 from finprint.cli import build_parser
 
 
@@ -262,14 +263,29 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["fit", "lambda-curve"])
-def test_fit_flags_are_the_fit_options(command):
+def test_fit_flags_are_the_fit_options():
     # cli._fit_options reads only FitOptions fields, so a flag with no field
     # behind it would be parsed and then silently ignored.
-    flags = vars(build_parser().parse_args([command, "m.json"]))
+    flags = vars(build_parser().parse_args(["fit", "m.json"]))
     for name in ("command", "input", "output"):
         del flags[name]
     assert set(flags) == {f.name for f in dataclasses.fields(fp.FitOptions)}
+
+
+def test_subcommands_are_pinned():
+    # The fit report holds the whole lambda curve; no command prints it apart.
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"fit", "simulate", "version"}
+    assert set(sub.choices) == set(cli._COMMANDS)
+
+
+def test_lambda_curve_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lambda-curve", "m.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'lambda-curve'" in err and "Traceback" not in err
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -117,11 +117,10 @@ class TestFitCommand:
     def test_invalid_alpha_exit_2(self, manifest):
         assert main(["fit", str(manifest), "--alpha", "1.5"]) == 2
 
-    @pytest.mark.parametrize("command", ["fit", "lambda-curve"])
-    def test_objective_flag_is_gone(self, command, manifest, capsys):
+    def test_objective_flag_is_gone(self, manifest, capsys):
         # The search has one criterion, tr Xi_hat; the parser knows no other.
         with pytest.raises(SystemExit) as exc:
-            main([command, str(manifest), "--objective", "trace"])
+            main(["fit", str(manifest), "--objective", "trace"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --objective" in capsys.readouterr().err
 
@@ -191,12 +190,11 @@ class TestFitCommand:
         assert main(["fit", str(manifest)]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fit", "lambda-curve"])
-    def test_zero_control_runs_exit_2(self, command, manifest, tmp_path, capsys):
+    def test_zero_control_runs_exit_2(self, manifest, tmp_path, capsys):
         # tau_bar = 0 leaves lambda without a scale; the round-off of an
         # all-zero covariance must not pick one.
         write_matrix(tmp_path / "control.txt", np.zeros((16, 30)))
-        assert main([command, str(manifest)]) == 2
+        assert main(["fit", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tr(S)" in err and err.count("\n") == 1
 
@@ -269,10 +267,9 @@ class TestFitCommand:
         assert main(argv) == 2
         assert "Not a directory" in assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("command", ["fit", "lambda-curve"])
-    def test_unallocatable_grid_exit_4(self, command, manifest, capsys):
+    def test_unallocatable_grid_exit_4(self, manifest, capsys):
         # The grid's first array (8e18 bytes) fails to allocate before any work is done.
-        assert main([command, str(manifest), "--grid-size", "1000000000000000000"]) == 4
+        assert main(["fit", str(manifest), "--grid-size", "1000000000000000000"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
 
@@ -309,6 +306,40 @@ class TestFitCommand:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message)
+
+    @pytest.mark.parametrize(
+        "x_scale, z_scale, m_runs", [(1e100, 1e-100, 20), (1e160, 1.0, 8)], ids=["small_runs", "huge_data"]
+    )
+    def test_overflowing_gram_exit_3(self, x_scale, z_scale, m_runs, tmp_path, capsys):
+        # Fingerprints ~ 1e100 against control runs ~ 1e-100, or ~ 1e160
+        # (whose norms and null-block Gram overflow too): the augmented TLS
+        # Gram matrix overflows float64 at every grid point, so each is
+        # infeasible (nonfinite_gram) and the fit ends in NoFeasiblePoint's
+        # one line, with no NumPy warning (an error under pytest) before it.
+        rng = np.random.default_rng(3)
+        x = x_scale * rng.standard_normal((12, 2))
+        z = z_scale * rng.standard_normal((12, m_runs))
+        write_matrix(tmp_path / "y.txt", (x.sum(axis=1) + rng.standard_normal(12))[:, None])
+        write_matrix(tmp_path / "x_tilde.txt", x)
+        write_matrix(tmp_path / "control.txt", z)
+        path = tmp_path / "m.json"
+        doc = {"y": "y.txt", "x_tilde": "x_tilde.txt", "ensemble_sizes": [5, 5], "control_runs": "control.txt"}
+        path.write_text(json.dumps(doc))
+        assert main(["fit", str(path)]) == 3
+        assert assert_one_error_line(capsys) == "error: every grid point was infeasible"
+
+    def test_gram_overflowing_at_small_lambda_fits(self, manifest, tmp_path):
+        # At 3e152 times the data the Gram matrix overflows at the 16
+        # smallest lambdas alone; the rest of the grid gives the unit-scale fit.
+        unit, big = tmp_path / "unit.json", tmp_path / "big.json"
+        assert main(["fit", str(manifest), "--output", str(unit)]) == 0
+        for name in ("y.txt", "x_tilde.txt"):
+            write_matrix(tmp_path / name, 3e152 * np.loadtxt(tmp_path / name, ndmin=2))
+        assert main(["fit", str(manifest), "--output", str(big)]) == 0
+        want, got = json.loads(unit.read_text()), json.loads(big.read_text())
+        assert got["lambda_curve"]["reason"][:17] == ["nonfinite_gram"] * 16 + [None]
+        assert got["lambda_curve"]["chosen_index"] == want["lambda_curve"]["chosen_index"]
+        np.testing.assert_allclose(got["beta_hat"], want["beta_hat"], rtol=1e-12)
 
     @pytest.mark.parametrize("m_runs", [100, 40])
     def test_lambda_max_too_large_exit_2(self, m_runs, tmp_path, capsys):
@@ -400,43 +431,28 @@ class TestNpyInputs:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-class TestLambdaCurveCommand:
-    def test_default_row_count(self, manifest, tmp_path, capsys):
-        out = tmp_path / "curve.tsv"
-        assert main(["lambda-curve", str(manifest), "--output", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        data = [ln for ln in lines if not ln.startswith("#")]
-        assert len(data) == 100
+class TestFitLambdaCurve:
+    """The fit report's ``lambda_curve``: the whole search, read off the report."""
 
     def test_grid_size_flag(self, manifest, tmp_path):
-        out = tmp_path / "curve.tsv"
-        assert main(["lambda-curve", str(manifest), "--grid-size", "10", "--output", str(out)]) == 0
-        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
-        assert len(data) == 10
+        out = tmp_path / "report.json"
+        assert main(["fit", str(manifest), "--grid-size", "10", "--output", str(out)]) == 0
+        curve = json.loads(out.read_text())["lambda_curve"]
+        assert len(curve["lambda"]) == len(curve["trace_xi"]) == len(curve["feasible"]) == 10
 
     def test_chosen_matches_fit(self, manifest, tmp_path):
-        curve_out = tmp_path / "curve.tsv"
-        fit_out = tmp_path / "report.json"
-        assert main(["lambda-curve", str(manifest), "--output", str(curve_out)]) == 0
-        assert main(["fit", str(manifest), "--output", str(fit_out)]) == 0
-        chosen_line = [
-            ln for ln in curve_out.read_text().splitlines() if ln.startswith("# chosen")
-        ][0]
-        chosen_lambda = float(chosen_line.split("\t")[1])
-        fit_lambda = json.loads(fit_out.read_text())["lambda_opt"]
-        assert chosen_lambda == pytest.approx(fit_lambda, rel=1e-12)
+        out = tmp_path / "report.json"
+        assert main(["fit", str(manifest), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        curve = doc["lambda_curve"]
+        assert curve["lambda"][curve["chosen_index"]] == curve["chosen_lambda"] == doc["lambda_opt"]
 
     def test_curve_keyed_by_trace(self, manifest, tmp_path):
-        curve_out = tmp_path / "curve.tsv"
-        fit_out = tmp_path / "report.json"
-        assert main(["lambda-curve", str(manifest), "--output", str(curve_out)]) == 0
-        assert main(["fit", str(manifest), "--output", str(fit_out)]) == 0
-        assert curve_out.read_text().startswith("# lambda\ttrace_xi ")
-        rows = [ln.split("\t") for ln in curve_out.read_text().splitlines() if not ln.startswith("#")]
-        doc = json.loads(fit_out.read_text())
+        out = tmp_path / "report.json"
+        assert main(["fit", str(manifest), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
         curve = doc["lambda_curve"]
         assert doc["provenance"]["grid"]["objective"] == "trace"
-        assert [float(v) for _, v in rows] == [np.inf if v is None else v for v in curve["trace_xi"]]
         chosen = curve["trace_xi"][curve["chosen_index"]]
         assert chosen == pytest.approx(np.trace(doc["xi_hat"]), rel=1e-12)
 

@@ -1,4 +1,4 @@
-"""Malformed manifests, scenario files, matrix files and fit flags, fed to the CLI.
+"""Malformed manifests, scenario files, matrix files and fit flags, and matrices far from unit scale, fed to the CLI.
 
 Whatever the input, ``main`` returns a documented exit code, reports a
 failure as exactly one stderr line (only a success prints ``warning:``
@@ -183,16 +183,16 @@ def test_manifest_fields(folder, capsys, changes):
 
 
 @FUZZ
-@given(command=st.sampled_from(["fit", "lambda-curve"]), flags=fit_flags)
-@example(command="fit", flags={"--alpha": float("nan"), "--grid-size": 0})
-@example(command="fit", flags={"--lambda-min": float("-inf"), "--lambda-max": float("inf")})
-@example(command="fit", flags={"--lambda-min": 0.0, "--lambda-max": -1.0})
-@example(command="fit", flags={"--lambda-min": 5e-324})
-def test_fit_flags(folder, capsys, command, flags):
+@given(flags=fit_flags)
+@example(flags={"--alpha": float("nan"), "--grid-size": 0})
+@example(flags={"--lambda-min": float("-inf"), "--lambda-max": float("inf")})
+@example(flags={"--lambda-min": 0.0, "--lambda-max": -1.0})
+@example(flags={"--lambda-min": 5e-324})
+def test_fit_flags(folder, capsys, flags):
     path = folder / "manifest.json"
     path.write_text(json.dumps(MANIFEST))
     # "--flag=value", so that argparse takes a value such as "-inf" as one.
-    argv = [command, str(path), "--output", str(folder / "out")]
+    argv = ["fit", str(path), "--output", str(folder / "out")]
     assert_clean_exit(argv + [f"{flag}={value}" for flag, value in flags.items()], capsys)
 
 
@@ -214,7 +214,21 @@ def test_matrix_files(folder, capsys, target, content):
     (folder / target).write_bytes(content)
     path = folder / "manifest.json"
     path.write_text(json.dumps(MANIFEST))
-    assert_clean_exit(["lambda-curve", str(path), "--grid-size", "5"], capsys)
+    assert_clean_exit(["fit", str(path), "--grid-size", "5"], capsys)
+
+
+@FUZZ
+@given(powers=st.tuples(*[st.integers(-150, 150)] * 3))
+@example(powers=(0, 100, -100))
+def test_matrix_scales(folder, capsys, powers):
+    # Each of y, x_tilde and the control runs times its own 10^k: far from
+    # unit scale the Gram matrices of the fit overflow or underflow float64.
+    write_inputs(folder)
+    for name, k in zip(["y.txt", "x_tilde.txt", "control.txt"], powers):
+        write_matrix(folder / name, 10.0**k * np.loadtxt(folder / name, ndmin=2))
+    path = folder / "manifest.json"
+    path.write_text(json.dumps(MANIFEST))
+    assert_clean_exit(["fit", str(path), "--output", str(folder / "report.json")], capsys)
 
 
 @FUZZ

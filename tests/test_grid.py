@@ -144,6 +144,35 @@ class TestAgainstReference:
         assert "nonpositive_variance" in list(curve.reason)
         assert None in list(curve.reason)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n, m", [(24, 12), (24, 48)], ids=["m<N", "m>=N"])
+    def test_overflowing_gram_points(self, n, m, p):
+        # Data at 2e153 overflow the augmented Gram matrix from the small-
+        # lambda end of the grid up: those points read nonfinite_gram,
+        # without a warning, and the others fit as the reference's do.
+        rng = np.random.default_rng(0)
+        x = 2e153 * rng.standard_normal((n, p))
+        y = x @ np.ones(p) + 1e153 * rng.standard_normal(n)
+        cache = fp.build_cache(fp.compute_sample_covariance(rng.standard_normal((n, m))), x, y)
+        curve = assert_matches_reference(cache, np.arange(3, 3 + 2 * p, 2), default_grid(cache))
+        nonfinite = np.equal(curve.reason, "nonfinite_gram")
+        assert nonfinite[: nonfinite.sum()].all() and 0 < nonfinite.sum() < curve.feasible.size
+        assert curve.feasible.any()
+
+    def test_overflowing_delta2_points_are_infeasible(self):
+        # N = m: b is small at the low end of the grid, where Delta2's factor
+        # (1 + (N/m) theta1)^2 overflows a finite Gram form of data at
+        # 4.4e152. Such a point's Xi is not finite, so it is infeasible, and
+        # the grid warns of nothing.
+        rng = np.random.default_rng(0)
+        z, x = rng.standard_normal((6, 6)), rng.standard_normal((6, 1))
+        cache = fp.build_cache(z, 4.4e152 * x, 4.4e152 * (x[:, 0] + rng.standard_normal(6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = variance.evaluate_grid(cache, [1], default_grid(cache, 100))
+        assert not curve.feasible[0] and curve.feasible.any()
+        assert not np.isfinite(curve.xi_hat[~curve.feasible]).any()
+
     def test_indefinite_xi_is_feasible(self):
         # At two points of this grid Xi_hat has positive variances and a
         # negative determinant. Feasibility asks only for positive variances,

@@ -164,7 +164,7 @@ class TestAgainstDense:
         for lam in np.array([0.01, 1.0, 10.0]) * low.tau_bar:
             white = np.column_stack([oracles.whiten(s, lam, col) for col in ds.x_tilde.T])
             assert_close(fp.spectral.rmt_grid(low, [lam]).g1[0], white.T @ white / ds.n_dim)
-            beta_hat, _, _ = fp.tls_fit(low, ds.ensemble_sizes, lam)
+            beta_hat, _, _, _ = fp.tls_fit(low, ds.ensemble_sizes, lam)
             objective = oracles.tls_objective(s, ds.x_tilde, ds.y, ds.ensemble_sizes, lam, beta_hat[0])
             expected = oracles.tls_min_eigenvalue(s, ds.x_tilde, ds.y, ds.ensemble_sizes, lam)
             assert objective == pytest.approx(expected, rel=RTOL)
