@@ -21,18 +21,49 @@ Every other size keeps LAPACK. So do eigenpair rows whose two smallest
 eigenvalues are within ``tie_tol`` of each other relative to the mean
 diagonal, or whose closed form is not finite: those rows go to
 ``np.linalg.eigh`` together, as one sub-stack.
+
+This algebra, and every size's traces, products and scales, runs on entry planes (one entry of
+every matrix, an array of the stack's shape), one elementwise operation per term: a NumPy
+reduction or product along an axis of length k costs far more. Sums add left to right, as it does.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 __all__ = ["RCOND_TOL", "eigvalsh", "singular_values", "ill_conditioned", "inv", "smallest_eigenpair"]
+__all__ += ["plane_sum", "trace", "from_planes", "matmul"]
 
 # Reciprocal condition number below which a matrix is treated as singular.
 RCOND_TOL = 1e-10
 
 _THIRD_TURN = 2.0 * np.pi / 3.0
+
+
+def plane_sum(planes) -> np.ndarray:
+    """The sum of equally shaped arrays, added left to right."""
+    return reduce(np.add, planes)
+
+
+def trace(a) -> np.ndarray:
+    """Trace of every matrix of a stack (..., k, k); overflow gives inf or NaN quietly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plane_sum(a[..., i, i] for i in range(a.shape[-1]))
+
+
+def from_planes(planes, shape: tuple[int, ...]) -> np.ndarray:
+    """The stack (..., *shape) whose entries, in row-major order, are ``planes``, each kept contiguous."""
+    return np.moveaxis(np.stack(planes).reshape(*shape, *np.shape(planes[0])), range(len(shape)), range(-len(shape), 0))
+
+
+def matmul(a, b) -> np.ndarray:
+    """a @ b for every pair of matrices of two stacks (..., k, k); overflow gives inf or NaN quietly."""
+    k = a.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = [plane_sum(a[..., i, l] * b[..., l, j] for l in range(k)) for i in range(k) for j in range(k)]
+    return from_planes(entries, (k, k))
 
 
 def eigvalsh(a) -> np.ndarray:
@@ -48,7 +79,7 @@ def eigvalsh(a) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         h = 0.5 * a00 + 0.5 * a11
         r = np.hypot(0.5 * a00 - 0.5 * a11, a01)
-        return np.stack([h - r, h + r], axis=-1)
+        return from_planes([h - r, h + r], (2,))
 
 
 def singular_values(a) -> np.ndarray:
@@ -57,7 +88,7 @@ def singular_values(a) -> np.ndarray:
     if s.shape[-1] != 2:
         return np.sort(s, axis=-1)[..., ::-1]
     # The sort's order without the sort: maximum keeps a NaN, fmin skips it.
-    return np.stack([np.maximum(s[..., 0], s[..., 1]), np.fmin(s[..., 0], s[..., 1])], axis=-1)
+    return from_planes([np.maximum(s[..., 0], s[..., 1]), np.fmin(s[..., 0], s[..., 1])], (2,))
 
 
 def ill_conditioned(svals: np.ndarray) -> np.ndarray:
@@ -75,7 +106,7 @@ def inv(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != 2:
         return np.linalg.inv(a)
-    scale = np.abs(a).max(axis=(-2, -1))
+    scale = reduce(np.maximum, [np.abs(a[..., i, j]) for i in range(2) for j in range(2)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b = a / scale[..., None, None]
         det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
@@ -111,10 +142,8 @@ def _adjugate_column(b00, b01, b02, b11, b12, b22, mu):
     )
 
 
-def _pair3(b: np.ndarray):
-    """Eigenvalues and smallest eigenvector of a stack of 3x3 symmetric matrices."""
-    b00, b11, b22 = b[..., 0, 0], b[..., 1, 1], b[..., 2, 2]
-    b01, b02, b12 = b[..., 0, 1], b[..., 0, 2], b[..., 1, 2]
+def _pair3(b00, b01, b02, b11, b12, b22):
+    """Eigenvalues and smallest eigenvector of a stack of 3x3 symmetric matrices, from its entry planes."""
     q = (b00 + b11 + b22) / 3.0
     e00, e11, e22 = b00 - q, b11 - q, b22 - q
     pp = np.sqrt((e00 * e00 + e11 * e11 + e22 * e22 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
@@ -127,8 +156,8 @@ def _pair3(b: np.ndarray):
     v0, v1, v2 = _adjugate_column(*entries, lo)
     quad = b00 * v0 * v0 + b11 * v1 * v1 + b22 * v2 * v2 + 2.0 * (b01 * v0 * v1 + b02 * v0 * v2 + b12 * v1 * v2)
     mu = quad / (v0 * v0 + v1 * v1 + v2 * v2)
-    vals = np.stack([mu, q + 2.0 * pp * np.cos(phi - _THIRD_TURN), q + 2.0 * pp * np.cos(phi)], axis=-1)
-    return vals, np.stack(_adjugate_column(*entries, mu), axis=-1), q
+    vals = (mu, q + 2.0 * pp * np.cos(phi - _THIRD_TURN), q + 2.0 * pp * np.cos(phi))
+    return vals, _adjugate_column(*entries, mu), q
 
 
 def smallest_eigenpair(m, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -145,12 +174,13 @@ def smallest_eigenpair(m, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(m)
         return vals, vecs[..., 0]
     # On a PSD matrix the largest |entry| is on the diagonal.
-    scale = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1)
+    scale = reduce(np.maximum, [m[..., i, i] for i in range(3)])
     with np.errstate(all="ignore"):
-        vals, v, mean_diag = _pair3(m / scale[..., None, None])
-        separated = vals[..., 1] - vals[..., 0] > tie_tol * mean_diag
-        lapack = ~(separated & np.isfinite(vals.sum(axis=-1) + v.sum(axis=-1)))
-        vals *= scale[..., None]
+        vals, v, mean_diag = _pair3(*(m[..., i, j] / scale for i in range(3) for j in range(i, 3)))
+        separated = vals[1] - vals[0] > tie_tol * mean_diag
+        lapack = ~(separated & np.isfinite(plane_sum(vals) + plane_sum(v)))
+        vals = from_planes([x * scale for x in vals], (3,))
+    v = from_planes(v, (3,))
     if lapack.any():
         sub_vals, sub_vecs = np.linalg.eigh(m[lapack])
         vals[lapack] = sub_vals

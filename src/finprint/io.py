@@ -11,6 +11,7 @@ against the manifest's directory. Scenario documents are read and written by
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +52,10 @@ def read_matrix(path) -> np.ndarray:
         return _read_npy(Path(path))
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        data_lines = [ln for ln in lines if ln.split("#", 1)[0].strip()]
-        if not data_lines:
+        text = "\n".join(lines)
+        if not re.search(r"^[^\S\n]*[^#\s]", text, re.MULTILINE):
             raise SchemaError("no data rows")
-        delimiter = "," if any("," in ln.split("#", 1)[0] for ln in data_lines) else None
+        delimiter = "," if "," in text and re.search(r"^[^#,\n]*,", text, re.MULTILINE) else None
         return np.loadtxt(lines, comments="#", delimiter=delimiter, ndmin=2)
     except (ValueError, SchemaError) as exc:  # UnicodeDecodeError is a ValueError
         raise SchemaError(f"{path}: not a numeric matrix file ({exc})") from exc

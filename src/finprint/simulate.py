@@ -442,28 +442,25 @@ class ReplicateGenerator:
         ``default_rng(SeedSequence(entropy=base_seed, spawn_key=(indices[r], s)))``
         for s = 0 (the regression error), 1..p (each fingerprint's noise) and
         p + 1 (the control runs); the streams of the whole block are seeded
-        in one vectorized pass (``_SpawnedSeeds``). The regression error and
-        each fingerprint's noise are Sigma^(1/2) times a vector, and the
-        control runs Sigma^(1/2) times an N x m block of normals written
-        straight into row r of Z. Nothing is validated here; ``make`` builds
-        a checked DetectionDataset.
+        in one vectorized pass (``_SpawnedSeeds``). The loop only fills each
+        replicate's normals; Sigma^(1/2) then multiplies the block's (R, p+1,
+        N, 1) stack of them (a matrix-vector product per replicate) and its
+        (R, N, m) stack (one product per replicate) in one matmul each.
+        Nothing is validated here; ``make`` builds a checked DetectionDataset.
         """
         scn = self.scenario
         n, p, count = scn.n_dim, scn.n_forcings, len(indices)
         signal = scn.gamma * self.x_true
-        mean_y = signal @ np.asarray(scn.true_beta)
-        y = np.empty((count, n))
-        x_tilde = np.empty((count, n, p))
-        z = np.empty((count, n, scn.m_runs))
-        normals = np.empty((n, scn.m_runs))
+        vectors = np.empty((count, p + 1, n, 1))
+        runs = np.empty((count, n, scn.m_runs))
         for r, streams in enumerate(self.seeds.streams(indices, p + 2)):
-            y[r] = mean_y + self.root @ streams[_STREAM_EPS].standard_normal(n)
-            for i, n_i in enumerate(scn.ensemble_sizes):
-                noise = self.root @ streams[1 + i].standard_normal(n)
-                x_tilde[r, :, i] = signal[:, i] + noise / np.sqrt(n_i)
-            streams[_STREAM_CONTROL_OFFSET + p].standard_normal(out=normals)
-            np.matmul(self.root, normals, out=z[r])
-        return y, x_tilde, z
+            for s in range(p + 1):
+                streams[_STREAM_EPS + s].standard_normal(out=vectors[r, s, :, 0])
+            streams[_STREAM_CONTROL_OFFSET + p].standard_normal(out=runs[r])
+        noise = np.matmul(self.root, vectors)[..., 0]
+        y = signal @ np.asarray(scn.true_beta) + noise[:, 0]
+        x_tilde = signal + noise[:, 1:].swapaxes(-1, -2) / np.sqrt(scn.ensemble_sizes)
+        return y, x_tilde, np.matmul(self.root, runs)
 
     def make(self, rep_index: int) -> DetectionDataset:
         """Replicate ``rep_index`` as a DetectionDataset: ``draw`` of one, checked.

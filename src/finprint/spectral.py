@@ -224,7 +224,8 @@ def weighted_gram(w: np.ndarray, a: np.ndarray, null_gram: np.ndarray) -> np.nda
     outer = (a[..., :, :, None] * a[..., None, :]).reshape(*lead, n, k * k)
     terms = np.concatenate([outer, null_gram.reshape(*lead, 1, k * k)], axis=-2)
     gram = (w @ terms).reshape(*w.shape[:-1], k, k)
-    return 0.5 * (gram + gram.swapaxes(-1, -2))
+    # Halved before the sum, so an entry near float64's largest value stays finite.
+    return 0.5 * gram + 0.5 * gram.swapaxes(-1, -2)
 
 
 def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:

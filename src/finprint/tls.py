@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._symmetric import smallest_eigenpair
+from ._symmetric import plane_sum, smallest_eigenpair, trace
 from .errors import EigenFailure, OutOfDomain
 from .spectral import SpectralCache, rmt_grid
 
@@ -63,14 +63,14 @@ def tls_grid(gram, ensemble_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     scale = np.append(np.sqrt(sizes), 1.0)
     with np.errstate(over="ignore"):
         m = gram * np.outer(scale, scale)
-        mean_diag = np.trace(m, axis1=-2, axis2=-1) / (p + 1)
+        mean_diag = trace(m) / (p + 1)
     nonfinite = np.zeros(mean_diag.shape, dtype=bool)
     if not (np.isfinite(m).all() and np.isfinite(mean_diag).all()):
         # The diagonal of a finite matrix may still sum past float64's
         # largest value; its mean is then taken dividing before the sum.
         nonfinite = ~np.isfinite(m).all(axis=(-2, -1))
         m[nonfinite] = np.eye(p + 1)
-        mean_diag = np.where(np.isfinite(mean_diag), mean_diag, np.trace(m / (p + 1), axis1=-2, axis2=-1))
+        mean_diag = np.where(np.isfinite(mean_diag), mean_diag, trace(m / (p + 1)))
     try:
         eigvals, v = smallest_eigenpair(m, LAPACK_GAP_FACTOR * NEAR_DEGENERATE_TOL)
     except np.linalg.LinAlgError as exc:
@@ -79,7 +79,7 @@ def tls_grid(gram, ensemble_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     gap = eigvals[..., 1] - eigvals[..., 0]
     near_tied = (gap < NEAR_DEGENERATE_TOL * mean_diag) & ~nonfinite
     last = v[..., -1]
-    vertical = (np.abs(last) < VERTICAL_TOL * np.linalg.norm(v, axis=-1)) & ~nonfinite
+    vertical = (np.abs(last) < VERTICAL_TOL * np.sqrt(plane_sum(v[..., i] ** 2 for i in range(p + 1)))) & ~nonfinite
     beta_hat = np.sqrt(sizes) * (-v[..., :-1] / np.where(vertical | nonfinite, np.nan, last)[..., None])
     return beta_hat, vertical, near_tied, nonfinite
 

@@ -15,7 +15,7 @@ replicates and fits every one of them or raises, and a single fit
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,8 +53,9 @@ DEFAULT_BOUNDS = (0.01, 10.0)
 # this order, whose check it fails: the augmented TLS Gram matrix overflows,
 # the denominator b = 1 - (N/m) u vanished (spectral.DEGENERATE_TOL), TLS
 # has no finite solution (fingerprints orthogonal to Y), the corrected Gram
-# matrix Delta1 is numerically singular, or a diagonal entry of Xi_hat is <= 0.
+# matrix Delta1 is numerically singular, a diagonal entry of Xi_hat is <= 0, or its trace is not finite.
 REASONS = ("nonfinite_gram", "degenerate_denominator", "vertical_solution", "singular_delta1", "nonpositive_variance")
+REASONS += ("nonfinite_variance",)
 
 NO_FEASIBLE = "every grid point was infeasible"
 
@@ -89,7 +90,7 @@ class LambdaCurve:
     smallest TLS eigenvalue is nearly tied.
     ``objective`` is the trace of ``xi_hat`` at feasible points and +inf
     elsewhere; ``chosen_index`` is its first minimum, so ties go to the
-    smallest lambda.
+    smallest lambda; from ``evaluate_grid`` it is finite exactly where reason is None.
 
     From a stacked cache every field gains a leading replicate axis (``grid``
     is (R, G), ``n_near_degenerate`` an R-vector), ``chosen_index`` and
@@ -107,10 +108,7 @@ class LambdaCurve:
 
     @cached_property
     def objective(self) -> np.ndarray:
-        usable = np.equal(self.reason, None)
-        values = np.full(self.grid.shape, np.inf)
-        if usable.any():
-            values[usable] = np.trace(self.xi_hat[usable], axis1=-2, axis2=-1)
+        values = np.where(np.equal(self.reason, None), _symmetric.trace(self.xi_hat), np.inf)
         return np.where(np.isfinite(values), values, np.inf)
 
     @property
@@ -180,16 +178,19 @@ def xi_hat(beta_hat, d, d1, d2, k) -> np.ndarray:
 
     Computes (1 + b^T D b) * D1^{-1} {D2 + k (D^{-1} + b b^T)^{-1}} D1^{-1}
     and symmetrizes the result, stacked over a leading grid axis when the
-    arguments are. ``d`` is the diagonal of D. D1 is inverted as given:
-    whether it is too close to singular is ``evaluate_grid``'s call.
+    arguments are, on entry planes. ``d`` is the diagonal of D. D1 is
+    inverted as given: whether it is too close to singular is ``evaluate_grid``'s call.
     """
     beta_hat, d = np.asarray(beta_hat, dtype=float), np.asarray(d, dtype=float)
-    factor = _mat(1.0 + np.sum(beta_hat * (d * beta_hat), axis=-1))
+    d2, k = np.asarray(d2, dtype=float), np.asarray(k, dtype=float)
+    p = d.shape[-1]
+    db = [d[i] * beta_hat[..., i] for i in range(p)]
+    factor = 1.0 + _symmetric.plane_sum(beta_hat[..., i] * db[i] for i in range(p))
     # Sherman-Morrison form of (D^-1 + b b^T)^-1; never forms D^-1.
-    db = d * beta_hat
-    core_inv = np.diag(d) - db[..., :, None] * db[..., None, :] / factor
+    middle = [d2[..., i, j] + k * (np.diag(d)[i, j] - db[i] * db[j] / factor) for i in range(p) for j in range(p)]
     d1_inv = _symmetric.inv(d1)
-    return _sym(factor * d1_inv @ (np.asarray(d2, dtype=float) + _mat(k) * core_inv) @ d1_inv)
+    product = _symmetric.matmul(_mat(factor) * d1_inv, _symmetric.from_planes(middle, (p, p)))
+    return _sym(_symmetric.matmul(product, d1_inv))
 
 
 def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid) -> LambdaCurve:
@@ -202,9 +203,8 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid) -> LambdaCurve:
     closed forms for p = 2, on each matrix divided by its largest |entry|
     where that keeps their products from under- or overflowing, and LAPACK
     for every other p and for nearly tied TLS minima. Infeasible points do not raise; each
-    carries its REASONS code and, unless only its variance is nonpositive,
-    NaN payloads. A stacked cache with an (R, G) grid is one such pass for
-    all R replicates.
+    carries its REASONS code and, unless only its variance is nonpositive or
+    not finite, NaN payloads. A stacked cache with an (R, G) grid is one such pass for all R replicates.
     """
     d = 1.0 / np.asarray(ensemble_sizes, dtype=float)
     # Data far above tau_bar can overflow the Gram forms; tls_grid marks such
@@ -229,13 +229,14 @@ def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid) -> LambdaCurve:
     blank = unusable[..., None, None]
     # Far above tau_bar Delta1 can be small enough that Xi overflows, and at
     # small b Delta2 can overflow for huge data; such a point has a
-    # non-finite objective (or diagonal) and is infeasible.
+    # non-finite trace (or diagonal) and is infeasible.
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = delta2_hat(f, d, cache.n_dim, cache.m_runs)
         xi = xi_hat(beta_hat, d, np.where(blank, eye, d1), d2, f.theta2)
-    nonpositive = ~(np.diagonal(xi, axis1=-2, axis2=-1) > 0.0).all(axis=-1)
+    nonpositive = ~reduce(np.logical_and, [xi[..., i, i] > 0.0 for i in range(p)])
+    nonfinite_variance = ~np.isfinite(_symmetric.trace(xi))
 
-    failed = np.stack([nonfinite, degenerate, vertical, singular, nonpositive])
+    failed = np.stack([nonfinite, degenerate, vertical, singular, nonpositive, nonfinite_variance])
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(REASONS))
     return LambdaCurve(
         grid=f.lam,

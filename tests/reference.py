@@ -74,8 +74,8 @@ def _functionals(cache, lam):
     return {
         "theta1": u / b,
         "theta2": theta2_num / b**4,
-        "g1": 0.5 * (g1 + g1.T),
-        "g_s": 0.5 * (g_s + g_s.T),
+        "g1": 0.5 * g1 + 0.5 * g1.T,
+        "g_s": 0.5 * g_s + 0.5 * g_s.T,
     }
 
 
@@ -91,7 +91,7 @@ def _augmented_gram(cache, sizes, lam):
     scale = np.append(np.sqrt(sizes), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.tensordot(w, a[:, :, None] * a[:, None, :], axes=1)
-        return 0.5 * (m + m.T) * np.outer(scale, scale)
+        return (0.5 * m + 0.5 * m.T) * np.outer(scale, scale)
 
 
 def _tls(m, sizes):
@@ -148,7 +148,11 @@ def reference_point(cache, ensemble_sizes, lam: float) -> dict:
         out["reason"] = exc.reason
         return out
     out.update(beta_hat=beta, xi_hat=xi, k_hat=k)
-    out["reason"] = None if (np.diag(xi) > 0.0).all() else "nonpositive_variance"
+    if not (np.diag(xi) > 0.0).all():
+        out["reason"] = "nonpositive_variance"
+    else:
+        with np.errstate(over="ignore"):
+            out["reason"] = None if np.isfinite(np.trace(xi)) else "nonfinite_variance"
     return out
 
 

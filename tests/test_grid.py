@@ -162,8 +162,8 @@ class TestAgainstReference:
     def test_overflowing_delta2_points_are_infeasible(self):
         # N = m: b is small at the low end of the grid, where Delta2's factor
         # (1 + (N/m) theta1)^2 overflows a finite Gram form of data at
-        # 4.4e152. Such a point's Xi is not finite, so it is infeasible, and
-        # the grid warns of nothing.
+        # 4.4e152. Such a point's Xi is not finite, so it is infeasible and
+        # reads nonfinite_variance, and the grid warns of nothing.
         rng = np.random.default_rng(0)
         z, x = rng.standard_normal((6, 6)), rng.standard_normal((6, 1))
         cache = fp.build_cache(z, 4.4e152 * x, 4.4e152 * (x[:, 0] + rng.standard_normal(6)))
@@ -172,6 +172,8 @@ class TestAgainstReference:
             curve = variance.evaluate_grid(cache, [1], default_grid(cache, 100))
         assert not curve.feasible[0] and curve.feasible.any()
         assert not np.isfinite(curve.xi_hat[~curve.feasible]).any()
+        assert Counter(curve.reason)["nonfinite_variance"] == 9
+        np.testing.assert_array_equal(np.equal(curve.reason, None), curve.feasible)
 
     def test_indefinite_xi_is_feasible(self):
         # At two points of this grid Xi_hat has positive variances and a

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +280,15 @@ class TestGForms:
         np.testing.assert_allclose(f.g1[0], x.T @ np.linalg.solve(shrunk, x) / 8, atol=1e-9)
         dense_g_s = x.T @ np.linalg.solve(shrunk, cov.s @ np.linalg.solve(shrunk, x)) / 8
         np.testing.assert_allclose(f.g_s[0], dense_g_s, atol=1e-9)
+
+    def test_gram_entry_near_the_largest_double_is_finite(self):
+        # x^2 / (1 + lambda) = 1.43e308 is a double; the Gram matrix plus its
+        # transpose is not, so the symmetrization halves before it adds.
+        cache = cache_from_matrix(np.eye(2), np.array([[1.2e154], [0.0]]), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = rmt_grid(cache, [0.01]).gram
+        assert gram[0, 0, 0] == pytest.approx(1.2e154**2 / 1.01, rel=1e-15)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)

@@ -132,3 +132,45 @@ def test_ties_and_nonfinite_rows_fall_back_to_lapack(monkeypatch):
     want_vals, want_vecs = original(m[[1, 3, 4]])
     np.testing.assert_array_equal(vals[[1, 3, 4]], want_vals)
     np.testing.assert_array_equal(v[[1, 3, 4]], want_vecs[..., 0])
+
+
+def scaled_with_special_rows(rng, k):
+    """Stacks of k x k matrices at every scale from 1e-300 to 1e300, then rows holding NaN, +inf and -inf."""
+    scales = 10.0 ** np.arange(-300.0, 301.0, 10.0)
+    a = (np.eye(k) + 0.3 * random_symmetric(rng, scales.size, k)) * scales[:, None, None]
+    special = np.ones((3, k, k))
+    special[:, -1, 0] = [np.nan, np.inf, -np.inf]
+    return np.concatenate([a, special])
+
+
+def inverse_or_error(inv, a):
+    try:
+        return inv(a)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_entry_plane_kernels_match_numpy(k):
+    # A product entry is a sum of k terms, accurate to a few ulps of the
+    # largest; at the top of the range both sides overflow to the same inf
+    # or NaN, and at the bottom the terms are subnormal, accurate only to
+    # the smallest subnormal. A special row gets LAPACK's inverse, or its
+    # LinAlgError.
+    rng = np.random.default_rng(20 + k)
+    a, b = scaled_with_special_rows(rng, k), scaled_with_special_rows(rng, k)[::-1]
+    with np.errstate(all="ignore"):
+        want_product, want_trace = np.matmul(a, b), np.trace(a, axis1=-2, axis2=-1)
+        bound = 4 * k * (EPS * np.matmul(np.abs(a), np.abs(b)) + np.finfo(float).smallest_subnormal)
+        want_inv = [inverse_or_error(np.linalg.inv, row[None]) for row in a[-3:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        product, trace, inverse = _symmetric.matmul(a, b), _symmetric.trace(a), _symmetric.inv(a[:-3])
+        special_inv = [inverse_or_error(_symmetric.inv, row[None]) for row in a[-3:]]
+    finite = np.isfinite(want_product)
+    np.testing.assert_array_equal(product[~finite], want_product[~finite])
+    assert (np.abs(product[finite] - want_product[finite]) <= bound[finite]).all()
+    np.testing.assert_array_equal(trace, want_trace)
+    np.testing.assert_allclose(inverse, np.linalg.inv(a[:-3]), rtol=1e-13, atol=0.0)
+    for got, want in zip(special_inv, want_inv):
+        np.testing.assert_array_equal(got, want)
