@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 __all__ = ["RCOND_TOL", "eigvalsh", "singular_values", "ill_conditioned", "inv", "smallest_eigenpair"]
-__all__ += ["plane_sum", "trace", "from_planes", "matmul"]
+__all__ += ["plane_sum", "trace", "from_planes", "matmul", "symmetrize"]
 
 # Reciprocal condition number below which a matrix is treated as singular.
 RCOND_TOL = 1e-10
@@ -51,6 +51,14 @@ def trace(a) -> np.ndarray:
     """Trace of every matrix of a stack (..., k, k); overflow gives inf or NaN quietly."""
     with np.errstate(over="ignore", invalid="ignore"):
         return plane_sum(a[..., i, i] for i in range(a.shape[-1]))
+
+
+def symmetrize(a) -> np.ndarray:
+    """(a + a^T)/2 for a stack (..., k, k), halved before the sum so entries near float64's largest value
+    stay finite; equal to 0.5 * (a + a^T) except on subnormals, and quiet on inf and NaN."""
+    with np.errstate(invalid="ignore"):
+        half = 0.5 * a
+        return half + half.swapaxes(-1, -2)
 
 
 def from_planes(planes, shape: tuple[int, ...]) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._symmetric import symmetrize
 from .errors import DimensionMismatch, NonFinite, OutOfDomain
 
 __all__ = [
@@ -86,7 +87,7 @@ class SampleCovariance:
         if s.shape[0] != s.shape[1]:
             raise DimensionMismatch(f"covariance must be square, got {s.shape}")
         object.__setattr__(self, "m", as_count(self.m, "m"))
-        object.__setattr__(self, "s", 0.5 * (s + s.T))
+        object.__setattr__(self, "s", symmetrize(s))
 
     @property
     def n_dim(self) -> int:
@@ -94,8 +95,9 @@ class SampleCovariance:
 
     @property
     def tau_bar(self) -> float:
-        """Average eigenvalue tr(S)/N; sets the regularization search scale."""
-        return float(np.trace(self.s)) / self.n_dim
+        """Average eigenvalue tr(S)/N; sets the regularization search scale. An overflowing trace is inf."""
+        with np.errstate(over="ignore"):
+            return float(np.trace(self.s)) / self.n_dim
 
 
 @dataclass(frozen=True)
@@ -202,10 +204,9 @@ def runs_product(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         s = z @ z.swapaxes(-1, -2)
         s /= z.shape[-1]
-        s = s + s.swapaxes(-1, -2)
+    s = symmetrize(s)
     if not np.isfinite(s).all():
         raise NonFinite("s contains NaN or infinite entries")
-    s *= 0.5
     return s
 
 

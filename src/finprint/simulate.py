@@ -34,6 +34,7 @@ from typing import get_args
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._symmetric import symmetrize
 from .dataset import DetectionDataset, as_count, as_real
 from .errors import DimensionMismatch, FinprintError, NoFeasiblePoint, NonFinite, NotPSD, OutOfDomain, SchemaError
 from .io import read_json, read_matrix, resolve
@@ -78,7 +79,7 @@ def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
     """Symmetric square root; NotPSD for an eigenvalue below -PSD_TOL times
     the largest one, at any scale (negatives above that are clamped to zero)."""
     sigma = np.asarray(sigma, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    eigvals, eigvecs = np.linalg.eigh(symmetrize(sigma))
     floor = -PSD_TOL * max(float(eigvals[-1]), 0.0)
     if eigvals[0] < floor:
         raise NotPSD(f"matrix has eigenvalue {eigvals[0]:.3e} below tolerance")
@@ -185,7 +186,7 @@ class UnstructuredSigma:
         eigvals = np.geomspace(1.0, 1.0 / self.condition_number, n_dim)
         eigvals /= eigvals.mean()
         sigma = (q * eigvals) @ q.T
-        return 0.5 * (sigma + sigma.T)
+        return symmetrize(sigma)
 
 
 @dataclass(frozen=True)

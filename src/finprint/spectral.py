@@ -23,6 +23,7 @@ import numpy as np
 
 # Called as dataset.compute_sample_covariance, so perfbench's tracer sees it.
 from . import dataset
+from ._symmetric import symmetrize
 from .dataset import SampleCovariance, runs_tau_bar
 from .errors import DimensionMismatch, EigenFailure, NonFinite, NotPSD, OutOfDomain
 
@@ -174,7 +175,7 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         proj_x=proj[..., :-1],
         proj_y=proj[..., -1],
         null_dim=n - k,
-        null_gram=0.5 * (null_gram + null_gram.swapaxes(-1, -2)),
+        null_gram=symmetrize(null_gram),
         n_dim=n,
         m_runs=m,
         tau_bar=tau_bar,
@@ -223,9 +224,7 @@ def weighted_gram(w: np.ndarray, a: np.ndarray, null_gram: np.ndarray) -> np.nda
     *lead, n, k = a.shape
     outer = (a[..., :, :, None] * a[..., None, :]).reshape(*lead, n, k * k)
     terms = np.concatenate([outer, null_gram.reshape(*lead, 1, k * k)], axis=-2)
-    gram = (w @ terms).reshape(*w.shape[:-1], k, k)
-    # Halved before the sum, so an entry near float64's largest value stays finite.
-    return 0.5 * gram + 0.5 * gram.swapaxes(-1, -2)
+    return symmetrize((w @ terms).reshape(*w.shape[:-1], k, k))
 
 
 def rmt_grid(cache: SpectralCache, lams) -> RmtFunctionals:

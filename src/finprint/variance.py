@@ -65,10 +65,6 @@ def _mat(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[..., None, None]
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.swapaxes(-1, -2))
-
-
 def _count(n):
     """A count as a Python int, or an array of them over a replicate stack."""
     return int(n) if np.ndim(n) == 0 else n
@@ -158,19 +154,19 @@ class FitOptions:
 def delta1_hat(f: RmtFunctionals, d) -> np.ndarray:
     """Measurement-error corrected Gram matrix G1 - theta1 * D, one per grid point.
 
-    ``d`` is the diagonal of D, 1/n_i per forcing.
+    ``d`` is the diagonal of D, 1/n_i per forcing. Exactly symmetric, as g1 is.
     """
-    return _sym(f.g1 - _mat(f.theta1) * np.diag(d))
+    return f.g1 - _mat(f.theta1) * np.diag(d)
 
 
 def delta2_hat(f: RmtFunctionals, d, n_dim: int, m_runs: int) -> np.ndarray:
     """Corrected middle matrix [1 + (N/m) theta1]^2 G_S - theta2 * D, one per grid point.
 
     G_S = X~^T W^-1 S W^-1 X~ / N equals G1 - lambda * G2 with G2 the
-    squared-inverse form.
+    squared-inverse form. Exactly symmetric, as G_S is.
     """
     scale = (1.0 + (n_dim / m_runs) * _mat(f.theta1)) ** 2
-    return _sym(scale * f.g_s - _mat(f.theta2) * np.diag(d))
+    return scale * f.g_s - _mat(f.theta2) * np.diag(d)
 
 
 def xi_hat(beta_hat, d, d1, d2, k) -> np.ndarray:
@@ -190,7 +186,7 @@ def xi_hat(beta_hat, d, d1, d2, k) -> np.ndarray:
     middle = [d2[..., i, j] + k * (np.diag(d)[i, j] - db[i] * db[j] / factor) for i in range(p) for j in range(p)]
     d1_inv = _symmetric.inv(d1)
     product = _symmetric.matmul(_mat(factor) * d1_inv, _symmetric.from_planes(middle, (p, p)))
-    return _sym(_symmetric.matmul(product, d1_inv))
+    return _symmetric.symmetrize(_symmetric.matmul(product, d1_inv))
 
 
 def evaluate_grid(cache: SpectralCache, ensemble_sizes, grid) -> LambdaCurve:

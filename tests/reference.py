@@ -127,23 +127,25 @@ def reference_point(cache, ensemble_sizes, lam: float) -> dict:
         if beta is None:
             raise _Infeasible("vertical_solution")
         d1 = f["g1"] - f["theta1"] * np.diag(d)
-        d1 = 0.5 * (d1 + d1.T)
+        d1 = 0.5 * d1 + 0.5 * d1.T
         scale = np.linalg.norm(f["g1"], 2) + abs(f["theta1"]) * d.max()
         svals = np.linalg.svd(d1, compute_uv=False)
         if svals[-1] < RCOND_TOL * scale:
             raise _Infeasible("singular_delta1")
         if svals[0] <= 0.0 or svals[-1] / svals[0] < RCOND_TOL:
             raise _Infeasible("singular_delta1")
-        scale2 = (1.0 + (cache.n_dim / cache.m_runs) * f["theta1"]) ** 2
-        d2 = scale2 * f["g_s"] - f["theta2"] * np.diag(d)
-        d2 = 0.5 * (d2 + d2.T)
         k = f["theta2"]
         d1_inv = np.linalg.inv(d1)
         factor = 1.0 + float(beta @ (d * beta))
         db = d * beta
-        middle = d2 + k * (np.diag(d) - np.outer(db, db) / factor)
-        xi = factor * d1_inv @ middle @ d1_inv
-        xi = 0.5 * (xi + xi.T)
+        # Huge data at small b overflow Delta2 or Xi; such a point reads nonfinite_variance.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale2 = (1.0 + (cache.n_dim / cache.m_runs) * f["theta1"]) ** 2
+            d2 = scale2 * f["g_s"] - f["theta2"] * np.diag(d)
+            d2 = 0.5 * d2 + 0.5 * d2.T
+            middle = d2 + k * (np.diag(d) - np.outer(db, db) / factor)
+            xi = factor * d1_inv @ middle @ d1_inv
+            xi = 0.5 * xi + 0.5 * xi.T
     except _Infeasible as exc:
         out["reason"] = exc.reason
         return out

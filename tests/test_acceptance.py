@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s`. Every tolerance is pinned
 here; Monte Carlo checks use fixed seeds and the stated replicate counts.
 """
 
+import math
 import time
+from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -112,7 +115,11 @@ def test_c3_optimality_ordering():
     _report("C3 optimality ordering", mse_opt <= 1.15 * best_fixed, detail)
 
 
-def test_c4_variance_estimator_consistency():
+def c4_relative_errors(conventional: bool = False) -> np.ndarray:
+    """C4's entrywise relative errors of the mean Xi_hat at lambda = tau_bar against the empirical covariance.
+
+    ``conventional`` takes Xi_hat from the m = inf cache, without the finite-m correction.
+    """
     n_dim, m_runs = 64, 256
     scn = fp.SimulationScenario(
         n_dim=n_dim,
@@ -127,19 +134,66 @@ def test_c4_variance_estimator_consistency():
         alpha=ALPHA,
     )
     # Every replicate at lambda = its tau_bar: an (R, 1) grid per block.
-    curves = [evaluate_grid(stack, scn.ensemble_sizes, stack.tau_bar[:, None]) for stack in stacked_caches(scn)]
+    caches = stacked_caches(scn)
+    if conventional:
+        caches = (replace(stack, m_runs=math.inf) for stack in caches)
+    curves = [evaluate_grid(stack, scn.ensemble_sizes, stack.tau_bar[:, None]) for stack in caches]
     assert all(curve.feasible.all() for curve in curves)
     betas = np.concatenate([curve.beta_hat[:, 0] for curve in curves])
     xis = np.concatenate([curve.xi_hat[:, 0] for curve in curves])
     scaled = np.sqrt(n_dim) * (betas - np.asarray(scn.true_beta))
     empirical = np.cov(scaled.T, ddof=1)
     mean_xi = np.mean(xis, axis=0)
-    rel = np.abs(mean_xi - empirical) / np.abs(empirical)
+    return np.abs(mean_xi - empirical) / np.abs(empirical)
+
+
+def test_c4_variance_estimator_consistency():
+    rel = c4_relative_errors()
     _report(
         "C4 variance consistency",
         bool((rel < 0.15).all()),
         f"max entrywise relative error {rel.max():.3f} (limit 0.15)",
     )
+
+
+def test_c4_negative_control():
+    # The conventional variance (no finite-m correction) must fail C4's
+    # limit; it reads 0.272 against the consistent variance's 0.049.
+    rel = c4_relative_errors(conventional=True)
+    assert rel.max() > 0.15, f"conventional max entrywise relative error {rel.max():.3f} (limit 0.15)"
+
+
+def test_c1_negative_control():
+    """C1's coverage check must reject the conventional variance (the m = inf cache's Xi_hat).
+
+    Both variances are read at each replicate's chosen index of the same
+    stacked passes, around the same beta_hat. The scenario is C1's at
+    m = 100 with rho_ST = 0.5, chosen after measuring: at C1's own rho_ST =
+    0.1 the conventional variance covers .928/.942 (m = 100) and .936/.960
+    (m = 400), inside C1's window. Here it covers .804/.848, against the
+    consistent variance's .950/.960.
+    """
+    scn = replace(sigma_st_scenario(100), sigma_model=fp.SeparableAr1Sigma(8, 6, 0.5, 0.5))
+    truth = np.asarray(scn.true_beta)
+    z = NormalDist().inv_cdf(1.0 - ALPHA / 2.0)
+    covered = {"consistent": [], "conventional": []}
+    for stack in stacked_caches(scn):
+        fit = fit_stack(stack, scn.ensemble_sizes)
+        assert fit.feasible.all()
+        conventional = evaluate_grid(replace(stack, m_runs=math.inf), scn.ensemble_sizes, fit.curve.grid)
+        variances = np.diagonal(conventional.xi_hat[fit.curve.chosen_at], axis1=-2, axis2=-1)
+        half_width = z * np.sqrt(variances / scn.n_dim)
+        ends = {
+            "consistent": (fit.ci_lower, fit.ci_upper),
+            "conventional": (fit.beta_hat - half_width, fit.beta_hat + half_width),
+        }
+        for name, (lower, upper) in ends.items():
+            covered[name].append((lower <= truth) & (truth <= upper))
+    rates = {name: np.concatenate(hits).mean(axis=0) for name, hits in covered.items()}
+    detail = ", ".join(f"{name} {rate[0]:.3f}/{rate[1]:.3f}" for name, rate in rates.items())
+    low, high = COVERAGE_WINDOW
+    assert ((low <= rates["consistent"]) & (rates["consistent"] <= high)).all(), detail
+    assert (rates["conventional"] < low).all(), detail
 
 
 def _plugin_oracle_errors(n_dim: int, m_runs: int, seed: int):

@@ -154,6 +154,39 @@ def test_errors_are_the_only_failure_channel():
     assert sorted(set(errors.__all__) - {"FinprintError", "InputError"} - called) == []
 
 
+def scaled_terms(node):
+    """``node`` and, through products and the dividends of quotients, every expression it scales."""
+    yield node
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        yield from scaled_terms(node.left)
+        if isinstance(node.op, ast.Mult):
+            yield from scaled_terms(node.right)
+
+
+def transposed(node):
+    """The source of the array that ``node`` transposes (``x.T`` or ``x.swapaxes(...)``), else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return ast.unparse(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "swapaxes":
+        return ast.unparse(node.func.value)
+    return None
+
+
+def test_only_symmetrize_adds_an_array_to_its_transpose():
+    # One symmetrization rule: _symmetric.symmetrize halves before it adds,
+    # which keeps an entry near float64's largest value finite. No other
+    # sum x + x^T, either side possibly scaled, is written in the package.
+    sums = []
+    for f in sorted(Path(fp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                left, right = list(scaled_terms(node.left)), list(scaled_terms(node.right))
+                for a, b in ((left, right), (right, left)):
+                    if {transposed(t) for t in a} & {ast.unparse(t) for t in b}:
+                        sums.append(f"{f.stem}:{node.lineno}")
+    assert [site.split(":")[0] for site in sums] == ["_symmetric"], sums
+
+
 def module_level_imports(tree):
     """The module's top-level imports, with those under a top-level ``if TYPE_CHECKING:``."""
     for node in tree.body:

@@ -288,15 +288,26 @@ class TestFitCommand:
 
     @pytest.mark.parametrize(
         "m_runs, message",
-        [(30, "error: s contains NaN or infinite entries"), (8, "error: tr(S)/N = inf is not finite")],
-        ids=["dense", "low_rank"],
+        [
+            (30, "error: s contains NaN or infinite entries"),
+            (8, "error: tr(S)/N = inf is not finite"),
+            (None, "error: tr(S)/N = inf is not finite"),
+        ],
+        ids=["dense", "low_rank", "sample_cov"],
     )
     def test_overflowing_control_runs_exit_2(self, m_runs, message, manifest, tmp_path):
         # The runs are finite, but Z Z^T/m (m >= N) or, where S is not
-        # formed (m < N), tr(S)/N overflows float64: NonFinite's one line,
-        # with no NumPy warning before it.
+        # formed (m < N), tr(S)/N overflows float64; or a supplied S
+        # (m_runs None) holds doubles of 1.5e308 whose trace overflows:
+        # NonFinite's one line, with no NumPy warning before it.
         runs = tmp_path / "control.txt"
-        write_matrix(runs, 1e160 * np.loadtxt(runs, ndmin=2)[:, :m_runs])
+        if m_runs is None:
+            doc = json.loads(manifest.read_text())
+            del doc["control_runs"]
+            write_matrix(tmp_path / "s.txt", np.full((16, 16), 1.5e308))
+            manifest.write_text(json.dumps({**doc, "sample_cov": "s.txt", "m_runs": 30}))
+        else:
+            write_matrix(runs, 1e160 * np.loadtxt(runs, ndmin=2)[:, :m_runs])
         proc = subprocess.run(
             [sys.executable, "-m", "finprint", "fit", str(manifest)],
             capture_output=True,

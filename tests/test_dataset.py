@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,16 @@ class TestComputeSampleCovariance:
         z = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(fp.NonFinite):
             fp.compute_sample_covariance(z)
+
+    def test_entries_near_the_largest_double_stay_finite(self):
+        # A supplied S entry of 1.5e308 and a Z Z^T/m entry of 1.44e308 are
+        # doubles; S plus its transpose is not, so symmetrizing halves first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            supplied = fp.SampleCovariance(s=np.full((2, 2), 1.5e308), m=3)
+            built = fp.compute_sample_covariance(np.array([[1.2e154], [0.0]]))
+        np.testing.assert_array_equal(supplied.s, np.full((2, 2), 1.5e308))
+        np.testing.assert_array_equal(built.s, [[1.2e154**2, 0.0], [0.0, 0.0]])
 
     @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)

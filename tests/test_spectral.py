@@ -93,6 +93,15 @@ class TestBuildCache:
         cache = cache_from_matrix(np.diag([-3e-11, 1.0, 1.0]), x, y)
         np.testing.assert_array_equal(cache.eigvals, [0.0, 1.0, 1.0])
 
+    def test_null_block_gram_near_the_largest_double_is_finite(self):
+        # Thin-SVD route (m < N): x = 1.2e154 e3 lies off the range of
+        # Z = [e1, e2], and its null-block Gram entry 1.44e308 is a double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = fp.build_cache(np.eye(3)[:, :2], np.array([[0.0], [0.0], [1.2e154]]), np.ones(3))
+        assert cache.null_dim == 1
+        np.testing.assert_array_equal(cache.null_gram, [[1.2e154**2, 1.2e154], [1.2e154, 1.0]])
+
     def test_eigensolver_failure_wrapped(self, monkeypatch):
         def boom(_):
             raise np.linalg.LinAlgError("no convergence")

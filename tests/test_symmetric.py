@@ -143,6 +143,25 @@ def scaled_with_special_rows(rng, k):
     return np.concatenate([a, special])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symmetrize_equals_the_averaged_sum(k):
+    # Halving before the sum rounds as halving after it on normal floats;
+    # NaN, inf and inf against -inf give NaN or inf quietly.
+    rng = np.random.default_rng(30 + k)
+    scales = 10.0 ** np.arange(-300.0, 301.0, 10.0)
+    special = np.ones((4, k, k))
+    special[:, -1, 0] = [np.nan, np.inf, -np.inf, np.inf]
+    special[-1, 0, -1] = -np.inf
+    a = np.concatenate([rng.standard_normal((scales.size, k, k)) * scales[:, None, None], special])
+    with np.errstate(invalid="ignore"):
+        want = 0.5 * (a + a.swapaxes(-1, -2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _symmetric.symmetrize(a)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, got.swapaxes(-1, -2))
+
+
 def inverse_or_error(inv, a):
     try:
         return inv(a)
