@@ -8,12 +8,12 @@ most ``stack_size`` replicates is seeded in one vectorized pass, drawn into
 stacked arrays (``ReplicateGenerator.draw``) and decomposed in one batched
 call (``spectral.build_cache``); a pass of several blocks is fitted at once
 (``variance.fit_stack``), whose ``inference.StackedFit`` columns are the
-pass's rows of the study's per-replicate columns. A block whose draw or
-cache raises, and a pass whose fit raises, is fitted one replicate at a
-time. ``jobs > 1`` spreads the replicates over spawned processes with one
-BLAS thread each. The columns stay arrays, in index order, up to the
-aggregates; ``ReplicateRecord``s are formed from them only on reading
-``SimulationReport.replicates``.
+pass's rows of the study's per-replicate columns. A pass that raises
+anywhere, in a block's draw check or cache or in its fit, is fitted one
+replicate at a time. ``jobs > 1`` splits the replicates into contiguous
+shares over spawned processes with one BLAS thread each. The columns stay
+arrays, in index order, up to the aggregates; ``ReplicateRecord``s are
+formed from them only on reading ``SimulationReport.replicates``.
 
 A scenario document is the JSON form of a ``SimulationScenario``: its keys
 are the dataclass's fields, and each model is an object of its class's
@@ -469,7 +469,7 @@ class ReplicateGenerator:
         A lone replicate pays the block's fixed seeding cost alone; only the
         fault refit and ``generate_replicate`` take this path.
         """
-        (y,), (x_tilde,), (z,) = self.draw([rep_index])
+        (y,), (x_tilde,), (z,) = self.draw([as_count(rep_index, "rep_index", 0)])
         return DetectionDataset(
             y=y,
             x_tilde=x_tilde,
@@ -547,11 +547,12 @@ class SimulationReport:
 def _block_cache(gen: ReplicateGenerator, block) -> SpectralCache:
     """The stacked cache of the replicates ``block``, drawn in one call.
 
-    Raises FinprintError when a replicate's DetectionDataset would not build
-    (N < p + 1, a non-finite array), and whatever the stacked cache raises.
+    Raises FinprintError when N < p + 1 or a replicate's y or x_tilde is not
+    finite (the stacked fit would make those NoFeasiblePoint rows), and
+    whatever the stacked cache raises, NonFinite for a non-finite Z.
     """
     y, x_tilde, z = gen.draw(block)
-    if y.shape[-1] < x_tilde.shape[-1] + 1 or not all(np.isfinite(a).all() for a in (y, x_tilde, z)):
+    if y.shape[-1] < x_tilde.shape[-1] + 1 or not (np.isfinite(y).all() and np.isfinite(x_tilde).all()):
         raise FinprintError("a replicate of the block has no valid dataset")
     return build_cache(z, x_tilde, y)
 
@@ -567,7 +568,7 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions):
     Row r is replicate indices[r]: ``lambda_opt`` (R,); ``beta_hat``,
     ``ci_lower`` and ``ci_upper`` (R, p), NaN on a failed row; ``error``
     (R,), "Type: message", None on a fitted row. A pass's rows are its
-    ``StackedFit`` columns as they are.
+    ``StackedFit`` columns as they are, in index order.
 
     A block is ``stack_size`` replicates, whose weight stack fits
     STACK_ELEMENTS doubles; Z and S exist a block at a time. A pass holds
@@ -578,11 +579,11 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions):
     p = 2, G = 100, where five would fit). One ``fit_stack`` fits a pass's
     blocks' caches, concatenated. Every cache holds min(N, m) eigenvalues,
     whatever the rank of its control runs, so any of them stack. This is
-    the one place a failure is isolated: a block whose draw check or
-    stacked cache raises is left out of its pass, and a pass whose fit
-    raises is left whole; their replicates are refitted one at a time
-    through ``fit_optimal``, so each error stays with its replicate and
-    every row holds what ``fit_optimal`` gives.
+    the one place a failure is isolated, and the pass is its unit: when a
+    block's draw check, a block's cache or the pass's fit raises, every
+    replicate of the pass is refitted alone through ``fit_optimal``, so
+    each error stays with its replicate and every row holds what
+    ``fit_optimal`` gives.
     """
     scenario, p = gen.scenario, gen.scenario.n_forcings
     count = len(indices)
@@ -606,26 +607,17 @@ def _run_chunk(gen: ReplicateGenerator, indices, options: FitOptions):
                 ci_lower[r], ci_upper[r] = zip(*fit.intervals)
 
     for start in range(0, count, per_pass):
-        fitted, caches = [], []
-        for first in range(start, min(start + per_pass, count), block):
-            rows = range(first, min(first + block, count))
-            try:
-                caches.append(_block_cache(gen, indices[first : first + block]))
-            except FinprintError:
-                fit_alone(rows)
-            else:
-                fitted += rows
-        if not caches:
-            continue
-        stack = replace(caches[0], **{f: np.concatenate([getattr(c, f) for c in caches]) for f in STACKED})
+        rows = slice(start, min(start + per_pass, count))
         try:
+            caches = [_block_cache(gen, indices[first : first + block]) for first in range(start, rows.stop, block)]
+            stack = replace(caches[0], **{f: np.concatenate([getattr(c, f) for c in caches]) for f in STACKED})
             fit = fit_stack(stack, scenario.ensemble_sizes, options)
         except FinprintError:
-            fit_alone(fitted)
+            fit_alone(range(count)[rows])
         else:
-            lambda_opt[fitted], beta_hat[fitted] = fit.lambda_opt, fit.beta_hat
-            ci_lower[fitted], ci_upper[fitted] = fit.ci_lower, fit.ci_upper
-            error[np.array(fitted)[~fit.feasible]] = _error_text(NoFeasiblePoint(NO_FEASIBLE))
+            lambda_opt[rows], beta_hat[rows] = fit.lambda_opt, fit.beta_hat
+            ci_lower[rows], ci_upper[rows] = fit.ci_lower, fit.ci_upper
+            error[rows][~fit.feasible] = _error_text(NoFeasiblePoint(NO_FEASIBLE))
     return lambda_opt, beta_hat, ci_lower, ci_upper, error
 
 
@@ -707,14 +699,15 @@ def _worker_pool(workers: int):
 def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationReport:
     """Run the full Monte Carlo loop: generate, fit, interval, aggregate.
 
-    Replicates are independent; ``jobs > 1`` fans them out over
-    min(jobs, replicates) spawned processes with one BLAS thread each
-    (``_worker_pool``), each of which fits its share in stacks and returns
-    its columns; the columns are concatenated and put in index order.
-    Columns and aggregates are identical for any jobs value and stack size
-    because every replicate owns its seed-derived streams, its row is what
-    ``fit_optimal`` gives, and rows are reduced in index order. Sigma's
-    root and the fingerprints are built once, before any process starts.
+    Replicates are independent; with ``jobs > 1`` each of J = min(jobs,
+    replicates) spawned processes with one BLAS thread (``_worker_pool``)
+    fits the contiguous share R*k//J up to R*(k+1)//J in stacks, so the
+    columns the shares return, concatenated, are in index order.
+    Columns and aggregates are identical for any jobs value (at one BLAS
+    thread, as in a worker) and stack size because every replicate owns its
+    seed-derived streams, its row is what ``fit_optimal`` gives, and rows
+    are reduced in index order. Sigma's root and the fingerprints are built
+    once, before any process starts.
     """
     jobs = as_count(jobs, "jobs")
     options = scenario.fit_options
@@ -723,12 +716,11 @@ def run_scenario(scenario: SimulationScenario, jobs: int = 1) -> SimulationRepor
     indices = range(scenario.replicates)
     workers = min(jobs, scenario.replicates)
     if workers > 1:
-        chunks = [indices[k::workers] for k in range(workers)]
+        cuts = [scenario.replicates * k // workers for k in range(workers + 1)]
         with _worker_pool(workers) as pool:
-            futures = [pool.submit(_run_chunk, gen, chunk, options) for chunk in chunks]
+            futures = [pool.submit(_run_chunk, gen, indices[a:b], options) for a, b in zip(cuts, cuts[1:])]
             parts = [fut.result() for fut in futures]
-        order = np.argsort(np.concatenate(chunks))
-        columns = [np.concatenate(column)[order] for column in zip(*parts)]
+        columns = [np.concatenate(column) for column in zip(*parts)]
     else:
         columns = _run_chunk(gen, indices, options)
     elapsed = time.perf_counter() - start

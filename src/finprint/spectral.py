@@ -118,7 +118,7 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     and tau_bar is an R-vector. The stack raises when any replicate would.
     """
     if isinstance(cov, SampleCovariance):
-        tau_bar = cov.tau_bar
+        tau_bar, cause = cov.tau_bar, "the trace of the supplied S overflows"
         s, (n, m) = cov.s, (cov.n_dim, cov.m)
     else:
         z = np.asarray(cov, dtype=float)
@@ -126,12 +126,12 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
             raise DimensionMismatch(f"control runs must be N x m with m >= 1, or a stack of them, got {z.shape}")
         n, m = z.shape[-2:]
         tau_bar = runs_tau_bar(z) if z.ndim == 2 else np.array([runs_tau_bar(runs) for runs in z])
-        s = None
+        s, cause = None, "the runs' sum of squares is NaN or overflows"
         if m >= n:
             # A stack goes through the same formula as one replicate, in one pass.
             s = dataset.compute_sample_covariance(z).s if z.ndim == 2 else dataset.runs_product(z)
     if not np.isfinite(tau_bar).all():
-        raise NonFinite(f"tr(S)/N = {np.max(tau_bar)} is not finite: the runs' sum of squares is NaN or overflows")
+        raise NonFinite(f"tr(S)/N = {np.max(tau_bar)} is not finite: {cause}")
     lead = np.shape(tau_bar)
     x_tilde = np.asarray(x_tilde, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import re
 import subprocess
@@ -179,6 +180,16 @@ class TestGenerateReplicate:
         ds = fp.generate_replicate(big, 0)
         assert np.linalg.norm(ds.x_tilde - x) < 0.5
 
+    @pytest.mark.parametrize(
+        "rep_index, message",
+        [(-1, "must be >= 0"), (2**64, "must be <= "), (1.5, "must be an integer"), (True, "must be an integer")],
+    )
+    def test_rep_index_out_of_domain(self, rep_index, message):
+        # The one integer rule (dataset.as_count): no OverflowError from the
+        # seed words, and no float or bool taken as index 1.
+        with pytest.raises(fp.OutOfDomain, match=f"rep_index {message}"):
+            fp.generate_replicate(small_scenario(), rep_index)
+
 
 class TestSummaries:
     @staticmethod
@@ -267,6 +278,35 @@ class TestRunScenario:
         parallel = fp.run_scenario(scn, jobs=4)
         assert serial.per_forcing == parallel.per_forcing
         assert serial.replicates == parallel.replicates
+
+    @pytest.mark.parametrize(
+        "replicates, shares",
+        [(7, [range(0, 2), range(2, 4), range(4, 7)]), (4, [range(0, 1), range(1, 2), range(2, 4)])],
+    )
+    def test_three_workers_take_contiguous_shares(self, monkeypatch, replicates, shares):
+        # Cuts at R*k//J: 7 replicates give uneven shares and 4 leave no
+        # worker idle; concatenated, the shares' columns are in index order.
+        submitted = []
+        original = simulate._worker_pool
+
+        @contextlib.contextmanager
+        def worker_pool(workers):
+            with original(workers) as pool:
+                submit = pool.submit
+
+                def spy(fn, gen, indices, options):
+                    submitted.append(indices)
+                    return submit(fn, gen, indices, options)
+
+                pool.submit = spy
+                yield pool
+
+        monkeypatch.setattr(simulate, "_worker_pool", worker_pool)
+        scn = small_scenario(replicates=replicates)
+        parallel, serial = fp.run_scenario(scn, jobs=3), fp.run_scenario(scn)
+        assert submitted == shares
+        assert parallel.replicates == serial.replicates
+        assert parallel.per_forcing == serial.per_forcing
 
     def test_workers_get_one_blas_thread_and_the_parent_env_comes_back(self, monkeypatch):
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -546,8 +586,7 @@ class TestScenarioValidation:
 
 
 def test_coverage_study_script_prints_a_row_per_forcing():
-    # The one script that drives run_scenario: m = 60 takes the dense route
-    # at N = 48, m = 24 the low-rank one.
+    # m = 60 takes the dense route at N = 48, m = 24 the low-rank one.
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "coverage_study.py"), "--replicates", "20", "--m-grid", "60", "24",
@@ -565,3 +604,21 @@ def test_coverage_study_script_prints_a_row_per_forcing():
         (1.0, 24, 0), (1.0, 24, 1), (1.0, 60, 0), (1.0, 60, 1)
     ]
     assert all(0.0 <= float(c[6]) <= 1.0 for c in cells)
+
+
+def test_records_digest_script_prints_a_stable_line_per_scenario():
+    root = Path(__file__).resolve().parents[1]
+    runs = [
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "records_digest.py"), "--replicates", "3"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        for _ in range(2)
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [[rho, m] for rho in ("0.1", "0.5") for m in ("24", "30", "100", "400")]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) and len(line.split()) == 3 for line in lines)
+    assert runs[1].stdout == runs[0].stdout

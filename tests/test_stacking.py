@@ -4,10 +4,10 @@ run_scenario draws each block of replicates into stacked arrays
 (ReplicateGenerator.draw) and decomposes the block in one batched call
 (spectral.build_cache); the caches of a pass of several blocks are fitted
 together (variance.fit_stack), which fits every replicate of its stack or
-raises. A block whose draw or cache raises is refitted one replicate at a
-time through fit_optimal and left out of its pass; a pass whose fit raises
-is refitted one replicate at a time. fit_optimal is fit_stack on a stack of
-one. A replicate's record must equal, with ==, the record of fit_optimal on
+raises. The pass is the one unit of failure: when a block's draw check, a
+block's cache or the pass's fit raises, every replicate of the pass is
+refitted one at a time through fit_optimal. fit_optimal is fit_stack on a
+stack of one. A replicate's record must equal, with ==, the record of fit_optimal on
 its own dataset, whatever else its block or pass holds and however large
 they are. The stacked draw and cache must equal, bit for bit, the draw and
 cache of each replicate on its own. fit_optimal itself is
@@ -446,49 +446,74 @@ def run_with_overflowing_replicate(monkeypatch, m_runs, replicates, bad=2):
 
 
 class TestFailureIsolation:
-    def test_failed_block_leaves_its_pass(self, monkeypatch, block_sizes, stack_sizes):
-        # Replicate 20 fails the cache of the second of four blocks in a
-        # pass; that block alone is fitted one replicate at a time, and the
-        # other 27 replicates still go through one fit_stack.
+    def test_failed_block_refits_its_whole_pass(self, monkeypatch, block_sizes, stack_sizes):
+        # Replicate 20 fails the cache of the second of four blocks in the
+        # run's one pass. The pass stops at that block, so two blocks are
+        # decomposed and none is fitted stacked: all 40 replicates are
+        # fitted one at a time.
         report, raised = run_with_overflowing_replicate(monkeypatch, 60, replicates=40, bad=20)
         assert [type(exc) for exc in raised] == [fp.NonFinite]
         assert report.failure_counts == {"NonFinite": 1}
         assert report.replicates[20].error == "NonFinite: s contains NaN or infinite entries"
-        assert block_sizes == [13, 13, 13, 1]
-        assert stack_sizes == [[48] * 27]
+        assert block_sizes == [13, 13]
+        assert stack_sizes == []
 
-    def test_stacked_build_failure_refits_the_block_one_at_a_time(self, monkeypatch, stack_sizes):
+    def test_failed_pass_leaves_the_other_pass_stacked(self, monkeypatch, block_sizes, stack_sizes):
+        # 70 replicates are two passes, blocks of 13 + 13 + 13 and 13 + 13 + 5.
+        # Replicate 45 fails the second pass's first block (39-51), which
+        # ends that pass; the first pass still goes through one fit_stack.
+        report, raised = run_with_overflowing_replicate(monkeypatch, 60, replicates=70, bad=45)
+        assert [type(exc) for exc in raised] == [fp.NonFinite]
+        assert report.failure_counts == {"NonFinite": 1}
+        assert block_sizes == [13] * 4
+        assert stack_sizes == [[48] * 39]
+
+    def test_stacked_build_failure_refits_the_pass_one_at_a_time(self, monkeypatch, block_sizes, stack_sizes):
         # The overflowing S of replicate 2 fails its own cache and the
-        # stacked cache of its block with NonFinite, and the block
-        # (replicates 0-12) is fitted one replicate at a time. The next
-        # block stacks.
+        # stacked cache of the first block (replicates 0-12) with NonFinite.
+        # The second block (13-19) is in the same pass, so it is neither
+        # decomposed nor stacked: all 20 replicates are fitted one at a time.
         report, raised = run_with_overflowing_replicate(monkeypatch, 60, replicates=20)
         assert [type(exc) for exc in raised] == [fp.NonFinite]
         assert report.failure_counts == {"NonFinite": 1}
         assert report.replicates[2].error == "NonFinite: s contains NaN or infinite entries"
-        assert stack_sizes == [[48] * 7]
+        assert block_sizes == [13]
+        assert stack_sizes == []
 
-    def test_low_rank_stacked_build_failure_refits_the_block_one_at_a_time(self, monkeypatch, stack_sizes):
+    def test_low_rank_stacked_build_failure_refits_the_pass_one_at_a_time(self, monkeypatch, block_sizes, stack_sizes):
         # m < N never forms S; replicate 2's tr(S)/N overflows, which fails
         # the stacked thin SVD's cache (replicates 0-25) before it is
-        # decomposed, and that replicate's own cache. The next block stacks.
+        # decomposed, and that replicate's own cache. The second block
+        # (26-29) shares the pass, so all 30 replicates are fitted one at a time.
         report, raised = run_with_overflowing_replicate(monkeypatch, 24, replicates=30)
         assert [type(exc) for exc in raised] == [fp.NonFinite]
         assert report.failure_counts == {"NonFinite": 1}
         assert report.replicates[2].error.startswith("NonFinite: tr(S)/N = inf is not finite")
-        assert stack_sizes == [[24] * 4]
+        assert block_sizes == [26]
+        assert stack_sizes == []
 
+    @pytest.mark.parametrize(
+        "array, value, message",
+        [
+            (0, np.nan, "NonFinite: y contains NaN or infinite entries"),
+            (2, np.nan, "NonFinite: control_runs contains NaN or infinite entries"),
+            (2, np.inf, "NonFinite: control_runs contains NaN or infinite entries"),
+        ],
+        ids=["nan_y", "nan_z", "inf_z"],
+    )
     @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
-    def test_dataset_errors_stay_with_their_replicate(self, monkeypatch, m_runs, stack_sizes):
-        # A NaN in replicate 1's y fails its DetectionDataset; nothing of its
-        # block is stacked.
-        def nan_y(y, x_tilde, z):
-            y[4] = np.nan
+    def test_dataset_errors_stay_with_their_replicate(self, monkeypatch, m_runs, array, value, message, stack_sizes):
+        # A NaN in replicate 1's y fails the draw check, and a NaN or an inf
+        # in its Z fails the stacked cache with NonFinite before any
+        # decomposition; either sends the pass to the lone refit, where the
+        # replicate's DetectionDataset records its own text. Nothing is stacked.
+        def edit(*arrays):
+            arrays[array].flat[4] = value
 
-        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(1, nan_y))
+        monkeypatch.setattr(simulate.ReplicateGenerator, "draw", edited_draw(1, edit))
         scn = scenario(m_runs, replicates=4)
         report = fp.run_scenario(scn)
-        assert report.replicates[1].error == "NonFinite: y contains NaN or infinite entries"
+        assert report.replicates[1].error == message
         assert report.failure_counts == {"NonFinite": 1}
         assert report.replicates == expected_records(scn)
         assert stack_sizes == []
