@@ -9,13 +9,25 @@ thin-SVD route, m = 100 and 400 the dense one. A change that is meant to
 keep the numbers prints the same lines as its parent. Compare runs with the
 same ``--jobs``: a worker has one BLAS thread, and the m = 400 rows differ
 in their last bits with more.
+
+Two more lines, ``fit m=100`` and ``fit m=40``, give the sha256 of the
+``finprint fit`` report on ``make_example_data.py`` data with that many
+control runs (m = 40 < N takes the thin-SVD route). Both commands run in a
+temporary directory with relative paths, so the report's provenance names
+the same files on every run.
 """
 
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+import finprint
 from finprint import SeparableAr1Sigma, SimulationScenario, SyntheticFingerprints, run_scenario
 
 
@@ -26,6 +38,19 @@ def rows_digest(report) -> str:
         h.update(np.ascontiguousarray(column).tobytes())
     h.update(repr(report.error.tolist()).encode())
     return h.hexdigest()
+
+
+def fit_digest(m_runs: int) -> str:
+    """The sha256 of the ``finprint fit`` report on example data with ``m_runs`` control runs."""
+    env = {**os.environ, "PYTHONPATH": str(Path(finprint.__file__).resolve().parents[1])}
+    example_data = Path(__file__).resolve().parent / "make_example_data.py"
+    with tempfile.TemporaryDirectory() as tmp:
+        for args in (
+            [str(example_data), ".", "--m-runs", str(m_runs)],
+            ["-m", "finprint", "fit", "manifest.json", "--output", "report.json"],
+        ):
+            subprocess.run([sys.executable, *args], cwd=tmp, env=env, check=True, capture_output=True)
+        return hashlib.sha256((Path(tmp) / "report.json").read_bytes()).hexdigest()
 
 
 def main() -> None:
@@ -48,6 +73,8 @@ def main() -> None:
                 base_seed=20260810,
             )
             print(f"{rho} {m} {rows_digest(run_scenario(scenario, jobs=args.jobs))}")
+    for m in (100, 40):
+        print(f"fit m={m} {fit_digest(m)}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,12 @@ _NUMERIC_ERRORS = (FinprintError, np.linalg.LinAlgError, FloatingPointError, Val
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's sha256, read in fixed blocks so that no input is held whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for block in iter(partial(f.read, 1 << 18), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _provenance(options: FitOptions, input_files) -> dict:

@@ -2,7 +2,10 @@
 
 Matrix files are plain text with one row per line, '.' decimal separator,
 whitespace or comma delimited, and optional '#' comment lines, or NumPy
-``.npy`` files (numeric, 1-d or 2-d; a 1-d array is one column). Vectors are
+``.npy`` files (numeric, 1-d or 2-d; a 1-d array is one column). Text is
+streamed: reading holds one line of it at a time (and the comment lines
+before the first data row), so the peak is the returned array itself, and
+parse time is that of ``np.loadtxt``'s number conversion. Vectors are
 single-column files. Manifests are JSON documents; relative paths resolve
 against the manifest's directory. Scenario documents are read and written by
 ``finprint.simulate``.
@@ -10,8 +13,8 @@ against the manifest's directory. Scenario documents are read and written by
 
 from __future__ import annotations
 
+import itertools
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +48,43 @@ def _read_npy(path: Path) -> np.ndarray:
 def read_matrix(path) -> np.ndarray:
     """Read a delimited text or ``.npy`` matrix; always returns a 2-d array.
 
-    Raises SchemaError when the file is not UTF-8 text, holds no data rows,
-    or does not parse as a rectangular numeric table.
+    Text is read one line at a time: the lines before the first data row are
+    held until that row decides the delimiter (a comma if it has one before
+    any '#'), then ``np.loadtxt`` takes those lines and the rest of the file
+    as a stream. Raises SchemaError when the file is not UTF-8 text, holds no
+    data rows, or does not parse as a rectangular numeric table.
     """
     if Path(path).suffix == ".npy":
         return _read_npy(Path(path))
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        text = "\n".join(lines)
-        if not re.search(r"^[^\S\n]*[^#\s]", text, re.MULTILINE):
-            raise SchemaError("no data rows")
-        delimiter = "," if "," in text and re.search(r"^[^#,\n]*,", text, re.MULTILINE) else None
-        return np.loadtxt(lines, comments="#", delimiter=delimiter, ndmin=2)
+        with open(path, encoding="utf-8") as f:
+            lines = (part for line in f for part in line.splitlines())
+            head = []
+            for line in lines:
+                head.append(line)
+                stripped = line.lstrip()
+                if stripped and not stripped.startswith("#"):
+                    break
+            else:
+                raise SchemaError("no data rows")
+            delimiter = "," if "," in line.partition("#")[0] else None
+            return np.loadtxt(itertools.chain(head, lines), comments="#", delimiter=delimiter, ndmin=2)
     except (ValueError, SchemaError) as exc:  # UnicodeDecodeError is a ValueError
-        raise SchemaError(f"{path}: not a numeric matrix file ({exc})") from exc
+        raise SchemaError(f"{path}: not a numeric matrix file ({_utf8_error(path) or exc})") from exc
+
+
+def _utf8_error(path) -> UnicodeDecodeError | None:
+    """The error of decoding the whole file at once, if it is not UTF-8.
+
+    A bad byte anywhere in the file outranks a parse error in an earlier
+    row, and is named by its offset in the file, not in the block that a
+    streamed read had decoded when it met it.
+    """
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
+    return None
 
 
 def read_vector(path) -> np.ndarray:
@@ -122,9 +148,14 @@ def load_dataset(manifest_path) -> DetectionDataset:
     try:
         y = read_vector(resolve(base, doc["y"]))
         if "forcing_runs" in doc:
-            runs = [read_matrix(resolve(base, p)) for p in doc["forcing_runs"]]
-            x_tilde = np.column_stack([ensemble_mean(r) for r in runs])
-            sizes = np.array([r.shape[1] for r in runs])
+            means, counts = [], []
+            for p in doc["forcing_runs"]:  # one run matrix held at a time
+                runs = read_matrix(resolve(base, p))
+                means.append(ensemble_mean(runs))
+                counts.append(runs.shape[1])
+                del runs
+            x_tilde = np.column_stack(means)
+            sizes = np.array(counts)
         else:
             x_tilde = read_matrix(resolve(base, doc["x_tilde"]))
             sizes = doc["ensemble_sizes"]

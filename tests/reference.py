@@ -1,14 +1,22 @@
-"""Slow per-lambda reference for the stacked lambda grid.
+"""Slow references for the stacked lambda grid and the streamed matrix reader.
 
 The grid evaluation written one lambda at a time, with exceptions as control
 flow and every functional recomputed where it is used. It shares no code
 with the library's stacked implementation, so differential tests compare the
 two point by point.
+
+``reference_read_matrix`` reads a text matrix file whole, as one string, and
+decides its delimiter from every row at once; ``io.read_matrix`` streams it.
 """
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
+
+from finprint.errors import SchemaError
 
 DEGENERATE_TOL = 1e-12
 VERTICAL_TOL = 1e-10
@@ -170,3 +178,16 @@ def reference_curve(cache, ensemble_sizes, grid):
     values = np.array([reference_objective(pt) for pt in points])
     chosen = int(np.argmin(values)) if np.isfinite(values).any() else None
     return points, values, chosen
+
+
+def reference_read_matrix(path) -> np.ndarray:
+    """A text matrix file read whole: a comma delimiter if any data row has one before '#'."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = "\n".join(lines)
+        if not re.search(r"^[^\S\n]*[^#\s]", text, re.MULTILINE):
+            raise SchemaError("no data rows")
+        delimiter = "," if "," in text and re.search(r"^[^#,\n]*,", text, re.MULTILINE) else None
+        return np.loadtxt(lines, comments="#", delimiter=delimiter, ndmin=2)
+    except (ValueError, SchemaError) as exc:  # UnicodeDecodeError is a ValueError
+        raise SchemaError(f"{path}: not a numeric matrix file ({exc})") from exc

@@ -65,9 +65,13 @@ def test_c1_coverage_at_nominal_level(coverage_reports):
             details.append(f"m={m} f{i} cr={metrics.coverage_rate:.3f}")
             if not COVERAGE_WINDOW[0] <= metrics.coverage_rate <= COVERAGE_WINDOW[1]:
                 ok = False
+    # Wall-clock time goes on its own line, so that the ACCEPTANCE line of an
+    # unchanged study reads the same on every run.
     elapsed = coverage_reports["elapsed"]
-    details.append(f"runtime={elapsed:.0f}s")
-    ok = ok and elapsed <= 300.0
+    print(f"\nC1 runtime={elapsed:.0f}s")
+    if elapsed > 300.0:
+        ok = False
+        details.append(f"runtime {elapsed:.0f}s > 300s")
     _report("C1 coverage", ok, ", ".join(details))
 
 

@@ -1,16 +1,24 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finprint as fp
+from finprint import io
+from finprint.cli import _sha256
 from finprint.io import SchemaError, load_dataset, read_matrix, read_vector, write_matrix
 from finprint.simulate import load_scenario, scenario_from_dict, scenario_to_dict
+from reference import reference_read_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,6 +85,129 @@ class TestNpyFiles:
                 read_matrix(tmp_path / name)
 
 
+def _outcome(reader, path):
+    """The array ``reader`` returns, or the text of the SchemaError it raises."""
+    try:
+        return reader(path)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _delimiter_rules_differ(data: bytes) -> bool:
+    """The first data row has no comma before '#' but a later data row does.
+
+    The whole-text reader then takes a comma delimiter and ``read_matrix``
+    whitespace; such a file fails to parse under both, at different rows.
+    """
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return False
+    rows = [line.partition("#")[0] for line in lines if line.lstrip()[:1] not in ("", "#")]
+    return bool(rows) and "," not in rows[0] and any("," in row for row in rows)
+
+
+def assert_reads_like_the_whole_text_reader(path: Path, data: bytes) -> None:
+    path.write_bytes(data)
+    streamed, whole = _outcome(read_matrix, path), _outcome(reference_read_matrix, path)
+    if isinstance(whole, np.ndarray):
+        assert isinstance(streamed, np.ndarray), streamed
+        assert streamed.dtype == whole.dtype and streamed.shape == whole.shape
+        np.testing.assert_array_equal(streamed, whole)
+    elif _delimiter_rules_differ(data):  # both fail, each at its own first bad row
+        assert isinstance(streamed, str) and streamed.startswith(f"{path}: not a numeric matrix file (")
+    else:
+        assert streamed == whole
+
+
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+CORPUS = {
+    "whitespace": b"1 2\n3 4\n",
+    "tabs_and_padding": b"  1\t2  \n\t3 4\n",
+    "comma": b"1,2\n3,4\n",
+    "comma_and_spaces": b"1, 2\n 3 ,4\n",
+    "comma_then_whitespace_row": b"1,2\n3 4\n",
+    "comment_lines": b"# header\n1 2\n# middle\n3 4\n",
+    "comment_after_data": b"1 2 # tail\n3 4\n",
+    "comma_only_in_a_comment": b"# a, b\n1 2 # c, d\n3 4\n",
+    "empty": b"",
+    "comment_only": b"# only\n#  comments\n",
+    "blank_only": b"  \n\t\n\n",
+    "blank_line_before_comma_rows": b"  \n1,2\n",
+    "nbsp_line_before_comma_rows": "\xa0\n1,2\n".encode(),
+    "unit_separator_between_tokens": "1\x1f2\n".encode(),
+    "crlf": b"1 2\r\n3 4\r\n",
+    "lone_cr": b"1 2\r3 4\r",
+    **{f"separator_{ord(sep):x}": f"1 2{sep}3 4\n".encode() for sep in SEPARATORS},
+    "separator_before_data": "\u2028# c\x1c\n1,2\x853,4".encode(),
+    "bom": b"\xef\xbb\xbf1 2\n3 4\n",
+    "bom_before_comment": b"\xef\xbb\xbf# c\n1 2\n",
+    "trailing_commas": b"1,2,\n3,4,\n",
+    "trailing_spaces": b"1 2 \n3 4 \n",
+    "nan_and_inf": b"nan inf\n-inf 1\n",
+    "nan_and_inf_comma": b"NaN,Inf\n-inf,1e308\n",
+    "ragged": b"1 2\n3\n",
+    "not_a_number": b"1 x\n",
+    "invalid_byte": b"1 2\n\xff 4\n",
+    "truncated_sequence_at_end": b"1 2\n3 4\n\xe2\x82",
+    "invalid_byte_past_a_parse_error": b"1 2\n3\n" + b"4 5\n" * 3000 + b"\xff\n",
+    "invalid_byte_in_a_late_comment": b"1 2\n" * 3000 + b"# \xc3(\n",
+    "first_row_without_comma": b"1\n2,3\n",
+    "first_row_without_comma_after_comment": b"# c\n1 2\n3,4\n",
+}
+PIECES = [
+    b"1", b"-2.5", b"3e1", b"nan", b"inf", b"x", b" ", b"\t", b",", b"#", b"\n", b"\r", b"\r\n",
+    *(c.encode() for c in ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029", "\ufeff"]),
+    b"\xff", b"\xe2\x82",
+]
+
+
+class TestAgainstWholeTextReader:
+    """``read_matrix`` streams its file; the reference in ``tests/reference.py`` reads it whole."""
+
+    @pytest.mark.parametrize("data", list(CORPUS.values()), ids=list(CORPUS))
+    def test_corpus(self, tmp_path, data):
+        assert_reads_like_the_whole_text_reader(tmp_path / "m.txt", data)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pieces=st.lists(st.sampled_from(PIECES), max_size=40))
+    def test_fuzz(self, tmp_path, pieces):
+        assert_reads_like_the_whole_text_reader(tmp_path / "m.txt", b"".join(pieces))
+
+
+@pytest.fixture(scope="module")
+def five_mb_matrix(tmp_path_factory):
+    a = np.random.default_rng(0).standard_normal((1000, 220))
+    path = tmp_path_factory.mktemp("large") / "z.txt"
+    write_matrix(path, a, header="a 5 MB text matrix")
+    assert path.stat().st_size >= 5_000_000
+    return path, a
+
+
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        value = func(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+class TestMemory:
+    def test_read_matrix_peak_is_the_array(self, five_mb_matrix):
+        path, a = five_mb_matrix
+        got, peak = _traced_peak(read_matrix, path)
+        np.testing.assert_array_equal(got, a)
+        assert peak <= 1.5 * got.nbytes, (peak, got.nbytes)
+
+    def test_input_hash_reads_in_blocks(self, five_mb_matrix):
+        path, _ = five_mb_matrix
+        digest, peak = _traced_peak(_sha256, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak <= 2 * 2**20, peak
+
+
 def write_dataset_files(tmp_path, seed=0, n=10, m=15):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
@@ -127,6 +258,27 @@ class TestDatasetManifest:
         ds = load_dataset(manifest)
         np.testing.assert_allclose(ds.x_tilde[:, 0], runs_a.mean(axis=1))
         np.testing.assert_allclose(ds.x_tilde[:, 1], runs_b.mean(axis=1))
+        np.testing.assert_array_equal(ds.ensemble_sizes, [3, 4])
+
+    def test_forcing_runs_are_held_one_at_a_time(self, tmp_path, monkeypatch):
+        _, _, _, runs_a, runs_b = write_dataset_files(tmp_path)
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"y": "y.txt", "forcing_runs": ["runs_a.txt", "runs_b.txt"], "control_runs": "control.txt"})
+        )
+        runs_read, alive_at_each_read = [], []
+
+        def spy(path):
+            if path.name.startswith("runs_"):
+                alive_at_each_read.append(sum(ref() is not None for ref in runs_read))
+                runs = read_matrix(path)
+                runs_read.append(weakref.ref(runs))
+                return runs
+            return read_matrix(path)
+
+        monkeypatch.setattr(io, "read_matrix", spy)
+        ds = load_dataset(tmp_path / "manifest.json")
+        assert alive_at_each_read == [0, 0]
+        np.testing.assert_array_equal(ds.x_tilde, np.column_stack([runs_a.mean(axis=1), runs_b.mean(axis=1)]))
         np.testing.assert_array_equal(ds.ensemble_sizes, [3, 4])
 
     def test_precomputed_covariance(self, tmp_path):

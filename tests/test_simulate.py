@@ -619,6 +619,10 @@ def test_records_digest_script_prints_a_stable_line_per_scenario():
     ]
     assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
     lines = runs[0].stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [[rho, m] for rho in ("0.1", "0.5") for m in ("24", "30", "100", "400")]
+    assert [line.split()[:2] for line in lines] == [
+        *([rho, m] for rho in ("0.1", "0.5") for m in ("24", "30", "100", "400")),
+        ["fit", "m=100"],
+        ["fit", "m=40"],
+    ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) and len(line.split()) == 3 for line in lines)
     assert runs[1].stdout == runs[0].stdout
