@@ -2,14 +2,16 @@
 
 All quantities the estimator needs at a given regularization level are
 functions of the eigendecomposition of the sample covariance S and of the
-data projected onto its eigenbasis. The decomposition is done once: an eigh
-of S, or for N x m control runs Z with m < N the thin SVD of Z, whose m left
-singular vectors span the range of S = Z Z^T/m; the N - m directions it does
-not compute have eigenvalue 0 and form a null block (its dimension and the
-Gram matrix of the data's residual). A grid of G lambdas is then evaluated
-in one pass of stacked array operations on the G x (k+1) weight matrix
-1/(d_i + lambda) of the k computed eigenvalues and the null block, at
-O(G k p^2); one lambda is a grid of one. S + lambda*I is never formed.
+data projected onto its eigenbasis. The decomposition is done once, as an
+eigh of a matrix whose nonzero spectrum is S's: S itself, or for N x m
+control runs Z with m < N the m x m matrix R11 R11^T/m of the R factor of a
+QR of [Z, x_tilde, y], which is S restricted to span(Z). The N - m
+directions outside span(Z) have eigenvalue 0 and form a null block (its
+dimension and the Gram matrix of the data's residual, read off the same R).
+A grid of G lambdas is then evaluated in one pass of stacked array
+operations on the G x (k+1) weight matrix 1/(d_i + lambda) of the k
+computed eigenvalues and the null block, at O(G k p^2); one lambda is a
+grid of one. S + lambda*I is never formed.
 Caches of equal shape stack along a leading replicate axis: ``build_cache``
 decomposes a stack of replicates in one batched call, and the grid
 functions broadcast over that axis, with an (R, G) lambda grid.
@@ -43,6 +45,7 @@ DEGENERATE_TOL = 1e-12
 # slice keeps a few arrays of that size alive, so this caps the replicates
 # per slice (``stack_size``), and simulate sizes its blocks and passes from
 # it: more would grow the peak memory without making a replicate cheaper.
+# It also sizes the row blocks of the QR of control runs (``_runs_r_factor``).
 STACK_ELEMENTS = 2**16
 
 
@@ -53,8 +56,8 @@ class SpectralCache:
     ``eigvals`` (k of them) are ascending and clamped to >= 0: all N from
     an eigh of S, min(N, m) from control runs. ``proj_x`` and ``proj_y``
     are the data rotated onto their eigenvectors U, which are not kept. The
-    other N - k = ``null_dim`` directions, which the thin SVD does not
-    compute, have eigenvalue 0; the data enter there only through
+    other N - k = ``null_dim`` directions, outside span(Z), have
+    eigenvalue 0; the data enter there only through
     ``null_gram``, the (p+1) x (p+1) Gram matrix R^T R of the residual
     R = A - U U^T A of A = [x_tilde, y]; zero after an eigh of S.
 
@@ -102,8 +105,10 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     ``cov`` is a SampleCovariance or the N x m control runs Z, and the
     route is chosen here: S, supplied or formed from Z with m >= N, is
     eigendecomposed (O(N^3) time, O(N^2) memory); Z with m < N gives the
-    eigenpairs of S = Z Z^T/m by its thin SVD without forming S (O(N m^2)
-    time, O(N m) memory). tau_bar is tr(S)/N of a supplied S, else
+    eigenpairs of S = Z Z^T/m on span(Z) without forming S, from the R
+    factor of a row-blocked QR of [Z, x_tilde, y] and an eigh of the m x m
+    R11 R11^T/m (O(N m^2) time; O(STACK_ELEMENTS + m^2) memory beyond the
+    inputs). tau_bar is tr(S)/N of a supplied S, else
     ``runs_tau_bar(Z)`` on both routes: the dataset's ``tau_bar`` bit for
     bit. Eigenvalues below 1e-10 * tau_bar are clamped to zero. Raises
     NonFinite when an entry of S or tau_bar is not finite (an overflow of
@@ -141,17 +146,22 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
     if y.shape != (*lead, n):
         raise DimensionMismatch(f"y must have shape {(*lead, n)}, got {y.shape}")
 
+    data = np.concatenate([x_tilde, y[..., None]], axis=-1)
+    resid = data[..., :0, :]
+    if s is None:
+        # [Z, A] = Q R with R = [[R11, R12], [0, R22]]: Z = Q1 R11, so the
+        # eigenpairs (d, V) of R11 R11^T/m give those of S on span(Z) as
+        # (d, Q1 V), A projects there as V^T R12, and A's residual off
+        # span(Z) is Q2 R22, whose Gram matrix is R22^T R22.
+        r = _runs_r_factor(z, data)
+        s, data, resid = dataset.runs_product(r[..., :m, :m]), r[..., :m, m:], r[..., m:, m:]
     try:
-        if s is not None:
-            eigvals, eigvecs = np.linalg.eigh(s)
-        else:
-            left, svals, _ = np.linalg.svd(z, full_matrices=False)
-            eigvals, eigvecs = svals[..., ::-1] ** 2 / m, left[..., ::-1]
+        eigvals, eigvecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"spectral decomposition failed: {exc}") from exc
     # Round-off eigenvalues (either sign) below 1e-10 * tau_bar are exact
     # zeros of the rank-deficient S; an S with an eigenvalue further below
-    # zero is not a covariance. Singular values cannot go negative.
+    # zero is not a covariance.
     floor = 1e-10 * np.maximum(tau_bar, 0.0)
     lowest = eigvals.min(axis=-1, initial=0.0)
     below = lowest < -floor
@@ -161,25 +171,40 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
             "below -1e-10 * tau_bar"
         )
     eigvals = np.where(eigvals < floor[..., None], 0.0, eigvals)
-    data = np.concatenate([x_tilde, y[..., None]], axis=-1)
-    # The data enter the directions the SVD does not compute only through
-    # their residual off the computed eigenvectors; an eigh computes all N.
     # Data near float64's largest value overflow here; the grid reads nonfinite_gram.
-    k = eigvals.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         proj = eigvecs.swapaxes(-1, -2) @ data
-        resid = data - eigvecs @ proj if k < n else data[..., :0, :]
         null_gram = resid.swapaxes(-1, -2) @ resid
     return SpectralCache(
         eigvals=eigvals,
         proj_x=proj[..., :-1],
         proj_y=proj[..., -1],
-        null_dim=n - k,
+        null_dim=n - eigvals.shape[-1],
         null_gram=symmetrize(null_gram),
         n_dim=n,
         m_runs=m,
         tau_bar=tau_bar,
     )
+
+
+def _runs_r_factor(z: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """R of the Householder QR of [Z, data], N x c with c = m + p + 1: (..., min(N, c), c).
+
+    Taken over row blocks of max(2c, STACK_ELEMENTS // c) rows, each stacked
+    under the R of the rows before it (TSQR), so no N x c copy is formed.
+    The blocks depend on c alone: a stack's row r is its replicate's R, bit
+    for bit.
+    """
+    m, c = z.shape[-1], z.shape[-1] + data.shape[-1]
+    rows = max(2 * c, STACK_ELEMENTS // c)
+    r = np.empty((*z.shape[:-2], 0, c))
+    for start in range(0, z.shape[-2], rows):
+        runs = z[..., start : start + rows, :]
+        k = r.shape[-2]
+        a = np.empty((*runs.shape[:-2], k + runs.shape[-2], c))
+        a[..., :k, :], a[..., k:, :m], a[..., k:, m:] = r, runs, data[..., start : start + rows, :]
+        r = np.linalg.qr(a, mode="r")
+    return r
 
 
 def stack_size(rank: int, grid_size: int) -> int:

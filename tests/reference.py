@@ -1,9 +1,13 @@
-"""Slow references for the stacked lambda grid and the streamed matrix reader.
+"""Slow references for the stacked lambda grid, the low-rank cache and the streamed matrix reader.
 
 The grid evaluation written one lambda at a time, with exceptions as control
 flow and every functional recomputed where it is used. It shares no code
 with the library's stacked implementation, so differential tests compare the
 two point by point.
+
+``reference_runs_cache`` builds the cache of N x m control runs with m < N
+from the thin SVD of Z, with the explicit projection and residual of the
+data; ``spectral.build_cache`` reads them off the R factor of a QR.
 
 ``reference_read_matrix`` reads a text matrix file whole, as one string, and
 decides its delimiter from every row at once; ``io.read_matrix`` streams it.
@@ -17,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from finprint.errors import SchemaError
+from finprint.spectral import SpectralCache
 
 DEGENERATE_TOL = 1e-12
 VERTICAL_TOL = 1e-10
@@ -178,6 +183,35 @@ def reference_curve(cache, ensemble_sizes, grid):
     values = np.array([reference_objective(pt) for pt in points])
     chosen = int(np.argmin(values)) if np.isfinite(values).any() else None
     return points, values, chosen
+
+
+def reference_runs_cache(z, x_tilde, y) -> SpectralCache:
+    """The cache of one replicate's N x m control runs, m < N, from the thin SVD Z = U diag(s) V^T.
+
+    The eigenvalues s^2/m ascending, clamped to 0 below 1e-10 * tau_bar; the
+    data A = [x_tilde, y] projected as U^T A, and the null block's Gram
+    matrix formed from the residual A - U U^T A itself.
+    """
+    z = np.asarray(z, dtype=float)
+    n, m = z.shape
+    tau_bar = float(np.sum(z * z)) / z.size
+    left, svals, _ = np.linalg.svd(z, full_matrices=False)
+    eigvals, eigvecs = svals[::-1] ** 2 / m, left[:, ::-1]
+    eigvals[eigvals < 1e-10 * max(tau_bar, 0.0)] = 0.0
+    data = np.column_stack([x_tilde, y])
+    proj = eigvecs.T @ data
+    resid = data - eigvecs @ proj
+    null_gram = resid.T @ resid
+    return SpectralCache(
+        eigvals=eigvals,
+        proj_x=proj[:, :-1],
+        proj_y=proj[:, -1],
+        null_dim=n - m,
+        null_gram=0.5 * null_gram + 0.5 * null_gram.T,
+        n_dim=n,
+        m_runs=m,
+        tau_bar=tau_bar,
+    )
 
 
 def reference_read_matrix(path) -> np.ndarray:

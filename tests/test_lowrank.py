@@ -1,14 +1,26 @@
-"""The low-rank cache (thin SVD of the control runs) against the dense cache of S."""
+"""The low-rank cache (QR of the control runs and the data) against the dense cache of S and the thin SVD."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import finprint as fp
 import oracles
 from finprint import dataset, variance
-from reference import trace_functionals
+from finprint.spectral import STACK_ELEMENTS, rmt_grid
+from reference import reference_runs_cache, trace_functionals
 
 RTOL = 1e-8
+# The QR route against the thin-SVD reference: both are backward stable, and
+# none of the compared functionals depends on the signs or the ties of the
+# eigenvectors, so they agree to round-off amplified by at most 1/b^4.
+SVD_RTOL = 1e-10
 
 
 def problem(seed, n, m, p, runs=None):
@@ -21,7 +33,7 @@ def problem(seed, n, m, p, runs=None):
 
 
 def caches(ds):
-    """The thin-SVD cache of the control runs and the eigh cache of S = Z Z^T/m."""
+    """The cache of the control runs (QR route when m < N) and the eigh cache of S = Z Z^T/m."""
     low = fp.build_cache(ds.control_runs, ds.x_tilde, ds.y)
     dense = fp.build_cache(fp.compute_sample_covariance(ds.control_runs), ds.x_tilde, ds.y)
     return low, dense
@@ -172,7 +184,7 @@ class TestAgainstDense:
     @pytest.mark.parametrize("m", [12, 30, 45])
     def test_build_cache_of_z_is_the_fit_cache(self, m):
         # build_cache picks the route: from Z with m >= N it forms S and
-        # takes its eigh, from Z with m < N the thin SVD. Either way it is
+        # takes its eigh, from Z with m < N the QR of [Z, x~, y]. Either way it is
         # the cache prepare_cache builds, to the bit.
         ds = problem(9, 30, m, 2)
         low, dense = caches(ds)
@@ -191,15 +203,114 @@ class TestAgainstDense:
             fp.build_cache(np.ones(5), np.ones((5, 1)), np.zeros(5))
 
 
+def block_rows(m, p):
+    """Most rows of one block of the QR of [Z, x~, y], c = m + p + 1 columns."""
+    c = m + p + 1
+    return max(2 * c, STACK_ELEMENTS // c)
+
+
+def differential_case(n, m, p, structure, scale, seed):
+    """Control runs, x~ and y of one structured case, all scaled by ``scale``."""
+    rng = np.random.default_rng(seed)
+    z = runs_at_clamp(2.0, n, m) if structure == "at_clamp" else rng.standard_normal((n, m))
+    if structure == "repeated_column":
+        z[:, -1] = z[:, 0]
+    elif structure == "zero_column":
+        z[:, 0] = 0.0
+    x = rng.standard_normal((n, p))
+    if structure == "x_in_span":
+        x = z @ rng.standard_normal((m, p))
+    y = x @ np.ones(p) + 0.5 * rng.standard_normal(n)
+    return scale * z, scale * x, scale * y
+
+
+def assert_close_per_lambda(got, want, rtol):
+    """``got`` equals ``want`` to rtol times the largest |want| at the same lambda (the leading axis)."""
+    scale = np.abs(want).reshape(len(want), -1).max(axis=1).reshape(-1, *[1] * (want.ndim - 1))
+    scale[scale == 0.0] = 1.0
+    np.testing.assert_allclose(got / scale, want / scale, rtol=rtol, atol=rtol)
+
+
+@st.composite
+def differential_cases(draw):
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, n - 1))
+    p = draw(st.integers(1, 3))
+    structures = ["random", "x_in_span"] + (["repeated_column", "zero_column", "at_clamp"] if m >= 2 else [])
+    structure = draw(st.sampled_from(structures))
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    return n, m, p, structure, scale, draw(st.integers(0, 2**32 - 1))
+
+
+class TestAgainstThinSvd:
+    """The QR route against the thin-SVD cache of ``reference_runs_cache``."""
+
+    @given(differential_cases())
+    @settings(max_examples=60, deadline=None)
+    # N - m < p + 1: R has fewer than c rows.
+    @example((5, 4, 2, "random", 1.0, 0))
+    @example((48, 46, 2, "random", 1.0, 1))
+    @example((48, 46, 3, "x_in_span", 1e150, 2))
+    # N at a block boundary, one row either side, and several blocks.
+    @example((block_rows(24, 2) - 1, 24, 2, "random", 1.0, 3))
+    @example((block_rows(24, 2), 24, 2, "random", 1.0, 4))
+    @example((block_rows(24, 2) + 1, 24, 2, "x_in_span", 1.0, 5))
+    @example((3 * block_rows(24, 2) + 1, 24, 2, "repeated_column", 1.0, 6))
+    @example((block_rows(200, 2) - 1, 200, 2, "random", 1.0, 7))
+    @example((block_rows(200, 2) + 1, 200, 2, "zero_column", 1e-150, 8))
+    @example((3 * block_rows(200, 2) + 1, 200, 2, "random", 1e150, 9))
+    # Rank-deficient runs, x~ in span(Z), and both scales.
+    @example((30, 8, 2, "repeated_column", 1.0, 10))
+    @example((30, 8, 2, "zero_column", 1e150, 11))
+    @example((30, 8, 2, "at_clamp", 1e-150, 12))
+    @example((30, 8, 2, "x_in_span", 1e-150, 13))
+    def test_functionals_match_the_thin_svd(self, case):
+        n, m, p, _, scale, seed = case
+        z, x, y = differential_case(*case)
+        got, want = fp.build_cache(z, x, y), reference_runs_cache(z, x, y)
+        assert got.eigvals.shape == (m,) and (got.null_dim, got.n_dim, got.m_runs) == (n - m, n, m)
+        np.testing.assert_allclose(got.eigvals, want.eigvals, rtol=0.0, atol=SVD_RTOL * want.eigvals.max())
+        grid = np.geomspace(*variance.default_bounds(got.tau_bar), variance.DEFAULT_GRID_SIZE)
+        f, g = rmt_grid(got, grid), rmt_grid(want, grid)
+        for name in ("theta1", "theta2", "gram", "g1", "g_s", "stability"):
+            assert_close_per_lambda(getattr(f, name), getattr(g, name), SVD_RTOL)
+        # A stack's row is the replicate decomposed alone, bit for bit.
+        other = differential_case(n, m, p, "random", scale, seed + 1)
+        stack = fp.build_cache(*(np.stack([a, b]) for a, b in zip((z, x, y), other)))
+        for name in ("eigvals", "proj_x", "proj_y", "null_gram", "tau_bar"):
+            np.testing.assert_array_equal(getattr(stack, name)[0], getattr(got, name))
+
+
+def test_decomposition_memory_does_not_grow_with_n():
+    # The growth of the peak RSS across build_cache on 8000 x 400 runs, in a
+    # fresh process with one BLAS thread, stays below one N x m array
+    # (24.4 MiB): the QR holds one row block, not copies of Z.
+    code = (
+        "import resource, numpy as np, finprint as fp\n"
+        "rng = np.random.default_rng(0)\n"
+        "z, x, y = rng.standard_normal((8000, 400)), rng.standard_normal((8000, 2)), rng.standard_normal(8000)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "fp.build_cache(z, x, y)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+    )
+    src = str(Path(fp.__file__).parent.parent)
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    growth = int(done.stdout) * 1024  # ru_maxrss is in KiB on Linux
+    assert growth < 8000 * 400 * 8, growth / 2**20
+
+
 class TestDecompositions:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Shapes of every eigh/eigvalsh/svd argument, and S builds, during a test."""
-        seen = {"eigh": [], "eigvalsh": [], "svd": [], "sample_cov": 0}
+        """Shapes of every eigh/eigvalsh/svd/qr argument, and S builds, during a test."""
+        seen = {"eigh": [], "eigvalsh": [], "svd": [], "qr": [], "sample_cov": 0}
         # numpy's own helpers (norm(x, 2) -> svd) look these up in the
         # private module, so wrap them there too.
         modules = [np.linalg] + [m for m in (getattr(np.linalg, "_linalg", None),) if m is not None]
-        for name in ("eigh", "eigvalsh", "svd"):
+        for name in ("eigh", "eigvalsh", "svd", "qr"):
             original = getattr(np.linalg, name)
 
             def traced(a, *args, _name=name, _original=original, **kwargs):
@@ -218,12 +329,19 @@ class TestDecompositions:
         return seen
 
     def test_low_rank_fit_decomposes_z_once(self, calls):
-        n, m = 60, 15
-        fp.fit_optimal(problem(1, n, m, 2))
-        assert calls["sample_cov"] == 0
-        square = [s for s in calls["eigh"] + calls["eigvalsh"] if s[-2:] == (n, n)]
-        assert square == []
-        assert calls["svd"].count((n, m)) == 1
+        # One eigh of the m x m R11 R11^T/m and no SVD; nothing of N rows
+        # reaches eigh or svd, and the QR takes one row block under the
+        # running R at a time (several blocks at 2000 x 200).
+        for n, m in [(60, 15), (2000, 200)]:
+            fp.fit_optimal(problem(1, n, m, 2))
+            assert calls["sample_cov"] == 0
+            assert calls["svd"] == []
+            assert calls["eigh"].count((m, m)) == 1
+            assert [s for s in calls["eigh"] + calls["eigvalsh"] if n in s] == []
+            c = m + 3
+            blocks = [s for s in calls["qr"] if s[-1] == c]
+            assert blocks and all(s[-2] <= block_rows(m, 2) + c for s in blocks)
+        assert len(calls["qr"]) == 1 + 5  # one block of 60 rows, then five of at most 406
 
     def test_m_at_least_n_routes_to_dense(self, calls):
         n, m = 20, 30
@@ -234,4 +352,4 @@ class TestDecompositions:
 
     def test_validation_does_not_decompose(self, calls):
         fp.validate_dataset(problem(1, 60, 15, 2))
-        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "sample_cov": 0}
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "qr": [], "sample_cov": 0}

@@ -29,7 +29,7 @@ class TestBuildCache:
     def test_tau_bar_is_the_datasets(self, m_runs):
         # One tau_bar per input: the grid's (the cache's) is the dataset's,
         # which the fit report quotes, bit for bit, on the eigh route of the
-        # paper-scale design (m = 100 >= N = 48), the thin SVD (m = 20) and
+        # paper-scale design (m = 100 >= N = 48), the QR route (m = 20) and
         # a supplied S. tr(S)/N and ||Z||^2/(mN) differ in the last digits.
         scn = fp.SimulationScenario(
             n_dim=48,

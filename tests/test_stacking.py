@@ -119,7 +119,7 @@ def set_stack_size(monkeypatch, size, rank, grid_size=variance.DEFAULT_GRID_SIZE
 
 class TestBatchIndependence:
     # m >= N takes the eigh of S (a cache of N eigenvalues, blocks of 13 at
-    # N=48); m < N the thin SVD of Z (m eigenvalues, whatever its rank,
+    # N=48); m < N the QR of [Z, x~, y] (m eigenvalues, whatever its rank,
     # blocks of 26 at m=24). 30 replicates are two full blocks and a partial
     # one at N=48. A pass holds as many whole blocks as keep its
     # (P, G, p+1, p+1) Gram stack within 2^16 doubles, up to 2^16 // (100 *
@@ -311,7 +311,7 @@ class TestBlockSeeding:
 
 
 class TestStackedCache:
-    # m >= N: one batched eigh of the stacked S; m < N: one batched thin SVD.
+    # m >= N: one batched eigh of the stacked S; m < N: one batched QR and m x m eigh.
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("m_runs", [60, 24], ids=["dense", "low_rank"])
     def test_equals_the_caches_built_one_at_a_time(self, m_runs, p):
@@ -482,7 +482,7 @@ class TestFailureIsolation:
 
     def test_low_rank_stacked_build_failure_refits_the_pass_one_at_a_time(self, monkeypatch, block_sizes, stack_sizes):
         # m < N never forms S; replicate 2's tr(S)/N overflows, which fails
-        # the stacked thin SVD's cache (replicates 0-25) before it is
+        # the stacked low-rank cache (replicates 0-25) before it is
         # decomposed, and that replicate's own cache. The second block
         # (26-29) shares the pass, so all 30 replicates are fitted one at a time.
         report, raised = run_with_overflowing_replicate(monkeypatch, 24, replicates=30)
