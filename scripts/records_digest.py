@@ -6,9 +6,8 @@ p = 2, gamma = 1, base seed 20260810) at rho_ST 0.1 and 0.5 and m = 24, 30,
 100 and 400, and prints rho_ST, m and the sha256 of lambda_opt, beta_hat,
 the interval ends, ``covered`` and the error texts. m = 24 and 30 take the
 low-rank (QR) route, m = 100 and 400 the dense one. A change that is meant
-to keep the numbers prints the same lines as its parent. Compare runs with
-the same ``--jobs``: a worker has one BLAS thread, and the m = 400 rows
-differ in their last bits with more.
+to keep the numbers prints the same lines as its parent, at any ``--jobs``
+and BLAS thread count.
 
 Two more lines, ``fit m=100`` and ``fit m=40``, give the sha256 of the
 ``finprint fit`` report on ``make_example_data.py`` data with that many
@@ -16,17 +15,23 @@ control runs (m = 40 < N takes the low-rank route). Both commands run in a
 temporary directory with relative paths, so the report's provenance names
 the same files on every run.
 
-``--save DIR`` writes each line's rows to ``DIR/<line>.npz``, and
-``--against DIR`` reads them back and appends, to each line, the largest
-relative difference of lambda_opt, beta_hat and the interval ends from the
-saved rows, and for the Monte Carlo lines the number of replicates whose
-``covered`` flipped. A change that moves the numbers then reports how far.
+``--save DIR`` writes each line's rows to ``DIR/<line>.npz``, the printed
+lines to ``DIR/lines.txt`` and what the bits depend on besides the code to
+``DIR/environment.json`` (numpy's version, its BLAS and the CPU: OpenBLAS
+and numpy pick their kernels per CPU). ``--against DIR`` reads the rows
+back and appends, to each line, the largest relative difference of
+lambda_opt, beta_hat and the interval ends from the saved rows, and for the
+Monte Carlo lines the number of replicates whose ``covered`` flipped. A
+change that moves the numbers then reports how far. ``tests/data/records_digest``
+holds a ``--replicates 30 --save`` run that the test suite compares against.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -106,6 +111,22 @@ def drift(rows: dict, saved) -> str:
     return text
 
 
+def environment() -> dict:
+    """numpy's version, its BLAS's name and version, the CPU model and numpy's SIMD extensions on it."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    cpu = platform.processor()
+    with contextlib.suppress(OSError):
+        models = [line for line in Path("/proc/cpuinfo").read_text().splitlines() if line.startswith("model name")]
+        cpu = models[0].split(":", 1)[1].strip() if models else cpu
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "cpu": cpu,
+        "simd": config["SIMD Extensions"]["found"],
+    }
+
+
 def lines(replicates: int, jobs: int):
     """(label, sha256, rows) of each line, in the order printed."""
     for rho in (0.1, 0.5):
@@ -125,15 +146,20 @@ def main() -> None:
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
 
+    printed = []
     for label, digest, rows in lines(args.replicates, args.jobs):
         name = label.replace(" ", "_").replace("=", "") + ".npz"
         if args.save is not None:
             np.savez(args.save / name, **rows)
         text = f"{label} {digest}"
+        printed.append(text)
         if args.against is not None:
             with np.load(args.against / name) as saved:
                 text += " " + drift(rows, saved)
         print(text, flush=True)
+    if args.save is not None:
+        (args.save / "lines.txt").write_text("".join(line + "\n" for line in printed))
+        (args.save / "environment.json").write_text(json.dumps(environment(), indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -177,9 +177,7 @@ class DetectionDataset:
     @property
     def tau_bar(self) -> float:
         """Average eigenvalue tr(S)/N, from the control runs without forming S."""
-        if self.sample_cov is not None:
-            return self.sample_cov.tau_bar
-        return runs_tau_bar(self.control_runs)
+        return runs_tau_bar(self.control_runs) if self.sample_cov is None else self.sample_cov.tau_bar
 
 
 def compute_sample_covariance(control_runs) -> SampleCovariance:
@@ -210,10 +208,15 @@ def runs_product(z: np.ndarray) -> np.ndarray:
     return s
 
 
-def runs_tau_bar(control_runs) -> float:
-    """Average eigenvalue tr(S)/N of S = Z Z^T/m, as ||Z||_F^2 / (m N) in O(N m)."""
+def runs_tau_bar(control_runs) -> float | np.ndarray:
+    """tr(S)/N of S = Z Z^T/m as ||Z||_F^2 / (m N): a float for N x m runs, an array for a stack (..., N, m).
+
+    The one formula for tau_bar. einsum sums each replicate's Z in C order, so unlike BLAS ddot its
+    bits depend on neither the BLAS thread count nor Z's layout or stack. An overflowing sum is inf.
+    """
     z = np.asarray(control_runs, dtype=float)
-    return float(np.vdot(z, z)) / z.size
+    tau_bar = np.array([np.einsum("i,i->", r, r) / r.size for r in z.reshape(-1, z.shape[-2] * z.shape[-1])])
+    return float(tau_bar[0]) if z.ndim == 2 else tau_bar.reshape(z.shape[:-2])
 
 
 def ensemble_mean(runs) -> np.ndarray:

@@ -23,10 +23,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# Called as dataset.compute_sample_covariance, so perfbench's tracer sees it.
-from . import dataset
 from ._symmetric import symmetrize
-from .dataset import SampleCovariance, runs_tau_bar
+from .dataset import SampleCovariance, runs_product, runs_tau_bar
 from .errors import DimensionMismatch, EigenFailure, NonFinite, NotPSD, OutOfDomain
 
 __all__ = [
@@ -130,11 +128,8 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         if z.ndim not in (2, 3) or z.shape[-1] < 1:
             raise DimensionMismatch(f"control runs must be N x m with m >= 1, or a stack of them, got {z.shape}")
         n, m = z.shape[-2:]
-        tau_bar = runs_tau_bar(z) if z.ndim == 2 else np.array([runs_tau_bar(runs) for runs in z])
-        s, cause = None, "the runs' sum of squares is NaN or overflows"
-        if m >= n:
-            # A stack goes through the same formula as one replicate, in one pass.
-            s = dataset.compute_sample_covariance(z).s if z.ndim == 2 else dataset.runs_product(z)
+        tau_bar, cause = runs_tau_bar(z), "the runs' sum of squares is NaN or overflows"
+        s = runs_product(z) if m >= n else None
     if not np.isfinite(tau_bar).all():
         raise NonFinite(f"tr(S)/N = {np.max(tau_bar)} is not finite: {cause}")
     lead = np.shape(tau_bar)
@@ -154,7 +149,7 @@ def build_cache(cov: SampleCovariance | np.ndarray, x_tilde, y) -> SpectralCache
         # (d, Q1 V), A projects there as V^T R12, and A's residual off
         # span(Z) is Q2 R22, whose Gram matrix is R22^T R22.
         r = _runs_r_factor(z, data)
-        s, data, resid = dataset.runs_product(r[..., :m, :m]), r[..., :m, m:], r[..., m:, m:]
+        s, data, resid = runs_product(r[..., :m, :m]), r[..., :m, m:], r[..., m:, m:]
     try:
         eigvals, eigvecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:

@@ -198,15 +198,17 @@ class TestAgainstReference:
         indefinite = usable & (np.linalg.det(np.where(usable[:, None, None], curve.xi_hat, np.eye(2))) <= 0.0)
         assert indefinite.any()
 
-    @pytest.mark.parametrize("route", ["dense", "svd"])
+    @pytest.mark.parametrize("route", ["dense", "qr"])
     def test_objective_is_trace_or_inf(self, route):
-        # The problem of test_nonpositive_variance_points, whose curve has
-        # both feasible and infeasible points, on either cache route.
-        rng = np.random.default_rng(16)
-        z = rng.standard_normal((23, 34))
-        x = rng.standard_normal((23, 3))
-        y = rng.standard_normal(23)
+        # A problem whose curve has both feasible and infeasible points, on
+        # either cache route: the eigh of a supplied S, or the QR of the
+        # runs, which m = 23 < N = 34 selects.
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((34, 23))
+        x = rng.standard_normal((34, 3))
+        y = rng.standard_normal(34)
         cache = fp.build_cache(fp.compute_sample_covariance(z) if route == "dense" else z, x, y)
+        assert cache.null_dim == (0 if route == "dense" else 34 - 23)
         curve = variance.evaluate_grid(cache, [4, 7, 1], np.geomspace(1e-3, 10.0, 30) * cache.tau_bar)
         feasible = np.equal(curve.reason, None)
         assert feasible.any() and not feasible.all()

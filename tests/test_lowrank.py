@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import finprint as fp
 import oracles
-from finprint import dataset, variance
+from finprint import spectral, variance
 from finprint.spectral import STACK_ELEMENTS, rmt_grid
 from reference import reference_runs_cache, trace_functionals
 
@@ -305,8 +305,8 @@ def test_decomposition_memory_does_not_grow_with_n():
 class TestDecompositions:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Shapes of every eigh/eigvalsh/svd/qr argument, and S builds, during a test."""
-        seen = {"eigh": [], "eigvalsh": [], "svd": [], "qr": [], "sample_cov": 0}
+        """Shapes of every eigh/eigvalsh/svd/qr argument, and of every Z of a Z Z^T/m product, during a test."""
+        seen = {"eigh": [], "eigvalsh": [], "svd": [], "qr": [], "runs_product": []}
         # numpy's own helpers (norm(x, 2) -> svd) look these up in the
         # private module, so wrap them there too.
         modules = [np.linalg] + [m for m in (getattr(np.linalg, "_linalg", None),) if m is not None]
@@ -319,22 +319,25 @@ class TestDecompositions:
 
             for module in modules:
                 monkeypatch.setattr(module, name, traced)
-        original_cov = dataset.compute_sample_covariance
+        original_product = spectral.runs_product
 
         def counted(z):
-            seen["sample_cov"] += 1
-            return original_cov(z)
+            seen["runs_product"].append(np.shape(z))
+            return original_product(z)
 
-        monkeypatch.setattr(dataset, "compute_sample_covariance", counted)
+        # build_cache looks the name up in its own module.
+        monkeypatch.setattr(spectral, "runs_product", counted)
         return seen
 
     def test_low_rank_fit_decomposes_z_once(self, calls):
-        # One eigh of the m x m R11 R11^T/m and no SVD; nothing of N rows
-        # reaches eigh or svd, and the QR takes one row block under the
-        # running R at a time (several blocks at 2000 x 200).
+        # One product and one eigh, both of the m x m R11 R11^T/m, and no
+        # SVD; nothing of N rows reaches a product, eigh or svd, and the QR
+        # takes one row block under the running R at a time (several
+        # blocks at 2000 x 200).
         for n, m in [(60, 15), (2000, 200)]:
             fp.fit_optimal(problem(1, n, m, 2))
-            assert calls["sample_cov"] == 0
+            assert calls["runs_product"].count((m, m)) == 1
+            assert [s for s in calls["runs_product"] if s[-2] == n] == []
             assert calls["svd"] == []
             assert calls["eigh"].count((m, m)) == 1
             assert [s for s in calls["eigh"] + calls["eigvalsh"] if n in s] == []
@@ -346,10 +349,10 @@ class TestDecompositions:
     def test_m_at_least_n_routes_to_dense(self, calls):
         n, m = 20, 30
         fp.fit_optimal(problem(1, n, m, 2))
-        assert calls["sample_cov"] == 1
+        assert calls["runs_product"] == [(n, m)]  # the one N x N product Z Z^T/m
         assert calls["eigh"].count((n, n)) == 1
         assert (n, m) not in calls["svd"]
 
     def test_validation_does_not_decompose(self, calls):
         fp.validate_dataset(problem(1, 60, 15, 2))
-        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "qr": [], "sample_cov": 0}
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "qr": [], "runs_product": []}

@@ -1,4 +1,6 @@
 import contextlib
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -606,28 +608,45 @@ def test_coverage_study_script_prints_a_row_per_forcing():
     assert all(0.0 <= float(c[6]) <= 1.0 for c in cells)
 
 
-def test_records_digest_script_prints_a_stable_line_per_scenario(tmp_path):
-    # The second run compares its rows with the first's saved ones: every
-    # line then reads no drift after the same digest.
-    root = Path(__file__).resolve().parents[1]
-    runs = [
-        subprocess.run(
-            [sys.executable, str(root / "scripts" / "records_digest.py"), "--replicates", "3", flag, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
+ROOT = Path(__file__).resolve().parents[1]
+DIGEST_SCRIPT = ROOT / "scripts" / "records_digest.py"
+SAVED_DIGEST = ROOT / "tests" / "data" / "records_digest"
+
+
+def records_digest_environment() -> dict:
+    """``scripts/records_digest.py``'s ``environment()`` here: what the saved bits depend on besides the code."""
+    spec = importlib.util.spec_from_file_location("records_digest", DIGEST_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.environment()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_records_digest_prints_the_saved_lines(threads):
+    # The same-numbers gate: tests/data/records_digest is a `records_digest.py
+    # --replicates 30 --save` run, and at one BLAS thread and at two every
+    # line prints its saved sha256 with zero drift. A change that moves the
+    # numbers on purpose regenerates the directory (README). OpenBLAS and
+    # numpy pick their kernels per CPU, so another CPU skips the comparison.
+    saved, here = json.loads((SAVED_DIGEST / "environment.json").read_text()), records_digest_environment()
+    for key in ("numpy", "blas"):
+        assert here[key] == saved[key], (
+            f"{key} {here[key]} here, {saved[key]} in {SAVED_DIGEST}: regenerate it (README) or use {saved[key]}"
         )
-        for flag in ("--save", "--against")
-    ]
-    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr + runs[1].stderr
-    lines = runs[0].stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [
-        *([rho, m] for rho in ("0.1", "0.5") for m in ("24", "30", "100", "400")),
-        ["fit", "m=100"],
-        ["fit", "m=40"],
-    ]
-    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) and len(line.split()) == 3 for line in lines)
+    if (here["cpu"], here["simd"]) != (saved["cpu"], saved["simd"]):
+        pytest.skip(f"CPU {here['cpu']} {here['simd']} is not the saved {saved['cpu']} {saved['simd']}")
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if usable < threads:
+        pytest.skip(f"{threads} BLAS threads need {threads} usable CPUs, this process has {usable}")
+    proc = subprocess.run(
+        [sys.executable, str(DIGEST_SCRIPT), "--replicates", "30", "--against", str(SAVED_DIGEST)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": str(threads)},
+    )
+    assert proc.returncode == 0, proc.stderr
     no_drift = " lambda_opt 0.0e+00 beta_hat 0.0e+00 ci 0.0e+00"
-    assert runs[1].stdout.splitlines() == [
-        line + no_drift + ("" if line.startswith("fit") else " covered_flips 0") for line in lines
+    assert proc.stdout.splitlines() == [
+        line + no_drift + ("" if line.startswith("fit") else " covered_flips 0")
+        for line in (SAVED_DIGEST / "lines.txt").read_text().splitlines()
     ]
